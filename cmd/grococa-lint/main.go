@@ -6,8 +6,6 @@
 //	grococa-lint ./...                  # what make tier1 runs
 //	grococa-lint -json ./...            # machine-readable findings artifact
 //	grococa-lint -max-suppress 0 ./...  # suppression budget gate
-//	grococa-lint -selftest              # prove each contract analyzer catches
-//	                                    # an injected defect (must exit nonzero)
 //
 // Determinism analyzers (PR 2):
 //
@@ -16,10 +14,8 @@
 //	wallclock     no wall-clock reads in simulation packages
 //	errdrop       no silently discarded error returns
 //
-// Contract analyzers (type-aware, this PR):
+// Contract analyzers (type-aware):
 //
-//	snapshotdrift fields missing from State/Restore checkpoint coverage
-//	keyedsched    unkeyed Kernel.Schedule/At in snapshot-capable packages
 //	epochsync     Connected()-affecting writes without ConnectivityChanged
 //	hotalloc      allocation patterns in //hot:-annotated functions
 //
@@ -32,11 +28,9 @@
 // CI budget gate that keeps suppressions from accumulating silently.
 //
 // The exit status is 1 when any unsuppressed finding remains or the
-// suppression budget is exceeded, 2 on driver errors. In -selftest mode the
-// tool injects one in-memory defect per contract analyzer (via a source
-// overlay; the working tree is never touched) and exits 1 when every
-// defect is caught — mirroring the chaos -selftest convention where the
-// seeded-bug run must fail — or 2 when any injected defect goes undetected.
+// suppression budget is exceeded, 2 when loading or analysis fails. The
+// tests inject one in-memory defect per contract analyzer and require it
+// to be caught.
 package main
 
 import (
@@ -50,11 +44,10 @@ import (
 	"repro/internal/lint/epochsync"
 	"repro/internal/lint/errdrop"
 	"repro/internal/lint/hotalloc"
-	"repro/internal/lint/keyedsched"
+	"repro/internal/lint/loader"
 	"repro/internal/lint/mapiterorder"
 	"repro/internal/lint/multichecker"
 	"repro/internal/lint/rngstream"
-	"repro/internal/lint/snapshotdrift"
 	"repro/internal/lint/wallclock"
 )
 
@@ -63,10 +56,8 @@ var analyzers = []*analysis.Analyzer{
 	epochsync.Analyzer,
 	errdrop.Analyzer,
 	hotalloc.Analyzer,
-	keyedsched.Analyzer,
 	mapiterorder.Analyzer,
 	rngstream.Analyzer,
-	snapshotdrift.Analyzer,
 	wallclock.Analyzer,
 }
 
@@ -128,7 +119,6 @@ func run(w io.Writer, args []string) (int, error) {
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	asJSON := fs.Bool("json", false, "emit findings and suppressions as JSON")
 	maxSuppress := fs.Int("max-suppress", -1, "fail when more than this many suppressions fire (-1 disables the gate)")
-	selftest := fs.Bool("selftest", false, "inject one in-memory defect per contract analyzer; exits 1 when all are caught")
 	if err := fs.Parse(args); err != nil {
 		return 2, err
 	}
@@ -139,9 +129,6 @@ func run(w io.Writer, args []string) (int, error) {
 			}
 		}
 		return 0, nil
-	}
-	if *selftest {
-		return runSelftest(w)
 	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
@@ -225,5 +212,9 @@ func run(w io.Writer, args []string) (int, error) {
 // analyze loads the patterns and runs the full suite, returning findings
 // and fired suppressions in deterministic order.
 func analyze(patterns []string) ([]multichecker.Finding, []multichecker.Suppression, error) {
-	return analyzeWithOverlay(nil, patterns, analyzers)
+	pkgs, err := loader.Load(patterns...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return multichecker.AnalyzeAll(pkgs, analyzers)
 }

@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"os"
 	"testing"
 	"time"
 
@@ -211,15 +210,13 @@ func TestResilientAuditedRunIsClean(t *testing.T) {
 	}
 }
 
-// TestBreakerSelftest is the must-fail leg of `make breaker-selftest`: the
-// same outage-heavy scenario with a deliberately miswired breaker (open
-// transitions straight back to closed, skipping half-open). The audit's
-// breaker-state-machine invariant must flag the illegal edge, making this
-// test FAIL — the Makefile target inverts the exit code. A passing run
-// under GROCOCA_BREAKER_SELFTEST=1 means the invariant is broken.
+// TestBreakerSelftest runs the outage-heavy scenario with a deliberately
+// miswired breaker (open transitions straight back to closed, skipping
+// half-open). The audit's breaker-state-machine invariant must flag the
+// illegal edge; a clean report means the invariant is broken.
 func TestBreakerSelftest(t *testing.T) {
-	if os.Getenv("GROCOCA_BREAKER_SELFTEST") != "1" {
-		t.Skip("deliberately miswired breaker; run via make breaker-selftest")
+	if testing.Short() {
+		t.Skip("scenario simulation in -short mode")
 	}
 	cfg := resilientScenarioConfig(core.SchemeGroCoca)
 	cfg.Resilience.SelfTestMiswire = true
@@ -233,10 +230,16 @@ func TestBreakerSelftest(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := a.Finish(r.Completed)
-	if !rep.Clean() {
-		t.Fatalf("miswired breaker caught: %d violations (this failure is the expected selftest outcome)",
-			rep.TotalViolations())
+	caught := 0
+	for _, v := range rep.Violations {
+		if v.Invariant == "breaker-state-machine" {
+			caught++
+		}
 	}
+	if caught == 0 {
+		t.Fatalf("miswired breaker went undetected: no breaker-state-machine violation among %d", rep.TotalViolations())
+	}
+	t.Logf("miswired breaker caught: %d breaker-state-machine violations", caught)
 }
 
 // TestFinalTickOutageCensored pins the censoring semantics for every

@@ -1,9 +1,7 @@
-// Package checkpoint implements the deterministic snapshot/restore layer
-// of the simulation platform: a canonical binary codec (the same value
-// always produces the same bytes), a versioned sealed envelope with a
-// SHA-256 digest for corruption detection, an append-only crash-safe
-// journal for resumable sweeps and chaos campaigns, and the capture of a
-// full simulation's component state into one digestible SimulationState.
+// Package checkpoint implements per-replication resume for sweeps and
+// chaos campaigns: a canonical binary codec (the same value always
+// produces the same bytes) and an append-only, crash-safe journal whose
+// records carry the codec-encoded result of each completed replication.
 //
 // See DESIGN.md "Checkpoint format & compatibility" for the byte layout
 // and the compatibility rules.
@@ -21,9 +19,9 @@ import (
 // integers (every int/uint kind widens to 8 bytes), IEEE-754 bit patterns
 // for floats, length-prefixed strings and slices, struct fields in
 // declaration order, and map entries sorted by their encoded key bytes.
-// The encoding carries no field names: compatibility is governed by the
-// envelope version (see Seal), which must be bumped whenever a serialized
-// type changes shape.
+// The encoding carries no field names: compatibility is governed by
+// FormatVersion, which must be bumped whenever a serialized type changes
+// shape.
 func Marshal(v any) ([]byte, error) {
 	var b bytes.Buffer
 	if err := encodeValue(&b, reflect.ValueOf(v)); err != nil {
@@ -162,6 +160,45 @@ func (r *reader) u32() (uint32, error) {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]), nil
 }
 
+// length reads a u32 element count and rejects it when the bytes left
+// cannot hold that many elements of at least size bytes each, so a
+// corrupt count fails here instead of sizing an allocation. Elements that
+// encode to no bytes (size 0) cannot be bounded this way.
+func (r *reader) length(size int) (int, error) {
+	n, err := r.u32()
+	if err != nil {
+		return 0, err
+	}
+	if size > 0 && uint64(n) > uint64(len(r.data)-r.off)/uint64(size) {
+		return 0, fmt.Errorf("checkpoint: length %d exceeds the %d bytes left at offset %d", n, len(r.data)-r.off, r.off)
+	}
+	return int(n), nil
+}
+
+// minEncodedSize is the fewest bytes any value of type t encodes to.
+func minEncodedSize(t reflect.Type) int {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Ptr:
+		return 1
+	case reflect.String, reflect.Slice, reflect.Map:
+		return 4
+	case reflect.Array:
+		if t.Elem().Kind() == reflect.Uint8 {
+			return 4 + t.Len()
+		}
+		return 4 + t.Len()*minEncodedSize(t.Elem())
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < t.NumField(); i++ {
+			if t.Field(i).PkgPath == "" {
+				n += minEncodedSize(t.Field(i).Type)
+			}
+		}
+		return n
+	}
+	return 8
+}
+
 func (r *reader) u64() (uint64, error) {
 	b, err := r.take(8)
 	if err != nil {
@@ -208,7 +245,12 @@ func decodeValue(r *reader, v reflect.Value) error {
 		}
 		v.SetString(string(b))
 	case reflect.Slice:
-		n, err := r.u32()
+		raw := v.Type().Elem().Kind() == reflect.Uint8
+		size := 1
+		if !raw {
+			size = minEncodedSize(v.Type().Elem())
+		}
+		n, err := r.length(size)
 		if err != nil {
 			return err
 		}
@@ -216,9 +258,9 @@ func decodeValue(r *reader, v reflect.Value) error {
 			v.Set(reflect.Zero(v.Type()))
 			return nil
 		}
-		s := reflect.MakeSlice(v.Type(), int(n), int(n))
-		if v.Type().Elem().Kind() == reflect.Uint8 {
-			b, err := r.take(int(n))
+		s := reflect.MakeSlice(v.Type(), n, n)
+		if raw {
+			b, err := r.take(n)
 			if err != nil {
 				return err
 			}
@@ -226,7 +268,7 @@ func decodeValue(r *reader, v reflect.Value) error {
 			v.Set(s)
 			return nil
 		}
-		for i := 0; i < int(n); i++ {
+		for i := 0; i < n; i++ {
 			if err := decodeValue(r, s.Index(i)); err != nil {
 				return err
 			}
@@ -240,13 +282,21 @@ func decodeValue(r *reader, v reflect.Value) error {
 		if int(n) != v.Len() {
 			return fmt.Errorf("checkpoint: array length %d does not match type %v", n, v.Type())
 		}
-		for i := 0; i < int(n); i++ {
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			b, err := r.take(v.Len())
+			if err != nil {
+				return err
+			}
+			reflect.Copy(v, reflect.ValueOf(b))
+			return nil
+		}
+		for i := 0; i < v.Len(); i++ {
 			if err := decodeValue(r, v.Index(i)); err != nil {
 				return err
 			}
 		}
 	case reflect.Map:
-		n, err := r.u32()
+		n, err := r.length(minEncodedSize(v.Type().Key()) + minEncodedSize(v.Type().Elem()))
 		if err != nil {
 			return err
 		}
@@ -254,8 +304,8 @@ func decodeValue(r *reader, v reflect.Value) error {
 			v.Set(reflect.Zero(v.Type()))
 			return nil
 		}
-		m := reflect.MakeMapWithSize(v.Type(), int(n))
-		for i := 0; i < int(n); i++ {
+		m := reflect.MakeMapWithSize(v.Type(), n)
+		for i := 0; i < n; i++ {
 			k := reflect.New(v.Type().Key()).Elem()
 			if err := decodeValue(r, k); err != nil {
 				return err

@@ -9,6 +9,11 @@ import (
 	"sync"
 )
 
+// FormatVersion is the current journal format version. It must be bumped
+// whenever the framing or the shape of any journaled type changes;
+// OpenJournal rejects journals from other versions instead of guessing.
+const FormatVersion uint32 = 1
+
 // journalMagic identifies a journal file; the u32 after it is the format
 // version (FormatVersion).
 var journalMagic = []byte("GCKJ")

@@ -86,7 +86,7 @@ func (h *Host) admit(item workload.ItemID, now, ttl time.Duration, fromTCG bool)
 		// is not replicated when the cache is full — it is readily
 		// available from that member.
 		if fromTCG && !h.cfg.DisableAdmission {
-			h.collector.admissionSkips++
+			h.collector.aux.AdmissionSkips++
 			return
 		}
 		victim := h.pickVictim()
@@ -130,9 +130,9 @@ func (h *Host) pickVictim() *cache.Entry {
 	victim, outcome := h.strat.PickVictim(h, cands)
 	switch outcome {
 	case strategy.EvictCoop:
-		h.collector.coopEvictions++
+		h.collector.aux.CoopEvictions++
 	case strategy.EvictSinglet:
-		h.collector.singletDrops++
+		h.collector.aux.SingletDrops++
 	}
 	return victim
 }
@@ -397,8 +397,8 @@ func (h *Host) handleSigRequest(msg network.Message) {
 	}
 	sig := h.ownSig.Signature()
 	size := network.HeaderSize + h.sigTransferBytes(sig)
-	h.collector.sigExchanges++
-	h.collector.sigBytes += uint64(size)
+	h.collector.aux.SigExchanges++
+	h.collector.aux.SigBytes += uint64(size)
 	h.medium.Send(network.Message{
 		Kind:    network.KindSigReply,
 		From:    h.id,

@@ -13,8 +13,7 @@ import (
 // ranking prefers evicting an item a fresh hint says a neighbour also
 // caches — a lightweight stand-in for GroCoca's signature machinery. The
 // table follows the spillover beacon-table contract: re-learned from
-// periodic beacons, stale after three intervals, outside the quiescent
-// snapshot image.
+// periodic beacons, stale after three intervals.
 
 // maxBeaconHints bounds the per-beacon hint list (four bytes each on air).
 const maxBeaconHints = 4

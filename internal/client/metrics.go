@@ -47,42 +47,15 @@ type Collector struct {
 	done      int
 	onAllDone func()
 
-	latency     stats.Welford
-	latencyDist stats.Sample
-	outcomes    map[Outcome]uint64
-	// Auxiliary counters.
-	validations         uint64
-	refreshes           uint64
-	peerTimeouts        uint64
-	filterBypasses      uint64
-	admissionSkips      uint64
-	coopEvictions       uint64
-	singletDrops        uint64
-	sigExchanges        uint64
-	sigBytes            uint64
-	tuneIns             uint64
-	broadcastDeliveries uint64
-	broadcastDrops      uint64
-	spillsSent          uint64
-	spillsAccepted      uint64
-	retrieveRetries     uint64
-	serverRescues       uint64
-	rescueFailures      uint64
-	crashes             uint64
-	crashAborts         uint64
-	serveStaleHits      uint64
-	breakerOpens        uint64
-	breakerProbes       uint64
-	breakerFastFails    uint64
-	hedgedRetrieves     uint64
-	deadlineFailures    uint64
-	measureStart        time.Duration
+	latency      stats.Welford
+	latencyDist  stats.Sample
+	outcomes     map[Outcome]uint64
+	aux          AuxCounters
+	measureStart time.Duration
 
 	// GroupOf, when set by the assembler, maps a node to its motion group
 	// so global hits can be attributed to same-group vs foreign providers.
-	GroupOf        func(network.NodeID) int
-	sameGroupHits  uint64
-	otherGroupHits uint64
+	GroupOf func(network.NodeID) int
 
 	// OnRecord, when set, receives every measured request as it completes
 	// — the per-request trace feed.
@@ -178,37 +151,7 @@ func (c *Collector) EnergyPerGlobalHit() float64 {
 func (c *Collector) MeasureStart() time.Duration { return c.measureStart }
 
 // Aux returns the auxiliary protocol counters.
-func (c *Collector) Aux() AuxCounters {
-	return AuxCounters{
-		Validations:         c.validations,
-		Refreshes:           c.refreshes,
-		PeerTimeouts:        c.peerTimeouts,
-		FilterBypasses:      c.filterBypasses,
-		AdmissionSkips:      c.admissionSkips,
-		CoopEvictions:       c.coopEvictions,
-		SingletDrops:        c.singletDrops,
-		SigExchanges:        c.sigExchanges,
-		SigBytes:            c.sigBytes,
-		SameGroupHits:       c.sameGroupHits,
-		OtherGroupHits:      c.otherGroupHits,
-		TuneIns:             c.tuneIns,
-		BroadcastDeliveries: c.broadcastDeliveries,
-		BroadcastDrops:      c.broadcastDrops,
-		SpillsSent:          c.spillsSent,
-		SpillsAccepted:      c.spillsAccepted,
-		RetrieveRetries:     c.retrieveRetries,
-		ServerRescues:       c.serverRescues,
-		RescueFailures:      c.rescueFailures,
-		Crashes:             c.crashes,
-		CrashAborts:         c.crashAborts,
-		ServeStaleHits:      c.serveStaleHits,
-		BreakerOpens:        c.breakerOpens,
-		BreakerProbes:       c.breakerProbes,
-		BreakerFastFails:    c.breakerFastFails,
-		HedgedRetrieves:     c.hedgedRetrieves,
-		DeadlineFailures:    c.deadlineFailures,
-	}
-}
+func (c *Collector) Aux() AuxCounters { return c.aux }
 
 // recordProvider attributes a global hit to a provider group.
 func (c *Collector) recordProvider(requester, provider network.NodeID) {
@@ -216,9 +159,9 @@ func (c *Collector) recordProvider(requester, provider network.NodeID) {
 		return
 	}
 	if c.GroupOf(requester) == c.GroupOf(provider) {
-		c.sameGroupHits++
+		c.aux.SameGroupHits++
 	} else {
-		c.otherGroupHits++
+		c.aux.OtherGroupHits++
 	}
 }
 

@@ -102,7 +102,7 @@ func (h *Host) beginRequest(item workload.ItemID) {
 		// collected member signature has no information to filter on and
 		// falls back to the base COCA search.
 		if !h.peerVec.CoversElement(uint64(item)) {
-			h.collector.filterBypasses++
+			h.collector.aux.FilterBypasses++
 			h.goToServer(item)
 			return
 		}
@@ -130,10 +130,9 @@ func (h *Host) broadcastSearch(item workload.ItemID) {
 		Size:    network.RequestSize,
 		Payload: payload,
 	})
-	//lint:ignore keyedsched request-lifecycle timeout: it only exists while cur != nil, and Host.State refuses to capture a non-quiescent host, so it can never be pending at a checkpoint
 	p.timeout = h.k.Schedule(h.capToDeadline(p, h.searchTimeout()), func() {
 		if h.cur == p && p.phase == phaseWaitReply {
-			h.collector.peerTimeouts++
+			h.collector.aux.PeerTimeouts++
 			h.goToServer(item)
 		}
 	})
@@ -261,7 +260,6 @@ func (h *Host) handleReply(msg network.Message) {
 		},
 	})
 	to := h.capToDeadline(p, h.dataTimeout())
-	//lint:ignore keyedsched request-lifecycle timeout, unreachable at a quiescent capture (State refuses while cur != nil)
 	p.timeout = h.k.Schedule(to, func() { h.dataTimeoutFired(p) })
 	h.armHedge(p, to)
 }
@@ -282,7 +280,7 @@ func (h *Host) dataTimeoutFired(p *pendingRequest) {
 	if h.allowRetrieveRetry(p) {
 		if alt := p.nextHolder(); alt != nil {
 			p.retrieveAttempts++
-			h.collector.retrieveRetries++
+			h.collector.aux.RetrieveRetries++
 			h.spendRetryBudget(p, "retrieve-retry")
 			p.tried[alt.Holder] = true
 			p.provider = alt.Holder
@@ -299,12 +297,11 @@ func (h *Host) dataTimeoutFired(p *pendingRequest) {
 				},
 			})
 			backoff := h.retrieveBackoff(p)
-			//lint:ignore keyedsched request-lifecycle retry backoff, unreachable at a quiescent capture (State refuses while cur != nil)
 			p.timeout = h.k.Schedule(backoff, func() { h.dataTimeoutFired(p) })
 			return
 		}
 	}
-	h.collector.peerTimeouts++
+	h.collector.aux.PeerTimeouts++
 	h.goToServer(p.item)
 }
 
@@ -503,7 +500,6 @@ func (h *Host) armServerRescue(p *pendingRequest, want phase, resend func()) {
 	if !h.resilienceOn() && h.cfg.ServerRetryLimit <= 0 {
 		return
 	}
-	//lint:ignore keyedsched request-lifecycle rescue timer, unreachable at a quiescent capture (State refuses while cur != nil)
 	p.timeout = h.k.Schedule(h.rescueTimeout(p), func() { h.serverRescueFired(p, want, resend) })
 }
 
@@ -532,13 +528,13 @@ func (h *Host) serverRescueTimeout(attempt int) time.Duration {
 func (h *Host) tuneToBroadcast(item workload.ItemID) {
 	p := h.cur
 	p.phase = phaseWaitBroadcast
-	h.collector.tuneIns++
+	h.collector.aux.TuneIns++
 	h.disk.Tune(h.id, item,
 		func(ttl, _ time.Duration) {
 			if h.cur != p || p.phase != phaseWaitBroadcast {
 				return
 			}
-			h.collector.broadcastDeliveries++
+			h.collector.aux.BroadcastDeliveries++
 			h.admit(item, h.k.Now(), ttl, false)
 			h.complete(OutcomeServerRequest)
 		},
@@ -547,7 +543,7 @@ func (h *Host) tuneToBroadcast(item workload.ItemID) {
 				return
 			}
 			// The item fell off the schedule: fall back to pulling.
-			h.collector.broadcastDrops++
+			h.collector.aux.BroadcastDrops++
 			h.sendPull(item, h.k.Now())
 		},
 	)
@@ -568,7 +564,7 @@ func (h *Host) validateWithServer(item workload.ItemID, retrievedAt time.Duratio
 	}
 	p.phase = phaseWaitValidate
 	h.lastServerContact = now
-	h.collector.validations++
+	h.collector.aux.Validations++
 	h.link.SendUp(network.Message{
 		Kind: network.KindValidate,
 		From: h.id,
@@ -601,7 +597,7 @@ func (h *Host) handleServerReply(msg network.Message) {
 		h.complete(OutcomeServerRequest)
 	case p.phase == phaseWaitValidate && payload.Refresh:
 		h.breakerSuccess(now)
-		h.collector.refreshes++
+		h.collector.aux.Refreshes++
 		// Replace the stale copy in place.
 		if old := h.cache.Remove(payload.Item); old != nil {
 			h.sigRemove(payload.Item)

@@ -25,7 +25,7 @@ func (h *Host) deadlineExpired(p *pendingRequest) bool {
 
 // failDeadline terminates the request with the deadline-exceeded cause.
 func (h *Host) failDeadline(p *pendingRequest) {
-	h.collector.deadlineFailures++
+	h.collector.aux.DeadlineFailures++
 	p.cause = "deadline-exceeded"
 	h.complete(OutcomeFailure)
 }
@@ -95,7 +95,6 @@ func (h *Host) spendRetryBudget(p *pendingRequest, kind string) {
 		return
 	}
 	p.budgetSpent++
-	h.resilSpent++
 	if rs := h.resilSink(); rs != nil {
 		rs.RetrySpent(h.k.Now(), h.id, p.seq, kind, p.budgetSpent, h.cfg.Resilience.RetryBudget)
 	}
@@ -112,7 +111,7 @@ func (h *Host) serverGate(p *pendingRequest, now time.Duration) bool {
 	if h.breaker.Allow(now) {
 		if h.breaker.Current() == resilience.HalfOpen {
 			h.breaker.BeginProbe(now)
-			h.collector.breakerProbes++
+			h.collector.aux.BreakerProbes++
 		}
 		return true
 	}
@@ -131,7 +130,7 @@ func (h *Host) degrade(p *pendingRequest, now time.Duration) {
 		if e := h.cache.Peek(p.item); e != nil {
 			expiresAt := e.RetrievedAt + e.TTL
 			if pol.ServeStaleMaxAge == 0 || now-expiresAt <= pol.ServeStaleMaxAge {
-				h.collector.serveStaleHits++
+				h.collector.aux.ServeStaleHits++
 				if rs := h.resilSink(); rs != nil {
 					rs.DegradedServe(now, h.id, p.item, e.RetrievedAt, expiresAt)
 				}
@@ -142,7 +141,7 @@ func (h *Host) degrade(p *pendingRequest, now time.Duration) {
 			}
 		}
 	}
-	h.collector.breakerFastFails++
+	h.collector.aux.BreakerFastFails++
 	p.cause = "breaker-open"
 	h.complete(OutcomeFailure)
 }
@@ -167,7 +166,6 @@ func (h *Host) armHedge(p *pendingRequest, dataTimeout time.Duration) {
 	if delay < time.Millisecond {
 		delay = time.Millisecond
 	}
-	//lint:ignore keyedsched request-lifecycle hedge timer, unreachable at a quiescent capture (State refuses while cur != nil)
 	p.hedge = h.k.Schedule(delay, func() { h.hedgeFired(p) })
 }
 
@@ -185,7 +183,7 @@ func (h *Host) hedgeFired(p *pendingRequest) {
 	}
 	p.hedged = true
 	p.tried[alt.Holder] = true
-	h.collector.hedgedRetrieves++
+	h.collector.aux.HedgedRetrieves++
 	if rs := h.resilSink(); rs != nil {
 		rs.HedgeIssued(h.k.Now(), h.id, p.seq, alt.Holder)
 	}
@@ -213,13 +211,13 @@ func (h *Host) serverRescueFired(p *pendingRequest, want phase, resend func()) {
 	}
 	if !h.resilienceOn() {
 		if p.serverAttempts >= h.cfg.ServerRetryLimit {
-			h.collector.rescueFailures++
+			h.collector.aux.RescueFailures++
 			p.cause = "rescue-exhausted"
 			h.complete(OutcomeFailure)
 			return
 		}
 		p.serverAttempts++
-		h.collector.serverRescues++
+		h.collector.aux.ServerRescues++
 		resend()
 		return
 	}
@@ -232,13 +230,13 @@ func (h *Host) serverRescueFired(p *pendingRequest, want phase, resend func()) {
 		return
 	}
 	if p.budgetSpent >= h.cfg.Resilience.RetryBudget {
-		h.collector.rescueFailures++
+		h.collector.aux.RescueFailures++
 		p.cause = "rescue-exhausted"
 		h.complete(OutcomeFailure)
 		return
 	}
 	p.serverAttempts++
-	h.collector.serverRescues++
+	h.collector.aux.ServerRescues++
 	h.spendRetryBudget(p, "server-rescue")
 	resend()
 }

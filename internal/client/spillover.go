@@ -129,7 +129,7 @@ func (h *Host) maybeSpill(victim *cache.Entry) {
 	if !ok {
 		return
 	}
-	h.collector.spillsSent++
+	h.collector.aux.SpillsSent++
 	h.medium.Send(network.Message{
 		Kind: network.KindSpill,
 		From: h.id,
@@ -181,7 +181,7 @@ func (h *Host) handleSpill(msg network.Message) {
 		return
 	}
 	h.sigInsert(payload.Item)
-	h.collector.spillsAccepted++
+	h.collector.aux.SpillsAccepted++
 	if a := h.audit(); a != nil {
 		a.CopyAdmitted(now, h.id, payload.Item, ttl)
 	}

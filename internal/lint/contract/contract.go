@@ -1,123 +1,16 @@
 // Package contract holds the type-aware discovery helpers shared by the
-// contract analyzers (snapshotdrift, keyedsched): finding a package's
-// State/Restore snapshot pairs, walking the call closure of a function
-// within its package, and deciding which fields the checkpoint codec could
-// serialize directly. Keeping discovery in one place means every analyzer
-// agrees on what "snapshot-capable" means.
+// contract analyzers (epochsync, hotalloc): walking the call closure of a
+// function within its package and collecting the struct fields those
+// bodies reference. Keeping discovery in one place means every analyzer
+// agrees on what a function's reachable code is.
 package contract
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"repro/internal/lint/analysis"
 )
-
-// Pair is one live-type/state-type snapshot contract in a package: a
-// method named State or Snapshot on Live whose first result is the
-// package-local struct State, plus (when present) the package-level
-// Restore* function that consumes that state type.
-type Pair struct {
-	// Live is the checkpointable type (e.g. bloom.Filter).
-	Live *types.Named
-	// State is the serializable image type (e.g. bloom.FilterState).
-	State *types.Named
-	// Capture is the declaration of the State/Snapshot method.
-	Capture *ast.FuncDecl
-	// Restore is the declaration of the Restore* function taking State;
-	// nil when the package captures for digests only (e.g. client.Host,
-	// which is re-run rather than restored).
-	Restore *ast.FuncDecl
-}
-
-// deref strips one level of pointer.
-func deref(t types.Type) types.Type {
-	if p, ok := t.(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
-}
-
-// namedStructIn returns t as a named struct declared in pkg, or nil.
-func namedStructIn(t types.Type, pkg *types.Package) *types.Named {
-	n, ok := deref(t).(*types.Named)
-	if !ok || n.Obj().Pkg() != pkg {
-		return nil
-	}
-	if _, ok := n.Underlying().(*types.Struct); !ok {
-		return nil
-	}
-	return n
-}
-
-// Pairs discovers every snapshot contract declared in the pass's package.
-// Order follows declaration order across the pass's files.
-func Pairs(pass *analysis.Pass) []Pair {
-	var pairs []Pair
-	// Restore functions indexed by the state type they consume.
-	restores := make(map[*types.Named]*ast.FuncDecl)
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil || !strings.HasPrefix(fd.Name.Name, "Restore") {
-				continue
-			}
-			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			sig := obj.Type().(*types.Signature)
-			for i := 0; i < sig.Params().Len(); i++ {
-				if n := namedStructIn(sig.Params().At(i).Type(), pass.Pkg); n != nil {
-					if _, dup := restores[n]; !dup {
-						restores[n] = fd
-					}
-				}
-			}
-		}
-	}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil {
-				continue
-			}
-			if fd.Name.Name != "State" && fd.Name.Name != "Snapshot" {
-				continue
-			}
-			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			sig := obj.Type().(*types.Signature)
-			if sig.Results().Len() == 0 {
-				continue
-			}
-			state := namedStructIn(sig.Results().At(0).Type(), pass.Pkg)
-			if state == nil {
-				continue
-			}
-			live, ok := deref(sig.Recv().Type()).(*types.Named)
-			if !ok {
-				continue
-			}
-			pairs = append(pairs, Pair{
-				Live:    live,
-				State:   state,
-				Capture: fd,
-				Restore: restores[state],
-			})
-		}
-	}
-	return pairs
-}
-
-// SnapshotCapable reports whether the package declares at least one
-// snapshot contract — the gate the keyedsched analyzer uses.
-func SnapshotCapable(pass *analysis.Pass) bool {
-	return len(Pairs(pass)) > 0
-}
 
 // funcDecls indexes the package's function declarations by their defining
 // object, so call sites can be resolved back to bodies.
@@ -198,52 +91,4 @@ func FieldsReferenced(pass *analysis.Pass, bodies []*ast.FuncDecl) map[*types.Va
 		})
 	}
 	return covered
-}
-
-// DirectlySerializable reports whether the checkpoint codec can marshal a
-// value of type t by value alone: booleans, numerics, strings, named types
-// over them, and structs/arrays/slices/maps composed of such. Pointers,
-// interfaces, functions, and channels are not — they are either wiring
-// (injected dependencies, timers) or state that must be captured through
-// its own State method. The snapshotdrift analyzer obligates exactly the
-// directly serializable fields of a live type: those are the fields a
-// developer can add without the compiler or any runtime check reminding
-// them about checkpoint coverage.
-func DirectlySerializable(t types.Type) bool {
-	return serializable(t, make(map[types.Type]bool))
-}
-
-func serializable(t types.Type, inProgress map[types.Type]bool) bool {
-	if inProgress[t] {
-		// Self-reference through a by-value cycle is impossible in valid
-		// Go; be conservative if the walk ever revisits a type.
-		return false
-	}
-	inProgress[t] = true
-	defer delete(inProgress, t)
-
-	switch u := t.Underlying().(type) {
-	case *types.Basic:
-		switch u.Kind() {
-		case types.Bool, types.Int, types.Int8, types.Int16, types.Int32, types.Int64,
-			types.Uint, types.Uint8, types.Uint16, types.Uint32, types.Uint64, types.Uintptr,
-			types.Float32, types.Float64, types.String:
-			return true
-		}
-		return false
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if !serializable(u.Field(i).Type(), inProgress) {
-				return false
-			}
-		}
-		return true
-	case *types.Slice:
-		return serializable(u.Elem(), inProgress)
-	case *types.Array:
-		return serializable(u.Elem(), inProgress)
-	case *types.Map:
-		return serializable(u.Key(), inProgress) && serializable(u.Elem(), inProgress)
-	}
-	return false
 }

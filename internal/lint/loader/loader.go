@@ -22,7 +22,7 @@
 // build-constraint filtering (files excluded by //go:build tags are not fed
 // to the typechecker), generated-file detection (Package.Generated, so
 // drivers can attribute or skip findings in generated code), and source
-// overlays (LoadWithOverlay), which let the self-test harness typecheck an
+// overlays (LoadWithOverlay), which let the grococa-lint tests typecheck an
 // in-memory mutation of a real package without touching the working tree.
 package loader
 
@@ -179,8 +179,8 @@ func Load(patterns ...string) ([]*Package, error) {
 // absolute path appears in overlay are parsed from the mapped bytes
 // instead of disk. Dependencies still resolve from the committed build
 // (export data), so an overlay mutation of one package is typechecked
-// against the real types of everything it imports. This is the
-// grococa-lint -selftest entry point.
+// against the real types of everything it imports. The grococa-lint
+// tests inject their defects this way.
 func LoadWithOverlay(overlay map[string][]byte, patterns ...string) ([]*Package, error) {
 	listed, err := goList([]string{"-json=ImportPath,Dir,GoFiles,TestGoFiles,XTestGoFiles"}, patterns)
 	if err != nil {

@@ -46,7 +46,7 @@ type Medium struct {
 	faults *FaultPlan
 
 	// Spatial index state. The grid is derived, rebuilt lazily from
-	// Position() — it is never part of a snapshot. regIdx maps a node to
+	// Position(). regIdx maps a node to
 	// its registration index; pos/syncedAt hold each host's last sampled
 	// position and the timestamp it was sampled at (negative = never).
 	brute    bool

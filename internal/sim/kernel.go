@@ -27,9 +27,6 @@ type Event struct {
 	index    int // heap index; -1 once fired or cancelled
 	fn       func()
 	canceled bool
-	// key names the event's restore handler for checkpointable models;
-	// "" for plain closures, which Snapshot rejects (see snapshot.go).
-	key string
 }
 
 // Time reports the simulation time at which the event fires.
@@ -92,7 +89,7 @@ type Kernel struct {
 	now    time.Duration
 	seq    uint64
 	events eventHeap
-	//lint:ignore snapshotdrift run-loop control flag: Run clears it on entry, so it is never meaningful across a snapshot
+	// stopped is set by Stop and cleared when Run starts.
 	stopped bool
 	// processed counts events that have fired, for diagnostics.
 	processed uint64
@@ -126,27 +123,11 @@ func (k *Kernel) Schedule(delay time.Duration, fn func()) *Event {
 // At runs fn at absolute simulation time t. Times in the past are clamped to
 // the current time.
 func (k *Kernel) At(t time.Duration, fn func()) *Event {
-	return k.AtKeyed("", t, fn)
-}
-
-// ScheduleKeyed is Schedule with a restore key: a checkpointable model
-// names each pending event kind so Snapshot can serialize it and Restore
-// can resolve the key back to a callback. Negative delays clamp to zero
-// like Schedule.
-func (k *Kernel) ScheduleKeyed(key string, delay time.Duration, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return k.AtKeyed(key, k.now+delay, fn)
-}
-
-// AtKeyed is At with a restore key (see ScheduleKeyed).
-func (k *Kernel) AtKeyed(key string, t time.Duration, fn func()) *Event {
 	if t < k.now {
 		t = k.now
 	}
 	k.seq++
-	ev := &Event{at: t, seq: k.seq, fn: fn, key: key}
+	ev := &Event{at: t, seq: k.seq, fn: fn}
 	heap.Push(&k.events, ev)
 	return ev
 }

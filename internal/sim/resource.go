@@ -63,7 +63,6 @@ func (r *Resource) Release() {
 // "transmit a message" pattern.
 func (r *Resource) Use(hold time.Duration, done func()) {
 	r.Acquire(func() {
-		//lint:ignore keyedsched a held resource is an in-flight transmission: its timer marking the kernel non-quiescent is exactly what Snapshot must reject
 		r.k.Schedule(hold, func() {
 			r.Release()
 			if done != nil {

@@ -14,53 +14,12 @@ import (
 // amounts of randomness elsewhere.
 type RNG struct {
 	seed int64
-	src  *countingSource
 	r    *rand.Rand
-}
-
-// countingSource wraps the stdlib source and counts state advances. Every
-// public draw on rand.Rand bottoms out in Int63/Uint64 here, and for the
-// stdlib generator both advance the state by exactly one step — so the
-// count is the exact stream position, and a generator restored from
-// (seed, draws) continues the identical stream (see snapshot.go).
-type countingSource struct {
-	src   rand.Source
-	src64 rand.Source64 // non-nil when src implements Source64 (stdlib does)
-	draws uint64
-}
-
-func (c *countingSource) Int63() int64 {
-	c.draws++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Uint64() uint64 {
-	if c.src64 != nil {
-		c.draws++
-		return c.src64.Uint64()
-	}
-	// Source64 fallback mirroring math/rand's own widening: two state
-	// advances, counted as two draws so the position stays exact.
-	c.draws += 2
-	return uint64(c.src.Int63())>>31 | uint64(c.src.Int63())<<32
-}
-
-func (c *countingSource) Seed(seed int64) { c.src.Seed(seed) }
-
-// newCountingSource roots a counting source at seed.
-func newCountingSource(seed int64) *countingSource {
-	src := rand.NewSource(seed)
-	c := &countingSource{src: src}
-	if s64, ok := src.(rand.Source64); ok {
-		c.src64 = s64
-	}
-	return c
 }
 
 // NewRNG returns a generator rooted at seed.
 func NewRNG(seed int64) *RNG {
-	src := newCountingSource(seed)
-	return &RNG{seed: seed, src: src, r: rand.New(src)}
+	return &RNG{seed: seed, r: rand.New(rand.NewSource(seed))}
 }
 
 // Stream derives an independent generator for the named purpose. The same

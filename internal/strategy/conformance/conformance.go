@@ -14,9 +14,8 @@
 //     -parallel worker count;
 //   - kill-point resume — a replication journal truncated mid-matrix
 //     resumes to byte-identical results;
-//   - digest stability — the same seed yields identical Results and
-//     checkpoint state digests across reruns, with and without a fault
-//     plan;
+//   - digest stability — the same seed yields identical Results digests
+//     across reruns, with and without a fault plan;
 //   - chaos smoke — one audited chaos campaign run finishes with zero
 //     invariant violations.
 package conformance
@@ -136,7 +135,7 @@ func Properties() []Property {
 		},
 		{
 			Name: "digest-stability",
-			Doc:  "same seed, same Results and state digests — with and without faults",
+			Doc:  "same seed, same Results digest — with and without faults",
 			Run:  checkDigestStability,
 		},
 		{
@@ -284,13 +283,10 @@ func checkDigestStability(t *testing.T, h *Harness) {
 			name = "faults"
 		}
 		cfg := Config(h.Scheme.ID(), faults)
-		s1, r1 := h.runSim(t, cfg)
-		s2, r2 := h.runSim(t, cfg)
+		_, r1 := h.runSim(t, cfg)
+		_, r2 := h.runSim(t, cfg)
 		if d1, d2 := resultsDigest(t, r1), resultsDigest(t, r2); d1 != d2 {
 			t.Errorf("%s: same seed, different Results digests: %s vs %s", name, d1, d2)
-		}
-		if d1, d2 := stateDigest(t, s1), stateDigest(t, s2); d1 != d2 {
-			t.Errorf("%s: same seed, different checkpoint state digests: %s vs %s", name, d1, d2)
 		}
 	}
 }
@@ -326,18 +322,4 @@ func resultsDigest(t *testing.T, r core.Results) string {
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
-}
-
-// stateDigest captures the end-of-run durable state and digests it.
-func stateDigest(t *testing.T, s *core.Simulation) string {
-	t.Helper()
-	st, err := checkpoint.Capture(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := st.StateDigest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
 }
