@@ -4,7 +4,7 @@ GO ?= go
 ## bench-check. BENCH_OUT lets a PR snapshot its own baseline (e.g.
 ## `make bench-baseline BENCH_OUT=BENCH_pr7.json`) without touching the
 ## committed one; BENCH_BASE is what bench-check gates against.
-BENCH_PATTERN = KernelScheduleRun|MediumTransmit|FilterAdd|FilterTest|PeerVectorCovers|BenchmarkNeighbors|BenchmarkBroadcast
+BENCH_PATTERN = KernelScheduleRun|MediumTransmit|FilterAdd|FilterTest|PeerVectorCovers|BenchmarkNeighbors|BenchmarkBroadcast|BenchmarkBeaconRound
 BENCH_PKGS = ./internal/sim/ ./internal/network/ ./internal/bloom/
 BENCH_OUT ?= BENCH_seed.json
 BENCH_BASE ?= BENCH_pr8.json
@@ -15,11 +15,12 @@ BENCH_BASE ?= BENCH_pr8.json
 ## budget gate keeps them from accumulating silently.
 LINT_SUPPRESS_BUDGET = 0
 
-.PHONY: tier1 vet build lint conformance test race short bench race-runner sweep-smoke chaos-smoke bench-baseline bench-check fuzz-smoke resume-smoke resilience-smoke
+.PHONY: tier1 vet build lint conformance test race cellbench-test short bench race-runner sweep-smoke chaos-smoke bench-baseline bench-check fuzz-smoke resume-smoke resilience-smoke
 
 ## tier1: the gate every change must pass — vet, build, the contract-lint
-## suite, the scheme-conformance suite, tests with the race detector.
-tier1: vet build lint conformance race
+## suite, the scheme-conformance suite, tests with the race detector, and
+## the whole-cell benchmark's own vet and tests.
+tier1: vet build lint conformance race cellbench-test
 
 vet:
 	$(GO) vet ./...
@@ -47,6 +48,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## cellbench-test: cellbench/ is its own Go module, so ./... above never
+## reaches it; vet and test it in place.
+cellbench-test:
+	$(GO) -C cellbench vet ./... && $(GO) -C cellbench test ./...
 
 short:
 	$(GO) test -short ./...

@@ -76,11 +76,12 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
 }
 
-// Clamp returns p moved to the nearest point inside the rectangle.
+// Clamp returns p moved to the nearest point inside the rectangle, as
+// math.Max/math.Min would on any rectangle of positive width and height.
 func (r Rect) Clamp(p Point) Point {
 	return Point{
-		X: math.Max(r.MinX, math.Min(r.MaxX, p.X)),
-		Y: math.Max(r.MinY, math.Min(r.MaxY, p.Y)),
+		X: max(r.MinX, min(r.MaxX, p.X)),
+		Y: max(r.MinY, min(r.MaxY, p.Y)),
 	}
 }
 

@@ -106,6 +106,43 @@ func TestRectClamp(t *testing.T) {
 	}
 }
 
+// TestRectClampMatchesMathMaxMin pins Clamp's builtin min/max to the
+// math.Max/math.Min formula it replaced: on every rectangle of positive
+// width and height, for coordinates built from NaN, ±0, ±Inf and finite
+// values, each result has the same bits or both are NaN. (NaN payloads may
+// differ: math returns its canonical NaN, the builtins an operand.)
+func TestRectClampMatchesMathMaxMin(t *testing.T) {
+	vals := []float64{math.NaN(), math.Inf(-1), -math.MaxFloat64, -1, math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, 1, math.MaxFloat64, math.Inf(1)}
+	old := func(lo, hi, v float64) float64 { return math.Max(lo, math.Min(hi, v)) }
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	rects := 0
+	for _, lo := range vals {
+		for _, hi := range vals {
+			if !(hi-lo > 0) {
+				continue
+			}
+			rects++
+			r := Rect{MinX: lo, MinY: -hi, MaxX: hi, MaxY: -lo}
+			for _, x := range vals {
+				for _, y := range vals {
+					got := r.Clamp(Point{X: x, Y: y})
+					wantX, wantY := old(r.MinX, r.MaxX, x), old(r.MinY, r.MaxY, y)
+					if !same(got.X, wantX) || !same(got.Y, wantY) {
+						t.Fatalf("%+v.Clamp(%v, %v) = (%v, %v), math.Max/Min gives (%v, %v)",
+							r, x, y, got.X, got.Y, wantX, wantY)
+					}
+				}
+			}
+		}
+	}
+	if rects < 30 {
+		t.Fatalf("only %d rectangles exercised", rects)
+	}
+}
+
 // Properties: distance symmetry, non-negativity, triangle inequality; clamp
 // always lands inside.
 func TestGeoProperties(t *testing.T) {

@@ -22,13 +22,6 @@ func unpackKey(k gridKey) (cx, cy int32) {
 	return int32(uint32(k >> 32)), int32(uint32(k))
 }
 
-// gridEntry is one indexed point. The position is stored alongside the ID
-// so a range query never chases a second map lookup per candidate.
-type gridEntry struct {
-	id  GridID
-	pos Point
-}
-
 // Grid is a deterministic uniform-cell spatial index over 2-D points: every
 // entry lives in the cell floor(p/cell), and QueryRange visits only the
 // cells overlapping the query disc's bounding square instead of every
@@ -49,10 +42,17 @@ type gridEntry struct {
 // Positions may be any float64 values, including negatives, infinities and
 // NaN; NaN coordinates land in cell 0 and (exactly like the brute-force
 // scan) never satisfy WithinRange.
+//
+// IDs must be non-negative. Per-entry state is indexed by ID, so callers
+// number entries densely from zero, as the medium does with its slots.
 type Grid struct {
 	cell  float64
-	cells map[gridKey][]gridEntry
-	where map[GridID]gridKey
+	cells map[gridKey][]GridID // cells hold IDs only
+	// Per-entry state, indexed by GridID.
+	in    []bool
+	where []gridKey
+	pos   []Point
+	n     int
 
 	// Bounding box of occupied cells, grown on insert/move and never
 	// shrunk. It only clamps query rectangles — an over-wide query
@@ -70,23 +70,26 @@ func NewGrid(cellSize float64) (*Grid, error) {
 	if !(cellSize > 0) || math.IsInf(cellSize, 1) {
 		return nil, fmt.Errorf("geo: grid cell size %v must be positive and finite", cellSize)
 	}
-	return &Grid{
-		cell:  cellSize,
-		cells: make(map[gridKey][]gridEntry),
-		where: make(map[GridID]gridKey),
-	}, nil
+	return &Grid{cell: cellSize, cells: make(map[gridKey][]GridID)}, nil
 }
 
 // CellSize returns the configured cell edge length.
 func (g *Grid) CellSize() float64 { return g.cell }
 
 // Len returns the number of indexed entries.
-func (g *Grid) Len() int { return len(g.where) }
+func (g *Grid) Len() int { return g.n }
 
 // Contains reports whether id is indexed.
 func (g *Grid) Contains(id GridID) bool {
-	_, ok := g.where[id]
-	return ok
+	return id >= 0 && id < GridID(len(g.in)) && g.in[id]
+}
+
+// Pos returns id's stored position, or the zero Point if id is not indexed.
+func (g *Grid) Pos(id GridID) (p Point) {
+	if g.Contains(id) {
+		p = g.pos[id]
+	}
+	return p
 }
 
 // coord maps a coordinate to its cell index, clamping to the int32 cell
@@ -121,11 +124,11 @@ func (g *Grid) growBounds(key gridKey) {
 	g.minCy, g.maxCy = min(g.minCy, cy), max(g.maxCy, cy)
 }
 
-// Insert adds a new entry. Inserting an ID that is already present is an
-// error (use Move or Upsert).
+// Insert adds a new entry. Inserting a negative ID, or one that is already
+// present, is an error (use Move or Upsert to relocate).
 func (g *Grid) Insert(id GridID, p Point) error {
-	if _, ok := g.where[id]; ok {
-		return fmt.Errorf("geo: grid insert of duplicate id %d", id)
+	if id < 0 || g.Contains(id) {
+		return fmt.Errorf("geo: grid insert of negative or duplicate id %d", id)
 	}
 	g.place(id, p)
 	return nil
@@ -133,73 +136,69 @@ func (g *Grid) Insert(id GridID, p Point) error {
 
 // Move relocates an existing entry to p. Moving an unknown ID is an error.
 func (g *Grid) Move(id GridID, p Point) error {
-	if _, ok := g.where[id]; !ok {
+	if !g.Contains(id) {
 		return fmt.Errorf("geo: grid move of unknown id %d", id)
 	}
 	g.Upsert(id, p)
 	return nil
 }
 
-// Upsert inserts id at p, or moves it there if already present. This is
-// the infallible hot-path entry point the medium's position sweep uses.
+// Upsert inserts id at p, or moves it there if already present: the
+// medium sweep's infallible entry point. id must be non-negative. A move
+// within the entry's cell is one key computation and one store.
+//
+//hot:per-host position sync, once per host and timestamp
 func (g *Grid) Upsert(id GridID, p Point) {
-	old, ok := g.where[id]
-	if !ok {
+	if !g.Contains(id) {
 		g.place(id, p)
 		return
 	}
-	key := g.keyFor(p)
-	if key == old {
-		// Same cell: update the stored position in place.
-		es := g.cells[old]
-		for i := range es {
-			if es[i].id == id {
-				es[i].pos = p
-				return
-			}
-		}
-		return
+	g.pos[id] = p
+	if key := g.keyFor(p); key != g.where[id] {
+		g.removeFromCell(id, g.where[id])
+		g.link(id, key)
 	}
-	g.removeFromCell(id, old)
-	g.where[id] = key
-	g.cells[key] = append(g.cells[key], gridEntry{id: id, pos: p})
-	g.growBounds(key)
 }
 
-// place adds a known-absent id at p.
+// place adds a known-absent id at p, growing the per-entry slices to it.
 func (g *Grid) place(id GridID, p Point) {
-	key := g.keyFor(p)
+	for GridID(len(g.in)) <= id {
+		g.in, g.where, g.pos = append(g.in, false), append(g.where, 0), append(g.pos, Point{})
+	}
+	g.in[id] = true
+	g.pos[id] = p
+	g.n++
+	g.link(id, g.keyFor(p))
+}
+
+// link files id under the cell key.
+func (g *Grid) link(id GridID, key gridKey) {
 	g.where[id] = key
-	g.cells[key] = append(g.cells[key], gridEntry{id: id, pos: p})
+	g.cells[key] = append(g.cells[key], id)
 	g.growBounds(key)
 }
 
 // Remove deletes an entry, reporting whether it was present.
 func (g *Grid) Remove(id GridID) bool {
-	key, ok := g.where[id]
-	if !ok {
+	if !g.Contains(id) {
 		return false
 	}
-	g.removeFromCell(id, key)
-	delete(g.where, id)
+	g.removeFromCell(id, g.where[id])
+	g.in[id] = false
+	g.n--
 	return true
 }
 
 // removeFromCell swap-deletes id from its cell slice. Intra-cell order is
 // therefore history-dependent, which is fine: query output is sorted.
 func (g *Grid) removeFromCell(id GridID, key gridKey) {
-	es := g.cells[key]
-	for i := range es {
-		if es[i].id == id {
-			es[i] = es[len(es)-1]
-			es = es[:len(es)-1]
-			if len(es) == 0 {
-				delete(g.cells, key)
-			} else {
-				g.cells[key] = es
-			}
-			return
-		}
+	ids := g.cells[key]
+	i := slices.Index(ids, id)
+	ids[i] = ids[len(ids)-1]
+	if ids = ids[:len(ids)-1]; len(ids) == 0 {
+		delete(g.cells, key)
+	} else {
+		g.cells[key] = ids
 	}
 }
 
@@ -217,7 +216,7 @@ func (g *Grid) QueryRange(p Point, r float64) []GridID {
 //
 //hot:per-transmission reachability query; 0 allocs/op pinned by TestNeighborsSteadyStateAllocs
 func (g *Grid) AppendRange(dst []GridID, p Point, r float64) []GridID {
-	if len(g.where) == 0 {
+	if g.n == 0 {
 		return dst
 	}
 	r = math.Abs(r)
@@ -237,9 +236,9 @@ func (g *Grid) AppendRange(dst []GridID, p Point, r float64) []GridID {
 		// order. With cell ≈ r this is the 3×3 block around p.
 		for cy := cy0; ; cy++ {
 			for cx := cx0; ; cx++ {
-				for _, e := range g.cells[makeKey(cx, cy)] {
-					if WithinRange(p, e.pos, r) {
-						dst = append(dst, e.id)
+				for _, id := range g.cells[makeKey(cx, cy)] {
+					if WithinRange(p, g.pos[id], r) {
+						dst = append(dst, id)
 					}
 				}
 				if cx == cx1 {
@@ -257,14 +256,14 @@ func (g *Grid) AppendRange(dst []GridID, p Point, r float64) []GridID {
 		// and sorted immediately, making the map's randomized iteration
 		// order unobservable.
 		found := g.sparse[:0]
-		for key, es := range g.cells {
+		for key, ids := range g.cells {
 			cx, cy := unpackKey(key)
 			if cx < cx0 || cx > cx1 || cy < cy0 || cy > cy1 {
 				continue
 			}
-			for _, e := range es {
-				if WithinRange(p, e.pos, r) {
-					found = append(found, e.id)
+			for _, id := range ids {
+				if WithinRange(p, g.pos[id], r) {
+					found = append(found, id)
 				}
 			}
 		}

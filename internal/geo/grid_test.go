@@ -33,6 +33,9 @@ func TestGridInsertMoveRemove(t *testing.T) {
 	if err := g.Insert(1, Point{X: 6, Y: 6}); err == nil {
 		t.Error("duplicate insert accepted")
 	}
+	if err := g.Insert(-1, Point{}); err == nil {
+		t.Error("negative id accepted")
+	}
 	if err := g.Move(2, Point{}); err == nil {
 		t.Error("move of unknown id accepted")
 	}
@@ -49,8 +52,14 @@ func TestGridInsertMoveRemove(t *testing.T) {
 	if got := g.QueryRange(Point{X: 5, Y: 5}, 1); len(got) != 0 {
 		t.Errorf("query at old position = %v", got)
 	}
+	if got := g.Pos(1); got != (Point{X: 25, Y: 5}) {
+		t.Errorf("Pos after move = %v", got)
+	}
 	if !g.Remove(1) || g.Remove(1) || g.Len() != 0 {
 		t.Error("remove bookkeeping wrong")
+	}
+	if got := g.Pos(1); got != (Point{}) {
+		t.Errorf("Pos after remove = %v, want the zero Point", got)
 	}
 	if got := g.QueryRange(Point{X: 25, Y: 5}, 1); len(got) != 0 {
 		t.Errorf("query after remove = %v", got)

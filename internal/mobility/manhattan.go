@@ -88,12 +88,12 @@ func (m *Manhattan) Position(t time.Duration) geo.Point {
 	return m.segmentAt(t).at(t)
 }
 
-// segmentAt extends the trajectory until it covers t.
-func (m *Manhattan) segmentAt(t time.Duration) segment {
+// segmentAt extends the trajectory until it covers t (see Waypoint's).
+func (m *Manhattan) segmentAt(t time.Duration) *segment {
 	for t > m.cur.end {
 		m.advance()
 	}
-	return m.cur
+	return &m.cur
 }
 
 // advance generates the next block traversal (or intersection pause).

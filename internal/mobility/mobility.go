@@ -54,7 +54,7 @@ type Config struct {
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.Space.Width() <= 0 || c.Space.Height() <= 0 {
+	if !(c.Space.Width() > 0) || !(c.Space.Height() > 0) {
 		return fmt.Errorf("mobility: degenerate space %+v", c.Space)
 	}
 	if c.MaxSpeed <= 0 {
@@ -111,12 +111,12 @@ func (w *Waypoint) Position(t time.Duration) geo.Point {
 }
 
 // segmentAt extends the trajectory until it covers t and returns the
-// covering segment.
-func (w *Waypoint) segmentAt(t time.Duration) segment {
+// covering segment, which later extensions overwrite in place.
+func (w *Waypoint) segmentAt(t time.Duration) *segment {
 	for t > w.cur.end {
 		w.advance()
 	}
-	return w.cur
+	return &w.cur
 }
 
 // advance appends the next segment: a pause at the current waypoint or a
@@ -146,7 +146,7 @@ func (w *Waypoint) advance() {
 // models (random waypoint and Manhattan grid) implement.
 type trajectory interface {
 	Node
-	segmentAt(t time.Duration) segment
+	segmentAt(t time.Duration) *segment
 }
 
 var (
@@ -162,6 +162,7 @@ var (
 // matching the paper's GroupSize = 1 case.
 type Group struct {
 	ref    trajectory
+	cur    *segment // ref's current segment, extended in place
 	space  geo.Rect
 	radius float64
 	rng    *sim.RNG
@@ -174,7 +175,7 @@ func NewGroup(cfg Config, radius float64, rng *sim.RNG) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newGroup(ref, cfg.Space, radius, rng)
+	return newGroup(ref, &ref.cur, cfg.Space, radius, rng)
 }
 
 // NewManhattanGroup creates a motion group whose reference point follows a
@@ -184,14 +185,14 @@ func NewManhattanGroup(cfg Config, spacing, radius float64, rng *sim.RNG) (*Grou
 	if err != nil {
 		return nil, err
 	}
-	return newGroup(ref, cfg.Space, radius, rng)
+	return newGroup(ref, &ref.cur, cfg.Space, radius, rng)
 }
 
-func newGroup(ref trajectory, space geo.Rect, radius float64, rng *sim.RNG) (*Group, error) {
+func newGroup(ref trajectory, cur *segment, space geo.Rect, radius float64, rng *sim.RNG) (*Group, error) {
 	if radius < 0 {
 		return nil, fmt.Errorf("mobility: negative group radius %v", radius)
 	}
-	return &Group{ref: ref, space: space, radius: radius, rng: rng}, nil
+	return &Group{ref: ref, cur: cur, space: space, radius: radius, rng: rng}, nil
 }
 
 // NewMember adds a member to the group. Members sample their own offsets
@@ -199,11 +200,7 @@ func newGroup(ref trajectory, space geo.Rect, radius float64, rng *sim.RNG) (*Gr
 // matters for reproducibility.
 func (g *Group) NewMember() *Member {
 	off := g.randOffset()
-	return &Member{
-		g:        g,
-		offStart: off,
-		offEnd:   off,
-	}
+	return &Member{g: g, segStart: -1, offStart: off, offEnd: off}
 }
 
 func (g *Group) randOffset() geo.Point {
@@ -228,9 +225,8 @@ func (g *Group) Reference() Node { return g.ref }
 // Member is one mobile host in a motion group.
 type Member struct {
 	g *Group
-	// seg is the reference segment the offsets are keyed to.
-	seg              segment
-	segSet           bool
+	// segStart keys the offsets to a reference segment; -1 before any call.
+	segStart         time.Duration
 	offStart, offEnd geo.Point
 }
 
@@ -239,21 +235,25 @@ var _ Node = (*Member)(nil)
 // Position returns the member position at time t: the reference point plus
 // an offset interpolated across the current reference segment, clamped to
 // the movement space.
+//
+//hot:sampled for every connected host at each distinct completion time
 func (m *Member) Position(t time.Duration) geo.Point {
-	ref := m.g.ref.segmentAt(t)
-	if !m.segSet || ref.start != m.seg.start {
+	ref := m.g.cur
+	if t > ref.end {
+		ref = m.g.ref.segmentAt(t)
+	}
+	if ref.start != m.segStart {
 		// New reference segment: drift toward a fresh offset target.
 		m.offStart = m.offEnd
 		m.offEnd = m.g.randOffset()
-		m.seg = ref
-		m.segSet = true
+		m.segStart = ref.start
 	}
-	var progress float64
+	at, off := ref.to, m.offStart // as segment.at, with one progress for both
 	if ref.end > ref.start {
-		progress = float64(t-ref.start) / float64(ref.end-ref.start)
+		progress := float64(t-ref.start) / float64(ref.end-ref.start)
+		at, off = geo.Lerp(ref.from, ref.to, progress), geo.Lerp(m.offStart, m.offEnd, progress)
 	}
-	off := geo.Lerp(m.offStart, m.offEnd, progress)
-	return m.g.space.Clamp(ref.at(t).Add(off))
+	return m.g.space.Clamp(at.Add(off))
 }
 
 // Fixed is a stationary node, useful for tests and for modelling the MSS.

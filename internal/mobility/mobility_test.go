@@ -1,6 +1,7 @@
 package mobility
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -25,6 +26,7 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"valid", func(*Config) {}, false},
 		{"zero-width space", func(c *Config) { c.Space = geo.NewRect(0, 10) }, true},
+		{"NaN-width space", func(c *Config) { c.Space.MaxX = math.NaN() }, true},
 		{"zero max speed", func(c *Config) { c.MaxSpeed = 0 }, true},
 		{"negative min speed", func(c *Config) { c.MinSpeed = -1 }, true},
 		{"min above max", func(c *Config) { c.MinSpeed = 10 }, true},

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/mobility"
 	"repro/internal/sim"
 )
 
@@ -103,6 +104,65 @@ func BenchmarkBroadcast(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// rpgmPeer is an always-connected peer that moves with an RPGM group
+// member and discards what it receives.
+type rpgmPeer struct {
+	id  NodeID
+	mob *mobility.Member
+}
+
+func (p *rpgmPeer) ID() NodeID                         { return p.id }
+func (p *rpgmPeer) Position(t time.Duration) geo.Point { return p.mob.Position(t) }
+func (p *rpgmPeer) Connected() bool                    { return true }
+func (p *rpgmPeer) Receive(Message)                    {}
+
+// BenchmarkBeaconRound measures one beacon round per op over moving hosts:
+// RPGM members at the paper's defaults (groups of 5, 50 m radius, 1-5 m/s,
+// 1 s pauses, 100 hosts per km²). Each op advances the kernel clock by one
+// beacon interval and has every host broadcast, so the round's first
+// completion re-samples and re-buckets every host before N O(k) queries —
+// the per-host sync cost that BenchmarkBroadcast's stationary peers never
+// pay after their first round.
+func BenchmarkBeaconRound(b *testing.B) {
+	for _, n := range []int{100, 1000} {
+		b.Run(fmt.Sprintf("RPGM/N=%d", n), func(b *testing.B) {
+			k := sim.NewKernel()
+			m, err := NewMedium(k, MediumConfig{BandwidthKbps: 800, RangeM: 100, Power: DefaultPowerModel()}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			side := 1000 * math.Sqrt(float64(n)/100)
+			cfg := mobility.Config{Space: geo.NewRect(side, side), MinSpeed: 1, MaxSpeed: 5, Pause: time.Second}
+			rng := sim.NewRNG(int64(n)).Stream("bench-rpgm")
+			var grp *mobility.Group
+			for i := 0; i < n; i++ {
+				if i%5 == 0 {
+					if grp, err = mobility.NewGroup(cfg, 50, rng); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := m.Register(&rpgmPeer{id: NodeID(i), mob: grp.NewMember()}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			round := func() {
+				for id := 0; id < n; id++ {
+					m.Broadcast(Message{Kind: KindBeacon, From: NodeID(id), Size: BeaconSize})
+				}
+				if err := k.Run(k.Now() + time.Second); err != nil {
+					b.Fatal(err)
+				}
+			}
+			round() // grow the index, scratch buffers and event heap
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+		})
 	}
 }
 

@@ -1,0 +1,155 @@
+package network
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/geo"
+	"repro/internal/mobility"
+	"repro/internal/sim"
+)
+
+// firstCall is one host's first Position call at one timestamp.
+type firstCall struct {
+	at time.Duration
+	id NodeID
+}
+
+// memberPeer moves with a real RPGM group member, so every Position call
+// that enters a new reference segment draws the member's next offset from
+// the group's shared RNG: the order of first calls per timestamp decides
+// every later position. It logs those first calls.
+type memberPeer struct {
+	movingPeer
+	mob  *mobility.Member
+	log  *[]firstCall
+	last time.Duration
+}
+
+func (p *memberPeer) Position(t time.Duration) geo.Point {
+	if t != p.last {
+		*p.log = append(*p.log, firstCall{at: t, id: p.id})
+		p.last = t
+	}
+	return p.mob.Position(t)
+}
+
+// memberWorld builds a medium over groups of RPGM members: radius 50 m and
+// several members per group, Waypoint and Manhattan references alternating.
+// Identical seeds build identical worlds.
+func memberWorld(t *testing.T, k *sim.Kernel, brute bool, groups, perGroup int, seed int64) (*Medium, []*memberPeer, *[]firstCall) {
+	t.Helper()
+	m, err := NewMedium(k, MediumConfig{
+		BandwidthKbps: 2000,
+		RangeM:        100,
+		Power:         DefaultPowerModel(),
+		BruteForce:    brute,
+	}, NewMeter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := mobility.Config{Space: geo.NewRect(300, 300), MinSpeed: 5, MaxSpeed: 20, Pause: time.Second}
+	root := sim.NewRNG(seed)
+	log := new([]firstCall)
+	var peers []*memberPeer
+	for g := 0; g < groups; g++ {
+		rng := root.Stream(fmt.Sprintf("group-%d", g))
+		var grp *mobility.Group
+		if g%2 == 0 {
+			grp, err = mobility.NewGroup(cfg, 50, rng)
+		} else {
+			grp, err = mobility.NewManhattanGroup(cfg, 60, 50, rng)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < perGroup; j++ {
+			p := &memberPeer{
+				movingPeer: movingPeer{id: NodeID(len(peers) + 1), connected: true},
+				mob:        grp.NewMember(),
+				log:        log,
+				last:       -1,
+			}
+			if err := m.Register(p); err != nil {
+				t.Fatal(err)
+			}
+			peers = append(peers, p)
+		}
+	}
+	return m, peers, log
+}
+
+// TestPositionCallOrderGridMatchesBrute guards the Position-call-order
+// contract (DESIGN.md "Spatial index", rule 2) with peers whose Position
+// draws randomness: identical Broadcast, Send and Neighbors traffic with
+// connectivity flips must make the grid-indexed medium sample hosts in
+// exactly the brute-force scan's first-call order, leaving every member at
+// the same final position.
+func TestPositionCallOrderGridMatchesBrute(t *testing.T) {
+	k := sim.NewKernel()
+	const groups, perGroup = 5, 4
+	const n = groups * perGroup
+	gm, gp, glog := memberWorld(t, k, false, groups, perGroup, 41)
+	bm, bp, blog := memberWorld(t, k, true, groups, perGroup, 41)
+	rng := sim.NewRNG(43).Stream("call-order")
+
+	for step := 0; step < 400; step++ {
+		src := NodeID(rng.Intn(n) + 1)
+		switch rng.Intn(4) {
+		case 0:
+			gm.Broadcast(Message{Kind: KindBeacon, From: src, Size: BeaconSize})
+			bm.Broadcast(Message{Kind: KindBeacon, From: src, Size: BeaconSize})
+		case 1:
+			// A beacon round: every host's completion lands on one timestamp.
+			for id := NodeID(1); id <= n; id++ {
+				gm.Broadcast(Message{Kind: KindBeacon, From: id, Size: BeaconSize})
+				bm.Broadcast(Message{Kind: KindBeacon, From: id, Size: BeaconSize})
+			}
+		case 2:
+			dst := NodeID(rng.Intn(n) + 1)
+			gm.Send(Message{Kind: KindData, From: src, To: dst, Size: 500})
+			bm.Send(Message{Kind: KindData, From: src, To: dst, Size: 500})
+		case 3:
+			got, want := gm.Neighbors(src), bm.Neighbors(src)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("t=%v Neighbors(%d): grid %v, brute %v", k.Now(), src, got, want)
+			}
+		}
+		if rng.Bool(0.15) {
+			i := rng.Intn(n)
+			gp[i].setConnected(gm, !gp[i].connected)
+			bp[i].setConnected(bm, !bp[i].connected)
+		}
+		if err := k.Run(time.Duration(step+1) * 700 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k.Step() {
+	}
+
+	if len(*glog) != len(*blog) {
+		t.Fatalf("grid made %d first Position calls, brute %d", len(*glog), len(*blog))
+	}
+	for i, want := range *blog {
+		if got := (*glog)[i]; got != want {
+			t.Fatalf("first Position call %d: grid sampled host %d at %v, brute host %d at %v",
+				i, got.id, got.at, want.id, want.at)
+		}
+	}
+	end := k.Now() + time.Second
+	for i := range gp {
+		if got, want := gp[i].mob.Position(end), bp[i].mob.Position(end); got != want {
+			t.Errorf("host %d final position: grid %v, brute %v", gp[i].id, got, want)
+		}
+		if gv, bv := gm.Meter().Node(gp[i].id), bm.Meter().Node(bp[i].id); gv != bv {
+			t.Errorf("host %d energy: grid %v, brute %v", gp[i].id, gv, bv)
+		}
+		if len(gp[i].inbox) != len(bp[i].inbox) {
+			t.Errorf("host %d inbox: grid %d msgs, brute %d msgs", gp[i].id, len(gp[i].inbox), len(bp[i].inbox))
+		}
+	}
+	if gm.Drops() != bm.Drops() {
+		t.Errorf("drops: grid %+v, brute %+v", gm.Drops(), bm.Drops())
+	}
+}

@@ -40,19 +40,21 @@ type Medium struct {
 	rangeM float64
 	power  PowerModel
 	meter  *Meter
-	peers  map[NodeID]Peer
-	order  []NodeID // registration order, for deterministic iteration
-	nics   map[NodeID]*sim.Resource
 	faults *FaultPlan
 
+	// Peers live in registration slots: peers[i], ids[i] and nics[i] belong
+	// to the i-th registered peer, whose grid ID is also i. regIdx, the only
+	// map keyed by NodeID, resolves a message's endpoints once.
+	peers  []Peer
+	ids    []NodeID
+	nics   []*sim.Resource
+	regIdx map[NodeID]int
+
 	// Spatial index state. The grid is derived, rebuilt lazily from
-	// Position(). regIdx maps a node to
-	// its registration index; pos/syncedAt hold each host's last sampled
-	// position and the timestamp it was sampled at (negative = never).
+	// Position(), and holds each host's last sampled position; syncedAt
+	// holds the timestamp it was sampled at (negative = never).
 	brute    bool
 	grid     *geo.Grid
-	regIdx   map[NodeID]int
-	pos      []geo.Point
 	syncedAt []time.Duration
 	// connEpoch advances on every registration or connectivity change;
 	// a sweep at (sweepNow, sweepEpoch) stays valid for every later
@@ -135,8 +137,6 @@ func NewMedium(k *sim.Kernel, cfg MediumConfig, meter *Meter) (*Medium, error) {
 		rangeM: cfg.RangeM,
 		power:  cfg.Power,
 		meter:  meter,
-		peers:  make(map[NodeID]Peer),
-		nics:   make(map[NodeID]*sim.Resource),
 		brute:  cfg.BruteForce,
 		grid:   grid,
 		regIdx: make(map[NodeID]int),
@@ -146,15 +146,14 @@ func NewMedium(k *sim.Kernel, cfg MediumConfig, meter *Meter) (*Medium, error) {
 // Register attaches a peer to the medium. Registering a duplicate ID is an
 // error.
 func (m *Medium) Register(p Peer) error {
-	if _, ok := m.peers[p.ID()]; ok {
+	if _, ok := m.regIdx[p.ID()]; ok {
 		return fmt.Errorf("network: duplicate peer %d", p.ID())
 	}
-	m.peers[p.ID()] = p
-	m.regIdx[p.ID()] = len(m.order)
-	m.order = append(m.order, p.ID())
-	m.pos = append(m.pos, geo.Point{})
+	m.regIdx[p.ID()] = len(m.peers)
+	m.peers = append(m.peers, p)
+	m.ids = append(m.ids, p.ID())
+	m.nics = append(m.nics, sim.NewResource(m.k, 1))
 	m.syncedAt = append(m.syncedAt, -1)
-	m.nics[p.ID()] = sim.NewResource(m.k, 1)
 	m.connEpoch++ // a new host invalidates any same-timestamp sweep
 	return nil
 }
@@ -181,11 +180,7 @@ func (m *Medium) inRange(a, b Peer, now time.Duration) bool {
 // syncHost samples one host's position at now and re-buckets it in the
 // grid. Each host is sampled at most once per timestamp.
 func (m *Medium) syncHost(i int, now time.Duration) {
-	p := m.peers[m.order[i]].Position(now)
-	if m.syncedAt[i] < 0 || p != m.pos[i] {
-		m.grid.Upsert(geo.GridID(i), p)
-		m.pos[i] = p
-	}
+	m.grid.Upsert(geo.GridID(i), m.peers[i].Position(now))
 	m.syncedAt[i] = now
 }
 
@@ -218,7 +213,7 @@ func (m *Medium) sweep(now time.Duration, srcIdx, dstIdx int) {
 		return
 	}
 	srcSynced := m.syncedAt[srcIdx] == now
-	if dstIdx >= 0 && m.peers[m.order[dstIdx]].Connected() {
+	if dstIdx >= 0 && m.peers[dstIdx].Connected() {
 		// The reachability check samples src then dst before bystanders.
 		if !srcSynced {
 			m.syncHost(srcIdx, now)
@@ -228,11 +223,8 @@ func (m *Medium) sweep(now time.Duration, srcIdx, dstIdx int) {
 			m.syncHost(dstIdx, now)
 		}
 	}
-	for i := range m.order {
-		if i == srcIdx || i == dstIdx {
-			continue
-		}
-		if !m.peers[m.order[i]].Connected() {
+	for i, p := range m.peers {
+		if i == srcIdx || i == dstIdx || !p.Connected() {
 			continue
 		}
 		if !srcSynced {
@@ -246,13 +238,12 @@ func (m *Medium) sweep(now time.Duration, srcIdx, dstIdx int) {
 	m.sweepValid, m.sweepNow, m.sweepEpoch = true, now, m.connEpoch
 }
 
-// candidates appends the registration indices of all indexed hosts within
-// range of center, ascending — which is registration order, since grid IDs
-// are registration indices. Disconnected hosts may appear (their grid
-// position is stale); callers filter on Connected() exactly as the brute
-// loops did.
-func (m *Medium) candidates(dst []geo.GridID, center geo.Point) []geo.GridID {
-	return m.grid.AppendRange(dst[:0], center, m.rangeM)
+// candidates fills dst with the slots of all indexed hosts within range of
+// host i's synced position, ascending — which is registration order.
+// Disconnected hosts may appear (their grid position is stale); callers
+// filter on Connected() exactly as the brute loops did.
+func (m *Medium) candidates(dst []geo.GridID, i int) []geo.GridID {
+	return m.grid.AppendRange(dst[:0], m.grid.Pos(geo.GridID(i)), m.rangeM)
 }
 
 // Neighbors returns the IDs of connected peers currently within range of
@@ -262,38 +253,30 @@ func (m *Medium) candidates(dst []geo.GridID, center geo.Point) []geo.GridID {
 //
 //hot:per-beacon-round reachability; 0 allocs/op pinned by TestNeighborsSteadyStateAllocs
 func (m *Medium) Neighbors(id NodeID) []NodeID {
-	self, ok := m.peers[id]
-	if !ok || !self.Connected() {
+	selfIdx, ok := m.regIdx[id]
+	if !ok || !m.peers[selfIdx].Connected() {
 		return nil
 	}
 	now := m.k.Now()
 	m.neighbors = m.neighbors[:0]
 	if m.brute {
-		for _, oid := range m.order {
-			if oid == id {
-				continue
-			}
-			p := m.peers[oid]
-			if p.Connected() && m.inRange(self, p, now) {
-				m.neighbors = append(m.neighbors, oid)
+		self := m.peers[selfIdx]
+		for i, p := range m.peers {
+			if i != selfIdx && p.Connected() && m.inRange(self, p, now) {
+				m.neighbors = append(m.neighbors, m.ids[i])
 			}
 		}
 	} else {
-		selfIdx := m.regIdx[id]
 		m.sweep(now, selfIdx, -1)
 		if m.syncedAt[selfIdx] != now {
 			// No other connected peer exists, so the sweep never sampled
 			// this host; brute force would have found nothing either.
 			return nil
 		}
-		m.candSrc = m.candidates(m.candSrc, m.pos[selfIdx])
+		m.candSrc = m.candidates(m.candSrc, selfIdx)
 		for _, ci := range m.candSrc {
-			if int(ci) == selfIdx {
-				continue
-			}
-			oid := m.order[ci]
-			if m.peers[oid].Connected() {
-				m.neighbors = append(m.neighbors, oid)
+			if int(ci) != selfIdx && m.peers[ci].Connected() {
+				m.neighbors = append(m.neighbors, m.ids[ci])
 			}
 		}
 	}
@@ -308,7 +291,7 @@ func (m *Medium) Neighbors(id NodeID) []NodeID {
 // (queueing FCFS behind earlier traffic); reachability is evaluated at
 // completion time.
 func (m *Medium) Broadcast(msg Message) {
-	src, ok := m.peers[msg.From]
+	srcIdx, ok := m.regIdx[msg.From]
 	if !ok {
 		m.drops.Unregistered++
 		return
@@ -316,62 +299,52 @@ func (m *Medium) Broadcast(msg Message) {
 	msg.To = BroadcastID
 	m.sent++
 	m.bytesSent += uint64(msg.Size)
-	m.nics[msg.From].Use(TxTime(msg.Size, m.bwKbps), func() {
-		if !src.Connected() {
+	m.nics[srcIdx].Use(TxTime(msg.Size, m.bwKbps), func() {
+		if !m.peers[srcIdx].Connected() {
 			m.drops.SenderDisconnected++
 			return
 		}
 		now := m.k.Now()
 		m.meter.Charge(msg.From, EnergyBroadcastSend, m.power.BSend.Energy(msg.Size))
 		if m.brute {
-			m.broadcastBrute(src, msg, now)
+			m.broadcastBrute(srcIdx, msg, now)
 			return
 		}
-		srcIdx := m.regIdx[msg.From]
 		m.sweep(now, srcIdx, -1)
 		if m.syncedAt[srcIdx] != now {
 			return // no other connected peer exists; nobody hears the frame
 		}
-		m.candSrc = m.candidates(m.candSrc, m.pos[srcIdx])
+		m.candSrc = m.candidates(m.candSrc, srcIdx)
 		for _, ci := range m.candSrc {
-			if int(ci) == srcIdx {
-				continue
+			if int(ci) != srcIdx && m.peers[ci].Connected() {
+				m.deliverBroadcast(int(ci), msg, now)
 			}
-			oid := m.order[ci]
-			if !m.peers[oid].Connected() {
-				continue
-			}
-			m.deliverBroadcast(oid, msg, now)
 		}
 	})
 }
 
 // broadcastBrute is the receiver loop of the pairwise scan.
-func (m *Medium) broadcastBrute(src Peer, msg Message, now time.Duration) {
-	for _, oid := range m.order {
-		if oid == msg.From {
-			continue
+func (m *Medium) broadcastBrute(srcIdx int, msg Message, now time.Duration) {
+	src := m.peers[srcIdx]
+	for i, p := range m.peers {
+		if i != srcIdx && p.Connected() && m.inRange(src, p, now) {
+			m.deliverBroadcast(i, msg, now)
 		}
-		p := m.peers[oid]
-		if !p.Connected() || !m.inRange(src, p, now) {
-			continue
-		}
-		m.deliverBroadcast(oid, msg, now)
 	}
 }
 
-// deliverBroadcast charges and delivers one broadcast reception. The
-// receiver hears the frame (and pays for decoding it) whether or not the
-// fault plan corrupts it. Per-receiver draws run in registration order,
-// keeping replays exact.
-func (m *Medium) deliverBroadcast(oid NodeID, msg Message, now time.Duration) {
-	m.meter.Charge(oid, EnergyBroadcastRecv, m.power.BRecv.Energy(msg.Size))
+// deliverBroadcast charges and delivers one broadcast reception to the
+// host in slot i. The receiver hears the frame (and pays for decoding it)
+// whether or not the fault plan corrupts it. Per-receiver draws run in
+// registration order, keeping replays exact.
+func (m *Medium) deliverBroadcast(i int, msg Message, now time.Duration) {
+	m.meter.Charge(m.ids[i], EnergyBroadcastRecv, m.power.BRecv.Energy(msg.Size))
 	if m.faults != nil && m.faults.DropP2P(msg.Size, now) {
 		m.drops.Fault++
 		return
 	}
 	m.delivered++
-	m.peers[oid].Receive(msg)
+	m.peers[i].Receive(msg)
 }
 
 // Send transmits msg point-to-point from msg.From to msg.To. If the
@@ -379,19 +352,20 @@ func (m *Medium) deliverBroadcast(oid NodeID, msg Message, now time.Duration) {
 // message is lost. Bystanders in range of the source and/or destination pay
 // the Table I discard costs.
 func (m *Medium) Send(msg Message) {
-	src, ok := m.peers[msg.From]
+	srcIdx, ok := m.regIdx[msg.From]
 	if !ok {
 		m.drops.Unregistered++
 		return
 	}
-	dst, ok := m.peers[msg.To]
+	dstIdx, ok := m.regIdx[msg.To]
 	if !ok {
 		m.drops.Unregistered++
 		return
 	}
 	m.sent++
 	m.bytesSent += uint64(msg.Size)
-	m.nics[msg.From].Use(TxTime(msg.Size, m.bwKbps), func() {
+	m.nics[srcIdx].Use(TxTime(msg.Size, m.bwKbps), func() {
+		src, dst := m.peers[srcIdx], m.peers[dstIdx]
 		if !src.Connected() {
 			m.drops.SenderDisconnected++
 			return
@@ -402,10 +376,9 @@ func (m *Medium) Send(msg Message) {
 			m.sendBrute(src, dst, msg, now)
 			return
 		}
-		srcIdx, dstIdx := m.regIdx[msg.From], m.regIdx[msg.To]
 		m.sweep(now, srcIdx, dstIdx)
-		reachable := dst.Connected() &&
-			geo.WithinRange(m.pos[srcIdx], m.pos[dstIdx], m.rangeM)
+		reachable := dst.Connected() && geo.WithinRange(
+			m.grid.Pos(geo.GridID(srcIdx)), m.grid.Pos(geo.GridID(dstIdx)), m.rangeM)
 		faulted := false
 		if reachable {
 			// The destination receives (and pays for) the frame even
@@ -423,11 +396,11 @@ func (m *Medium) Send(msg Message) {
 		// both in registration order.
 		var nearSrc, nearDst []geo.GridID
 		if m.syncedAt[srcIdx] == now {
-			m.candSrc = m.candidates(m.candSrc, m.pos[srcIdx])
+			m.candSrc = m.candidates(m.candSrc, srcIdx)
 			nearSrc = m.candSrc
 		}
 		if reachable {
-			m.candDst = m.candidates(m.candDst, m.pos[dstIdx])
+			m.candDst = m.candidates(m.candDst, dstIdx)
 			nearDst = m.candDst
 		}
 		i, j := 0, 0
@@ -446,13 +419,10 @@ func (m *Medium) Send(msg Message) {
 				i++
 				j++
 			}
-			if ci == srcIdx || ci == dstIdx {
+			if ci == srcIdx || ci == dstIdx || !m.peers[ci].Connected() {
 				continue
 			}
-			oid := m.order[ci]
-			if !m.peers[oid].Connected() {
-				continue
-			}
+			oid := m.ids[ci]
 			switch {
 			case ns && nd:
 				m.meter.Charge(oid, EnergyP2PDiscard, m.power.DiscardBoth.Energy(msg.Size))
@@ -482,12 +452,9 @@ func (m *Medium) sendBrute(src, dst Peer, msg Message, now time.Duration) {
 	} else {
 		m.drops.Unreachable++
 	}
-	for _, oid := range m.order {
-		if oid == msg.From || oid == msg.To {
-			continue
-		}
-		p := m.peers[oid]
-		if !p.Connected() {
+	for i, p := range m.peers {
+		oid := m.ids[i]
+		if oid == msg.From || oid == msg.To || !p.Connected() {
 			continue
 		}
 		nearSrc := m.inRange(src, p, now)
