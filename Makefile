@@ -4,7 +4,7 @@ GO ?= go
 ## bench-check. BENCH_OUT lets a PR snapshot its own baseline (e.g.
 ## `make bench-baseline BENCH_OUT=BENCH_pr7.json`) without touching the
 ## committed one; BENCH_BASE is what bench-check gates against.
-BENCH_PATTERN = KernelScheduleRun|MediumTransmit|FilterAdd|FilterTest|PeerVectorCovers|BenchmarkNeighbors|BenchmarkBroadcast|BenchmarkBeaconRound
+BENCH_PATTERN = KernelScheduleRun|MediumTransmit|FilterAdd|FilterTest|PeerVectorCovers|VLFL|BenchmarkNeighbors|BenchmarkBroadcast|BenchmarkBeaconRound
 BENCH_PKGS = ./internal/sim/ ./internal/network/ ./internal/bloom/
 BENCH_OUT ?= BENCH_seed.json
 BENCH_BASE ?= BENCH_pr8.json
@@ -125,11 +125,14 @@ bench-check:
 ## fuzz-smoke: short native-fuzzing passes, one run per target (go test
 ## -fuzz takes one target at a time): the spatial index's grid-vs-brute-
 ## force oracle under fuzzer-chosen geometry (NaN, infinities,
-## cell-boundary and int32-overflow coordinates), then the checkpoint
-## codec's Unmarshal on arbitrary bytes (no panic, canonical re-encoding).
+## cell-boundary and int32-overflow coordinates), the checkpoint codec's
+## Unmarshal on arbitrary bytes (no panic, canonical re-encoding), then the
+## VLFL signature decoder on arbitrary peer bytes (no panic, round trip,
+## VLFLBits equal to the encoder's bit count).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGridQuery -fuzztime 30s ./internal/geo/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime 30s ./internal/checkpoint/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeVLFL -fuzztime 30s ./internal/bloom/
 
 ## resume-smoke: crash-resume proven end to end with real SIGKILLs.
 ## Leg 1: a sweep is run to a golden CSV, rerun with journaling and

@@ -68,6 +68,26 @@ func BenchmarkVLFLEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkVLFLBits measures the on-air size computation of a compressed
+// signature, which counts codewords instead of encoding them.
+func BenchmarkVLFLBits(b *testing.B) {
+	f, err := NewFilter(10000, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for e := uint64(0); e < 100; e++ {
+		f.Add(e)
+	}
+	r := FindOptimalR(100, 10000, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := VLFLBits(f, r); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkVLFLDecode measures decompression.
 func BenchmarkVLFLDecode(b *testing.B) {
 	f, err := NewFilter(10000, 2)

@@ -89,6 +89,29 @@ func EncodeVLFL(f *Filter, r int) ([]byte, int, error) {
 	return w.buf, w.nbit, nil
 }
 
+// VLFLBits returns the length in bits of EncodeVLFL(f, r) without encoding
+// it: the on-air size of a compressed signature. It walks the set bits word
+// by word; each set bit after a gap of g zeros costs g/R all-zeros
+// codewords plus its own, and a trailing run of t zeros costs ⌈t/R⌉.
+func VLFLBits(f *Filter, r int) (int, error) {
+	width, err := codewordWidth(r)
+	if err != nil {
+		return 0, err
+	}
+	codewords, next := 0, 0 // next is the position after the last set bit
+	for i, w := range f.words {
+		for ; w != 0; w &= w - 1 {
+			p := i*64 + trailingZeros(w)
+			codewords += (p-next)/r + 1
+			next = p + 1
+		}
+	}
+	if tail := f.m - next; tail > 0 {
+		codewords += (tail-1)/r + 1
+	}
+	return codewords * width, nil
+}
+
 // DecodeVLFL reconstructs a filter of m bits and k hashes from a VLFL
 // stream encoded with run bound R.
 func DecodeVLFL(data []byte, m, k, r int) (*Filter, error) {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sim"
 )
 
 func TestCodewordWidth(t *testing.T) {
@@ -226,5 +228,42 @@ func TestVLFLRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestVLFLBitsMatchesEncode requires VLFLBits to equal EncodeVLFL's bit
+// count on every filter size from 1 to 700 bits (most not a multiple of
+// 64), at densities from all-zero to all-one, for R = 1, 3, …, 1023.
+func TestVLFLBitsMatchesEncode(t *testing.T) {
+	rng := sim.NewRNG(83).Stream("vlfl-bits")
+	for m := 1; m <= 700; m++ {
+		for _, density := range []float64{0, 0.01, 0.1, 0.5, 0.9, 1} {
+			f := mustFilter(t, m, 2)
+			for p := 0; p < m; p++ {
+				if rng.Float64() < density {
+					f.SetBit(p)
+				}
+			}
+			for l := 1; l <= 10; l++ {
+				r := 1<<l - 1
+				_, want, err := EncodeVLFL(f, r)
+				if err != nil {
+					t.Fatalf("m=%d R=%d encode: %v", m, r, err)
+				}
+				got, err := VLFLBits(f, r)
+				if err != nil {
+					t.Fatalf("m=%d R=%d: %v", m, r, err)
+				}
+				if got != want {
+					t.Fatalf("m=%d density=%v R=%d: VLFLBits %d, EncodeVLFL %d bits", m, density, r, got, want)
+				}
+			}
+		}
+	}
+	f := mustFilter(t, 100, 2)
+	for _, r := range []int{-1, 0, 2, 6, 1022} {
+		if _, err := VLFLBits(f, r); err == nil {
+			t.Errorf("VLFLBits accepted R=%d", r)
+		}
 	}
 }

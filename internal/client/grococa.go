@@ -419,7 +419,7 @@ func (h *Host) sigTransferBytes(sig *bloom.Filter) int {
 	if !compress {
 		return raw
 	}
-	_, nbits, err := bloom.EncodeVLFL(sig, r)
+	nbits, err := bloom.VLFLBits(sig, r)
 	if err != nil {
 		return raw
 	}

@@ -262,8 +262,13 @@ func (h *Host) ndpConfig(base ndp.Config) ndp.Config {
 // ID implements network.Peer.
 func (h *Host) ID() network.NodeID { return h.id }
 
-// Position implements network.Peer.
+// Position returns the host's location at time t.
 func (h *Host) Position(t time.Duration) geo.Point { return h.mob.Position(t) }
+
+// Motion implements network.Peer by forwarding to the mobility model.
+func (h *Host) Motion(t time.Duration) (geo.Point, time.Duration, float64) {
+	return h.mob.Motion(t)
+}
 
 // Connected implements network.Peer.
 func (h *Host) Connected() bool { return h.connected }

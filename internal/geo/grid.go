@@ -144,10 +144,11 @@ func (g *Grid) Move(id GridID, p Point) error {
 }
 
 // Upsert inserts id at p, or moves it there if already present: the
-// medium sweep's infallible entry point. id must be non-negative. A move
-// within the entry's cell is one key computation and one store.
+// medium's position-sync entry point, which cannot fail. id must be
+// non-negative. A move within the entry's cell is one key computation and
+// one store.
 //
-//hot:per-host position sync, once per host and timestamp
+//hot:per-host position sync, at most once per host and timestamp
 func (g *Grid) Upsert(id GridID, p Point) {
 	if !g.Contains(id) {
 		g.place(id, p)

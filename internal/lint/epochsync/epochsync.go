@@ -1,11 +1,12 @@
-// Package epochsync statically enforces the connectivity-epoch protocol
-// of the spatial index (DESIGN.md "Spatial index", PR 7): the medium's
-// reachability sweep cache is keyed on (timestamp, connectivity epoch), so
-// every state transition that changes what a peer's Connected() method
-// returns must notify the medium through ConnectivityChanged. A write that
-// skips the notification lets a stale candidate set survive within one
-// timestamp — a bug the runtime equivalence tests only catch when a seed
-// happens to exercise the window.
+// Package epochsync statically enforces the connectivity-notification
+// protocol of the spatial index (DESIGN.md "Spatial index"): the medium
+// tracks the earliest re-sample time over connected hosts only, so every
+// state transition that changes what a peer's Connected() method returns
+// must notify the medium through ConnectivityChanged. A write that skips
+// the notification can leave a reconnected host that is due for
+// re-sampling unsampled, out of the brute-force scan's call order — a bug
+// the runtime equivalence tests only catch when a seed happens to exercise
+// the window.
 //
 // The analyzer is type-aware. For every named struct type in the package
 // with a `Connected() bool` method (the network.Peer connectivity
@@ -17,8 +18,8 @@
 // helper therefore counts, exactly as the runtime contract allows.
 //
 // Constructors that initialize connectivity fields through composite
-// literals are exempt by construction — registration with the medium bumps
-// the epoch itself — and so are test files. A deliberate unnotified write
+// literals are exempt by construction — registration with the medium
+// notifies it itself — and so are test files. A deliberate unnotified write
 // (e.g. state replay before the peer is registered) is suppressed at the
 // assignment with //lint:ignore epochsync <reason>.
 package epochsync
@@ -59,7 +60,7 @@ func run(pass *analysis.Pass) error {
 			}
 			for _, w := range writes {
 				pass.Reportf(w.Pos(),
-					"write to connectivity field %s without a Medium.ConnectivityChanged notification on the same path: the reachability sweep cache (keyed on the connectivity epoch) would serve a stale candidate set",
+					"write to connectivity field %s without a Medium.ConnectivityChanged notification on the same path: the medium's earliest re-sample time would miss a reconnected host",
 					w.Name)
 			}
 		}

@@ -88,6 +88,11 @@ func (m *Manhattan) Position(t time.Duration) geo.Point {
 	return m.segmentAt(t).at(t)
 }
 
+// Motion implements Node: the covering segment's end and speed.
+func (m *Manhattan) Motion(t time.Duration) (geo.Point, time.Duration, float64) {
+	return m.segmentAt(t).motion(t)
+}
+
 // segmentAt extends the trajectory until it covers t (see Waypoint's).
 func (m *Manhattan) segmentAt(t time.Duration) *segment {
 	for t > m.cur.end {

@@ -13,6 +13,7 @@ package mobility
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/geo"
@@ -20,10 +21,15 @@ import (
 )
 
 // Node is anything whose position can be sampled over simulation time.
-// Position must be called with non-decreasing times; the simulation's global
-// clock guarantees this.
+// Position and Motion must be called with non-decreasing times; the
+// simulation's global clock guarantees this.
 type Node interface {
 	Position(t time.Duration) geo.Point
+	// Motion returns Position(t) together with how long that answer's
+	// straight piece lasts: Position is a pure function of time on
+	// [t, until] (it draws no randomness and changes no state that alters
+	// later results), and it moves at most speed metres per second there.
+	Motion(t time.Duration) (pos geo.Point, until time.Duration, speed float64)
 }
 
 // segment is one linear piece of a trajectory: the node moves from From to
@@ -39,6 +45,20 @@ func (s segment) at(t time.Duration) geo.Point {
 	}
 	progress := float64(t-s.start) / float64(s.end-s.start)
 	return geo.Lerp(s.from, s.to, progress)
+}
+
+// motion is Node.Motion on the segment covering t.
+func (s *segment) motion(t time.Duration) (geo.Point, time.Duration, float64) {
+	return s.at(t), s.end, speedOver(s.to.Sub(s.from), s.start, s.end)
+}
+
+// speedOver is the speed of a displacement d covered over [start, end]; a
+// zero-length interval has speed 0.
+func speedOver(d geo.Point, start, end time.Duration) float64 {
+	if end <= start {
+		return 0
+	}
+	return math.Sqrt(d.X*d.X+d.Y*d.Y) / (end - start).Seconds()
 }
 
 // Config holds the waypoint-model parameters shared by both models.
@@ -108,6 +128,11 @@ func randPoint(r geo.Rect, rng *sim.RNG) geo.Point {
 // calls).
 func (w *Waypoint) Position(t time.Duration) geo.Point {
 	return w.segmentAt(t).at(t)
+}
+
+// Motion implements Node: the covering segment's end and speed.
+func (w *Waypoint) Motion(t time.Duration) (geo.Point, time.Duration, float64) {
+	return w.segmentAt(t).motion(t)
 }
 
 // segmentAt extends the trajectory until it covers t and returns the
@@ -235,9 +260,19 @@ var _ Node = (*Member)(nil)
 // Position returns the member position at time t: the reference point plus
 // an offset interpolated across the current reference segment, clamped to
 // the movement space.
-//
-//hot:sampled for every connected host at each distinct completion time
 func (m *Member) Position(t time.Duration) geo.Point {
+	p, _, _ := m.Motion(t)
+	return p
+}
+
+// Motion implements Node. until is the group's current reference-segment
+// end, where the next segment (and the member's next offset) may be drawn.
+// speed is |Δreference + Δoffset| over the segment's duration: both move
+// linearly in one progress value, and the clamp is a projection, which
+// cannot move the position faster.
+//
+//hot:sampled by the medium for every host that can draw or has used up its drift budget
+func (m *Member) Motion(t time.Duration) (geo.Point, time.Duration, float64) {
 	ref := m.g.cur
 	if t > ref.end {
 		ref = m.g.ref.segmentAt(t)
@@ -253,7 +288,8 @@ func (m *Member) Position(t time.Duration) geo.Point {
 		progress := float64(t-ref.start) / float64(ref.end-ref.start)
 		at, off = geo.Lerp(ref.from, ref.to, progress), geo.Lerp(m.offStart, m.offEnd, progress)
 	}
-	return m.g.space.Clamp(at.Add(off))
+	speed := speedOver(ref.to.Sub(ref.from).Add(m.offEnd.Sub(m.offStart)), ref.start, ref.end)
+	return m.g.space.Clamp(at.Add(off)), ref.end, speed
 }
 
 // Fixed is a stationary node, useful for tests and for modelling the MSS.
@@ -265,3 +301,8 @@ var _ Node = Fixed{}
 
 // Position returns the fixed location regardless of time.
 func (f Fixed) Position(time.Duration) geo.Point { return f.At }
+
+// Motion implements Node: a fixed node never moves and never draws.
+func (f Fixed) Motion(time.Duration) (geo.Point, time.Duration, float64) {
+	return f.At, math.MaxInt64, 0
+}

@@ -8,7 +8,7 @@
 // Cost model: each beacon is one medium Broadcast, so a population of N
 // hosts beaconing on a shared interval completes N transmissions per
 // period. With the medium's spatial index each completion costs O(k) for
-// k in-range hosts (one shared position sweep per timestamp), keeping a
+// k in-range hosts (positions are synced lazily, per host), keeping a
 // beacon tick at O(N·k) instead of the pairwise scan's O(N²).
 package ndp
 

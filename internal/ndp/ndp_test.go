@@ -1,6 +1,7 @@
 package ndp
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -17,9 +18,11 @@ type host struct {
 	proto     *Protocol
 }
 
-func (h *host) ID() network.NodeID               { return h.id }
-func (h *host) Position(time.Duration) geo.Point { return h.pos }
-func (h *host) Connected() bool                  { return h.connected }
+func (h *host) ID() network.NodeID { return h.id }
+func (h *host) Motion(time.Duration) (geo.Point, time.Duration, float64) {
+	return h.pos, math.MaxInt64, 0
+}
+func (h *host) Connected() bool { return h.connected }
 func (h *host) Receive(msg network.Message) {
 	if msg.Kind == network.KindBeacon {
 		h.proto.HandleBeacon(msg.From)

@@ -18,10 +18,12 @@ type benchPeer struct {
 	pos geo.Point
 }
 
-func (p *benchPeer) ID() NodeID                       { return p.id }
-func (p *benchPeer) Position(time.Duration) geo.Point { return p.pos }
-func (p *benchPeer) Connected() bool                  { return true }
-func (p *benchPeer) Receive(Message)                  {}
+func (p *benchPeer) ID() NodeID { return p.id }
+func (p *benchPeer) Motion(time.Duration) (geo.Point, time.Duration, float64) {
+	return p.pos, math.MaxInt64, 0
+}
+func (p *benchPeer) Connected() bool { return true }
+func (p *benchPeer) Receive(Message) {}
 
 // benchMedium builds a medium holding n stationary peers scattered at
 // constant density (~20 hosts per transmission-range disc), so the indexed
@@ -65,7 +67,7 @@ func BenchmarkNeighbors(b *testing.B) {
 		}{{"grid", false}, {"brute", true}} {
 			b.Run(fmt.Sprintf("%s/N=%d", mode.name, n), func(b *testing.B) {
 				m := benchMedium(b, n, mode.brute)
-				m.Neighbors(NodeID(n / 2)) // warm scratch + sweep cache
+				m.Neighbors(NodeID(n / 2)) // warm scratch + grid
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -78,9 +80,9 @@ func BenchmarkNeighbors(b *testing.B) {
 
 // BenchmarkBroadcast measures one full beacon round per op: every host
 // broadcasts at the same instant and all completions land on one timestamp,
-// exactly the NDP workload. The grid runs one O(N) position sweep shared by
-// all completions plus N O(k) queries; brute force runs N O(N) scans — the
-// O(N·k) vs O(N²) distinction the spatial index exists for.
+// exactly the NDP workload. The grid runs N O(k) queries (stationary peers
+// are never re-sampled after their first); brute force runs N O(N) scans —
+// the O(N·k) vs O(N²) distinction the spatial index exists for.
 func BenchmarkBroadcast(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		for _, mode := range []struct {
@@ -114,18 +116,20 @@ type rpgmPeer struct {
 	mob *mobility.Member
 }
 
-func (p *rpgmPeer) ID() NodeID                         { return p.id }
-func (p *rpgmPeer) Position(t time.Duration) geo.Point { return p.mob.Position(t) }
-func (p *rpgmPeer) Connected() bool                    { return true }
-func (p *rpgmPeer) Receive(Message)                    {}
+func (p *rpgmPeer) ID() NodeID { return p.id }
+func (p *rpgmPeer) Motion(t time.Duration) (geo.Point, time.Duration, float64) {
+	return p.mob.Motion(t)
+}
+func (p *rpgmPeer) Connected() bool { return true }
+func (p *rpgmPeer) Receive(Message) {}
 
 // BenchmarkBeaconRound measures one beacon round per op over moving hosts:
 // RPGM members at the paper's defaults (groups of 5, 50 m radius, 1-5 m/s,
 // 1 s pauses, 100 hosts per km²). Each op advances the kernel clock by one
-// beacon interval and has every host broadcast, so the round's first
-// completion re-samples and re-buckets every host before N O(k) queries —
-// the per-host sync cost that BenchmarkBroadcast's stationary peers never
-// pay after their first round.
+// beacon interval and has every host broadcast, so each round re-samples
+// every host at least as sender, plus the hosts whose piece ended or whose
+// drift budget ran out — the per-host sync cost that BenchmarkBroadcast's
+// stationary peers never pay after their first round.
 func BenchmarkBeaconRound(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("RPGM/N=%d", n), func(b *testing.B) {

@@ -10,35 +10,37 @@ import (
 	"repro/internal/sim"
 )
 
-// firstCall is one host's first Position call at one timestamp.
-type firstCall struct {
+// drawCall is one Motion call that can draw randomness: a call at a time
+// past the end of the piece the peer's previous call reported.
+type drawCall struct {
 	at time.Duration
 	id NodeID
 }
 
-// memberPeer moves with a real RPGM group member, so every Position call
-// that enters a new reference segment draws the member's next offset from
-// the group's shared RNG: the order of first calls per timestamp decides
-// every later position. It logs those first calls.
+// memberPeer moves with a real RPGM group member, so a Motion call that
+// enters a new reference segment draws the group's next reference piece and
+// the member's next offset from the group's shared RNG: the order of those
+// calls decides every later position. It logs every call that can draw.
 type memberPeer struct {
 	movingPeer
-	mob  *mobility.Member
-	log  *[]firstCall
-	last time.Duration
+	mob   *mobility.Member
+	log   *[]drawCall
+	until time.Duration
 }
 
-func (p *memberPeer) Position(t time.Duration) geo.Point {
-	if t != p.last {
-		*p.log = append(*p.log, firstCall{at: t, id: p.id})
-		p.last = t
+func (p *memberPeer) Motion(t time.Duration) (geo.Point, time.Duration, float64) {
+	if t > p.until {
+		*p.log = append(*p.log, drawCall{at: t, id: p.id})
 	}
-	return p.mob.Position(t)
+	pos, until, speed := p.mob.Motion(t)
+	p.until = until
+	return pos, until, speed
 }
 
 // memberWorld builds a medium over groups of RPGM members: radius 50 m and
 // several members per group, Waypoint and Manhattan references alternating.
 // Identical seeds build identical worlds.
-func memberWorld(t *testing.T, k *sim.Kernel, brute bool, groups, perGroup int, seed int64) (*Medium, []*memberPeer, *[]firstCall) {
+func memberWorld(t *testing.T, k *sim.Kernel, brute bool, groups, perGroup int, seed int64) (*Medium, []*memberPeer, *[]drawCall) {
 	t.Helper()
 	m, err := NewMedium(k, MediumConfig{
 		BandwidthKbps: 2000,
@@ -51,7 +53,7 @@ func memberWorld(t *testing.T, k *sim.Kernel, brute bool, groups, perGroup int, 
 	}
 	cfg := mobility.Config{Space: geo.NewRect(300, 300), MinSpeed: 5, MaxSpeed: 20, Pause: time.Second}
 	root := sim.NewRNG(seed)
-	log := new([]firstCall)
+	log := new([]drawCall)
 	var peers []*memberPeer
 	for g := 0; g < groups; g++ {
 		rng := root.Stream(fmt.Sprintf("group-%d", g))
@@ -69,7 +71,7 @@ func memberWorld(t *testing.T, k *sim.Kernel, brute bool, groups, perGroup int, 
 				movingPeer: movingPeer{id: NodeID(len(peers) + 1), connected: true},
 				mob:        grp.NewMember(),
 				log:        log,
-				last:       -1,
+				until:      -1,
 			}
 			if err := m.Register(p); err != nil {
 				t.Fatal(err)
@@ -81,11 +83,14 @@ func memberWorld(t *testing.T, k *sim.Kernel, brute bool, groups, perGroup int, 
 }
 
 // TestPositionCallOrderGridMatchesBrute guards the Position-call-order
-// contract (DESIGN.md "Spatial index", rule 2) with peers whose Position
+// contract (DESIGN.md "Spatial index", rule 2) with peers whose Motion
 // draws randomness: identical Broadcast, Send and Neighbors traffic with
-// connectivity flips must make the grid-indexed medium sample hosts in
-// exactly the brute-force scan's first-call order, leaving every member at
-// the same final position.
+// connectivity flips must make the grid-indexed medium issue the calls that
+// can draw in exactly the brute-force scan's order, leaving every member at
+// the same final position. The lazy sync samples far fewer hosts than the
+// scan, so only the calls that can draw are compared. Bursts of completions
+// from different senders at one timestamp exercise the per-completion
+// sampling of senders and destinations after the first sync at that time.
 func TestPositionCallOrderGridMatchesBrute(t *testing.T) {
 	k := sim.NewKernel()
 	const groups, perGroup = 5, 4
@@ -96,7 +101,7 @@ func TestPositionCallOrderGridMatchesBrute(t *testing.T) {
 
 	for step := 0; step < 400; step++ {
 		src := NodeID(rng.Intn(n) + 1)
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			gm.Broadcast(Message{Kind: KindBeacon, From: src, Size: BeaconSize})
 			bm.Broadcast(Message{Kind: KindBeacon, From: src, Size: BeaconSize})
@@ -115,6 +120,20 @@ func TestPositionCallOrderGridMatchesBrute(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("t=%v Neighbors(%d): grid %v, brute %v", k.Now(), src, got, want)
 			}
+		case 4:
+			// A burst: sends and broadcasts of one size from distinct
+			// senders, all completing at one timestamp.
+			for _, i := range rng.Perm(n)[:2+rng.Intn(6)] {
+				from := NodeID(i + 1)
+				if rng.Bool(0.5) {
+					gm.Broadcast(Message{Kind: KindBeacon, From: from, Size: 500})
+					bm.Broadcast(Message{Kind: KindBeacon, From: from, Size: 500})
+					continue
+				}
+				dst := NodeID(rng.Intn(n) + 1)
+				gm.Send(Message{Kind: KindData, From: from, To: dst, Size: 500})
+				bm.Send(Message{Kind: KindData, From: from, To: dst, Size: 500})
+			}
 		}
 		if rng.Bool(0.15) {
 			i := rng.Intn(n)
@@ -128,12 +147,15 @@ func TestPositionCallOrderGridMatchesBrute(t *testing.T) {
 	for k.Step() {
 	}
 
+	if len(*blog) < 400 {
+		t.Fatalf("brute made only %d calls that can draw", len(*blog))
+	}
 	if len(*glog) != len(*blog) {
-		t.Fatalf("grid made %d first Position calls, brute %d", len(*glog), len(*blog))
+		t.Fatalf("grid made %d calls that can draw, brute %d", len(*glog), len(*blog))
 	}
 	for i, want := range *blog {
 		if got := (*glog)[i]; got != want {
-			t.Fatalf("first Position call %d: grid sampled host %d at %v, brute host %d at %v",
+			t.Fatalf("call %d that can draw: grid sampled host %d at %v, brute host %d at %v",
 				i, got.id, got.at, want.id, want.at)
 		}
 	}

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -19,9 +20,9 @@ type movingPeer struct {
 }
 
 func (p *movingPeer) ID() NodeID { return p.id }
-func (p *movingPeer) Position(t time.Duration) geo.Point {
+func (p *movingPeer) Motion(t time.Duration) (geo.Point, time.Duration, float64) {
 	s := t.Seconds()
-	return geo.Point{X: p.origin.X + p.vx*s, Y: p.origin.Y + p.vy*s}
+	return geo.Point{X: p.origin.X + p.vx*s, Y: p.origin.Y + p.vy*s}, math.MaxInt64, math.Hypot(p.vx, p.vy)
 }
 func (p *movingPeer) Connected() bool     { return p.connected }
 func (p *movingPeer) Receive(msg Message) { p.inbox = append(p.inbox, msg) }
@@ -175,7 +176,7 @@ func TestNeighborsSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < n; i++ {
 		addPeer(t, m, NodeID(i+1), float64((i%10)*30), float64((i/10)*30))
 	}
-	// Warm up: grow the sweep cache and all scratch buffers.
+	// Warm up: fill the grid and grow all scratch buffers.
 	for i := 0; i < n; i++ {
 		m.Neighbors(NodeID(i + 1))
 	}

@@ -2,23 +2,30 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/geo"
 	"repro/internal/sim"
 )
 
-// Peer is a mobile host attached to the medium. Position and Connected are
+// Peer is a mobile host attached to the medium. Motion and Connected are
 // sampled at transmission-completion time to decide reachability; Receive is
 // invoked once per delivered message.
 //
+// Motion reports the peer's position at t, the time until which that
+// position is a pure function of time (no randomness drawn, no state changed
+// that alters later results), and a bound on its speed until then. The
+// medium re-samples a peer only when that time has passed or the speed
+// bound says it may have drifted by the query slack (see DESIGN.md "Spatial
+// index").
+//
 // A peer whose Connected() value changes after registration must call
-// Medium.ConnectivityChanged: the spatial index caches per-timestamp
-// positions and reuses reachability sweeps until the clock or the
-// connectivity epoch moves (see DESIGN.md "Spatial index").
+// Medium.ConnectivityChanged: the medium counts connected peers and tracks
+// the earliest re-sample time over them, and both go stale on a flip.
 type Peer interface {
 	ID() NodeID
-	Position(t time.Duration) geo.Point
+	Motion(t time.Duration) (pos geo.Point, until time.Duration, speed float64)
 	Connected() bool
 	Receive(msg Message)
 }
@@ -32,8 +39,12 @@ type Peer interface {
 // Reachability is resolved through a uniform-grid spatial index (cell size
 // = TranRange) instead of a pairwise scan over every registered peer, so a
 // completion costs O(k) for k hosts near the sender rather than O(N). The
-// brute-force scan survives behind MediumConfig.BruteForce and is proven
-// byte-identical by the index-equivalence tests.
+// grid is synced lazily: a host is re-sampled only when its mobility could
+// draw randomness or its worst-case drift since the last sample could reach
+// a fixed slack, and queries widen by that slack before filtering on
+// positions sampled at the completion time. The brute-force scan survives
+// behind MediumConfig.BruteForce and is proven byte-identical by the
+// index-equivalence tests.
 type Medium struct {
 	k      *sim.Kernel
 	bwKbps float64
@@ -51,19 +62,23 @@ type Medium struct {
 	regIdx map[NodeID]int
 
 	// Spatial index state. The grid is derived, rebuilt lazily from
-	// Position(), and holds each host's last sampled position; syncedAt
-	// holds the timestamp it was sampled at (negative = never).
-	brute    bool
-	grid     *geo.Grid
-	syncedAt []time.Duration
-	// connEpoch advances on every registration or connectivity change;
-	// a sweep at (sweepNow, sweepEpoch) stays valid for every later
-	// completion at the same timestamp and epoch, because positions are a
-	// pure function of time.
-	connEpoch  uint64
-	sweepNow   time.Duration
-	sweepEpoch uint64
-	sweepValid bool
+	// Motion(), and holds each host's last sampled position; sampledAt
+	// holds the time it was sampled at (negative = never).
+	brute     bool
+	grid      *geo.Grid
+	sampledAt []time.Duration
+	// slack is how far a grid position may lag its host's true position;
+	// queries widen by it. driftNs is 90% of it in metre-nanoseconds per
+	// metre-per-second: a host moving at speed v stays within slack of its
+	// sample for driftNs/v nanoseconds, with margin for float rounding.
+	slack   float64
+	driftNs float64
+	// wake[i] is when slot i must be re-sampled: one nanosecond past its
+	// piece's end (its next Motion call may draw), or earlier once its
+	// drift could reach the slack. minWake is at most every connected
+	// host's wake; Register and ConnectivityChanged reset it to zero.
+	wake    []time.Duration
+	minWake time.Duration
 	// Scratch buffers, reused across completions to keep the hot path
 	// allocation-free.
 	candSrc   []geo.GridID
@@ -131,15 +146,18 @@ func NewMedium(k *sim.Kernel, cfg MediumConfig, meter *Meter) (*Medium, error) {
 	if err != nil {
 		return nil, fmt.Errorf("network: spatial index: %w", err)
 	}
+	slack := cfg.RangeM / 8
 	return &Medium{
-		k:      k,
-		bwKbps: cfg.BandwidthKbps,
-		rangeM: cfg.RangeM,
-		power:  cfg.Power,
-		meter:  meter,
-		brute:  cfg.BruteForce,
-		grid:   grid,
-		regIdx: make(map[NodeID]int),
+		k:       k,
+		bwKbps:  cfg.BandwidthKbps,
+		rangeM:  cfg.RangeM,
+		power:   cfg.Power,
+		meter:   meter,
+		brute:   cfg.BruteForce,
+		grid:    grid,
+		slack:   slack,
+		driftNs: 0.9 * slack * float64(time.Second),
+		regIdx:  make(map[NodeID]int),
 	}, nil
 }
 
@@ -153,18 +171,19 @@ func (m *Medium) Register(p Peer) error {
 	m.peers = append(m.peers, p)
 	m.ids = append(m.ids, p.ID())
 	m.nics = append(m.nics, sim.NewResource(m.k, 1))
-	m.syncedAt = append(m.syncedAt, -1)
-	m.connEpoch++ // a new host invalidates any same-timestamp sweep
+	m.sampledAt = append(m.sampledAt, -1)
+	m.wake = append(m.wake, 0) // due at the next sync
+	m.ConnectivityChanged(p.ID())
 	return nil
 }
 
 // ConnectivityChanged tells the medium that a registered peer's
-// Connected() value flipped. Peers must call it on every transition —
-// the reachability sweep cache is keyed on the connectivity epoch, and a
-// missed notification would let a stale candidate set survive within one
-// timestamp. The id parameter documents intent (and anchors future
-// per-cell sharding); the whole epoch advances regardless.
-func (m *Medium) ConnectivityChanged(NodeID) { m.connEpoch++ }
+// Connected() value flipped. Peers must call it on every transition: the
+// earliest wake time covers connected hosts only, and a missed notification
+// could leave a reconnected host that is due unsampled, out of the
+// brute-force scan's call order. The id parameter documents intent; the
+// next sync re-checks every connected host regardless.
+func (m *Medium) ConnectivityChanged(NodeID) { m.minWake = 0 }
 
 // Meter returns the energy meter the medium charges to.
 func (m *Medium) Meter() *Meter { return m.meter }
@@ -174,76 +193,117 @@ func (m *Medium) RangeM() float64 { return m.rangeM }
 
 // inRange reports whether two connected peers can hear each other now.
 func (m *Medium) inRange(a, b Peer, now time.Duration) bool {
-	return geo.WithinRange(a.Position(now), b.Position(now), m.rangeM)
+	pa, _, _ := a.Motion(now)
+	pb, _, _ := b.Motion(now)
+	return geo.WithinRange(pa, pb, m.rangeM)
 }
 
-// syncHost samples one host's position at now and re-buckets it in the
-// grid. Each host is sampled at most once per timestamp.
-func (m *Medium) syncHost(i int, now time.Duration) {
-	m.grid.Upsert(geo.GridID(i), m.peers[i].Position(now))
-	m.syncedAt[i] = now
+// sample brings slot i's grid position up to time now, at most once per
+// timestamp, and sets its wake: one nanosecond past the end of the piece
+// Motion reported, or the last nanosecond before its drift at the reported
+// speed could reach 90% of the slack, whichever is earlier (never before
+// now + 1 ns).
+func (m *Medium) sample(i int, now time.Duration) {
+	if m.sampledAt[i] == now {
+		return
+	}
+	pos, until, speed := m.peers[i].Motion(now)
+	m.grid.Upsert(geo.GridID(i), pos)
+	m.sampledAt[i] = now
+	wake := until
+	if wake < math.MaxInt64 {
+		wake++
+	}
+	if dt := m.driftNs / speed; dt < float64(wake-now) {
+		wake = now + max(time.Duration(dt), 1)
+	}
+	m.wake[i] = wake
 }
 
-// sweep brings the spatial index up to date for a completion at time now
-// involving srcIdx (and dstIdx ≥ 0 for point-to-point sends).
+// sync brings the spatial index up to date for a completion at time now
+// sent by srcIdx (to dstIdx ≥ 0 for point-to-point sends), and reports
+// whether src was sampled: false means no other peer is connected, so
+// nobody can hear it and nothing was sampled.
 //
 // Determinism contract: mobility models draw lazily from shared per-group
-// RNG streams inside Position(t), so the *order of first Position calls
-// per timestamp* is part of the replayed randomness. The sweep therefore
-// replays exactly the call order of the brute-force scan it replaces:
+// RNG streams inside Motion(t), so the order of the calls that *can draw*
+// is part of the replayed randomness. A call can draw only at a time past
+// the piece end that host's previous call reported, so sync replays the
+// brute-force scan's order for exactly those calls:
 //
-//   - point-to-point with a connected destination samples src then dst
-//     first (the reachability check), then every other connected peer in
-//     registration order;
-//   - broadcast (and a disconnected destination) samples src lazily, at
-//     the first pair with another connected peer — a sender with no
-//     connected peers is never sampled, exactly as the pairwise loops
-//     never touched it;
+//   - src first, when the destination or any other peer is connected
+//     (the pairwise loops sampled src at its first pair with another
+//     connected peer), then a connected destination;
+//   - then every connected host whose wake has passed, in registration
+//     order — once per timestamp and connectivity change, and only when
+//     now has reached the earliest wake;
 //   - disconnected peers are never sampled (brute force short-circuits on
 //     Connected() before Position()).
 //
-// A sweep is skipped entirely when the timestamp and connectivity epoch
-// match the previous one: positions are a pure function of time, so
-// nothing can have moved, and brute force would only repeat idempotent
-// Position calls that consume no randomness.
+// src and dst are sampled on every completion, before anything else: a
+// second sender at the same timestamp was not necessarily sampled by the
+// first completion's sync, and sampling it first cannot draw, since any
+// host that could was sampled by that sync.
 //
 //hot:runs before every transmission completion and neighbor query
-func (m *Medium) sweep(now time.Duration, srcIdx, dstIdx int) {
-	if m.sweepValid && m.sweepNow == now && m.sweepEpoch == m.connEpoch {
-		return
+func (m *Medium) sync(now time.Duration, srcIdx, dstIdx int) bool {
+	if dstIdx >= 0 && !m.peers[dstIdx].Connected() {
+		dstIdx = -1
 	}
-	srcSynced := m.syncedAt[srcIdx] == now
-	if dstIdx >= 0 && m.peers[dstIdx].Connected() {
-		// The reachability check samples src then dst before bystanders.
-		if !srcSynced {
-			m.syncHost(srcIdx, now)
-			srcSynced = true
-		}
-		if m.syncedAt[dstIdx] != now {
-			m.syncHost(dstIdx, now)
-		}
+	if dstIdx < 0 && !m.otherConnected(srcIdx) {
+		return false
 	}
+	m.sample(srcIdx, now)
+	if dstIdx >= 0 {
+		m.sample(dstIdx, now)
+	}
+	if now < m.minWake {
+		return true
+	}
+	next := time.Duration(math.MaxInt64)
 	for i, p := range m.peers {
-		if i == srcIdx || i == dstIdx || !p.Connected() {
+		if !p.Connected() {
 			continue
 		}
-		if !srcSynced {
-			m.syncHost(srcIdx, now)
-			srcSynced = true
+		if m.wake[i] <= now {
+			m.sample(i, now)
 		}
-		if m.syncedAt[i] != now {
-			m.syncHost(i, now)
-		}
+		next = min(next, m.wake[i])
 	}
-	m.sweepValid, m.sweepNow, m.sweepEpoch = true, now, m.connEpoch
+	m.minWake = next
+	return true
 }
 
-// candidates fills dst with the slots of all indexed hosts within range of
-// host i's synced position, ascending — which is registration order.
-// Disconnected hosts may appear (their grid position is stale); callers
-// filter on Connected() exactly as the brute loops did.
+// otherConnected reports whether any peer but the one in slot i is
+// connected. Nearly every host is connected, so the scan stops at once.
+func (m *Medium) otherConnected(i int) bool {
+	for j, p := range m.peers {
+		if j != i && p.Connected() {
+			return true
+		}
+	}
+	return false
+}
+
+// candidates fills dst with the slots of all indexed hosts whose grid
+// position lies within range plus slack of host i's position at now,
+// ascending — which is registration order. It is a superset of the
+// connected hosts in range: callers sample each connected candidate and
+// filter on its position at now.
 func (m *Medium) candidates(dst []geo.GridID, i int) []geo.GridID {
-	return m.grid.AppendRange(dst[:0], m.grid.Pos(geo.GridID(i)), m.rangeM)
+	return m.grid.AppendRange(dst[:0], m.grid.Pos(geo.GridID(i)), m.rangeM+m.slack)
+}
+
+// hears reports whether the host in slot j is connected and, sampled at
+// now, within range of p — the position at now of a host sampled by sync.
+// Sampling a connected host here never draws randomness: sync already
+// sampled every host whose Motion could draw at now.
+func (m *Medium) hears(p geo.Point, j int, now time.Duration) bool {
+	if !m.peers[j].Connected() {
+		return false
+	}
+	m.sample(j, now)
+	return geo.WithinRange(p, m.grid.Pos(geo.GridID(j)), m.rangeM)
 }
 
 // Neighbors returns the IDs of connected peers currently within range of
@@ -267,15 +327,15 @@ func (m *Medium) Neighbors(id NodeID) []NodeID {
 			}
 		}
 	} else {
-		m.sweep(now, selfIdx, -1)
-		if m.syncedAt[selfIdx] != now {
-			// No other connected peer exists, so the sweep never sampled
-			// this host; brute force would have found nothing either.
+		if !m.sync(now, selfIdx, -1) {
+			// No other connected peer exists; brute force would have found
+			// nothing either.
 			return nil
 		}
+		self := m.grid.Pos(geo.GridID(selfIdx))
 		m.candSrc = m.candidates(m.candSrc, selfIdx)
 		for _, ci := range m.candSrc {
-			if int(ci) != selfIdx && m.peers[ci].Connected() {
+			if int(ci) != selfIdx && m.hears(self, int(ci), now) {
 				m.neighbors = append(m.neighbors, m.ids[ci])
 			}
 		}
@@ -310,13 +370,13 @@ func (m *Medium) Broadcast(msg Message) {
 			m.broadcastBrute(srcIdx, msg, now)
 			return
 		}
-		m.sweep(now, srcIdx, -1)
-		if m.syncedAt[srcIdx] != now {
+		if !m.sync(now, srcIdx, -1) {
 			return // no other connected peer exists; nobody hears the frame
 		}
+		src := m.grid.Pos(geo.GridID(srcIdx))
 		m.candSrc = m.candidates(m.candSrc, srcIdx)
 		for _, ci := range m.candSrc {
-			if int(ci) != srcIdx && m.peers[ci].Connected() {
+			if int(ci) != srcIdx && m.hears(src, int(ci), now) {
 				m.deliverBroadcast(int(ci), msg, now)
 			}
 		}
@@ -376,9 +436,9 @@ func (m *Medium) Send(msg Message) {
 			m.sendBrute(src, dst, msg, now)
 			return
 		}
-		m.sweep(now, srcIdx, dstIdx)
-		reachable := dst.Connected() && geo.WithinRange(
-			m.grid.Pos(geo.GridID(srcIdx)), m.grid.Pos(geo.GridID(dstIdx)), m.rangeM)
+		sampled := m.sync(now, srcIdx, dstIdx)
+		srcPos, dstPos := m.grid.Pos(geo.GridID(srcIdx)), m.grid.Pos(geo.GridID(dstIdx))
+		reachable := dst.Connected() && geo.WithinRange(srcPos, dstPos, m.rangeM)
 		faulted := false
 		if reachable {
 			// The destination receives (and pays for) the frame even
@@ -393,9 +453,9 @@ func (m *Medium) Send(msg Message) {
 		}
 		// Bystander discard accounting: merge the sorted candidate sets
 		// around the source and (when reached) the destination, walking
-		// both in registration order.
+		// their union in registration order.
 		var nearSrc, nearDst []geo.GridID
-		if m.syncedAt[srcIdx] == now {
+		if sampled {
 			m.candSrc = m.candidates(m.candSrc, srcIdx)
 			nearSrc = m.candSrc
 		}
@@ -406,22 +466,25 @@ func (m *Medium) Send(msg Message) {
 		i, j := 0, 0
 		for i < len(nearSrc) || j < len(nearDst) {
 			var ci int
-			var ns, nd bool
 			switch {
 			case j >= len(nearDst) || (i < len(nearSrc) && nearSrc[i] < nearDst[j]):
-				ci, ns = int(nearSrc[i]), true
+				ci = int(nearSrc[i])
 				i++
 			case i >= len(nearSrc) || nearDst[j] < nearSrc[i]:
-				ci, nd = int(nearDst[j]), true
+				ci = int(nearDst[j])
 				j++
-			default: // equal: in range of both
-				ci, ns, nd = int(nearSrc[i]), true, true
+			default: // a candidate around both
+				ci = int(nearSrc[i])
 				i++
 				j++
 			}
 			if ci == srcIdx || ci == dstIdx || !m.peers[ci].Connected() {
 				continue
 			}
+			m.sample(ci, now)
+			pos := m.grid.Pos(geo.GridID(ci))
+			ns := geo.WithinRange(srcPos, pos, m.rangeM)
+			nd := reachable && geo.WithinRange(dstPos, pos, m.rangeM)
 			oid := m.ids[ci]
 			switch {
 			case ns && nd:

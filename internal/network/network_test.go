@@ -17,10 +17,12 @@ type testPeer struct {
 	inbox     []Message
 }
 
-func (p *testPeer) ID() NodeID                       { return p.id }
-func (p *testPeer) Position(time.Duration) geo.Point { return p.pos }
-func (p *testPeer) Connected() bool                  { return p.connected }
-func (p *testPeer) Receive(msg Message)              { p.inbox = append(p.inbox, msg) }
+func (p *testPeer) ID() NodeID { return p.id }
+func (p *testPeer) Motion(time.Duration) (geo.Point, time.Duration, float64) {
+	return p.pos, math.MaxInt64, 0
+}
+func (p *testPeer) Connected() bool     { return p.connected }
+func (p *testPeer) Receive(msg Message) { p.inbox = append(p.inbox, msg) }
 
 var _ Peer = (*testPeer)(nil)
 
