@@ -9,13 +9,16 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/resilience"
 )
 
 // The seed-digest guard complements the static determinism lint suite
 // (cmd/grococa-lint) dynamically: for every scheme, with and without a
-// fault plan, the same seed must produce byte-identical Results — and the
+// fault plan, and with the fault plan under the full resilience policy,
+// the same seed must produce byte-identical Results — and the
 // digests are pinned in testdata/seed_digests.json, so an *intended*
 // behavior change shows up as a one-line golden diff at review time while
 // an unintended one fails CI.
@@ -27,26 +30,32 @@ const digestGoldenFile = "testdata/seed_digests.json"
 
 // digestCase is one cell of the digest matrix.
 type digestCase struct {
-	name   string
-	scheme core.Scheme
-	faults bool
+	name       string
+	scheme     core.Scheme
+	faults     bool
+	resilience bool
 }
 
-// digestCases spans every registered scheme, each with and without faults.
+// digestCases spans every registered scheme, each without faults, with
+// faults, and with faults under the full resilience policy.
 func digestCases() []digestCase {
 	var cases []digestCase
 	for _, s := range core.Schemes() {
 		name := strings.ToLower(s.String())
 		cases = append(cases,
-			digestCase{name: name, scheme: s, faults: false},
+			digestCase{name: name, scheme: s},
 			digestCase{name: name + "+faults", scheme: s, faults: true},
+			digestCase{name: name + "+faults+resilience", scheme: s, faults: true, resilience: true},
 		)
 	}
 	return cases
 }
 
 // digestConfig is the guard's run: tiny but exercising every scheme path,
-// and — in the faults variant — loss, outage, and crash-churn recovery.
+// and — in the faults variant — loss recovery. The resilience variant
+// adds server outages dense enough to trip the breaker, under
+// resilience.DefaultPolicy: budgets, jittered backoff, deadlines,
+// breaker, hedging and serve-stale.
 func digestConfig(c digestCase) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Scheme = c.scheme
@@ -60,6 +69,11 @@ func digestConfig(c digestCase) core.Config {
 		cfg.P2PLossProb = 0.05
 		cfg.UplinkLossProb = 0.02
 		cfg.DownlinkLossProb = 0.02
+	}
+	if c.resilience {
+		cfg.ServerOutagePeriod = 12 * time.Second
+		cfg.ServerOutageDuration = 4 * time.Second
+		cfg.Resilience = resilience.DefaultPolicy()
 	}
 	return cfg
 }
@@ -87,6 +101,10 @@ func reproCommand(c digestCase) string {
 	if c.faults {
 		cmd += fmt.Sprintf(" -p2ploss %g -uplinkloss %g -downlinkloss %g",
 			cfg.P2PLossProb, cfg.UplinkLossProb, cfg.DownlinkLossProb)
+	}
+	if c.resilience {
+		cmd += fmt.Sprintf(" -outageperiod %v -outageduration %v -resilience",
+			cfg.ServerOutagePeriod, cfg.ServerOutageDuration)
 	}
 	return cmd
 }
