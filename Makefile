@@ -75,20 +75,18 @@ sweep-smoke:
 	@echo "sweep-smoke ok: replicated sweep byte-identical across worker counts"
 
 ## chaos-smoke: a short chaos campaign matrix under the invariant auditor.
-## Three legs: (1) the default campaigns must be violation-free, (2) the
-## report must be byte-identical across worker counts, (3) the -selftest
-## run (a deliberately seeded TTL-corruption bug) must FAIL — proving the
-## auditor actually detects protocol bugs. Violations print their repro
-## command in the log.
+## Two legs: (1) the default campaigns must be violation-free, (2) the
+## report must be byte-identical across worker counts. Violations print
+## their repro command in the log. The must-fail leg — the -selftest run
+## (a deliberately seeded TTL-corruption bug) must exit non-zero — is the
+## ordinary Go test TestRunSelfTestFails in cmd/grococa-chaos, run by
+## `make race`.
 chaos-smoke:
 	$(GO) run ./cmd/grococa-chaos -seeds 2 -parallel 4 > .chaos-smoke-p4.txt
 	$(GO) run ./cmd/grococa-chaos -seeds 2 -parallel 1 > .chaos-smoke-p1.txt
 	cmp .chaos-smoke-p1.txt .chaos-smoke-p4.txt
 	rm -f .chaos-smoke-p1.txt .chaos-smoke-p4.txt
-	@if $(GO) run ./cmd/grococa-chaos -selftest -campaign loss-ramp -scheme coca -seeds 1 > /dev/null 2>&1; then \
-		echo "chaos-smoke FAILED: the seeded self-test bug went undetected" >&2; exit 1; \
-	fi
-	@echo "chaos-smoke ok: campaigns clean, output worker-count-identical, self-test bug caught"
+	@echo "chaos-smoke ok: campaigns clean, output worker-count-identical"
 
 ## resilience-smoke: the degraded-mode smoke — the breaker-flap campaign
 ## (full resilience policy: budgets, jittered backoff, breaker, hedging,

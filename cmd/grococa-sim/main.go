@@ -103,8 +103,8 @@ func run(args []string) error {
 	fs.DurationVar(&cfg.CrashMTBF, "crashmtbf", cfg.CrashMTBF, "mean host up-time between crashes (0 = no crash churn)")
 	fs.DurationVar(&cfg.CrashDownMin, "crashdownmin", cfg.CrashDownMin, "minimum crash downtime")
 	fs.DurationVar(&cfg.CrashDownMax, "crashdownmax", cfg.CrashDownMax, "maximum crash downtime")
-	fs.IntVar(&cfg.RetrieveRetryLimit, "retrieveretry", cfg.RetrieveRetryLimit, "alternate-holder retries after a data timeout")
-	fs.IntVar(&cfg.ServerRetryLimit, "serverretry", cfg.ServerRetryLimit, "rescue re-sends of a lost MSS exchange (0 disables)")
+	fs.IntVar(&cfg.Resilience.RetrieveRetries, "retrieveretry", cfg.Resilience.RetrieveRetries, "alternate-holder retries after a data timeout")
+	fs.IntVar(&cfg.Resilience.ServerRetries, "serverretry", cfg.Resilience.ServerRetries, "rescue re-sends of a lost MSS exchange (0 fails the request at the first rescue timeout)")
 	fs.Float64Var(&cfg.ServerRescueFactor, "rescuefactor", cfg.ServerRescueFactor, "rescue timeout scale over the queue-aware RTT estimate")
 	resil := fs.Bool("resilience", false, "enable the unified resilience policy (retry budgets, jittered backoff, MSS-link breaker, hedging, serve-stale)")
 	pol := resilience.DefaultPolicy()

@@ -133,9 +133,12 @@ type Auditor struct {
 
 	// Resilience-layer tracking (see resilience.go): last observed breaker
 	// state per host, last observed budget spend per open request, and the
-	// degraded-serve/hedge tallies reconciled at Finish.
+	// spend, breaker-open, degraded-serve and hedge tallies reconciled at
+	// Finish.
 	breakers       map[network.NodeID]resilience.State
 	budgets        map[reqKey]int
+	spends         map[string]uint64
+	breakerOpens   uint64
 	degradedServes uint64
 	hedges         uint64
 
@@ -162,6 +165,7 @@ func Attach(s *core.Simulation, cfg Config) *Auditor {
 		causes:    make(map[string]uint64),
 		breakers:  make(map[network.NodeID]resilience.State),
 		budgets:   make(map[reqKey]int),
+		spends:    make(map[string]uint64),
 	}
 	a.recovery = newRecoveryTracker(cfg.Recovery, s.FaultPlan(), a.violate)
 	s.Collector().Audit = a
@@ -334,8 +338,9 @@ func memberOf(members []network.NodeID, id network.NodeID) bool {
 // Finish closes the audit after the run: leftover in-flight requests are
 // conservation violations on a completed run (and a stall diagnosis on a
 // horizon-expired one), the open set is cross-checked against the hosts'
-// own in-flight state, and the report is assembled with deterministically
-// ordered tallies.
+// own in-flight state, the client's recovery counters are reconciled
+// with the observed events, and the report is assembled with
+// deterministically ordered tallies.
 func (a *Auditor) Finish(completed bool) Report {
 	at := time.Duration(0)
 	if a.sim != nil {
@@ -365,8 +370,8 @@ func (a *Auditor) Finish(completed bool) Report {
 			a.violate("request-conservation", at, -1,
 				fmt.Sprintf("audit tracks %d open requests but %d hosts report one in flight", len(a.open), outstanding))
 		}
+		a.reconcile(at, a.sim.Collector().Aux())
 	}
-	a.resilFinish(at)
 	a.recovery.finish(at)
 	return a.report(completed)
 }

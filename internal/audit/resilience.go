@@ -10,9 +10,9 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the resilience-layer extension of the auditor: it
-// implements client.ResilienceSink and adds two invariant families on top
-// of the four documented in audit.go:
+// This file is the resilience-layer half of the auditor's
+// client.AuditSink and adds two invariant families on top of the four
+// documented in audit.go:
 //
 //   - breaker-state-machine — every per-host MSS-link breaker transition
 //     must follow a legal edge (closed→open, open→half-open,
@@ -21,8 +21,11 @@ import (
 //     flagged on its first illegal edge;
 //   - retry-budget-conservation — budget spends arrive one unit at a
 //     time, never exceed the policy cap, and only for a request that is
-//     actually open; degraded serve-stale hits must reconcile exactly
-//     with the client's counters and cause attribution at Finish.
+//     actually open.
+//
+// At Finish the spends per kind, the breaker opens, the hedges and the
+// degraded serve-stale hits must reconcile exactly with the client's
+// counters and cause attribution.
 //
 // Degraded serves bypass HitServed (their whole point is to violate the
 // TTL contract), so the staleness oracle accounts them here: the serving
@@ -30,9 +33,7 @@ import (
 // classified fresh/stale against the catalog ground truth like any other
 // hit.
 
-var _ client.ResilienceSink = (*Auditor)(nil)
-
-// BreakerTransition implements client.ResilienceSink: the
+// BreakerTransition implements client.AuditSink: the
 // breaker-state-machine legality check.
 func (a *Auditor) BreakerTransition(at time.Duration, host network.NodeID, from, to resilience.State, cause string) {
 	if tracked, ok := a.breakers[host]; ok && tracked != from {
@@ -40,6 +41,9 @@ func (a *Auditor) BreakerTransition(at time.Duration, host network.NodeID, from,
 			fmt.Sprintf("transition %v→%v (%s) departs from %v, but the last observed state is %v", from, to, cause, from, tracked))
 	}
 	a.breakers[host] = to
+	if to == resilience.Open {
+		a.breakerOpens++
+	}
 	legal := (from == resilience.Closed && to == resilience.Open) ||
 		(from == resilience.Open && to == resilience.HalfOpen) ||
 		(from == resilience.HalfOpen && to == resilience.Closed) ||
@@ -50,7 +54,7 @@ func (a *Auditor) BreakerTransition(at time.Duration, host network.NodeID, from,
 	}
 }
 
-// RetrySpent implements client.ResilienceSink: the budget-conservation
+// RetrySpent implements client.AuditSink: the budget-conservation
 // check. Spends must arrive in single units, stay within the policy cap,
 // and belong to an open request.
 func (a *Auditor) RetrySpent(at time.Duration, host network.NodeID, seq uint64, kind string, spent, budget int) {
@@ -68,9 +72,10 @@ func (a *Auditor) RetrySpent(at time.Duration, host network.NodeID, seq uint64, 
 			fmt.Sprintf("request seq %d spent %d of a %d-unit budget on %s", seq, spent, budget, kind))
 	}
 	a.budgets[key] = spent
+	a.spends[kind]++
 }
 
-// DegradedServe implements client.ResilienceSink: the serve-stale leg of
+// DegradedServe implements client.AuditSink: the serve-stale leg of
 // the staleness oracle. The serve is only legal during an open-breaker
 // window, from a copy with a real admission contract that has actually
 // expired; ground-truth freshness is classified like any other hit.
@@ -112,7 +117,7 @@ func (a *Auditor) DegradedServe(at time.Duration, host network.NodeID, item work
 	}
 }
 
-// HedgeIssued implements client.ResilienceSink.
+// HedgeIssued implements client.AuditSink.
 func (a *Auditor) HedgeIssued(at time.Duration, host network.NodeID, seq uint64, holder network.NodeID) {
 	a.hedges++
 	if _, open := a.open[reqKey{host: host, seq: seq}]; !open {
@@ -121,25 +126,26 @@ func (a *Auditor) HedgeIssued(at time.Duration, host network.NodeID, seq uint64,
 	}
 }
 
-// resilFinish reconciles the resilience tallies against the client's own
-// counters: every serve-stale hit the client counted must have produced
-// exactly one DegradedServe event and one "serve-stale" cause, and every
-// hedge a HedgeIssued.
-func (a *Auditor) resilFinish(at time.Duration) {
-	if a.sim == nil {
-		return
-	}
-	aux := a.sim.Collector().Aux()
-	if aux.ServeStaleHits != a.degradedServes {
-		a.violate("degraded-serve", at, -1,
-			fmt.Sprintf("client counts %d serve-stale hits, audit observed %d degraded serves", aux.ServeStaleHits, a.degradedServes))
-	}
-	if n := a.causes["serve-stale"]; n != a.degradedServes {
-		a.violate("degraded-serve", at, -1,
-			fmt.Sprintf("%d requests ended with cause serve-stale, audit observed %d degraded serves", n, a.degradedServes))
-	}
-	if aux.HedgedRetrieves != a.hedges {
-		a.violate("retry-budget", at, -1,
-			fmt.Sprintf("client counts %d hedged retrieves, audit observed %d", aux.HedgedRetrieves, a.hedges))
+// reconcile checks, at Finish, the client's counters against the events
+// the audit observed: every counted retrieve retry and server rescue must
+// have produced a RetrySpent of its kind, every hedge a HedgeIssued,
+// every breaker open a →open edge, and every serve-stale hit exactly one
+// DegradedServe and one "serve-stale" cause.
+func (a *Auditor) reconcile(at time.Duration, aux client.AuxCounters) {
+	for _, c := range []struct {
+		invariant, what   string
+		counted, observed uint64
+	}{
+		{"retry-budget", "retrieve retries", aux.RetrieveRetries, a.spends["retrieve-retry"]},
+		{"retry-budget", "server rescues", aux.ServerRescues, a.spends["server-rescue"]},
+		{"retry-budget", "hedged retrieves", aux.HedgedRetrieves, a.hedges},
+		{"breaker-state-machine", "breaker opens", aux.BreakerOpens, a.breakerOpens},
+		{"degraded-serve", "serve-stale hits", aux.ServeStaleHits, a.degradedServes},
+		{"degraded-serve", "serve-stale terminations", a.causes["serve-stale"], a.degradedServes},
+	} {
+		if c.counted != c.observed {
+			a.violate(c.invariant, at, -1,
+				fmt.Sprintf("client counts %d %s, audit observed %d", c.counted, c.what, c.observed))
+		}
 	}
 }

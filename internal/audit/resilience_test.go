@@ -22,6 +22,7 @@ func bareAuditor() *Auditor {
 		causes:    make(map[string]uint64),
 		breakers:  make(map[network.NodeID]resilience.State),
 		budgets:   make(map[reqKey]int),
+		spends:    make(map[string]uint64),
 	}
 	a.recovery = newRecoveryTracker(RecoveryConfig{}.withDefaults(), nil, a.violate)
 	return a
@@ -53,10 +54,10 @@ func TestBreakerTransitionLegality(t *testing.T) {
 		t.Fatalf("illegal edge not flagged: %v", a.violations)
 	}
 
-	// The miswired edge the selftest plants: open -> closed.
+	// The miswired edge the self-test feed plants: open -> closed.
 	a = bareAuditor()
 	a.BreakerTransition(time.Second, 3, resilience.Closed, resilience.Open, "failure-threshold")
-	a.BreakerTransition(2*time.Second, 3, resilience.Open, resilience.Closed, "selftest-miswire")
+	a.BreakerTransition(2*time.Second, 3, resilience.Open, resilience.Closed, "miswired")
 	if len(a.violations) != 1 || a.violations[0].Invariant != "breaker-state-machine" {
 		t.Fatalf("miswired open->closed edge not flagged: %v", a.violations)
 	}
@@ -109,6 +110,41 @@ func TestRetryBudgetConservation(t *testing.T) {
 	}
 	if a.hedges != 1 {
 		t.Fatalf("hedges = %d, want 1", a.hedges)
+	}
+}
+
+// TestReconcileCounters drives the Finish reconciliation directly: the
+// client's retrieve-retry, server-rescue and breaker-open counters must
+// match the spends and →open edges the audit observed, so a spend or an
+// open the feed dropped is flagged.
+func TestReconcileCounters(t *testing.T) {
+	feed := func() *Auditor {
+		a := bareAuditor()
+		a.RequestBegan(0, 1, 7, 42)
+		a.RetrySpent(time.Second, 1, 7, "retrieve-retry", 1, resilience.Unlimited)
+		a.RetrySpent(2*time.Second, 1, 7, "server-rescue", 2, resilience.Unlimited)
+		a.BreakerTransition(3*time.Second, 1, resilience.Closed, resilience.Open, "failure-threshold")
+		return a
+	}
+	a := feed()
+	a.reconcile(4*time.Second, client.AuxCounters{RetrieveRetries: 1, ServerRescues: 1, BreakerOpens: 1})
+	if len(a.violations) != 0 {
+		t.Fatalf("matching counters produced violations: %v", a.violations)
+	}
+	for _, tc := range []struct {
+		name      string
+		aux       client.AuxCounters
+		invariant string
+	}{
+		{"dropped-retrieve-spend", client.AuxCounters{RetrieveRetries: 2, ServerRescues: 1, BreakerOpens: 1}, "retry-budget"},
+		{"dropped-rescue-spend", client.AuxCounters{RetrieveRetries: 1, ServerRescues: 2, BreakerOpens: 1}, "retry-budget"},
+		{"dropped-open", client.AuxCounters{RetrieveRetries: 1, ServerRescues: 1, BreakerOpens: 2}, "breaker-state-machine"},
+	} {
+		a := feed()
+		a.reconcile(4*time.Second, tc.aux)
+		if len(a.violations) != 1 || a.violations[0].Invariant != tc.invariant {
+			t.Errorf("%s: want one %s violation, got %v", tc.name, tc.invariant, a.violations)
+		}
 	}
 }
 
@@ -210,24 +246,81 @@ func TestResilientAuditedRunIsClean(t *testing.T) {
 	}
 }
 
-// TestBreakerSelftest runs the outage-heavy scenario with a deliberately
-// miswired breaker (open transitions straight back to closed, skipping
-// half-open). The audit's breaker-state-machine invariant must flag the
+// TestZeroServerRetriesCompletes pins the zero-cap rule: with both retry
+// caps at 0, a lost MSS exchange fails its request at the first rescue
+// timeout ("rescue-exhausted") instead of holding the host until the
+// safety horizon, so every scheme completes with nothing in flight and a
+// clean audit.
+func TestZeroServerRetriesCompletes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scenario simulation in -short mode")
+	}
+	for _, scheme := range core.Schemes() {
+		cfg := auditScenarioConfig(scheme)
+		cfg.CrashMTBF = 0
+		cfg.Resilience.RetrieveRetries = 0
+		cfg.Resilience.ServerRetries = 0
+		s, err := core.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := Attach(s, Config{})
+		r, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := a.Finish(r.Completed)
+		if !r.Completed || s.OutstandingRequests() != 0 {
+			t.Errorf("%v: completed=%v with %d requests in flight at %v", scheme, r.Completed, s.OutstandingRequests(), r.SimTime)
+		}
+		if !rep.Clean() {
+			for _, v := range rep.Violations {
+				t.Logf("%v: %s", scheme, v)
+			}
+			t.Errorf("%v: %d violations with zero retry caps", scheme, rep.TotalViolations())
+		}
+	}
+}
+
+// miswiredFeed is the breaker self-test's mutated event feed: it passes
+// every event through to the auditor, except that it rewrites the first
+// open→half-open edge into open→closed — the edge a breaker miswired to
+// skip its half-open probe would take.
+type miswiredFeed struct {
+	*Auditor
+	rewritten bool
+}
+
+// BreakerTransition rewrites the first open→half-open edge.
+func (f *miswiredFeed) BreakerTransition(at time.Duration, host network.NodeID, from, to resilience.State, cause string) {
+	if !f.rewritten && from == resilience.Open && to == resilience.HalfOpen {
+		f.rewritten = true
+		to, cause = resilience.Closed, "miswired"
+	}
+	f.Auditor.BreakerTransition(at, host, from, to, cause)
+}
+
+// TestBreakerSelftest runs the outage-heavy scenario with the auditor
+// behind a feed that turns the run's first open→half-open edge into
+// open→closed. The audit's breaker-state-machine invariant must flag the
 // illegal edge; a clean report means the invariant is broken.
 func TestBreakerSelftest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario simulation in -short mode")
 	}
-	cfg := resilientScenarioConfig(core.SchemeGroCoca)
-	cfg.Resilience.SelfTestMiswire = true
-	s, err := core.New(cfg)
+	s, err := core.New(resilientScenarioConfig(core.SchemeGroCoca))
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := Attach(s, Config{})
+	feed := &miswiredFeed{Auditor: a}
+	s.Collector().Audit = feed
 	r, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !feed.rewritten {
+		t.Fatal("the run took no open→half-open edge to rewrite")
 	}
 	rep := a.Finish(r.Completed)
 	caught := 0

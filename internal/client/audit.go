@@ -11,10 +11,12 @@ import (
 // AuditSink receives the protocol-level events an online invariant auditor
 // needs: request lifecycle boundaries (for conservation checking), cache
 // admissions (the TTL contract each copy was granted), the hits served
-// from those copies (for the ground-truth staleness oracle), and fault
-// events (for recovery-SLO attribution). All callbacks run on the kernel
-// goroutine at the instant the event happens; implementations must not
-// mutate protocol state or consume simulation randomness.
+// from those copies (for the ground-truth staleness oracle), fault events
+// (for recovery-SLO attribution), and the resilience layer's events —
+// breaker edges, retry spends, degraded serves and hedges. All callbacks
+// run on the kernel goroutine at the instant the event happens;
+// implementations must not mutate protocol state or consume simulation
+// randomness.
 type AuditSink interface {
 	// RequestBegan fires when a host issues request seq for item.
 	RequestBegan(at time.Duration, host network.NodeID, seq uint64, item workload.ItemID)
@@ -34,42 +36,22 @@ type AuditSink interface {
 	HitServed(at time.Duration, host, provider network.NodeID, item workload.ItemID, outcome Outcome, retrievedAt, expiresAt time.Duration)
 	// FaultEvent fires on host-level fault transitions (cause "crash").
 	FaultEvent(at time.Duration, host network.NodeID, cause string)
-}
-
-// ResilienceSink is the optional extension of AuditSink for the
-// resilience layer's event feed: breaker state edges (for the
-// state-machine legality invariant), retry-budget spending (for the
-// budget-conservation invariant), degraded serve-stale hits (which bypass
-// HitServed because they deliberately violate the TTL contract and are
-// accounted by the staleness oracle separately), and hedged retrieves.
-// The same callback discipline as AuditSink applies.
-type ResilienceSink interface {
-	AuditSink
 	// BreakerTransition fires on every breaker state edge.
 	BreakerTransition(at time.Duration, host network.NodeID, from, to resilience.State, cause string)
-	// RetrySpent fires each time request seq spends one unit of its retry
-	// budget; spent is the cumulative count after this spend, budget the
-	// policy cap. kind attributes the spend ("retrieve-retry" or
+	// RetrySpent fires on every re-send: request seq spent one unit of its
+	// retry budget; spent is the cumulative count after this spend, budget
+	// the policy cap. kind attributes the spend ("retrieve-retry" or
 	// "server-rescue").
 	RetrySpent(at time.Duration, host network.NodeID, seq uint64, kind string, spent, budget int)
 	// DegradedServe fires when an expired cached copy answers a request
-	// during an open-breaker window (serve-stale mode). retrievedAt and
-	// expiresAt describe the stale copy's original contract.
+	// during an open-breaker window (serve-stale mode). It bypasses
+	// HitServed because it deliberately violates the TTL contract;
+	// retrievedAt and expiresAt describe the stale copy's original
+	// contract.
 	DegradedServe(at time.Duration, host network.NodeID, item workload.ItemID, retrievedAt, expiresAt time.Duration)
 	// HedgeIssued fires when a slow first retrieve is hedged with a second
 	// one to holder.
 	HedgeIssued(at time.Duration, host network.NodeID, seq uint64, holder network.NodeID)
-}
-
-// resilSink returns the attached sink's resilience extension, or nil.
-func (h *Host) resilSink() ResilienceSink {
-	if h.collector == nil {
-		return nil
-	}
-	if rs, ok := h.collector.Audit.(ResilienceSink); ok {
-		return rs
-	}
-	return nil
 }
 
 // audit returns the attached sink, or nil when the run is unaudited. The

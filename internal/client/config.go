@@ -123,28 +123,16 @@ type Config struct {
 	EnableSpillover        bool
 	SpilloverActivityRatio float64
 
-	// Fault-tolerance hardening. Zero values disable the respective
-	// recovery mechanism, preserving the paper's baseline protocol.
-	//
-	// RetrieveRetryLimit bounds how many alternate reply holders are
-	// asked for the data after a data timeout before the request falls
-	// back to the MSS.
-	RetrieveRetryLimit int
-	// ServerRetryLimit bounds how many times a lost MSS exchange is
-	// re-issued after the queue-aware rescue timeout expires; 0 disables
-	// the rescue timer entirely (a lost uplink request then stalls until
-	// the run's safety horizon).
-	ServerRetryLimit int
 	// ServerRescueFactor scales the estimated MSS round-trip (transmission
 	// times plus queue backlog) into the rescue timeout; values below 1
 	// fall back to 3.
 	ServerRescueFactor float64
 
-	// Resilience is the unified failure-handling policy: retry budgets
-	// with jittered exponential backoff, per-request deadlines, the MSS
-	// server-link circuit breaker, hedged peer retrieval, and serve-stale
-	// degraded mode. The zero value is disabled and leaves the legacy
-	// recovery fields above in sole control, byte-identical.
+	// Resilience is the whole recovery configuration: per-mechanism retry
+	// caps under a per-request retry budget, exponential backoff with
+	// optional jitter, and the optional deadline, MSS server-link circuit
+	// breaker, hedged peer retrieval and serve-stale degraded mode.
+	// resilience.Legacy() is the hardened paper protocol.
 	Resilience resilience.Policy
 
 	// Ablation switches.
@@ -230,12 +218,6 @@ func (c Config) Validate() error {
 		if c.ReplaceDelay < 1 {
 			return fmt.Errorf("client: replace delay %d must be at least 1", c.ReplaceDelay)
 		}
-	}
-	if c.RetrieveRetryLimit < 0 {
-		return fmt.Errorf("client: retrieve retry limit %d must be non-negative", c.RetrieveRetryLimit)
-	}
-	if c.ServerRetryLimit < 0 {
-		return fmt.Errorf("client: server retry limit %d must be non-negative", c.ServerRetryLimit)
 	}
 	if c.ServerRescueFactor < 0 {
 		return fmt.Errorf("client: server rescue factor %v must be non-negative", c.ServerRescueFactor)

@@ -53,17 +53,16 @@ type pendingRequest struct {
 	tried map[network.NodeID]bool
 	// retrieveAttempts counts alternate-holder retries after data
 	// timeouts; serverAttempts counts rescue re-sends of a lost MSS
-	// exchange.
+	// exchange; budgetSpent counts both, against the retry budget.
 	retrieveAttempts int
 	serverAttempts   int
-	// Resilience state (zero and inert with the policy disabled):
-	// budgetSpent counts the retry-budget units this request has consumed,
-	// deadlineAt is the absolute request deadline, hedge is the armed
-	// hedged-retrieve timer and hedged marks that it fired.
-	budgetSpent int
-	deadlineAt  time.Duration
-	hedge       *sim.Event
-	hedged      bool
+	budgetSpent      int
+	// deadlineAt is the absolute request deadline (inert when the policy
+	// sets none), hedge is the armed hedged-retrieve timer and hedged
+	// marks that it fired.
+	deadlineAt time.Duration
+	hedge      *sim.Event
+	hedged     bool
 	// cause attributes abnormal terminations for the audit feed.
 	cause string
 }
@@ -103,11 +102,11 @@ type Host struct {
 	rngDisc   *sim.RNG
 	rngSample *sim.RNG
 	// rngResil feeds backoff jitter; nil (and never derived) unless the
-	// resilience policy is enabled, so legacy runs draw identically.
+	// policy sets Jitter, so jitter-free runs derive no extra stream.
 	rngResil *sim.RNG
 
 	// breaker is the MSS server-link circuit breaker; nil unless the
-	// resilience policy enables one.
+	// policy sets BreakerFailures.
 	breaker *resilience.Breaker
 
 	// disk is the broadcast schedule for push/hybrid delivery; nil under
@@ -205,14 +204,16 @@ func NewHost(
 		connected:   true,
 		activityGap: stats.NewEWMA(0.3),
 	}
-	if cfg.Resilience.Enabled {
+	if cfg.Resilience.Jitter > 0 {
 		h.rngResil = rng.Stream(fmt.Sprintf("resil-%d", id))
+	}
+	if cfg.Resilience.BreakerFailures > 0 {
 		h.breaker = resilience.NewBreaker(cfg.Resilience, func(at time.Duration, from, to resilience.State, cause string) {
 			if to == resilience.Open {
 				h.collector.aux.BreakerOpens++
 			}
-			if rs := h.resilSink(); rs != nil {
-				rs.BreakerTransition(at, h.id, from, to, cause)
+			if a := h.audit(); a != nil {
+				a.BreakerTransition(at, h.id, from, to, cause)
 			}
 		})
 	}

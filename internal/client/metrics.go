@@ -192,8 +192,9 @@ type AuxCounters struct {
 	RescueFailures  uint64
 	Crashes         uint64
 	CrashAborts     uint64
-	// Resilience counters. All zero with the policy disabled; omitempty
-	// keeps the seed-digest goldens byte-identical in that case.
+	// Resilience counters. All zero unless the policy sets the respective
+	// mechanism (breaker, hedging, serve-stale, deadline); omitempty keeps
+	// the seed-digest goldens of the default Legacy policy unchanged.
 	ServeStaleHits   uint64 `json:",omitempty"`
 	BreakerOpens     uint64 `json:",omitempty"`
 	BreakerProbes    uint64 `json:",omitempty"`

@@ -67,10 +67,7 @@ func (h *Host) beginRequest(item workload.ItemID) {
 	now := h.k.Now()
 	h.observeActivity(now)
 	h.seq++
-	h.cur = &pendingRequest{seq: h.seq, item: item, start: now}
-	if h.resilienceOn() {
-		h.cur.deadlineAt = now + h.cfg.Resilience.Deadline
-	}
+	h.cur = &pendingRequest{seq: h.seq, item: item, start: now, deadlineAt: now + h.cfg.Resilience.Deadline}
 	if a := h.audit(); a != nil {
 		a.RequestBegan(now, h.id, h.seq, item)
 	}
@@ -265,10 +262,10 @@ func (h *Host) handleReply(msg network.Message) {
 }
 
 // dataTimeoutFired handles an expired retrieve→data exchange: while the
-// retry budget lasts (the unified policy budget, or the legacy
-// per-mechanism limit) and another holder replied, the retrieve is
-// re-issued to the untried holder with the freshest copy, backing off per
-// attempt; otherwise the request falls back to the MSS.
+// retrieve-retry cap and the retry budget both allow it and another
+// holder replied, the retrieve is re-issued to the untried holder with
+// the freshest copy, backing off per attempt; otherwise the request falls
+// back to the MSS.
 func (h *Host) dataTimeoutFired(p *pendingRequest) {
 	if h.cur != p || p.phase != phaseWaitData {
 		return
@@ -277,7 +274,7 @@ func (h *Host) dataTimeoutFired(p *pendingRequest) {
 		h.failDeadline(p)
 		return
 	}
-	if h.allowRetrieveRetry(p) {
+	if h.allowRetry(p, p.retrieveAttempts, h.cfg.Resilience.RetrieveRetries) {
 		if alt := p.nextHolder(); alt != nil {
 			p.retrieveAttempts++
 			h.collector.aux.RetrieveRetries++
@@ -296,7 +293,7 @@ func (h *Host) dataTimeoutFired(p *pendingRequest) {
 					Path:   alt.Path,
 				},
 			})
-			backoff := h.retrieveBackoff(p)
+			backoff := h.backoff(p, h.dataTimeout(), p.retrieveAttempts)
 			p.timeout = h.k.Schedule(backoff, func() { h.dataTimeoutFired(p) })
 			return
 		}
@@ -490,25 +487,23 @@ func (h *Host) sendPull(item workload.ItemID, now time.Duration) {
 }
 
 // armServerRescue schedules the lost-exchange recovery timer: if the MSS
-// reply has not arrived after a queue-aware round-trip estimate, the
-// exchange is re-issued (the request or reply was destroyed in transit),
-// and once the retry budget — the unified policy budget, or the legacy
-// ServerRetryLimit — is exhausted the request is declared an access
-// failure instead of stalling the host forever. Under the policy, a
-// fired rescue is also the breaker's failure signal for the MSS link.
+// reply has not arrived after a queue-aware round-trip estimate, backed
+// off per attempt, the exchange is re-issued (the request or reply was
+// destroyed in transit), and once the server-retry cap or the retry
+// budget is exhausted the request is declared an access failure instead
+// of stalling the host forever. A fired rescue is also the breaker's
+// failure signal for the MSS link.
 func (h *Host) armServerRescue(p *pendingRequest, want phase, resend func()) {
-	if !h.resilienceOn() && h.cfg.ServerRetryLimit <= 0 {
-		return
-	}
-	p.timeout = h.k.Schedule(h.rescueTimeout(p), func() { h.serverRescueFired(p, want, resend) })
+	to := h.backoff(p, h.serverRescueTimeout(), p.serverAttempts)
+	p.timeout = h.k.Schedule(to, func() { h.serverRescueFired(p, want, resend) })
 }
 
 // serverRescueTimeout estimates how long a full MSS exchange can take
 // given the current uplink and downlink backlog: every queued uplink
 // request ahead of ours must be sent and will enqueue its own reply ahead
-// of ours on the downlink. The estimate is scaled by the rescue factor,
-// floored (queues drain, timers do not re-measure), and doubled per retry.
-func (h *Host) serverRescueTimeout(attempt int) time.Duration {
+// of ours on the downlink. The estimate is scaled by the rescue factor
+// and floored (queues drain, timers do not re-measure).
+func (h *Host) serverRescueTimeout() time.Duration {
 	upTx, _ := h.link.TxTimes(network.RequestSize)
 	_, downTx := h.link.TxTimes(network.HeaderSize + h.cfg.DataSize)
 	upAhead := time.Duration(h.link.UplinkQueue() + 1)
@@ -521,7 +516,7 @@ func (h *Host) serverRescueTimeout(attempt int) time.Duration {
 	if t < 200*time.Millisecond {
 		t = 200 * time.Millisecond
 	}
-	return t << uint(attempt)
+	return t
 }
 
 // tuneToBroadcast waits for the item's slot on the broadcast disk.

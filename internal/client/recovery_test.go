@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/network"
+	"repro/internal/resilience"
 	"repro/internal/sim"
 )
 
@@ -14,7 +15,8 @@ import (
 func TestRetrieveRetryAlternateHolder(t *testing.T) {
 	h := newHarness(t, 3, false)
 	cfg := testClientConfig(SchemeCOCA)
-	cfg.RetrieveRetryLimit = 1
+	cfg.Resilience.RetrieveRetries = 1
+	cfg.Resilience.RetryBudget = resilience.Unlimited
 	a := h.addHost(1, 0, 0, cfg)
 	b := h.addHost(2, 50, 0, testClientConfig(SchemeCOCA))
 	c := h.addHost(3, 60, 0, testClientConfig(SchemeCOCA))
@@ -49,7 +51,8 @@ func TestRetrieveRetryAlternateHolder(t *testing.T) {
 func TestRetrieveRetryExhaustionFallsBackToServer(t *testing.T) {
 	h := newHarness(t, 2, false)
 	cfg := testClientConfig(SchemeCOCA)
-	cfg.RetrieveRetryLimit = 3
+	cfg.Resilience.RetrieveRetries = 3
+	cfg.Resilience.RetryBudget = resilience.Unlimited
 	a := h.addHost(1, 0, 0, cfg)
 	b := h.addHost(2, 50, 0, testClientConfig(SchemeCOCA))
 	if err := b.Preload(9, time.Hour); err != nil {
@@ -79,7 +82,8 @@ func TestRetrieveRetryExhaustionFallsBackToServer(t *testing.T) {
 func TestServerRescueAfterDownlinkLoss(t *testing.T) {
 	h := newHarness(t, 1, false)
 	cfg := testClientConfig(SchemeSC)
-	cfg.ServerRetryLimit = 3
+	cfg.Resilience.ServerRetries = 3
+	cfg.Resilience.RetryBudget = resilience.Unlimited
 	cfg.ServerRescueFactor = 3
 	a := h.addHost(1, 0, 0, cfg)
 	a.beginRequest(7)
@@ -115,7 +119,8 @@ func TestServerRescueAfterDownlinkLoss(t *testing.T) {
 func TestServerRescueExhaustionFailsRequest(t *testing.T) {
 	h := newHarness(t, 1, false)
 	cfg := testClientConfig(SchemeSC)
-	cfg.ServerRetryLimit = 2
+	cfg.Resilience.ServerRetries = 2
+	cfg.Resilience.RetryBudget = resilience.Unlimited
 	cfg.ServerRescueFactor = 3
 	a := h.addHost(1, 0, 0, cfg)
 	a.beginRequest(7)

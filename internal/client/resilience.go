@@ -9,18 +9,14 @@ import (
 
 // This file is the client side of the resilience layer: the thin glue
 // routing the request state machine's timeouts, retries and MSS exchanges
-// through the policy engine of internal/resilience. Every helper is a
-// no-op (or the byte-identical legacy arithmetic) when the policy is
-// disabled, so the seed-digest goldens cannot move.
-
-// resilienceOn reports whether the unified resilience policy governs this
-// host's recovery paths.
-func (h *Host) resilienceOn() bool { return h.cfg.Resilience.Enabled }
+// through the host's resilience.Policy. There is one recovery path; each
+// mechanism is on when its own policy field is non-zero, and the default
+// resilience.Legacy() value is the hardened paper protocol.
 
 // deadlineExpired reports whether the outstanding request has outlived
-// its propagated deadline.
+// its propagated deadline; without a deadline it never has.
 func (h *Host) deadlineExpired(p *pendingRequest) bool {
-	return h.resilienceOn() && h.k.Now() >= p.deadlineAt
+	return h.cfg.Resilience.Deadline > 0 && h.k.Now() >= p.deadlineAt
 }
 
 // failDeadline terminates the request with the deadline-exceeded cause.
@@ -33,9 +29,10 @@ func (h *Host) failDeadline(p *pendingRequest) {
 // capToDeadline bounds a timer duration to the request's remaining
 // deadline (deadline propagation), floored at one millisecond so an
 // already-expired deadline still fires a timer that performs the
-// deadline check. Identity when the policy is off.
+// deadline check. Identity without a deadline: the floor must not lift
+// the sub-millisecond initial search timeout of the paper's defaults.
 func (h *Host) capToDeadline(p *pendingRequest, d time.Duration) time.Duration {
-	if !h.resilienceOn() {
+	if h.cfg.Resilience.Deadline == 0 {
 		return d
 	}
 	if rem := p.deadlineAt - h.k.Now(); d > rem {
@@ -47,56 +44,33 @@ func (h *Host) capToDeadline(p *pendingRequest, d time.Duration) time.Duration {
 	return d
 }
 
-// resilBackoff computes the policy backoff for the attempt, drawing the
-// jitter variate from the host's dedicated resil-<id> RNG stream — one
-// draw per backoff, and only when jitter is configured, so the stream
-// position is itself deterministic.
-func (h *Host) resilBackoff(base time.Duration, attempt int) time.Duration {
+// backoff returns the timeout of a re-send: the policy backoff over base
+// for the attempt, capped to the deadline. The jitter variate comes from
+// the host's dedicated resil-<id> RNG stream — one draw per backoff, and
+// only when jitter is configured, so the stream position is itself
+// deterministic. With factor 2 and no jitter this is base<<attempt
+// exactly.
+func (h *Host) backoff(p *pendingRequest, base time.Duration, attempt int) time.Duration {
 	var u float64
 	if h.cfg.Resilience.Jitter > 0 {
 		u = h.rngResil.Float64()
 	}
-	return h.cfg.Resilience.Backoff(base, attempt, u)
+	return h.capToDeadline(p, h.cfg.Resilience.Backoff(base, attempt, u))
 }
 
-// allowRetrieveRetry decides whether another alternate-holder retrieve
-// may be issued: against the unified budget under the policy, against
-// the legacy per-mechanism limit otherwise.
-func (h *Host) allowRetrieveRetry(p *pendingRequest) bool {
-	if h.resilienceOn() {
-		return p.budgetSpent < h.cfg.Resilience.RetryBudget
-	}
-	return p.retrieveAttempts < h.cfg.RetrieveRetryLimit
-}
-
-// retrieveBackoff returns the next retrieve timeout: the legacy doubling,
-// or the policy's jittered exponential capped to the deadline.
-func (h *Host) retrieveBackoff(p *pendingRequest) time.Duration {
-	if !h.resilienceOn() {
-		return h.dataTimeout() << uint(p.retrieveAttempts)
-	}
-	return h.capToDeadline(p, h.resilBackoff(h.dataTimeout(), p.retrieveAttempts))
-}
-
-// rescueTimeout returns the lost-MSS-exchange rescue timeout: the legacy
-// queue-aware doubling, or the policy backoff over the same queue-aware
-// base, capped to the deadline.
-func (h *Host) rescueTimeout(p *pendingRequest) time.Duration {
-	if !h.resilienceOn() {
-		return h.serverRescueTimeout(p.serverAttempts)
-	}
-	return h.capToDeadline(p, h.resilBackoff(h.serverRescueTimeout(0), p.serverAttempts))
+// allowRetry reports whether a re-send may be issued: its mechanism's
+// count must be under that mechanism's cap, and the request's total
+// spends under the retry budget.
+func (h *Host) allowRetry(p *pendingRequest, count, limit int) bool {
+	return count < limit && p.budgetSpent < h.cfg.Resilience.RetryBudget
 }
 
 // spendRetryBudget charges one unit of the request's unified retry budget
 // and feeds the budget-conservation invariant.
 func (h *Host) spendRetryBudget(p *pendingRequest, kind string) {
-	if !h.resilienceOn() {
-		return
-	}
 	p.budgetSpent++
-	if rs := h.resilSink(); rs != nil {
-		rs.RetrySpent(h.k.Now(), h.id, p.seq, kind, p.budgetSpent, h.cfg.Resilience.RetryBudget)
+	if a := h.audit(); a != nil {
+		a.RetrySpent(h.k.Now(), h.id, p.seq, kind, p.budgetSpent, h.cfg.Resilience.RetryBudget)
 	}
 }
 
@@ -131,8 +105,8 @@ func (h *Host) degrade(p *pendingRequest, now time.Duration) {
 			expiresAt := e.RetrievedAt + e.TTL
 			if pol.ServeStaleMaxAge == 0 || now-expiresAt <= pol.ServeStaleMaxAge {
 				h.collector.aux.ServeStaleHits++
-				if rs := h.resilSink(); rs != nil {
-					rs.DegradedServe(now, h.id, p.item, e.RetrievedAt, expiresAt)
+				if a := h.audit(); a != nil {
+					a.DegradedServe(now, h.id, p.item, e.RetrievedAt, expiresAt)
 				}
 				e.SingletTTL = h.cfg.ReplaceDelay
 				p.cause = "serve-stale"
@@ -159,7 +133,7 @@ func (h *Host) breakerSuccess(now time.Duration) {
 // timer the hedge rides under.
 func (h *Host) armHedge(p *pendingRequest, dataTimeout time.Duration) {
 	pol := h.cfg.Resilience
-	if !pol.Enabled || pol.HedgeAfter <= 0 || p.hedged {
+	if pol.HedgeAfter == 0 || p.hedged {
 		return
 	}
 	delay := time.Duration(float64(dataTimeout) * pol.HedgeAfter)
@@ -184,8 +158,8 @@ func (h *Host) hedgeFired(p *pendingRequest) {
 	p.hedged = true
 	p.tried[alt.Holder] = true
 	h.collector.aux.HedgedRetrieves++
-	if rs := h.resilSink(); rs != nil {
-		rs.HedgeIssued(h.k.Now(), h.id, p.seq, alt.Holder)
+	if a := h.audit(); a != nil {
+		a.HedgeIssued(h.k.Now(), h.id, p.seq, alt.Holder)
 	}
 	h.sendRouted(alt.Path, network.Message{
 		Kind: network.KindRetrieve,
@@ -200,36 +174,22 @@ func (h *Host) hedgeFired(p *pendingRequest) {
 	})
 }
 
-// serverRescueFired is the rescue-timer body. The legacy path re-sends
-// until ServerRetryLimit is exhausted; the policy path first charges the
-// failed exchange to the breaker, then walks deadline → budget →
-// re-send, where the re-send re-enters the breaker gate (an exchange
-// that just tripped it degrades instead of sending).
+// serverRescueFired is the rescue-timer body: it charges the failed
+// exchange to the breaker, then walks deadline → caps → re-send, where
+// the re-send re-enters the breaker gate (an exchange that just tripped
+// it degrades instead of sending).
 func (h *Host) serverRescueFired(p *pendingRequest, want phase, resend func()) {
 	if h.cur != p || p.phase != want {
 		return
 	}
-	if !h.resilienceOn() {
-		if p.serverAttempts >= h.cfg.ServerRetryLimit {
-			h.collector.aux.RescueFailures++
-			p.cause = "rescue-exhausted"
-			h.complete(OutcomeFailure)
-			return
-		}
-		p.serverAttempts++
-		h.collector.aux.ServerRescues++
-		resend()
-		return
-	}
-	now := h.k.Now()
 	if h.breaker != nil {
-		h.breaker.Failure(now)
+		h.breaker.Failure(h.k.Now())
 	}
 	if h.deadlineExpired(p) {
 		h.failDeadline(p)
 		return
 	}
-	if p.budgetSpent >= h.cfg.Resilience.RetryBudget {
+	if !h.allowRetry(p, p.serverAttempts, h.cfg.Resilience.ServerRetries) {
 		h.collector.aux.RescueFailures++
 		p.cause = "rescue-exhausted"
 		h.complete(OutcomeFailure)

@@ -224,14 +224,11 @@ type Config struct {
 
 	// Protocol hardening against the faults above (active regardless of
 	// whether faults are injected; see client.Config for semantics).
-	RetrieveRetryLimit int
-	ServerRetryLimit   int
+	// Resilience is the whole recovery configuration (see
+	// resilience.Policy); the default is resilience.Legacy(), the
+	// hardened paper protocol.
 	ServerRescueFactor float64
-
-	// Resilience is the unified failure-handling policy layered over the
-	// hardening above (see resilience.Policy). Disabled by default; the
-	// zero value keeps every legacy recovery path byte-identical.
-	Resilience resilience.Policy
+	Resilience         resilience.Policy
 
 	// Ablation switches (GroCoca).
 	DisableFilter      bool
@@ -335,8 +332,7 @@ func DefaultConfig() Config {
 		// Hardening defaults: one alternate-holder retry, three rescue
 		// re-sends of a lost MSS exchange. Crash downtimes apply only
 		// when CrashMTBF is set.
-		RetrieveRetryLimit: 1,
-		ServerRetryLimit:   3,
+		Resilience:         resilience.Legacy(),
 		ServerRescueFactor: 3,
 		CrashDownMin:       5 * time.Second,
 		CrashDownMax:       30 * time.Second,
@@ -457,8 +453,6 @@ func (c Config) clientConfig() client.Config {
 		SigRecollectAfter:      c.SigRecollectAfter,
 		EnableSpillover:        c.EnableSpillover,
 		SpilloverActivityRatio: c.SpilloverActivityRatio,
-		RetrieveRetryLimit:     c.RetrieveRetryLimit,
-		ServerRetryLimit:       c.ServerRetryLimit,
 		ServerRescueFactor:     c.ServerRescueFactor,
 		Resilience:             c.Resilience,
 		DisableFilter:          c.DisableFilter,

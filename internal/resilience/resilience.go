@@ -1,38 +1,47 @@
 // Package resilience is the deterministic failure-handling policy engine
-// of the client: exponential backoff with seeded jitter, per-request retry
-// budgets with deadline propagation, a per-host circuit breaker on the MSS
-// server link (closed/open/half-open with probe requests), hedged peer
-// retrieval, and a serve-stale degraded mode answering from cache while
-// the breaker is open.
+// of the client: per-mechanism retry caps under a per-request retry
+// budget, exponential backoff with seeded jitter, deadline propagation, a
+// per-host circuit breaker on the MSS server link (closed/open/half-open
+// with probe requests), hedged peer retrieval, and a serve-stale degraded
+// mode answering from cache while the breaker is open.
 //
 // Everything here is pure policy arithmetic plus an explicit state
 // machine: no timers, no goroutines, no wall clock, no randomness of its
 // own. Timing comes from the simulation kernel via the caller, and jitter
 // is injected as a caller-drawn uniform variate (the client draws it from
-// a dedicated per-host kernel RNG stream, so enabling jitter never
-// perturbs any other stream — see DESIGN.md "Resilience policies"). The
-// zero-value Policy is disabled and leaves the legacy client recovery
-// paths byte-identical.
+// a dedicated per-host kernel RNG stream, derived only when Jitter > 0 —
+// see DESIGN.md "Resilience policies"). Legacy() is the hardened paper
+// protocol the simulator runs by default; DefaultPolicy() is the full
+// engine behind the CLIs' -resilience flag.
 package resilience
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
-// Policy is the per-host resilience configuration. The zero value is
-// disabled: no budgets, no breaker, no hedging, no serve-stale — the
-// client's legacy hand-tuned recovery behavior, byte-identical.
-type Policy struct {
-	// Enabled is the master switch; false makes every other field inert.
-	Enabled bool
+// Unlimited is a cap that never binds.
+const Unlimited = math.MaxInt
 
+// Policy is the per-host recovery configuration. Each mechanism is on
+// when its own field is non-zero; the caps and the budget always apply,
+// so a re-send needs both its mechanism's count under that mechanism's
+// cap and the request's total spends under RetryBudget.
+type Policy struct {
+	// RetrieveRetries caps the alternate-holder retrieves re-sent after
+	// data timeouts; exhausted, the request falls back to the MSS.
+	RetrieveRetries int
+	// ServerRetries caps the re-sends of a lost MSS exchange. The rescue
+	// timer is always armed: with a cap of 0 its first expiry fails the
+	// request as "rescue-exhausted".
+	ServerRetries int
 	// RetryBudget is the unified per-request retry budget: alternate-holder
 	// retrieve retries and MSS rescue re-sends draw from the same pool.
 	// Zero allows no retries at all.
 	RetryBudget int
 	// BackoffFactor multiplies the backoff per attempt; zero selects 2
-	// (the legacy doubling). Values below 1 are invalid.
+	// (doubling). Values below 1 are invalid.
 	BackoffFactor float64
 	// Jitter spreads each backoff uniformly over ±Jitter of its nominal
 	// value, using a variate drawn from the host's dedicated RNG stream.
@@ -41,7 +50,7 @@ type Policy struct {
 	// Deadline is the per-request wall: once a request has been in flight
 	// this long, the next timer expiry fails it with cause
 	// "deadline-exceeded". Every armed timeout is capped to the remaining
-	// deadline (deadline propagation). Must be positive when Enabled.
+	// deadline (deadline propagation). Zero means no deadline.
 	Deadline time.Duration
 
 	// BreakerFailures is the consecutive-failure threshold tripping the
@@ -67,21 +76,30 @@ type Policy struct {
 	// ServeStaleMaxAge bounds how far past its contract expiry a copy may
 	// still be served stale; zero serves any expired copy.
 	ServeStaleMaxAge time.Duration
-
-	// SelfTestMiswire deliberately breaks the breaker state machine (open
-	// closes directly, skipping half-open) so the audit's
-	// breaker-state-machine invariant can prove it catches miswired
-	// breakers. Test harness use only.
-	SelfTestMiswire bool
 }
 
-// DefaultPolicy returns the enabled baseline the CLIs install with
-// -resilience: a four-retry budget with doubling jittered backoff, a
-// 30-second request deadline, a 3-failure breaker with an 8-second open
-// window, hedging at half the data timeout, and bounded serve-stale.
+// Legacy returns the hardened paper protocol: one alternate-holder
+// retrieve retry and three MSS rescue re-sends, each timeout doubling per
+// attempt, with no shared budget, jitter, deadline, breaker, hedging or
+// serve-stale. It draws no randomness.
+func Legacy() Policy {
+	return Policy{
+		RetrieveRetries: 1,
+		ServerRetries:   3,
+		RetryBudget:     Unlimited,
+		BackoffFactor:   2,
+	}
+}
+
+// DefaultPolicy returns the full engine the CLIs install with
+// -resilience: a four-retry budget shared by both mechanisms with
+// doubling jittered backoff, a 30-second request deadline, a 3-failure
+// breaker with an 8-second open window, hedging at half the data
+// timeout, and bounded serve-stale.
 func DefaultPolicy() Policy {
 	return Policy{
-		Enabled:          true,
+		RetrieveRetries:  Unlimited,
+		ServerRetries:    Unlimited,
 		RetryBudget:      4,
 		BackoffFactor:    2,
 		Jitter:           0.2,
@@ -94,11 +112,16 @@ func DefaultPolicy() Policy {
 	}
 }
 
-// Validate rejects unusable policies. Range constraints apply regardless
-// of Enabled (a later enable must not inherit nonsense); the
-// presence constraints (deadline, breaker window) apply only when the
-// respective mechanism is actually on.
+// Validate rejects unusable policies: out-of-range values, and the
+// presence constraints (breaker window, serve-stale's breaker) of the
+// mechanisms that are on.
 func (p Policy) Validate() error {
+	if p.RetrieveRetries < 0 {
+		return fmt.Errorf("resilience: retrieve retry cap %d must be non-negative", p.RetrieveRetries)
+	}
+	if p.ServerRetries < 0 {
+		return fmt.Errorf("resilience: server retry cap %d must be non-negative", p.ServerRetries)
+	}
 	if p.RetryBudget < 0 {
 		return fmt.Errorf("resilience: retry budget %d must be non-negative", p.RetryBudget)
 	}
@@ -122,12 +145,6 @@ func (p Policy) Validate() error {
 	}
 	if p.ServeStaleMaxAge < 0 {
 		return fmt.Errorf("resilience: negative serve-stale max age %v", p.ServeStaleMaxAge)
-	}
-	if !p.Enabled {
-		return nil
-	}
-	if p.Deadline == 0 {
-		return fmt.Errorf("resilience: deadline must be positive when the policy is enabled")
 	}
 	if p.BreakerFailures > 0 && p.BreakerOpenFor == 0 {
 		return fmt.Errorf("resilience: breaker open window must be positive when the breaker is enabled")
@@ -201,7 +218,6 @@ func (s State) String() string {
 type Breaker struct {
 	threshold int
 	openFor   time.Duration
-	miswired  bool
 
 	state    State
 	consec   int
@@ -218,13 +234,12 @@ type Breaker struct {
 // policy does not enable one. onTransition, if non-nil, observes every
 // state edge.
 func NewBreaker(p Policy, onTransition func(at time.Duration, from, to State, cause string)) *Breaker {
-	if !p.Enabled || p.BreakerFailures <= 0 {
+	if p.BreakerFailures <= 0 {
 		return nil
 	}
 	return &Breaker{
 		threshold:    p.BreakerFailures,
 		openFor:      p.BreakerOpenFor,
-		miswired:     p.SelfTestMiswire,
 		onTransition: onTransition,
 	}
 }
@@ -254,14 +269,6 @@ func (b *Breaker) Allow(now time.Duration) bool {
 	case Open:
 		if now-b.openedAt < b.openFor {
 			return false
-		}
-		if b.miswired {
-			// Deliberate self-test defect: close directly, skipping the
-			// half-open probe. The audit's breaker-state-machine
-			// invariant must flag this illegal edge.
-			b.consec = 0
-			b.transition(now, Closed, "selftest-miswire")
-			return true
 		}
 		b.transition(now, HalfOpen, "open-window-elapsed")
 		return true

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// TestPolicyValidate is the satellite hardening table: negative budgets,
-// zero deadlines and out-of-range jitter must be rejected with a
-// recognizable error, and legal policies must pass.
+// TestPolicyValidate is the satellite hardening table: negative caps and
+// budgets, negative deadlines and out-of-range jitter must be rejected
+// with a recognizable error, and legal policies must pass.
 func TestPolicyValidate(t *testing.T) {
 	ok := DefaultPolicy()
 	cases := []struct {
@@ -19,10 +19,14 @@ func TestPolicyValidate(t *testing.T) {
 	}{
 		{"zero-value-disabled", func(p *Policy) { *p = Policy{} }, ""},
 		{"default-enabled", func(p *Policy) {}, ""},
-		{"disabled-ranges-still-checked", func(p *Policy) { p.Enabled = false; p.RetryBudget = -1 }, "retry budget"},
+		{"legacy", func(p *Policy) { *p = Legacy() }, ""},
+		{"disabled-ranges-still-checked", func(p *Policy) { *p = Policy{RetryBudget: -1} }, "retry budget"},
+		{"negative-retrieve-cap", func(p *Policy) { p.RetrieveRetries = -1 }, "retrieve retry cap"},
+		{"negative-server-cap", func(p *Policy) { p.ServerRetries = -1 }, "server retry cap"},
+		{"zero-caps-ok", func(p *Policy) { p.RetrieveRetries, p.ServerRetries = 0, 0 }, ""},
 		{"negative-budget", func(p *Policy) { p.RetryBudget = -3 }, "retry budget"},
 		{"zero-budget-ok", func(p *Policy) { p.RetryBudget = 0 }, ""},
-		{"zero-deadline", func(p *Policy) { p.Deadline = 0 }, "deadline must be positive"},
+		{"zero-deadline", func(p *Policy) { p.Deadline = 0 }, ""},
 		{"negative-deadline", func(p *Policy) { p.Deadline = -time.Second }, "negative deadline"},
 		{"jitter-above-one", func(p *Policy) { p.Jitter = 1.5 }, "jitter"},
 		{"negative-jitter", func(p *Policy) { p.Jitter = -0.1 }, "jitter"},
@@ -60,10 +64,10 @@ func TestPolicyValidate(t *testing.T) {
 }
 
 // TestBackoff pins the backoff arithmetic: pure exponential without
-// jitter, the documented ±Jitter spread with it, and the millisecond
-// floor.
+// jitter, the documented ±Jitter spread with it, the millisecond floor,
+// and Legacy's equality with the doubling shift.
 func TestBackoff(t *testing.T) {
-	p := Policy{Enabled: true}
+	p := Policy{}
 	base := 100 * time.Millisecond
 	for attempt, want := range []time.Duration{base, 2 * base, 4 * base, 8 * base} {
 		if got := p.Backoff(base, attempt, 0.99); got != want {
@@ -74,15 +78,25 @@ func TestBackoff(t *testing.T) {
 	if got := p.Backoff(base, 2, 0); got != 9*base {
 		t.Fatalf("factor 3 attempt 2: got %v want %v", got, 9*base)
 	}
-	p = Policy{Enabled: true, Jitter: 0.5}
+	p = Policy{Jitter: 0.5}
 	if got := p.Backoff(base, 0, 0); got != base/2 {
 		t.Fatalf("u=0 with jitter 0.5: got %v want %v", got, base/2)
 	}
 	if got := p.Backoff(base, 0, 0.5); got != base {
 		t.Fatalf("u=0.5 with jitter 0.5: got %v want %v", got, base)
 	}
-	if got := (Policy{Enabled: true}).Backoff(time.Microsecond, 0, 0); got != time.Millisecond {
+	if got := (Policy{}).Backoff(time.Microsecond, 0, 0); got != time.Millisecond {
 		t.Fatalf("floor: got %v want 1ms", got)
+	}
+	// Legacy's backoff is the doubling shift exactly, for every base the
+	// client uses (the 10 ms data-timeout and 200 ms rescue floors, and
+	// odd nanosecond counts above them) and any attempt a cap reaches.
+	for _, b := range []time.Duration{10 * time.Millisecond, 200 * time.Millisecond, 987_654_321} {
+		for attempt := 0; attempt <= 16; attempt++ {
+			if got, want := Legacy().Backoff(b, attempt, 0.73), b<<uint(attempt); got != want {
+				t.Fatalf("legacy base %v attempt %d: got %v want %v", b, attempt, got, want)
+			}
+		}
 	}
 }
 
@@ -164,26 +178,6 @@ func TestBreakerAbortProbe(t *testing.T) {
 	}
 	if !b.Allow(pol.BreakerOpenFor + time.Second) {
 		t.Fatal("aborted probe must free the slot for the next exchange")
-	}
-}
-
-// TestBreakerMiswired proves the self-test defect takes the illegal
-// open→closed edge (the audit invariant's job is to catch it).
-func TestBreakerMiswired(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.BreakerFailures = 1
-	pol.SelfTestMiswire = true
-	var edges []string
-	b := NewBreaker(pol, func(at time.Duration, from, to State, cause string) {
-		edges = append(edges, fmt.Sprintf("%v->%v", from, to))
-	})
-	b.Failure(0)
-	if !b.Allow(pol.BreakerOpenFor) || b.Current() != Closed {
-		t.Fatalf("miswired breaker must close directly; state %v", b.Current())
-	}
-	want := []string{"closed->open", "open->closed"}
-	if fmt.Sprint(edges) != fmt.Sprint(want) {
-		t.Fatalf("edge trace %v, want %v", edges, want)
 	}
 }
 
