@@ -15,7 +15,7 @@ BENCH_BASE ?= BENCH_pr8.json
 ## budget gate keeps them from accumulating silently.
 LINT_SUPPRESS_BUDGET = 0
 
-.PHONY: tier1 vet build lint conformance test race cellbench-test short bench race-runner sweep-smoke chaos-smoke bench-baseline bench-check fuzz-smoke resume-smoke resilience-smoke
+.PHONY: tier1 vet build lint conformance test race cellbench-test short bench race-runner sweep-smoke chaos-smoke bench-baseline bench-check fuzz-smoke resume-smoke resilience-smoke loc
 
 ## tier1: the gate every change must pass — vet, build, the contract-lint
 ## suite, the scheme-conformance suite, tests with the race detector, and
@@ -26,10 +26,10 @@ vet:
 	$(GO) vet ./...
 
 ## lint: the contract-analysis suite — determinism analyzers plus the
-## type-aware epoch/hot-path contract analyzers (see DESIGN.md "Static
+## type-aware hot-path contract analyzer (see DESIGN.md "Static
 ## analysis"). Zero unsuppressed diagnostics and at most
 ## $(LINT_SUPPRESS_BUDGET) fired suppressions required. The grococa-lint
-## tests prove each contract analyzer still catches an injected defect.
+## tests prove the contract analyzer still catches an injected defect.
 lint:
 	$(GO) run ./cmd/grococa-lint -max-suppress $(LINT_SUPPRESS_BUDGET) ./...
 
@@ -42,6 +42,11 @@ conformance:
 
 build:
 	$(GO) build ./...
+
+## loc: the non-test Go line count ROADMAP.md tracks — every tracked .go
+## file except _test.go files, cellbench/ (its own module) and testdata/.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^cellbench/' -e '/testdata/' | xargs cat | wc -l
 
 test:
 	$(GO) test ./...

@@ -14,9 +14,8 @@
 //	wallclock     no wall-clock reads in simulation packages
 //	errdrop       no silently discarded error returns
 //
-// Contract analyzers (type-aware):
+// Contract analyzer (type-aware):
 //
-//	epochsync     Connected()-affecting writes without ConnectivityChanged
 //	hotalloc      allocation patterns in //hot:-annotated functions
 //
 // A finding is suppressed only by an annotated line:
@@ -29,8 +28,8 @@
 //
 // The exit status is 1 when any unsuppressed finding remains or the
 // suppression budget is exceeded, 2 when loading or analysis fails. The
-// tests inject one in-memory defect per contract analyzer and require it
-// to be caught.
+// tests inject an in-memory defect for the contract analyzer and require
+// it to be caught.
 package main
 
 import (
@@ -41,7 +40,6 @@ import (
 	"os"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/epochsync"
 	"repro/internal/lint/errdrop"
 	"repro/internal/lint/hotalloc"
 	"repro/internal/lint/loader"
@@ -53,7 +51,6 @@ import (
 
 // analyzers is the suite, in reporting-name order.
 var analyzers = []*analysis.Analyzer{
-	epochsync.Analyzer,
 	errdrop.Analyzer,
 	hotalloc.Analyzer,
 	mapiterorder.Analyzer,

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/epochsync"
 	"repro/internal/lint/hotalloc"
 	"repro/internal/lint/loader"
 	"repro/internal/lint/multichecker"
@@ -56,8 +55,8 @@ func TestBadPatternErrors(t *testing.T) {
 }
 
 // TestInjectedDefectsCaught edits a real package in memory (a source
-// overlay; the working tree is never touched) with one realistic
-// regression per contract analyzer, and requires that analyzer to flag it.
+// overlay; the working tree is never touched) with a realistic regression
+// for each contract analyzer, and requires that analyzer to flag it.
 func TestInjectedDefectsCaught(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typechecks from source in -short mode")
@@ -68,12 +67,6 @@ func TestInjectedDefectsCaught(t *testing.T) {
 		file     string // basename of the file the defect is appended to
 		defect   string
 	}{
-		{
-			analyzer: epochsync.Analyzer,
-			pattern:  "repro/internal/client",
-			file:     "host.go",
-			defect:   "func (h *Host) lintDefectSilentFlip() { h.connected = !h.connected }\n",
-		},
 		{
 			analyzer: hotalloc.Analyzer,
 			pattern:  "repro/internal/geo",

@@ -131,7 +131,18 @@ func run(args []string) error {
 	}
 	cfg.Scheme = parsedScheme
 	if *resil {
+		// The preset replaces the whole policy; a cap set on the command
+		// line still wins over it.
+		caps := cfg.Resilience
 		cfg.Resilience = pol
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "retrieveretry":
+				cfg.Resilience.RetrieveRetries = caps.RetrieveRetries
+			case "serverretry":
+				cfg.Resilience.ServerRetries = caps.ServerRetries
+			}
+		})
 	}
 	switch *delivery {
 	case "pull":

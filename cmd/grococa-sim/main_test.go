@@ -4,6 +4,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +17,30 @@ import (
 var tinyArgs = []string{
 	"-clients", "8", "-ndata", "400", "-accessrange", "80",
 	"-cachesize", "15", "-warmup", "5", "-requests", "10",
+}
+
+// runOutput runs the command with args and returns what it printed.
+func runOutput(t *testing.T, args []string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldStdout := os.Stdout
+	os.Stdout = w
+	runErr := run(args)
+	os.Stdout = oldStdout
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return string(out)
 }
 
 func TestRunRejectsUnknownScheme(t *testing.T) {
@@ -60,27 +86,9 @@ func TestRunEachDelivery(t *testing.T) {
 }
 
 func TestRunReplicated(t *testing.T) {
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldStdout := os.Stdout
-	os.Stdout = w
-	args := append([]string{"-scheme", "grococa", "-reps", "3", "-parallel", "4"}, tinyArgs...)
-	runErr := run(args)
-	os.Stdout = oldStdout
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
+	out := runOutput(t, append([]string{"-scheme", "grococa", "-reps", "3", "-parallel", "4"}, tinyArgs...))
 	for _, want := range []string{"rep 0:", "rep 2:", "mean:", "sd:", "(n=3 reps)"} {
-		if !strings.Contains(string(out), want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("replicated output missing %q:\n%s", want, out)
 		}
 	}
@@ -136,25 +144,46 @@ func TestRunWithFrozenClock(t *testing.T) {
 	wallClock = clock.Fixed{T: time.Unix(1700000000, 0)}
 	defer func() { wallClock = old }()
 
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldStdout := os.Stdout
-	os.Stdout = w
-	runErr := run(append([]string{"-scheme", "sc"}, tinyArgs...))
-	os.Stdout = oldStdout
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if !strings.Contains(string(out), "wall=0s") {
+	out := runOutput(t, append([]string{"-scheme", "sc"}, tinyArgs...))
+	if !strings.Contains(out, "wall=0s") {
 		t.Errorf("frozen clock did not zero the wall-time figure:\n%s", out)
+	}
+}
+
+// TestRunCapFlagsWinOverPreset: -resilience swaps in a whole policy, but
+// a -retrieveretry or -serverretry cap set on the command line still
+// holds, as it does over the default preset. With no rescue allowed, every
+// lost MSS exchange fails at its first rescue timeout.
+func TestRunCapFlagsWinOverPreset(t *testing.T) {
+	lossy := []string{
+		"-clients", "10", "-warmup", "5", "-requests", "30", "-ndata", "500",
+		"-accessrange", "100", "-cachesize", "20",
+		"-uplinkloss", "0.3", "-downlinkloss", "0.2", "-v",
+		"-serverretry", "0", "-retrieveretry", "0",
+	}
+	aux := func(out, name string) int {
+		t.Helper()
+		m := regexp.MustCompile(`\b` + name + `:(\d+)`).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("output has no %s counter:\n%s", name, out)
+		}
+		n, err := strconv.Atoi(m[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	for _, preset := range []string{"", "-resilience"} {
+		args := lossy
+		if preset != "" {
+			args = append([]string{preset}, lossy...)
+		}
+		out := runOutput(t, args)
+		if got := aux(out, "ServerRescues"); got != 0 {
+			t.Errorf("%q: ServerRescues = %d under -serverretry 0, want 0", preset, got)
+		}
+		if got := aux(out, "RescueFailures"); got == 0 {
+			t.Errorf("%q: RescueFailures = 0, want lost exchanges failed", preset)
+		}
 	}
 }

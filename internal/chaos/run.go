@@ -135,14 +135,9 @@ func ReproCommand(campaign string, scheme core.Scheme, baseSeed int64, seedIndex
 	return cmd
 }
 
-// RunSeed derives the simulation seed of one run. The chain covers the
+// runOne executes one audited campaign run. The parameter chain covers the
 // campaign and seed index but deliberately not the scheme, so all schemes
 // of a cell face the identical fault scenario.
-func RunSeed(base int64, campaign string, seedIndex int) int64 {
-	return NewParams(base, campaign).Index(seedIndex).Seed()
-}
-
-// runOne executes one audited campaign run.
 func runOne(opts Options, c Campaign, scheme core.Scheme, seedIndex int) (RunResult, error) {
 	p := NewParams(opts.BaseSeed, c.Name).Index(seedIndex)
 	cfg := BaseConfig()

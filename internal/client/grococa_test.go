@@ -341,8 +341,7 @@ func TestGroCocaReconnectRecollectsSignatures(t *testing.T) {
 	}
 	// a disconnects and reconnects; the handling protocol rebuilds the
 	// vector.
-	a.connected = false
-	a.ndp.Stop()
+	a.setConnected(false)
 	h.run(5 * time.Second)
 	a.reconnect()
 	h.run(2 * time.Second)
@@ -363,8 +362,7 @@ func TestGroCocaOutstandSigListRetriesOnNeighborUp(t *testing.T) {
 	b.Start()
 	// b is disconnected when the membership arrives: the direct SigRequest
 	// is lost and b stays on the OutstandSigList.
-	b.connected = false
-	b.ndp.Stop()
+	b.setConnected(false)
 	join(a, b)
 	h.run(3 * time.Second)
 	if a.peerVec.Members() != 0 {
@@ -374,8 +372,7 @@ func TestGroCocaOutstandSigListRetriesOnNeighborUp(t *testing.T) {
 		t.Fatal("b not on OutstandSigList")
 	}
 	// b reconnects; NDP hears its beacon and a retries the SigRequest.
-	b.connected = true
-	b.ndp.Start()
+	b.setConnected(true)
 	h.run(5 * time.Second)
 	if a.peerVec.Members() != 1 {
 		t.Errorf("members after neighbor-up retry = %d, want 1", a.peerVec.Members())

@@ -113,7 +113,6 @@ type Host struct {
 	// the default pull environment.
 	disk *push.Disk
 
-	connected bool
 	completed int
 	seq       uint64
 	cur       *pendingRequest
@@ -201,7 +200,6 @@ func NewHost(
 		collector:   collector,
 		rngDisc:     rng.Stream(fmt.Sprintf("disc-%d", id)),
 		rngSample:   rng.Stream(fmt.Sprintf("sample-%d", id)),
-		connected:   true,
 		activityGap: stats.NewEWMA(0.3),
 	}
 	if cfg.Resilience.Jitter > 0 {
@@ -270,9 +268,6 @@ func (h *Host) Position(t time.Duration) geo.Point { return h.mob.Position(t) }
 func (h *Host) Motion(t time.Duration) (geo.Point, time.Duration, float64) {
 	return h.mob.Motion(t)
 }
-
-// Connected implements network.Peer.
-func (h *Host) Connected() bool { return h.connected }
 
 // Cache exposes the host's cache for tests and examples.
 func (h *Host) Cache() *cache.LRU { return h.cache }
@@ -433,16 +428,12 @@ func (h *Host) crash() {
 	if h.faults == nil || !h.faults.CrashEnabled() {
 		return
 	}
-	if !h.connected {
+	if !h.medium.Connected(h.id) {
 		h.k.Schedule(h.faults.CrashDelay(h.id), h.crash)
 		return
 	}
 	h.collector.aux.Crashes++
-	h.connected = false
-	h.medium.ConnectivityChanged(h.id)
-	if h.ndp != nil {
-		h.ndp.Stop()
-	}
+	h.setConnected(false)
 	if h.nextReqEv != nil {
 		// Keep nextReqPending: recovery re-issues the same item.
 		h.nextReqEv.Cancel()
@@ -471,11 +462,7 @@ func (h *Host) crash() {
 // reconnection protocol), and the request loop resumes — with the item
 // whose think timer the crash cancelled, if any.
 func (h *Host) recoverFromCrash() {
-	h.connected = true
-	h.medium.ConnectivityChanged(h.id)
-	if h.ndp != nil {
-		h.ndp.Start()
-	}
+	h.setConnected(true)
 	if h.traits.Signatures {
 		h.reconnectSignatures()
 	}
@@ -488,13 +475,23 @@ func (h *Host) recoverFromCrash() {
 	h.scheduleNextRequest()
 }
 
-// disconnect takes the host off the air and schedules its reconnection.
-func (h *Host) disconnect() {
-	h.connected = false
-	h.medium.ConnectivityChanged(h.id)
-	if h.ndp != nil {
+// setConnected puts the host on the air (on) or takes it off: the medium
+// records it, and NDP starts or stops with it.
+func (h *Host) setConnected(on bool) {
+	h.medium.SetConnected(h.id, on)
+	if h.ndp == nil {
+		return
+	}
+	if on {
+		h.ndp.Start()
+	} else {
 		h.ndp.Stop()
 	}
+}
+
+// disconnect takes the host off the air and schedules its reconnection.
+func (h *Host) disconnect() {
+	h.setConnected(false)
 	length := h.rngDisc.UniformDuration(h.cfg.DiscMin, h.cfg.DiscMax)
 	h.k.Schedule(length, h.reconnect)
 }
@@ -502,11 +499,7 @@ func (h *Host) disconnect() {
 // reconnect restores connectivity and runs the GroCoca client
 // disconnection handling protocol of Section IV.D.5.
 func (h *Host) reconnect() {
-	h.connected = true
-	h.medium.ConnectivityChanged(h.id)
-	if h.ndp != nil {
-		h.ndp.Start()
-	}
+	h.setConnected(true)
 	if h.traits.Signatures {
 		h.reconnectSignatures()
 	}
@@ -517,7 +510,7 @@ func (h *Host) reconnect() {
 // server silence (GroCoca).
 func (h *Host) explicitUpdateTick() {
 	now := h.k.Now()
-	if h.connected && now-h.lastServerContact >= h.cfg.ExplicitUpdateAfter && h.inServiceArea(now) {
+	if h.medium.Connected(h.id) && now-h.lastServerContact >= h.cfg.ExplicitUpdateAfter && h.inServiceArea(now) {
 		h.lastServerContact = now
 		h.link.SendUp(network.Message{
 			Kind: network.KindLocationUpdate,
@@ -588,7 +581,7 @@ func (h *Host) Receive(msg network.Message) {
 // accepted the message (false while disconnected, in which case the reply
 // is lost).
 func (h *Host) ReceiveFromServer(msg network.Message) bool {
-	if !h.connected {
+	if !h.medium.Connected(h.id) {
 		return false
 	}
 	switch msg.Kind {

@@ -109,7 +109,7 @@ func TestOnRecordHookFires(t *testing.T) {
 func TestReceiveFromServerWhileDisconnected(t *testing.T) {
 	h := newHarness(t, 1, false)
 	a := h.addHost(1, 0, 0, testClientConfig(SchemeSC))
-	a.connected = false
+	a.setConnected(false)
 	ok := a.ReceiveFromServer(network.Message{
 		Kind:    network.KindServerReply,
 		To:      1,

@@ -430,11 +430,11 @@ func TestDisconnectionPausesAndReconnects(t *testing.T) {
 	a := h.addHost(1, 0, 0, cfg)
 	a.beginRequest(3)
 	h.run(time.Second)
-	if a.Connected() {
+	if h.medium.Connected(a.id) {
 		t.Fatal("host still connected after completing with DiscProb=1")
 	}
 	h.run(10 * time.Second)
-	if !a.Connected() {
+	if !h.medium.Connected(a.id) {
 		t.Fatal("host did not reconnect")
 	}
 }

@@ -90,7 +90,7 @@ func TestServerRescueAfterDownlinkLoss(t *testing.T) {
 	// Drop off the air before the reply (~18ms) lands; the rescue timer
 	// (floor 200ms) re-sends while still down, then again once back up.
 	h.run(time.Millisecond)
-	a.connected = false
+	a.setConnected(false)
 	h.run(300 * time.Millisecond)
 	if got := h.link.Drops().DownlinkDisconnected; got < 2 {
 		t.Fatalf("downlink drops = %d, want >= 2 (original + first rescue)", got)
@@ -98,7 +98,7 @@ func TestServerRescueAfterDownlinkLoss(t *testing.T) {
 	if a.cur == nil {
 		t.Fatal("request abandoned while host was down")
 	}
-	a.connected = true
+	a.setConnected(true)
 	h.run(2 * time.Second)
 	if got := h.collector.OutcomeCount(OutcomeServerRequest); got != 1 {
 		t.Fatalf("outcomes = %v, want recovered server request", h.collector.outcomes)
@@ -125,7 +125,7 @@ func TestServerRescueExhaustionFailsRequest(t *testing.T) {
 	a := h.addHost(1, 0, 0, cfg)
 	a.beginRequest(7)
 	h.run(time.Millisecond)
-	a.connected = false
+	a.setConnected(false)
 	h.run(time.Minute)
 	if a.cur != nil {
 		t.Fatal("request still outstanding after rescue exhaustion")
@@ -162,7 +162,7 @@ func TestCrashAbortsInFlightRequestAndRecovers(t *testing.T) {
 	if a.Outstanding() {
 		t.Error("crash left the request outstanding")
 	}
-	if a.Connected() {
+	if h.medium.Connected(a.id) {
 		t.Error("crashed host still connected")
 	}
 	if got := h.collector.OutcomeCount(OutcomeFailure); got != 1 {
@@ -174,7 +174,7 @@ func TestCrashAbortsInFlightRequestAndRecovers(t *testing.T) {
 	}
 	// Past the maximum downtime the host is back and serviceable.
 	h.run(6 * time.Second)
-	if !a.Connected() {
+	if !h.medium.Connected(a.id) {
 		t.Fatal("host did not recover from crash")
 	}
 	a.beginRequest(8)

@@ -63,18 +63,15 @@ type cellResult[T any] struct {
 	err       error
 }
 
-// Pool executes cells×reps jobs across workers goroutines and invokes
-// onCell exactly once per error-free cell, in canonical cell order, on the
-// calling goroutine — so progress callbacks are serialized and ordered no
-// matter how jobs complete. The first error in (cell, rep) order is
-// returned after all workers drain. The sweep engine instantiates it with
-// core.Results; the chaos campaign runner with its audited cell results.
-func Pool[T any](cells, reps, workers int, run func(cell, rep int) (T, error), onCell func(cell int, rs []T)) error {
-	return PoolJournaled(cells, reps, workers, nil, nil, run, onCell)
-}
-
-// PoolJournaled is Pool with crash-resumable per-replication journaling:
-// when jr is non-nil, every error-free run is recorded durably under
+// PoolJournaled executes cells×reps jobs across workers goroutines and
+// invokes onCell exactly once per error-free cell, in canonical cell order,
+// on the calling goroutine — so progress callbacks are serialized and
+// ordered no matter how jobs complete. The first error in (cell, rep) order
+// is returned after all workers drain. The sweep engine instantiates it
+// with core.Results; the chaos campaign runner with its audited cell
+// results.
+//
+// When jr is non-nil, every error-free run is recorded durably under
 // keyFor(cell, rep) before the collector sees it, and a job whose key is
 // already journaled returns the recorded result instead of re-running.
 // Because cell order, seeds, and the collector are all deterministic, a
@@ -310,18 +307,12 @@ func meanInto(dst reflect.Value, samples []reflect.Value) {
 	}
 }
 
-// Replicate runs one configuration Replications times — seeds derived per
+// ReplicateJournaled runs one configuration reps times — seeds derived per
 // replication as in a sweep cell — across workers goroutines, returning
 // the per-replication results in replication order and the aggregated
-// point (Results = mean, Spread = sample stddev).
-func Replicate(cfg core.Config, reps, workers int) ([]core.Results, Point, error) {
-	return ReplicateJournaled(cfg, reps, workers, nil)
-}
-
-// ReplicateJournaled is Replicate with crash-resumable journaling: with a
-// non-nil journal, completed replications are recorded durably and an
-// interrupted run resumed against the same journal re-executes only the
-// missing ones.
+// point (Results = mean, Spread = sample stddev). With a non-nil journal,
+// completed replications are recorded durably and an interrupted run
+// resumed against the same journal re-executes only the missing ones.
 func ReplicateJournaled(cfg core.Config, reps, workers int, jr *checkpoint.Journal) ([]core.Results, Point, error) {
 	if reps < 1 {
 		reps = 1

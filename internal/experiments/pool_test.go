@@ -368,7 +368,7 @@ func TestReplicate(t *testing.T) {
 	cfg := tinyBase()
 	cfg.WarmupRequests = 4
 	cfg.MeasuredRequests = 8
-	rs, p, err := Replicate(cfg, 3, 4)
+	rs, p, err := ReplicateJournaled(cfg, 3, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,12 +376,12 @@ func TestReplicate(t *testing.T) {
 		t.Fatalf("replicate: %d results, reps=%d, spread=%v", len(rs), p.Reps, p.Spread)
 	}
 	// Deterministic across worker counts.
-	rs1, p1, err := Replicate(cfg, 3, 1)
+	rs1, p1, err := ReplicateJournaled(cfg, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rs, rs1) || !reflect.DeepEqual(p, p1) {
-		t.Error("Replicate output differs across worker counts")
+		t.Error("ReplicateJournaled output differs across worker counts")
 	}
 	// Replication 0 is the plain base-seed run.
 	direct, err := core.Run(cfg)

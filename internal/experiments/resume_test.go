@@ -119,7 +119,7 @@ func TestReplicateResume(t *testing.T) {
 	cfg.MeasuredRequests = 15
 	cfg.Seed = 21
 
-	all, point, err := Replicate(cfg, 4, 2)
+	all, point, err := ReplicateJournaled(cfg, 4, 2, nil)
 	if err != nil {
 		t.Fatalf("replicate: %v", err)
 	}

@@ -38,7 +38,6 @@ import (
 	"strings"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/contract"
 )
 
 // Analyzer is the hotalloc pass.
@@ -66,13 +65,14 @@ func run(pass *analysis.Pass) error {
 		pass.Reportf(pos, format, args...)
 	}
 
+	decls := funcDecls(pass)
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || !isHot(fd) || pass.IsTestFile(fd.Pos()) {
 				continue
 			}
-			for _, body := range contract.Closure(pass, fd) {
+			for _, body := range closure(pass, decls, fd) {
 				if body.Body == nil {
 					continue
 				}
@@ -94,6 +94,63 @@ func isHot(fd *ast.FuncDecl) bool {
 		}
 	}
 	return false
+}
+
+// funcDecls indexes the package's function declarations by their defining
+// object, so call sites can be resolved back to bodies.
+func funcDecls(pass *analysis.Pass) map[types.Object]*ast.FuncDecl {
+	idx := make(map[types.Object]*ast.FuncDecl)
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				if obj := pass.TypesInfo.Defs[fd.Name]; obj != nil {
+					idx[obj] = fd
+				}
+			}
+		}
+	}
+	return idx
+}
+
+// closure returns the function bodies reachable from root through calls to
+// functions and methods declared in the same package (function literals
+// are part of the enclosing body). The walk over-approximates: it follows
+// every same-package callee regardless of receiver value, so a hot path
+// is checked against more code, never less.
+func closure(pass *analysis.Pass, decls map[types.Object]*ast.FuncDecl, root *ast.FuncDecl) []*ast.FuncDecl {
+	seen := map[*ast.FuncDecl]bool{root: true}
+	work := []*ast.FuncDecl{root}
+	var out []*ast.FuncDecl
+	for len(work) > 0 {
+		fd := work[0]
+		work = work[1:]
+		out = append(out, fd)
+		if fd.Body == nil {
+			continue
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			var obj types.Object
+			switch fun := call.Fun.(type) {
+			case *ast.Ident:
+				obj = pass.TypesInfo.Uses[fun]
+			case *ast.SelectorExpr:
+				obj = pass.TypesInfo.Uses[fun.Sel]
+			}
+			if obj == nil || obj.Pkg() != pass.Pkg {
+				return true
+			}
+			if callee, ok := decls[obj]; ok && !seen[callee] {
+				seen[callee] = true
+				work = append(work, callee)
+			}
+			return true
+		})
+	}
+	return out
 }
 
 // checkBody applies the allocation heuristics to one function body that is

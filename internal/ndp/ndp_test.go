@@ -12,17 +12,15 @@ import (
 
 // host wires a test peer's beacon reception into its Protocol.
 type host struct {
-	id        network.NodeID
-	pos       geo.Point
-	connected bool
-	proto     *Protocol
+	id    network.NodeID
+	pos   geo.Point
+	proto *Protocol
 }
 
 func (h *host) ID() network.NodeID { return h.id }
 func (h *host) Motion(time.Duration) (geo.Point, time.Duration, float64) {
 	return h.pos, math.MaxInt64, 0
 }
-func (h *host) Connected() bool { return h.connected }
 func (h *host) Receive(msg network.Message) {
 	if msg.Kind == network.KindBeacon {
 		h.proto.HandleBeacon(msg.From)
@@ -45,7 +43,7 @@ func setup(t *testing.T) (*sim.Kernel, *network.Medium) {
 
 func newHost(t *testing.T, k *sim.Kernel, m *network.Medium, id network.NodeID, x float64, cfg Config) *host {
 	t.Helper()
-	h := &host{id: id, pos: geo.Point{X: x}, connected: true}
+	h := &host{id: id, pos: geo.Point{X: x}}
 	p, err := New(k, m, id, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,8 +116,7 @@ func TestLinkFailureDetection(t *testing.T) {
 		t.Fatal("precondition: a should know b")
 	}
 	// b disconnects (stops beaconing and receiving).
-	b.connected = false
-	m.ConnectivityChanged(b.id)
+	m.SetConnected(b.id, false)
 	b.proto.Stop()
 	if err := k.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -146,14 +143,12 @@ func TestReconnectRediscovers(t *testing.T) {
 	if err := k.Run(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	b.connected = false
-	m.ConnectivityChanged(b.id)
+	m.SetConnected(b.id, false)
 	b.proto.Stop()
 	if err := k.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	b.connected = true
-	m.ConnectivityChanged(b.id)
+	m.SetConnected(b.id, true)
 	b.proto.Start()
 	if err := k.Run(15 * time.Second); err != nil {
 		t.Fatal(err)

@@ -11,8 +11,8 @@ import (
 	"repro/internal/sim"
 )
 
-// benchPeer is a stationary always-connected peer whose Receive is a no-op,
-// so the benchmark measures the medium, not inbox bookkeeping.
+// benchPeer is a stationary peer whose Receive is a no-op, so the
+// benchmark measures the medium, not inbox bookkeeping.
 type benchPeer struct {
 	id  NodeID
 	pos geo.Point
@@ -22,7 +22,6 @@ func (p *benchPeer) ID() NodeID { return p.id }
 func (p *benchPeer) Motion(time.Duration) (geo.Point, time.Duration, float64) {
 	return p.pos, math.MaxInt64, 0
 }
-func (p *benchPeer) Connected() bool { return true }
 func (p *benchPeer) Receive(Message) {}
 
 // benchMedium builds a medium holding n stationary peers scattered at
@@ -109,8 +108,8 @@ func BenchmarkBroadcast(b *testing.B) {
 	}
 }
 
-// rpgmPeer is an always-connected peer that moves with an RPGM group
-// member and discards what it receives.
+// rpgmPeer is a peer that moves with an RPGM group member and discards
+// what it receives.
 type rpgmPeer struct {
 	id  NodeID
 	mob *mobility.Member
@@ -120,7 +119,6 @@ func (p *rpgmPeer) ID() NodeID { return p.id }
 func (p *rpgmPeer) Motion(t time.Duration) (geo.Point, time.Duration, float64) {
 	return p.mob.Motion(t)
 }
-func (p *rpgmPeer) Connected() bool { return true }
 func (p *rpgmPeer) Receive(Message) {}
 
 // BenchmarkBeaconRound measures one beacon round per op over moving hosts:

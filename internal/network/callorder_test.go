@@ -68,7 +68,7 @@ func memberWorld(t *testing.T, k *sim.Kernel, brute bool, groups, perGroup int, 
 		}
 		for j := 0; j < perGroup; j++ {
 			p := &memberPeer{
-				movingPeer: movingPeer{id: NodeID(len(peers) + 1), connected: true},
+				movingPeer: movingPeer{id: NodeID(len(peers) + 1)},
 				mob:        grp.NewMember(),
 				log:        log,
 				until:      -1,
@@ -136,9 +136,7 @@ func TestPositionCallOrderGridMatchesBrute(t *testing.T) {
 			}
 		}
 		if rng.Bool(0.15) {
-			i := rng.Intn(n)
-			gp[i].setConnected(gm, !gp[i].connected)
-			bp[i].setConnected(bm, !bp[i].connected)
+			flip(gm, bm, NodeID(rng.Intn(n)+1))
 		}
 		if err := k.Run(time.Duration(step+1) * 700 * time.Millisecond); err != nil {
 			t.Fatal(err)

@@ -336,8 +336,7 @@ func TestMediumDropCauses(t *testing.T) {
 	}
 	// Sender disconnects mid-transmission.
 	m.Send(Message{Kind: KindReply, From: 1, To: 2, Size: 40})
-	src.connected = false
-	m.ConnectivityChanged(src.id)
+	m.SetConnected(src.id, false)
 	if err := k.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}

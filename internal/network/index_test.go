@@ -12,11 +12,10 @@ import (
 // movingPeer is a test peer whose position is a deterministic function of
 // time, exercising the per-timestamp re-bucketing path of the spatial index.
 type movingPeer struct {
-	id        NodeID
-	origin    geo.Point
-	vx, vy    float64
-	connected bool
-	inbox     []Message
+	id     NodeID
+	origin geo.Point
+	vx, vy float64
+	inbox  []Message
 }
 
 func (p *movingPeer) ID() NodeID { return p.id }
@@ -24,14 +23,7 @@ func (p *movingPeer) Motion(t time.Duration) (geo.Point, time.Duration, float64)
 	s := t.Seconds()
 	return geo.Point{X: p.origin.X + p.vx*s, Y: p.origin.Y + p.vy*s}, math.MaxInt64, math.Hypot(p.vx, p.vy)
 }
-func (p *movingPeer) Connected() bool     { return p.connected }
 func (p *movingPeer) Receive(msg Message) { p.inbox = append(p.inbox, msg) }
-func (p *movingPeer) setConnected(m *Medium, c bool) {
-	if p.connected != c {
-		p.connected = c
-		m.ConnectivityChanged(p.id)
-	}
-}
 
 // twinMediums builds a grid-indexed medium and a brute-force medium with
 // identically-parameterised peer populations, returning both peer sets.
@@ -51,11 +43,10 @@ func twinMediums(t *testing.T, k *sim.Kernel, n int, seed int64) (*Medium, *Medi
 		peers := make([]*movingPeer, n)
 		for i := range peers {
 			peers[i] = &movingPeer{
-				id:        NodeID(i + 1),
-				origin:    geo.Point{X: rng.Uniform(-300, 300), Y: rng.Uniform(-300, 300)},
-				vx:        rng.Uniform(-20, 20),
-				vy:        rng.Uniform(-20, 20),
-				connected: true,
+				id:     NodeID(i + 1),
+				origin: geo.Point{X: rng.Uniform(-300, 300), Y: rng.Uniform(-300, 300)},
+				vx:     rng.Uniform(-20, 20),
+				vy:     rng.Uniform(-20, 20),
 			}
 			if err := m.Register(peers[i]); err != nil {
 				t.Fatal(err)
@@ -68,13 +59,19 @@ func twinMediums(t *testing.T, k *sim.Kernel, n int, seed int64) (*Medium, *Medi
 	return gm, bm, gp, bp
 }
 
+// flip toggles one peer's connectivity on both twin mediums.
+func flip(gm, bm *Medium, id NodeID) {
+	gm.SetConnected(id, !gm.Connected(id))
+	bm.SetConnected(id, !bm.Connected(id))
+}
+
 // TestNeighborsGridMatchesBrute compares the indexed and pairwise Neighbors
 // across moving peers, advancing time and flipping connectivity between
 // checks.
 func TestNeighborsGridMatchesBrute(t *testing.T) {
 	k := sim.NewKernel()
 	const n = 40
-	gm, bm, gp, bp := twinMediums(t, k, n, 23)
+	gm, bm, _, _ := twinMediums(t, k, n, 23)
 	rng := sim.NewRNG(29).Stream("churn")
 
 	check := func() {
@@ -101,9 +98,7 @@ func TestNeighborsGridMatchesBrute(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Flip one peer's connectivity in both worlds.
-		i := rng.Intn(n)
-		gp[i].setConnected(gm, !gp[i].connected)
-		bp[i].setConnected(bm, !bp[i].connected)
+		flip(gm, bm, NodeID(rng.Intn(n)+1))
 		check()
 	}
 }
@@ -128,9 +123,7 @@ func TestTrafficGridMatchesBrute(t *testing.T) {
 			bm.Send(Message{Kind: KindData, From: src, To: dst, Size: 500})
 		}
 		if rng.Bool(0.2) {
-			i := rng.Intn(n)
-			gp[i].setConnected(gm, !gp[i].connected)
-			bp[i].setConnected(bm, !bp[i].connected)
+			flip(gm, bm, NodeID(rng.Intn(n)+1))
 		}
 		if err := k.Run(time.Duration(step+1) * 50 * time.Millisecond); err != nil {
 			t.Fatal(err)

@@ -9,9 +9,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Peer is a mobile host attached to the medium. Motion and Connected are
-// sampled at transmission-completion time to decide reachability; Receive is
-// invoked once per delivered message.
+// Peer is a mobile host attached to the medium. Motion is sampled at
+// transmission-completion time to decide reachability; Receive is invoked
+// once per delivered message. Whether a peer is on the air is medium state,
+// set through Medium.SetConnected.
 //
 // Motion reports the peer's position at t, the time until which that
 // position is a pure function of time (no randomness drawn, no state changed
@@ -19,14 +20,9 @@ import (
 // medium re-samples a peer only when that time has passed or the speed
 // bound says it may have drifted by the query slack (see DESIGN.md "Spatial
 // index").
-//
-// A peer whose Connected() value changes after registration must call
-// Medium.ConnectivityChanged: the medium counts connected peers and tracks
-// the earliest re-sample time over them, and both go stale on a flip.
 type Peer interface {
 	ID() NodeID
 	Motion(t time.Duration) (pos geo.Point, until time.Duration, speed float64)
-	Connected() bool
 	Receive(msg Message)
 }
 
@@ -53,13 +49,17 @@ type Medium struct {
 	meter  *Meter
 	faults *FaultPlan
 
-	// Peers live in registration slots: peers[i], ids[i] and nics[i] belong
-	// to the i-th registered peer, whose grid ID is also i. regIdx, the only
-	// map keyed by NodeID, resolves a message's endpoints once.
-	peers  []Peer
-	ids    []NodeID
-	nics   []*sim.Resource
-	regIdx map[NodeID]int
+	// Peers live in registration slots: peers[i], ids[i], nics[i] and
+	// connected[i] belong to the i-th registered peer, whose grid ID is
+	// also i. regIdx, the only map keyed by NodeID, resolves a message's
+	// endpoints once. nConnected counts the true entries of connected; only
+	// SetConnected changes either.
+	peers      []Peer
+	ids        []NodeID
+	nics       []*sim.Resource
+	connected  []bool
+	nConnected int
+	regIdx     map[NodeID]int
 
 	// Spatial index state. The grid is derived, rebuilt lazily from
 	// Motion(), and holds each host's last sampled position; sampledAt
@@ -76,7 +76,7 @@ type Medium struct {
 	// wake[i] is when slot i must be re-sampled: one nanosecond past its
 	// piece's end (its next Motion call may draw), or earlier once its
 	// drift could reach the slack. minWake is at most every connected
-	// host's wake; Register and ConnectivityChanged reset it to zero.
+	// host's wake.
 	wake    []time.Duration
 	minWake time.Duration
 	// Scratch buffers, reused across completions to keep the hot path
@@ -161,8 +161,8 @@ func NewMedium(k *sim.Kernel, cfg MediumConfig, meter *Meter) (*Medium, error) {
 	}, nil
 }
 
-// Register attaches a peer to the medium. Registering a duplicate ID is an
-// error.
+// Register attaches a peer to the medium, connected. Registering a
+// duplicate ID is an error.
 func (m *Medium) Register(p Peer) error {
 	if _, ok := m.regIdx[p.ID()]; ok {
 		return fmt.Errorf("network: duplicate peer %d", p.ID())
@@ -171,19 +171,38 @@ func (m *Medium) Register(p Peer) error {
 	m.peers = append(m.peers, p)
 	m.ids = append(m.ids, p.ID())
 	m.nics = append(m.nics, sim.NewResource(m.k, 1))
+	m.connected = append(m.connected, false)
 	m.sampledAt = append(m.sampledAt, -1)
 	m.wake = append(m.wake, 0) // due at the next sync
-	m.ConnectivityChanged(p.ID())
+	m.SetConnected(p.ID(), true)
 	return nil
 }
 
-// ConnectivityChanged tells the medium that a registered peer's
-// Connected() value flipped. Peers must call it on every transition: the
-// earliest wake time covers connected hosts only, and a missed notification
-// could leave a reconnected host that is due unsampled, out of the
-// brute-force scan's call order. The id parameter documents intent; the
-// next sync re-checks every connected host regardless.
-func (m *Medium) ConnectivityChanged(NodeID) { m.minWake = 0 }
+// SetConnected puts the peer registered as id on the air (on) or takes it
+// off. A disconnected peer neither sends, hears nor is sampled. Setting the
+// current value again, or naming an unknown peer, does nothing.
+func (m *Medium) SetConnected(id NodeID, on bool) {
+	i, ok := m.regIdx[id]
+	if !ok || m.connected[i] == on {
+		return
+	}
+	m.connected[i] = on
+	if on {
+		m.nConnected++
+		// The host's wake may have passed while it was off the air, and
+		// minWake does not cover it: the next sync re-checks every host.
+		m.minWake = 0
+	} else {
+		m.nConnected--
+	}
+}
+
+// Connected reports whether the peer registered as id is on the air; an
+// unknown peer is not.
+func (m *Medium) Connected(id NodeID) bool {
+	i, ok := m.regIdx[id]
+	return ok && m.connected[i]
+}
 
 // Meter returns the energy meter the medium charges to.
 func (m *Medium) Meter() *Meter { return m.meter }
@@ -191,10 +210,11 @@ func (m *Medium) Meter() *Meter { return m.meter }
 // RangeM returns the transmission range in metres.
 func (m *Medium) RangeM() float64 { return m.rangeM }
 
-// inRange reports whether two connected peers can hear each other now.
-func (m *Medium) inRange(a, b Peer, now time.Duration) bool {
-	pa, _, _ := a.Motion(now)
-	pb, _, _ := b.Motion(now)
+// inRange reports whether the connected peers in slots a and b can hear
+// each other now.
+func (m *Medium) inRange(a, b int, now time.Duration) bool {
+	pa, _, _ := m.peers[a].Motion(now)
+	pb, _, _ := m.peers[b].Motion(now)
 	return geo.WithinRange(pa, pb, m.rangeM)
 }
 
@@ -238,7 +258,7 @@ func (m *Medium) sample(i int, now time.Duration) {
 //     order — once per timestamp and connectivity change, and only when
 //     now has reached the earliest wake;
 //   - disconnected peers are never sampled (brute force short-circuits on
-//     Connected() before Position()).
+//     connectivity before Motion).
 //
 // src and dst are sampled on every completion, before anything else: a
 // second sender at the same timestamp was not necessarily sampled by the
@@ -247,10 +267,11 @@ func (m *Medium) sample(i int, now time.Duration) {
 //
 //hot:runs before every transmission completion and neighbor query
 func (m *Medium) sync(now time.Duration, srcIdx, dstIdx int) bool {
-	if dstIdx >= 0 && !m.peers[dstIdx].Connected() {
+	if dstIdx >= 0 && !m.connected[dstIdx] {
 		dstIdx = -1
 	}
-	if dstIdx < 0 && !m.otherConnected(srcIdx) {
+	// src is connected, so any other connected peer makes the count ≥ 2.
+	if dstIdx < 0 && m.nConnected < 2 {
 		return false
 	}
 	m.sample(srcIdx, now)
@@ -261,8 +282,8 @@ func (m *Medium) sync(now time.Duration, srcIdx, dstIdx int) bool {
 		return true
 	}
 	next := time.Duration(math.MaxInt64)
-	for i, p := range m.peers {
-		if !p.Connected() {
+	for i, on := range m.connected {
+		if !on {
 			continue
 		}
 		if m.wake[i] <= now {
@@ -272,17 +293,6 @@ func (m *Medium) sync(now time.Duration, srcIdx, dstIdx int) bool {
 	}
 	m.minWake = next
 	return true
-}
-
-// otherConnected reports whether any peer but the one in slot i is
-// connected. Nearly every host is connected, so the scan stops at once.
-func (m *Medium) otherConnected(i int) bool {
-	for j, p := range m.peers {
-		if j != i && p.Connected() {
-			return true
-		}
-	}
-	return false
 }
 
 // candidates fills dst with the slots of all indexed hosts whose grid
@@ -299,7 +309,7 @@ func (m *Medium) candidates(dst []geo.GridID, i int) []geo.GridID {
 // Sampling a connected host here never draws randomness: sync already
 // sampled every host whose Motion could draw at now.
 func (m *Medium) hears(p geo.Point, j int, now time.Duration) bool {
-	if !m.peers[j].Connected() {
+	if !m.connected[j] {
 		return false
 	}
 	m.sample(j, now)
@@ -314,15 +324,14 @@ func (m *Medium) hears(p geo.Point, j int, now time.Duration) bool {
 //hot:per-beacon-round reachability; 0 allocs/op pinned by TestNeighborsSteadyStateAllocs
 func (m *Medium) Neighbors(id NodeID) []NodeID {
 	selfIdx, ok := m.regIdx[id]
-	if !ok || !m.peers[selfIdx].Connected() {
+	if !ok || !m.connected[selfIdx] {
 		return nil
 	}
 	now := m.k.Now()
 	m.neighbors = m.neighbors[:0]
 	if m.brute {
-		self := m.peers[selfIdx]
-		for i, p := range m.peers {
-			if i != selfIdx && p.Connected() && m.inRange(self, p, now) {
+		for i, on := range m.connected {
+			if i != selfIdx && on && m.inRange(selfIdx, i, now) {
 				m.neighbors = append(m.neighbors, m.ids[i])
 			}
 		}
@@ -360,7 +369,7 @@ func (m *Medium) Broadcast(msg Message) {
 	m.sent++
 	m.bytesSent += uint64(msg.Size)
 	m.nics[srcIdx].Use(TxTime(msg.Size, m.bwKbps), func() {
-		if !m.peers[srcIdx].Connected() {
+		if !m.connected[srcIdx] {
 			m.drops.SenderDisconnected++
 			return
 		}
@@ -385,9 +394,8 @@ func (m *Medium) Broadcast(msg Message) {
 
 // broadcastBrute is the receiver loop of the pairwise scan.
 func (m *Medium) broadcastBrute(srcIdx int, msg Message, now time.Duration) {
-	src := m.peers[srcIdx]
-	for i, p := range m.peers {
-		if i != srcIdx && p.Connected() && m.inRange(src, p, now) {
+	for i, on := range m.connected {
+		if i != srcIdx && on && m.inRange(srcIdx, i, now) {
 			m.deliverBroadcast(i, msg, now)
 		}
 	}
@@ -425,20 +433,19 @@ func (m *Medium) Send(msg Message) {
 	m.sent++
 	m.bytesSent += uint64(msg.Size)
 	m.nics[srcIdx].Use(TxTime(msg.Size, m.bwKbps), func() {
-		src, dst := m.peers[srcIdx], m.peers[dstIdx]
-		if !src.Connected() {
+		if !m.connected[srcIdx] {
 			m.drops.SenderDisconnected++
 			return
 		}
 		now := m.k.Now()
 		m.meter.Charge(msg.From, EnergyP2PSend, m.power.Send.Energy(msg.Size))
 		if m.brute {
-			m.sendBrute(src, dst, msg, now)
+			m.sendBrute(srcIdx, dstIdx, msg, now)
 			return
 		}
 		sampled := m.sync(now, srcIdx, dstIdx)
 		srcPos, dstPos := m.grid.Pos(geo.GridID(srcIdx)), m.grid.Pos(geo.GridID(dstIdx))
-		reachable := dst.Connected() && geo.WithinRange(srcPos, dstPos, m.rangeM)
+		reachable := m.connected[dstIdx] && geo.WithinRange(srcPos, dstPos, m.rangeM)
 		faulted := false
 		if reachable {
 			// The destination receives (and pays for) the frame even
@@ -478,7 +485,7 @@ func (m *Medium) Send(msg Message) {
 				i++
 				j++
 			}
-			if ci == srcIdx || ci == dstIdx || !m.peers[ci].Connected() {
+			if ci == srcIdx || ci == dstIdx || !m.connected[ci] {
 				continue
 			}
 			m.sample(ci, now)
@@ -497,14 +504,14 @@ func (m *Medium) Send(msg Message) {
 		}
 		if reachable && !faulted {
 			m.delivered++
-			dst.Receive(msg)
+			m.peers[dstIdx].Receive(msg)
 		}
 	})
 }
 
 // sendBrute is the completion body of the pairwise point-to-point scan.
-func (m *Medium) sendBrute(src, dst Peer, msg Message, now time.Duration) {
-	reachable := dst.Connected() && m.inRange(src, dst, now)
+func (m *Medium) sendBrute(srcIdx, dstIdx int, msg Message, now time.Duration) {
+	reachable := m.connected[dstIdx] && m.inRange(srcIdx, dstIdx, now)
 	faulted := false
 	if reachable {
 		m.meter.Charge(msg.To, EnergyP2PRecv, m.power.Recv.Energy(msg.Size))
@@ -515,13 +522,13 @@ func (m *Medium) sendBrute(src, dst Peer, msg Message, now time.Duration) {
 	} else {
 		m.drops.Unreachable++
 	}
-	for i, p := range m.peers {
-		oid := m.ids[i]
-		if oid == msg.From || oid == msg.To || !p.Connected() {
+	for i, on := range m.connected {
+		if i == srcIdx || i == dstIdx || !on {
 			continue
 		}
-		nearSrc := m.inRange(src, p, now)
-		nearDst := reachable && m.inRange(dst, p, now)
+		oid := m.ids[i]
+		nearSrc := m.inRange(srcIdx, i, now)
+		nearDst := reachable && m.inRange(dstIdx, i, now)
 		switch {
 		case nearSrc && nearDst:
 			m.meter.Charge(oid, EnergyP2PDiscard, m.power.DiscardBoth.Energy(msg.Size))
@@ -533,7 +540,7 @@ func (m *Medium) sendBrute(src, dst Peer, msg Message, now time.Duration) {
 	}
 	if reachable && !faulted {
 		m.delivered++
-		dst.Receive(msg)
+		m.peers[dstIdx].Receive(msg)
 	}
 }
 

@@ -11,17 +11,15 @@ import (
 
 // testPeer is a stationary scriptable peer.
 type testPeer struct {
-	id        NodeID
-	pos       geo.Point
-	connected bool
-	inbox     []Message
+	id    NodeID
+	pos   geo.Point
+	inbox []Message
 }
 
 func (p *testPeer) ID() NodeID { return p.id }
 func (p *testPeer) Motion(time.Duration) (geo.Point, time.Duration, float64) {
 	return p.pos, math.MaxInt64, 0
 }
-func (p *testPeer) Connected() bool     { return p.connected }
 func (p *testPeer) Receive(msg Message) { p.inbox = append(p.inbox, msg) }
 
 var _ Peer = (*testPeer)(nil)
@@ -42,7 +40,7 @@ func newTestMedium(t *testing.T, k *sim.Kernel) (*Medium, *Meter) {
 
 func addPeer(t *testing.T, m *Medium, id NodeID, x, y float64) *testPeer {
 	t.Helper()
-	p := &testPeer{id: id, pos: geo.Point{X: x, Y: y}, connected: true}
+	p := &testPeer{id: id, pos: geo.Point{X: x, Y: y}}
 	if err := m.Register(p); err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +83,7 @@ func TestBroadcastReachesOnlyInRangeConnected(t *testing.T) {
 	near := addPeer(t, m, 2, 50, 0)
 	far := addPeer(t, m, 3, 500, 0)
 	off := addPeer(t, m, 4, 10, 0)
-	off.connected = false
-	m.ConnectivityChanged(off.id)
+	m.SetConnected(off.id, false)
 	_ = src
 
 	m.Broadcast(Message{Kind: KindRequest, From: 1, Size: RequestSize})
@@ -199,8 +196,7 @@ func TestSendFromDisconnectedIsDropped(t *testing.T) {
 	m, _ := newTestMedium(t, k)
 	src := addPeer(t, m, 1, 0, 0)
 	dst := addPeer(t, m, 2, 10, 0)
-	src.connected = false
-	m.ConnectivityChanged(src.id)
+	m.SetConnected(src.id, false)
 	m.Send(Message{Kind: KindReply, From: 1, To: 2, Size: 40})
 	if err := k.Run(time.Second); err != nil {
 		t.Fatal(err)
@@ -256,8 +252,7 @@ func TestNeighbors(t *testing.T) {
 	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Errorf("Neighbors(1) = %v, want [2 3]", got)
 	}
-	p3.connected = false
-	m.ConnectivityChanged(p3.id)
+	m.SetConnected(p3.id, false)
 	got = m.Neighbors(1)
 	if len(got) != 1 || got[0] != 2 {
 		t.Errorf("Neighbors(1) after disconnect = %v, want [2]", got)

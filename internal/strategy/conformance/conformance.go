@@ -209,11 +209,11 @@ func checkCapacity(t *testing.T, h *Harness) {
 func checkParallelDeterminism(t *testing.T, h *Harness) {
 	cfg := Config(h.Scheme.ID(), false)
 	const reps = 3
-	serial, serialPoint, err := experiments.Replicate(cfg, reps, 1)
+	serial, serialPoint, err := experiments.ReplicateJournaled(cfg, reps, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fanned, fannedPoint, err := experiments.Replicate(cfg, reps, 4)
+	fanned, fannedPoint, err := experiments.ReplicateJournaled(cfg, reps, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func checkKillPointResume(t *testing.T, h *Harness) {
 	const reps = 3
 	meta := []byte("conformance-resume-" + h.Scheme.Flag())
 
-	golden, goldenPoint, err := experiments.Replicate(cfg, reps, 2)
+	golden, goldenPoint, err := experiments.ReplicateJournaled(cfg, reps, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,7 @@ type ItemID int
 // Zipf. The standard library generator requires s > 1, so we implement the
 // CDF-inversion form the paper's range needs.
 type Zipf struct {
-	theta float64
-	cdf   []float64 // cumulative probabilities, len n
+	cdf []float64 // cumulative probabilities, len n
 }
 
 // NewZipf builds a generator over n ranks with skewness theta.
@@ -45,14 +44,11 @@ func NewZipf(n int, theta float64) (*Zipf, error) {
 		cdf[i] /= sum
 	}
 	cdf[n-1] = 1 // guard against rounding
-	return &Zipf{theta: theta, cdf: cdf}, nil
+	return &Zipf{cdf: cdf}, nil
 }
 
 // N returns the number of ranks.
 func (z *Zipf) N() int { return len(z.cdf) }
-
-// Theta returns the skewness parameter.
-func (z *Zipf) Theta() float64 { return z.theta }
 
 // Rank draws a rank in [0, n), rank 0 being the most popular.
 func (z *Zipf) Rank(rng *sim.RNG) int {
