@@ -128,13 +128,14 @@ bench-check:
 ## fuzz-smoke: short native-fuzzing passes, one run per target (go test
 ## -fuzz takes one target at a time): the spatial index's grid-vs-brute-
 ## force oracle under fuzzer-chosen geometry (NaN, infinities,
-## cell-boundary and int32-overflow coordinates), the checkpoint codec's
-## Unmarshal on arbitrary bytes (no panic, canonical re-encoding), then the
-## VLFL signature decoder on arbitrary peer bytes (no panic, round trip,
-## VLFLBits equal to the encoder's bit count).
+## cell-boundary and int32-overflow coordinates), the resume journal's
+## loader on arbitrary images (no panic, exactly the records before the
+## first torn or bad-digest frame kept, an append after them kept too),
+## then the VLFL signature decoder on arbitrary peer bytes (no panic, round
+## trip, VLFLBits equal to the encoder's bit count).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGridQuery -fuzztime 30s ./internal/geo/
-	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime 30s ./internal/checkpoint/
+	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime 30s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeVLFL -fuzztime 30s ./internal/bloom/
 
 ## resume-smoke: crash-resume proven end to end with real SIGKILLs.

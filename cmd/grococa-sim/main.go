@@ -103,19 +103,19 @@ func run(args []string) error {
 	fs.DurationVar(&cfg.CrashMTBF, "crashmtbf", cfg.CrashMTBF, "mean host up-time between crashes (0 = no crash churn)")
 	fs.DurationVar(&cfg.CrashDownMin, "crashdownmin", cfg.CrashDownMin, "minimum crash downtime")
 	fs.DurationVar(&cfg.CrashDownMax, "crashdownmax", cfg.CrashDownMax, "maximum crash downtime")
-	fs.IntVar(&cfg.Resilience.RetrieveRetries, "retrieveretry", cfg.Resilience.RetrieveRetries, "alternate-holder retries after a data timeout")
-	fs.IntVar(&cfg.Resilience.ServerRetries, "serverretry", cfg.Resilience.ServerRetries, "rescue re-sends of a lost MSS exchange (0 fails the request at the first rescue timeout)")
 	fs.Float64Var(&cfg.ServerRescueFactor, "rescuefactor", cfg.ServerRescueFactor, "rescue timeout scale over the queue-aware RTT estimate")
-	resil := fs.Bool("resilience", false, "enable the unified resilience policy (retry budgets, jittered backoff, MSS-link breaker, hedging, serve-stale)")
-	pol := resilience.DefaultPolicy()
-	fs.IntVar(&pol.RetryBudget, "retrybudget", pol.RetryBudget, "per-request retry budget (with -resilience)")
-	fs.Float64Var(&pol.Jitter, "retryjitter", pol.Jitter, "backoff jitter fraction in [0,1] (with -resilience)")
-	fs.DurationVar(&pol.Deadline, "reqdeadline", pol.Deadline, "per-request deadline (with -resilience)")
-	fs.IntVar(&pol.BreakerFailures, "breakerfailures", pol.BreakerFailures, "consecutive MSS failures that open the breaker, 0 disables (with -resilience)")
-	fs.DurationVar(&pol.BreakerOpenFor, "breakeropen", pol.BreakerOpenFor, "open-breaker window before a half-open probe (with -resilience)")
-	fs.Float64Var(&pol.HedgeAfter, "hedgeafter", pol.HedgeAfter, "hedge a second holder after this fraction of the data timeout, 0 disables (with -resilience)")
-	fs.BoolVar(&pol.ServeStale, "servestale", pol.ServeStale, "serve expired cached copies during open-breaker windows (with -resilience)")
-	fs.DurationVar(&pol.ServeStaleMaxAge, "servestalemax", pol.ServeStaleMaxAge, "maximum age past expiry served stale, 0 unbounded (with -resilience)")
+	resil := fs.Bool("resilience", false, "start from the full resilience policy (retry budgets, jittered backoff, MSS-link breaker, hedging, serve-stale) instead of the hardened paper protocol; policy flags set on the command line apply on top")
+	pol := &cfg.Resilience
+	fs.IntVar(&pol.RetrieveRetries, "retrieveretry", pol.RetrieveRetries, "alternate-holder retries after a data timeout")
+	fs.IntVar(&pol.ServerRetries, "serverretry", pol.ServerRetries, "rescue re-sends of a lost MSS exchange (0 fails the request at the first rescue timeout)")
+	fs.IntVar(&pol.RetryBudget, "retrybudget", pol.RetryBudget, "per-request retry budget shared by retrieve retries and MSS rescues; the default never binds")
+	fs.Float64Var(&pol.Jitter, "retryjitter", pol.Jitter, "backoff jitter fraction in [0,1]")
+	fs.DurationVar(&pol.Deadline, "reqdeadline", pol.Deadline, "per-request deadline, 0 disables")
+	fs.IntVar(&pol.BreakerFailures, "breakerfailures", pol.BreakerFailures, "consecutive MSS failures that open the breaker, 0 disables")
+	fs.DurationVar(&pol.BreakerOpenFor, "breakeropen", pol.BreakerOpenFor, "open-breaker window before a half-open probe")
+	fs.Float64Var(&pol.HedgeAfter, "hedgeafter", pol.HedgeAfter, "hedge a second holder after this fraction of the data timeout, 0 disables")
+	fs.BoolVar(&pol.ServeStale, "servestale", pol.ServeStale, "serve expired cached copies during open-breaker windows (needs the breaker)")
+	fs.DurationVar(&pol.ServeStaleMaxAge, "servestalemax", pol.ServeStaleMaxAge, "maximum age past expiry served stale, 0 unbounded")
 	verbose := fs.Bool("v", false, "print auxiliary counters and host diagnostics")
 	traceFile := fs.String("tracefile", "", "write a CSV trace of every measured request to this file")
 	reps := fs.Int("reps", 1, "independent replications with derived seeds; > 1 prints mean ± sample sd")
@@ -131,18 +131,13 @@ func run(args []string) error {
 	}
 	cfg.Scheme = parsedScheme
 	if *resil {
-		// The preset replaces the whole policy; a cap set on the command
-		// line still wins over it.
-		caps := cfg.Resilience
-		cfg.Resilience = pol
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "retrieveretry":
-				cfg.Resilience.RetrieveRetries = caps.RetrieveRetries
-			case "serverretry":
-				cfg.Resilience.ServerRetries = caps.ServerRetries
-			}
-		})
+		// The preset replaces the whole policy the flags wrote into;
+		// parsing again applies every flag set on the command line on
+		// top of it.
+		cfg.Resilience = resilience.DefaultPolicy()
+		if err := fs.Parse(args); err != nil {
+			return err
+		}
 	}
 	switch *delivery {
 	case "pull":

@@ -150,6 +150,20 @@ func TestRunWithFrozenClock(t *testing.T) {
 	}
 }
 
+// aux reads one counter of the -v aux line.
+func aux(t *testing.T, out, name string) int {
+	t.Helper()
+	m := regexp.MustCompile(`\b` + name + `:(\d+)`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("output has no %s counter:\n%s", name, out)
+	}
+	n, err := strconv.Atoi(m[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // TestRunCapFlagsWinOverPreset: -resilience swaps in a whole policy, but
 // a -retrieveretry or -serverretry cap set on the command line still
 // holds, as it does over the default preset. With no rescue allowed, every
@@ -161,29 +175,45 @@ func TestRunCapFlagsWinOverPreset(t *testing.T) {
 		"-uplinkloss", "0.3", "-downlinkloss", "0.2", "-v",
 		"-serverretry", "0", "-retrieveretry", "0",
 	}
-	aux := func(out, name string) int {
-		t.Helper()
-		m := regexp.MustCompile(`\b` + name + `:(\d+)`).FindStringSubmatch(out)
-		if m == nil {
-			t.Fatalf("output has no %s counter:\n%s", name, out)
-		}
-		n, err := strconv.Atoi(m[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
 	for _, preset := range []string{"", "-resilience"} {
 		args := lossy
 		if preset != "" {
 			args = append([]string{preset}, lossy...)
 		}
 		out := runOutput(t, args)
-		if got := aux(out, "ServerRescues"); got != 0 {
+		if got := aux(t, out, "ServerRescues"); got != 0 {
 			t.Errorf("%q: ServerRescues = %d under -serverretry 0, want 0", preset, got)
 		}
-		if got := aux(out, "RescueFailures"); got == 0 {
+		if got := aux(t, out, "RescueFailures"); got == 0 {
 			t.Errorf("%q: RescueFailures = 0, want lost exchanges failed", preset)
+		}
+	}
+}
+
+// TestRunPolicyFlagsApplyOnEitherPreset: every policy flag set on the
+// command line applies on top of the preset the run uses, the default one
+// included. A zero retry budget leaves lossy P2P with no retrieve retry, a
+// breaker opens under outages, and a combination Policy.Validate refuses
+// is an error.
+func TestRunPolicyFlagsApplyOnEitherPreset(t *testing.T) {
+	small := []string{"-clients", "20", "-warmup", "20", "-requests", "60", "-v"}
+	lossy := append([]string{"-retrybudget", "0", "-p2ploss", "0.3"}, small...)
+	outages := append([]string{"-outageperiod", "12s", "-outageduration", "4s", "-breakerfailures", "3", "-breakeropen", "8s"}, small...)
+	for _, preset := range [][]string{nil, {"-resilience"}} {
+		if got := aux(t, runOutput(t, append(preset, lossy...)), "RetrieveRetries"); got != 0 {
+			t.Errorf("%q: RetrieveRetries = %d under -retrybudget 0, want 0", preset, got)
+		}
+		if got := aux(t, runOutput(t, append(preset, outages...)), "BreakerOpens"); got == 0 {
+			t.Errorf("%q: BreakerOpens = 0 with -breakerfailures 3 under outages", preset)
+		}
+		for _, bad := range [][]string{
+			{"-breakerfailures", "3", "-breakeropen", "0s"},
+			{"-servestale", "-breakerfailures", "0"},
+			{"-retryjitter", "1.5"},
+		} {
+			if err := run(append(append(preset, bad...), tinyArgs...)); err == nil {
+				t.Errorf("%q %q: invalid policy accepted", preset, bad)
+			}
 		}
 	}
 }

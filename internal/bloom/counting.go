@@ -11,10 +11,9 @@ import "fmt"
 // negative), exactly as Section IV.D.3 prescribes; when a decrement would
 // be discarded the owner is expected to rebuild the vector from the cache.
 type CountingFilter struct {
-	counts    []uint32
-	m         int
-	k         int
-	widthBits int
+	counts []uint32
+	m      int
+	k      int
 	// max is the saturation bound, (1<<widthBits)-1.
 	max uint32
 	// dirty is set when a saturation event forced a discard, signalling
@@ -33,22 +32,12 @@ func NewCountingFilter(m, k, widthBits int) (*CountingFilter, error) {
 		return nil, fmt.Errorf("bloom: counter width %d outside [1, 32]", widthBits)
 	}
 	return &CountingFilter{
-		counts:    make([]uint32, m),
-		m:         m,
-		k:         k,
-		widthBits: widthBits,
-		max:       uint32(1)<<widthBits - 1,
+		counts: make([]uint32, m),
+		m:      m,
+		k:      k,
+		max:    uint32(1)<<widthBits - 1,
 	}, nil
 }
-
-// M returns the number of counters.
-func (c *CountingFilter) M() int { return c.m }
-
-// K returns the number of hash functions.
-func (c *CountingFilter) K() int { return c.k }
-
-// WidthBits returns the configured counter width π_c.
-func (c *CountingFilter) WidthBits() int { return c.widthBits }
 
 // positions mirrors Filter.Positions so a CountingFilter and a Filter with
 // the same geometry agree on probe locations.

@@ -7,121 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
-
-type inner struct {
-	Name  string
-	Ratio float64
-}
-
-type sample struct {
-	ID       uint64
-	Delay    time.Duration
-	Flags    []bool
-	Counts   map[string]uint32
-	Nested   inner
-	MaybePtr *inner
-	Raw      []byte
-	Tag      [4]byte
-	Grid     [3]int
-	hidden   int // unexported: must be ignored by the codec
-}
-
-func sampleValue() sample {
-	return sample{
-		ID:     42,
-		Delay:  1500 * time.Millisecond,
-		Flags:  []bool{true, false, true},
-		Counts: map[string]uint32{"b": 2, "a": 1, "c": 3},
-		Nested: inner{Name: "tcg", Ratio: 0.375},
-		MaybePtr: &inner{
-			Name:  "peer",
-			Ratio: -1.5,
-		},
-		Raw:    []byte{0xde, 0xad, 0xbe, 0xef},
-		Tag:    [4]byte{0xca, 0xfe, 0x00, 0x01},
-		Grid:   [3]int{-1, 0, 7},
-		hidden: 99,
-	}
-}
-
-func TestMarshalRoundTrip(t *testing.T) {
-	in := sampleValue()
-	data, err := Marshal(in)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var out sample
-	if err := Unmarshal(data, &out); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	in.hidden = 0 // not serialized
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
-	}
-}
-
-// TestMarshalCanonical: equal values must encode to identical bytes, in
-// particular regardless of map construction order.
-func TestMarshalCanonical(t *testing.T) {
-	a := sampleValue()
-	b := sampleValue()
-	b.Counts = map[string]uint32{}
-	// Insert in a different order than sampleValue.
-	for _, k := range []string{"c", "a", "b"} {
-		b.Counts[k] = a.Counts[k]
-	}
-	ea, err := Marshal(a)
-	if err != nil {
-		t.Fatalf("marshal a: %v", err)
-	}
-	for i := 0; i < 20; i++ {
-		eb, err := Marshal(b)
-		if err != nil {
-			t.Fatalf("marshal b: %v", err)
-		}
-		if !bytes.Equal(ea, eb) {
-			t.Fatal("equal values encoded to different bytes")
-		}
-	}
-}
-
-func TestMarshalNilVsEmpty(t *testing.T) {
-	type s struct {
-		Xs []int
-		M  map[string]int
-		P  *inner
-	}
-	data, err := Marshal(s{Xs: []int{}, M: map[string]int{}})
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var out s
-	if err := Unmarshal(data, &out); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if out.Xs != nil || out.M != nil || out.P != nil {
-		t.Fatalf("zero-length containers should decode as nil, got %+v", out)
-	}
-}
-
-func TestUnmarshalRejectsTrailingAndTruncated(t *testing.T) {
-	data, err := Marshal(sampleValue())
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var out sample
-	if err := Unmarshal(append(data, 0), &out); err == nil {
-		t.Fatal("trailing byte accepted")
-	}
-	if err := Unmarshal(data[:len(data)-1], &out); err == nil {
-		t.Fatal("truncated input accepted")
-	}
-	if err := Unmarshal(data, out); err == nil {
-		t.Fatal("non-pointer target accepted")
-	}
-}
 
 func TestJournalAppendAndReload(t *testing.T) {
 	dir := t.TempDir()

@@ -1,8 +1,17 @@
+// Package checkpoint implements per-replication resume for sweeps and
+// chaos campaigns: an append-only, crash-safe journal whose records carry
+// the result of each completed replication. The journal frames opaque
+// payloads; experiments.PoolJournaled, which writes and replays every
+// record, stores each result as encoding/json.
+//
+// See DESIGN.md "Checkpoint format & compatibility" for the byte layout
+// and the compatibility rules.
 package checkpoint
 
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,7 +21,7 @@ import (
 // FormatVersion is the current journal format version. It must be bumped
 // whenever the framing or the shape of any journaled type changes;
 // OpenJournal rejects journals from other versions instead of guessing.
-const FormatVersion uint32 = 1
+const FormatVersion uint32 = 2
 
 // journalMagic identifies a journal file; the u32 after it is the format
 // version (FormatVersion).
@@ -56,7 +65,6 @@ func OpenJournal(dir string, meta []byte) (*Journal, error) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	path := filepath.Join(dir, "journal.gckj")
-	j := &Journal{path: path, records: make(map[string][]byte)}
 
 	data, err := os.ReadFile(path)
 	switch {
@@ -65,11 +73,9 @@ func OpenJournal(dir string, meta []byte) (*Journal, error) {
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: %w", err)
 		}
-		j.f = f
-		var header bytes.Buffer
-		header.Write(journalMagic)
-		putU32(&header, FormatVersion)
-		if _, err := f.Write(header.Bytes()); err != nil {
+		j := &Journal{path: path, f: f, records: make(map[string][]byte)}
+		header := binary.BigEndian.AppendUint32(append([]byte(nil), journalMagic...), FormatVersion)
+		if _, err := f.Write(header); err != nil {
 			_ = f.Close()
 			return nil, fmt.Errorf("checkpoint: %w", err)
 		}
@@ -82,7 +88,7 @@ func OpenJournal(dir string, meta []byte) (*Journal, error) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 
-	good, err := j.load(data)
+	j, good, err := loadJournal(path, data)
 	if err != nil {
 		return nil, err
 	}
@@ -110,22 +116,20 @@ func OpenJournal(dir string, meta []byte) (*Journal, error) {
 	return j, nil
 }
 
-// load parses records from a journal image, returning the offset of the
-// last intact record. Anything unparsable past that point — a torn tail
-// from a killed writer, or trailing corruption — is ignored.
-func (j *Journal) load(data []byte) (int64, error) {
+// loadJournal parses the journal image read from path in memory,
+// returning its records (with no file attached) and the offset of the last
+// intact record. Anything unparsable past that point — a torn tail from a
+// killed writer, or trailing corruption — is ignored.
+func loadJournal(path string, data []byte) (*Journal, int64, error) {
 	header := len(journalMagic) + 4
 	if len(data) < header || !bytes.Equal(data[:len(journalMagic)], journalMagic) {
-		return 0, fmt.Errorf("checkpoint: %s is not a journal", j.path)
+		return nil, 0, fmt.Errorf("checkpoint: %s is not a journal", path)
 	}
-	r := &reader{data: data, off: len(journalMagic)}
-	version, err := r.u32()
-	if err != nil {
-		return 0, err
+	if version := binary.BigEndian.Uint32(data[len(journalMagic):]); version != FormatVersion {
+		return nil, 0, fmt.Errorf("checkpoint: %s: journal format version %d, want %d", path, version, FormatVersion)
 	}
-	if version != FormatVersion {
-		return 0, fmt.Errorf("checkpoint: %s: journal format version %d, want %d", j.path, version, FormatVersion)
-	}
+	j := &Journal{path: path, records: make(map[string][]byte)}
+	r := &reader{data: data, off: header}
 	good := int64(header)
 	for r.off < len(data) {
 		key, payload, ok := readRecord(r)
@@ -136,7 +140,7 @@ func (j *Journal) load(data []byte) (int64, error) {
 		good = int64(r.off)
 		j.offsets = append(j.offsets, good)
 	}
-	return good, nil
+	return j, good, nil
 }
 
 // readRecord parses one framed record; ok is false on a torn or corrupt
@@ -170,11 +174,45 @@ func readRecord(r *reader) (key string, payload []byte, ok bool) {
 	return string(kb), pb, true
 }
 
+// reader is a cursor over a journal image.
+type reader struct {
+	data []byte
+	off  int
+}
+
+func (r *reader) take(n int) ([]byte, error) {
+	if n < 0 || r.off+n > len(r.data) {
+		return nil, fmt.Errorf("checkpoint: truncated input (need %d bytes at offset %d of %d)", n, r.off, len(r.data))
+	}
+	out := r.data[r.off : r.off+n]
+	r.off += n
+	return out, nil
+}
+
+func (r *reader) u32() (uint32, error) {
+	b, err := r.take(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint32(b), nil
+}
+
 func (j *Journal) put(key string, payload []byte) {
 	if _, seen := j.records[key]; !seen {
 		j.keys = append(j.keys, key)
 	}
 	j.records[key] = payload
+}
+
+// appendFrame appends the framed record of one key/payload pair to b.
+func appendFrame(b []byte, key string, payload []byte) []byte {
+	start := len(b)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(key)))
+	b = append(b, key...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
+	b = append(b, payload...)
+	sum := sha256.Sum256(b[start:])
+	return append(b, sum[:]...)
 }
 
 // Append durably records one key/payload pair: the framed record is
@@ -183,27 +221,19 @@ func (j *Journal) put(key string, payload []byte) {
 func (j *Journal) Append(key string, payload []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var b bytes.Buffer
-	putU32(&b, uint32(len(key)))
-	b.WriteString(key)
-	putU32(&b, uint32(len(payload)))
-	b.Write(payload)
-	sum := sha256.Sum256(b.Bytes())
-	b.Write(sum[:])
-	if _, err := j.f.Write(b.Bytes()); err != nil {
+	frame := appendFrame(nil, key, payload)
+	if _, err := j.f.Write(frame); err != nil {
 		return fmt.Errorf("checkpoint: journal append: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("checkpoint: journal sync: %w", err)
 	}
 	j.put(key, payload)
-	off := int64(len(b.Bytes()))
+	off := int64(len(journalMagic) + 4)
 	if len(j.offsets) > 0 {
-		off += j.offsets[len(j.offsets)-1]
-	} else {
-		off += int64(len(journalMagic) + 4)
+		off = j.offsets[len(j.offsets)-1]
 	}
-	j.offsets = append(j.offsets, off)
+	j.offsets = append(j.offsets, off+int64(len(frame)))
 	return nil
 }
 
@@ -263,8 +293,8 @@ func InspectJournal(path string) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	j := &Journal{path: path, records: make(map[string][]byte)}
-	if _, err := j.load(data); err != nil {
+	j, _, err := loadJournal(path, data)
+	if err != nil {
 		return nil, err
 	}
 	return j.Keys(), nil

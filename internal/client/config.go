@@ -24,11 +24,9 @@ type Scheme = strategy.ID
 
 // Re-exported scheme IDs (see internal/strategy for the full registry).
 const (
-	SchemeSC         = strategy.SC
-	SchemeCOCA       = strategy.COCA
-	SchemeGroCoca    = strategy.GroCoca
-	SchemePopularity = strategy.Popularity
-	SchemeHintLRU    = strategy.HintLRU
+	SchemeSC      = strategy.SC
+	SchemeCOCA    = strategy.COCA
+	SchemeGroCoca = strategy.GroCoca
 )
 
 // DeliveryModel selects how misses that reach the MSS are served: the

@@ -159,21 +159,6 @@ func (h *Host) PeerCovered(item workload.ItemID) bool {
 // CoopReplaceDisabled implements strategy.ReplacementEnv.
 func (h *Host) CoopReplaceDisabled() bool { return h.cfg.DisableCoopReplace }
 
-// itemSignature builds the data (= search) signature for an item.
-func (h *Host) itemSignature(item workload.ItemID) *bloom.Filter {
-	f, err := bloom.NewFilter(h.cfg.SigBits, h.cfg.SigHashes)
-	if err != nil {
-		return nil
-	}
-	f.Add(uint64(item))
-	return f
-}
-
-// searchSignature is the filtering-mechanism alias for itemSignature.
-func (h *Host) searchSignature(item workload.ItemID) *bloom.Filter {
-	return h.itemSignature(item)
-}
-
 // sigInsert maintains the proactive cache signature and the piggyback
 // insertion list after a cache insertion.
 func (h *Host) sigInsert(item workload.ItemID) {

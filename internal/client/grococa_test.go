@@ -291,10 +291,10 @@ func TestGroCocaDepartureResetsAndRecollects(t *testing.T) {
 	if a.peerVec.Members() != 1 {
 		t.Fatalf("members after departure = %d, want 1", a.peerVec.Members())
 	}
-	if !a.peerVec.Covers(a.searchSignature(9)) {
+	if !a.peerVec.CoversElement(9) {
 		t.Error("b's item no longer covered after recollection")
 	}
-	if a.peerVec.Covers(a.searchSignature(10)) {
+	if a.peerVec.CoversElement(10) {
 		t.Log("departed member's item still covered (possible false positive)")
 	}
 }
@@ -316,12 +316,12 @@ func TestGroCocaPiggybackedDeltaUpdatesPeerVector(t *testing.T) {
 	if err := a.Preload(42, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if b.peerVec.Covers(b.searchSignature(42)) {
+	if b.peerVec.CoversElement(42) {
 		t.Fatal("b already covers 42 before any broadcast")
 	}
 	a.beginRequest(9)
 	h.run(time.Second)
-	if !b.peerVec.Covers(b.searchSignature(42)) {
+	if !b.peerVec.CoversElement(42) {
 		t.Error("b did not apply piggybacked insertion delta")
 	}
 }
@@ -348,7 +348,7 @@ func TestGroCocaReconnectRecollectsSignatures(t *testing.T) {
 	if a.peerVec.Members() != 1 {
 		t.Errorf("members after reconnect = %d, want 1 (recollected)", a.peerVec.Members())
 	}
-	if !a.peerVec.Covers(a.searchSignature(9)) {
+	if !a.peerVec.CoversElement(9) {
 		t.Error("recollected vector does not cover b's item")
 	}
 }
@@ -456,7 +456,7 @@ func TestGroCocaPeerRequestFromNonMemberIgnoresDelta(t *testing.T) {
 	}
 	a.beginRequest(777)
 	h.run(time.Second)
-	if b.peerVec.Covers(b.searchSignature(42)) {
+	if b.peerVec.CoversElement(42) {
 		t.Error("non-member applied piggybacked delta")
 	}
 }

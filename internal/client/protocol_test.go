@@ -204,8 +204,7 @@ func TestOwnSigRebuildOnSaturation(t *testing.T) {
 	// still cover every cached item (no false negatives).
 	sig := a.ownSig.Signature()
 	for _, id := range a.Cache().Items() {
-		probe := a.itemSignature(id)
-		if !sig.Covers(probe) {
+		if !sig.Test(uint64(id)) {
 			t.Fatalf("own signature lost item %d after saturation", id)
 		}
 	}

@@ -23,11 +23,9 @@ type Scheme = client.Scheme
 
 // Re-exported scheme constants.
 const (
-	SchemeSC         = client.SchemeSC
-	SchemeCOCA       = client.SchemeCOCA
-	SchemeGroCoca    = client.SchemeGroCoca
-	SchemePopularity = client.SchemePopularity
-	SchemeHintLRU    = client.SchemeHintLRU
+	SchemeSC      = client.SchemeSC
+	SchemeCOCA    = client.SchemeCOCA
+	SchemeGroCoca = client.SchemeGroCoca
 )
 
 // Schemes enumerates every registered scheme in stable (ID) order — the

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -72,8 +74,10 @@ type cellResult[T any] struct {
 // results.
 //
 // When jr is non-nil, every error-free run is recorded durably under
-// keyFor(cell, rep) before the collector sees it, and a job whose key is
-// already journaled returns the recorded result instead of re-running.
+// keyFor(cell, rep), as its encoding/json form, before the collector sees
+// it. A job whose key is already journaled replays the recorded result
+// instead of re-running, provided the record decodes into T and
+// re-encoding the decoded value reproduces the record byte for byte.
 // Because cell order, seeds, and the collector are all deterministic, a
 // killed sweep resumed against the same journal produces byte-identical
 // output to one that was never interrupted.
@@ -84,18 +88,20 @@ func PoolJournaled[T any](cells, reps, workers int, jr *checkpoint.Journal, keyF
 			key := keyFor(cell, rep)
 			if payload, ok := jr.Lookup(key); ok {
 				var out T
-				if err := checkpoint.Unmarshal(payload, &out); err == nil {
-					return out, nil
+				if json.Unmarshal(payload, &out) == nil {
+					if again, err := json.Marshal(out); err == nil && bytes.Equal(again, payload) {
+						return out, nil
+					}
 				}
-				// An undecodable record means the result shape changed
-				// under the same journal version; re-run the cell and
-				// supersede it.
+				// A record that does not round-trip was written for
+				// another shape of T under the same journal version;
+				// re-run the cell and supersede it.
 			}
 			out, err := inner(cell, rep)
 			if err != nil {
 				return out, err
 			}
-			payload, err := checkpoint.Marshal(out)
+			payload, err := json.Marshal(out)
 			if err != nil {
 				return out, fmt.Errorf("journal %s: %w", key, err)
 			}

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -165,5 +167,79 @@ func TestReplicateResume(t *testing.T) {
 	}
 	if point2.Results.String() != point.Results.String() {
 		t.Errorf("aggregate differs after resume")
+	}
+}
+
+// journaledRun is a PoolJournaled result whose JSON form the replay test
+// can tamper with field by field.
+type journaledRun struct {
+	Cell int
+	Rep  int
+	Note string
+}
+
+// TestPoolJournaledReplaysRecords counts run calls, which the kill-point
+// tests cannot see: re-running is deterministic, so they would pass even if
+// resume re-ran every cell. A second pass over a complete journal must run
+// nothing. A record that decodes but does not re-encode to itself byte for
+// byte must be re-run exactly once and superseded.
+func TestPoolJournaledReplaysRecords(t *testing.T) {
+	const cells, reps = 3, 2
+	jr, err := checkpoint.OpenJournal(t.TempDir(), []byte("replay-count"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = jr.Close() }()
+	keyFor := func(cell, rep int) string { return fmt.Sprintf("done/%d/%d", cell, rep) }
+	pass := func() (calls int) {
+		t.Helper()
+		var n atomic.Int32
+		run := func(cell, rep int) (journaledRun, error) {
+			n.Add(1)
+			return journaledRun{Cell: cell, Rep: rep, Note: fmt.Sprintf("c%dr%d", cell, rep)}, nil
+		}
+		onCell := func(cell int, rs []journaledRun) {
+			for rep, r := range rs {
+				if want := (journaledRun{Cell: cell, Rep: rep, Note: fmt.Sprintf("c%dr%d", cell, rep)}); r != want {
+					t.Errorf("cell %d rep %d: got %+v, want %+v", cell, rep, r, want)
+				}
+			}
+		}
+		if err := PoolJournaled(cells, reps, 2, jr, keyFor, run, onCell); err != nil {
+			t.Fatal(err)
+		}
+		return int(n.Load())
+	}
+
+	if got := pass(); got != cells*reps {
+		t.Fatalf("first pass ran %d cells, want %d", got, cells*reps)
+	}
+	if got := pass(); got != 0 {
+		t.Fatalf("second pass over a complete journal ran %d cells, want 0", got)
+	}
+
+	key := keyFor(1, 0)
+	canonical, _ := jr.Lookup(key)
+	if string(canonical) != `{"Cell":1,"Rep":0,"Note":"c1r0"}` {
+		t.Fatalf("journaled record %s is not the encoding/json form", canonical)
+	}
+	for name, record := range map[string]string{
+		"reordered fields": `{"Rep":0,"Cell":1,"Note":"c1r0"}`,
+		"extra field":      `{"Cell":1,"Rep":0,"Note":"c1r0","Extra":7}`,
+		"missing field":    `{"Cell":1,"Rep":0}`,
+		"trailing bytes":   `{"Cell":1,"Rep":0,"Note":"c1r0"}` + "\n",
+	} {
+		if err := jr.Append(key, []byte(record)); err != nil {
+			t.Fatal(err)
+		}
+		if got := pass(); got != 1 {
+			t.Errorf("%s: ran %d cells, want the tampered one re-run once", name, got)
+		}
+		if p, _ := jr.Lookup(key); string(p) != string(canonical) {
+			t.Errorf("%s: re-run did not supersede the record: %s", name, p)
+		}
+		if got := pass(); got != 0 {
+			t.Errorf("%s: pass after the re-run ran %d cells, want 0", name, got)
+		}
 	}
 }

@@ -18,12 +18,11 @@
 // (they need ASTs and full types.Info); only *dependencies* come from
 // export data.
 //
-// The loader also carries three robustness features the analyzers rely on:
+// The loader also carries two robustness features the analyzers rely on:
 // build-constraint filtering (files excluded by //go:build tags are not fed
-// to the typechecker), generated-file detection (Package.Generated, so
-// drivers can attribute or skip findings in generated code), and source
-// overlays (LoadWithOverlay), which let the grococa-lint tests typecheck an
-// in-memory mutation of a real package without touching the working tree.
+// to the typechecker) and source overlays (LoadWithOverlay), which let the
+// grococa-lint tests typecheck an in-memory mutation of a real package
+// without touching the working tree.
 package loader
 
 import (
@@ -40,7 +39,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 )
@@ -54,11 +52,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// Generated maps a file name to true when the file carries the
-	// conventional "Code generated … DO NOT EDIT." header. Drivers use it
-	// to attribute findings in generated code; analyzers still see the
-	// files (generated code participates in type resolution).
-	Generated map[string]bool
 }
 
 // listedPackage is the subset of `go list -json` output the loader needs.
@@ -309,33 +302,11 @@ func loadFixtureDir(fset *token.FileSet, imp types.Importer, dir, path string) (
 	return typecheck(fset, imp, path, files, nil)
 }
 
-// generatedRe matches the conventional generated-code header defined by
-// https://go.dev/s/generatedcode: a whole-line comment, before any
-// non-comment content, of the form "// Code generated … DO NOT EDIT.".
-var generatedRe = regexp.MustCompile(`^// Code generated .* DO NOT EDIT\.$`)
-
-// isGenerated reports whether the parsed file carries a generated-code
-// header before its package clause.
-func isGenerated(fset *token.FileSet, f *ast.File) bool {
-	for _, cg := range f.Comments {
-		if cg.Pos() >= f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			if generatedRe.MatchString(c.Text) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // typecheck parses the named files (honoring the overlay) and runs the
 // typechecker over them. Parse and type errors come back as errors, never
 // panics — callers surface them as diagnostics.
 func typecheck(fset *token.FileSet, imp types.Importer, path string, filenames []string, overlay map[string][]byte) (*Package, error) {
 	var files []*ast.File
-	generated := make(map[string]bool)
 	for _, name := range filenames {
 		var src any
 		if overlay != nil {
@@ -346,9 +317,6 @@ func typecheck(fset *token.FileSet, imp types.Importer, path string, filenames [
 		f, err := parser.ParseFile(fset, name, src, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("parsing %s: %v", name, err)
-		}
-		if isGenerated(fset, f) {
-			generated[name] = true
 		}
 		files = append(files, f)
 	}
@@ -370,5 +338,5 @@ func typecheck(fset *token.FileSet, imp types.Importer, path string, filenames [
 	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("typechecking %s:\n  %s", path, strings.Join(typeErrs, "\n  "))
 	}
-	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info, Generated: generated}, nil
+	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }

@@ -89,24 +89,6 @@ func TestLoadDirTypeErrorIsDiagnosticNotPanic(t *testing.T) {
 	}
 }
 
-// TestLoadDirDetectsGeneratedHeader: the conventional header marks the
-// file in Package.Generated; a near-miss header does not.
-func TestLoadDirDetectsGeneratedHeader(t *testing.T) {
-	dir := t.TempDir()
-	gen := write(t, dir, "gen.go", "// Code generated by protogen. DO NOT EDIT.\n\npackage a\n\nvar G = 1\n")
-	plain := write(t, dir, "plain.go", "// Code is generated lovingly by hand; please do edit.\npackage a\n\nvar P = 1\n")
-	pkg, err := LoadDir(dir, "a")
-	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
-	}
-	if !pkg.Generated[gen] {
-		t.Errorf("generated header in %s not detected", gen)
-	}
-	if pkg.Generated[plain] {
-		t.Errorf("non-header comment in %s misdetected as generated", plain)
-	}
-}
-
 // TestLoadDirEmptyDirIsError: a directory with no buildable files is a
 // diagnostic, not a panic.
 func TestLoadDirEmptyDirIsError(t *testing.T) {

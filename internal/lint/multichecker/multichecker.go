@@ -12,7 +12,6 @@ package multichecker
 import (
 	"fmt"
 	"go/token"
-	"io"
 	"sort"
 
 	"repro/internal/lint/analysis"
@@ -170,23 +169,4 @@ func AnalyzeAll(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Findi
 		return a.Analyzer < b.Analyzer
 	})
 	return findings, suppressions, nil
-}
-
-// Run loads the patterns, analyzes them, and prints findings to w.
-// It returns the number of unsuppressed findings.
-func Run(w io.Writer, analyzers []*analysis.Analyzer, patterns ...string) (int, error) {
-	pkgs, err := loader.Load(patterns...)
-	if err != nil {
-		return 0, err
-	}
-	findings, err := Analyze(pkgs, analyzers)
-	if err != nil {
-		return 0, err
-	}
-	for _, f := range findings {
-		if _, err := fmt.Fprintln(w, f); err != nil {
-			return len(findings), err
-		}
-	}
-	return len(findings), nil
 }

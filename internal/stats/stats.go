@@ -2,7 +2,7 @@
 // Welford's online mean/standard deviation (used for the adaptive P2P search
 // timeout τ = τ̄ + ϕ'·σ_τ, per Knuth TAOCP vol. 2), exponentially weighted
 // moving averages (used for pairwise distances and data-update intervals),
-// and simple ratio counters for hit-rate bookkeeping.
+// and a ratio helper for hit-rate bookkeeping.
 package stats
 
 import "math"
@@ -100,18 +100,6 @@ func (e EWMA) Set() bool { return e.set }
 
 // Weight returns the configured weight on new observations.
 func (e EWMA) Weight() float64 { return e.weight }
-
-// Counter is a monotonically increasing event counter.
-type Counter struct{ n uint64 }
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta to the counter.
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
 
 // Ratio returns c / total, or zero when total is zero.
 func Ratio(c, total uint64) float64 {
