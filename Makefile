@@ -9,12 +9,6 @@ BENCH_PKGS = ./internal/sim/ ./internal/network/ ./internal/bloom/
 BENCH_OUT ?= BENCH_seed.json
 BENCH_BASE ?= BENCH_pr8.json
 
-## LINT_SUPPRESS_BUDGET: the most //lint:ignore directives that may fire
-## repo-wide. Raising it is a reviewed decision — every new suppression
-## must carry a documented reason (DESIGN.md "Static analysis"), and the
-## budget gate keeps them from accumulating silently.
-LINT_SUPPRESS_BUDGET = 0
-
 .PHONY: tier1 vet build lint conformance test race cellbench-test short bench race-runner sweep-smoke chaos-smoke bench-baseline bench-check fuzz-smoke resume-smoke resilience-smoke loc
 
 ## tier1: the gate every change must pass — vet, build, the contract-lint
@@ -27,11 +21,11 @@ vet:
 
 ## lint: the contract-analysis suite — determinism analyzers plus the
 ## type-aware hot-path contract analyzer (see DESIGN.md "Static
-## analysis"). Zero unsuppressed diagnostics and at most
-## $(LINT_SUPPRESS_BUDGET) fired suppressions required. The grococa-lint
-## tests prove the contract analyzer still catches an injected defect.
+## analysis"). Every diagnostic is a finding, and zero findings are
+## required. The grococa-lint tests prove the contract analyzer still
+## catches an injected defect.
 lint:
-	$(GO) run ./cmd/grococa-lint -max-suppress $(LINT_SUPPRESS_BUDGET) ./...
+	$(GO) run ./cmd/grococa-lint ./...
 
 ## conformance: the universal scheme-contract suite — the registry tests
 ## plus the property table of internal/strategy/conformance run against

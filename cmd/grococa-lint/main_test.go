@@ -54,6 +54,20 @@ func TestBadPatternErrors(t *testing.T) {
 	}
 }
 
+// hotAppendDefect returns a //hot: method that appends to a fresh local
+// slice, with trailing written after the append call on its line.
+func hotAppendDefect(trailing string) string {
+	return `//hot:injected allocation
+func (g *Grid) lintDefectHotAlloc(n int) []GridID {
+	var out []GridID
+	for i := 0; i < n; i++ {
+		out = append(out, GridID(i))` + trailing + `
+	}
+	return out
+}
+`
+}
+
 // TestInjectedDefectsCaught edits a real package in memory (a source
 // overlay; the working tree is never touched) with a realistic regression
 // for each contract analyzer, and requires that analyzer to flag it.
@@ -62,27 +76,30 @@ func TestInjectedDefectsCaught(t *testing.T) {
 		t.Skip("typechecks from source in -short mode")
 	}
 	for _, m := range []struct {
+		name     string
 		analyzer *analysis.Analyzer
 		pattern  string // go-list pattern of the package to mutate
 		file     string // basename of the file the defect is appended to
 		defect   string
 	}{
 		{
+			name:     "hotalloc",
 			analyzer: hotalloc.Analyzer,
 			pattern:  "repro/internal/geo",
 			file:     "grid.go",
-			defect: `//hot:injected allocation
-func (g *Grid) lintDefectHotAlloc(n int) []GridID {
-	var out []GridID
-	for i := 0; i < n; i++ {
-		out = append(out, GridID(i))
-	}
-	return out
-}
-`,
+			defect:   hotAppendDefect(""),
+		},
+		{
+			// A //lint:ignore comment is an ordinary comment: it silences
+			// nothing.
+			name:     "hotalloc-ignore-comment",
+			analyzer: hotalloc.Analyzer,
+			pattern:  "repro/internal/geo",
+			file:     "grid.go",
+			defect:   hotAppendDefect(" //lint:ignore hotalloc scratch buffer owned by the caller"),
 		},
 	} {
-		t.Run(m.analyzer.Name, func(t *testing.T) {
+		t.Run(m.name, func(t *testing.T) {
 			pkgs, err := loader.Load(m.pattern)
 			if err != nil {
 				t.Fatal(err)
@@ -107,7 +124,7 @@ func (g *Grid) lintDefectHotAlloc(n int) []GridID {
 			if err != nil {
 				t.Fatal(err)
 			}
-			findings, _, err := multichecker.AnalyzeAll(mutPkgs, []*analysis.Analyzer{m.analyzer})
+			findings, err := multichecker.Analyze(mutPkgs, []*analysis.Analyzer{m.analyzer})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,18 @@
 // Command grococa-sim runs a single cooperative-caching simulation and
-// prints the measured metrics. Every Table II parameter is exposed as a
-// flag; defaults reproduce the paper's default setting at a reduced request
-// count.
+// prints the measured metrics. Defaults reproduce the paper's default
+// setting (Table II) at a reduced request count.
+//
+// These Table II parameters are flags: NumClient (-clients), NData
+// (-ndata), DataSize (-datasize), CacheSize (-cachesize), the space
+// (-width, -height), the speeds (-vmin, -vmax), the bandwidths (-downlink,
+// -uplink, -p2pbw), TranRange (-range), HopDist (-hops), AccessRange
+// (-accessrange), θ (-theta), GroupSize (-groupsize), DataUpdateRate
+// (-updaterate), P_disc and DiscTime (-discprob, -discmin, -discmax), Δ,
+// δ and ω (-delta, -simdelta, -omega), σ and k (-sigbits, -sighashes),
+// ReplaceCandidate and ReplaceDelay (-replacecand, -replacedelay), τ_P and
+// ρ_P (-taup, -rho), and the requests per host (-warmup, -requests). The
+// pause time, α, ϕ, ϕ′ and the mean interarrival have no flag and keep
+// their core.DefaultConfig values.
 //
 // Example:
 //

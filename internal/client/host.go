@@ -246,12 +246,7 @@ func NewHost(
 // NDP parameters.
 func (h *Host) ndpConfig(base ndp.Config) ndp.Config {
 	cfg := base
-	cfg.OnUp = func(peer network.NodeID) {
-		h.handleNeighborUp(peer)
-		if base.OnUp != nil {
-			base.OnUp(peer)
-		}
-	}
+	cfg.OnUp = h.handleNeighborUp
 	if h.traits.Signatures || h.traits.NeighborHints || h.cfg.EnableSpillover {
 		cfg.Beacon = h.beaconPayload
 	}

@@ -18,8 +18,8 @@ import (
 
 // Analyzer describes one static-analysis pass.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //lint:ignore directives. It must be a single lowercase word.
+	// Name identifies the analyzer in findings and in grococa-lint's
+	// per-analyzer counts. It must be a single lowercase word.
 	Name string
 	// Doc is the one-paragraph description printed by the driver's help.
 	Doc string

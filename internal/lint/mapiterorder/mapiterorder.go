@@ -17,9 +17,7 @@
 //     sim.RNG): the stream consumption order, and therefore every
 //     downstream value, becomes run-dependent.
 //
-// Iterate over sorted keys instead, or — when order provably cannot
-// matter — annotate the offending line with
-// `//lint:ignore mapiterorder <reason>`.
+// Iterate over sorted keys instead.
 package mapiterorder
 
 import (
@@ -118,7 +116,7 @@ func checkAccumulation(pass *analysis.Pass, as *ast.AssignStmt) {
 	switch as.Tok {
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 		if kind, ok := orderSensitiveKind(pass, as.Lhs[0]); ok {
-			pass.Reportf(as.Pos(), "map iteration order affects %s accumulation into %s; iterate over sorted keys or annotate //lint:ignore mapiterorder <reason>",
+			pass.Reportf(as.Pos(), "map iteration order affects %s accumulation into %s; iterate over sorted keys",
 				kind, exprString(as.Lhs[0]))
 		}
 	case token.ASSIGN:
@@ -136,7 +134,7 @@ func checkAccumulation(pass *analysis.Pass, as *ast.AssignStmt) {
 		switch bin.Op {
 		case token.ADD, token.SUB, token.MUL, token.QUO:
 			if kind, ok := orderSensitiveKind(pass, lhs); ok {
-				pass.Reportf(as.Pos(), "map iteration order affects %s accumulation into %s; iterate over sorted keys or annotate //lint:ignore mapiterorder <reason>",
+				pass.Reportf(as.Pos(), "map iteration order affects %s accumulation into %s; iterate over sorted keys",
 					kind, lhs.Name)
 			}
 		}
@@ -199,7 +197,7 @@ func checkAppend(pass *analysis.Pass, as *ast.AssignStmt, rest []ast.Stmt) {
 		if sortedLater(pass, obj, rest) {
 			continue
 		}
-		pass.Reportf(as.Pos(), "append to %s inside map iteration leaves it in randomized order; sort it after the loop, iterate over sorted keys, or annotate //lint:ignore mapiterorder <reason>",
+		pass.Reportf(as.Pos(), "append to %s inside map iteration leaves it in randomized order; sort it after the loop or iterate over sorted keys",
 			target.Name)
 	}
 }
@@ -284,7 +282,7 @@ func checkRNG(pass *analysis.Pass, call *ast.CallExpr) {
 	if !isRand && obj.Name() != "RNG" {
 		return
 	}
-	pass.Reportf(call.Pos(), "RNG draw %s.%s inside map iteration consumes the stream in randomized order; iterate over sorted keys or annotate //lint:ignore mapiterorder <reason>",
+	pass.Reportf(call.Pos(), "RNG draw %s.%s inside map iteration consumes the stream in randomized order; iterate over sorted keys",
 		exprString(sel.X), sel.Sel.Name)
 }
 

@@ -1,35 +1,18 @@
-// Package b exercises the multichecker's suppression discipline: good
-// directives silence findings, and bad directives are findings
-// themselves. (The expectations live in multichecker_test.go, not in
+// Package b gives the multichecker several findings across lines for its
+// ordering test. (The expectations live in multichecker_test.go, not in
 // want comments — this fixture tests the driver, not an analyzer.)
 package b
 
 import "time"
 
-func suppressed() time.Time {
-	//lint:ignore wallclock operator-facing timestamp, not simulation state
+func first() time.Time {
 	return time.Now()
 }
 
-func trailingSuppressed() time.Time {
-	return time.Now() //lint:ignore wallclock operator-facing timestamp, not simulation state
-}
-
-func unsuppressed() time.Time {
+func second() time.Time {
 	return time.Now()
 }
 
-func missingReason() time.Time {
-	//lint:ignore wallclock
-	return time.Now()
-}
-
-func wrongAnalyzer() {
-	//lint:ignore nosuchpass whatever
-	_ = 1
-}
-
-func stale() {
-	//lint:ignore wallclock nothing here actually reads the clock
-	_ = 2
+func third() (time.Time, time.Time) {
+	return time.Now(), time.Now()
 }

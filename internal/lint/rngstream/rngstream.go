@@ -7,8 +7,8 @@
 //
 // The analyzer reports every import of math/rand or math/rand/v2 — plain,
 // aliased, dot, or blank — in any package whose import path does not end
-// in internal/sim. There is no sanctioned suppression for new code; the
-// fix is to take a *sim.RNG (or a sim.RNG stream) as a dependency.
+// in internal/sim. The fix is to take a *sim.RNG (or a sim.RNG stream) as
+// a dependency.
 package rngstream
 
 import (

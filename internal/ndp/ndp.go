@@ -1,9 +1,10 @@
 // Package ndp implements the neighbor discovery protocol COCA assumes: each
 // mobile host broadcasts a periodic hello beacon; a peer that has not been
 // heard from for a configurable number of beacon cycles is considered to
-// have suffered a link failure. Link-up and link-down transitions are
-// reported through callbacks, which GroCoca's signature exchange protocol
-// uses to detect TCG members appearing, departing, and reconnecting.
+// have suffered a link failure and is dropped from the neighbor table. A
+// neighbor's first beacon is reported through the OnUp callback, which
+// GroCoca's signature exchange protocol uses to detect TCG members
+// appearing and reconnecting.
 //
 // Cost model: each beacon is one medium Broadcast, so a population of N
 // hosts beaconing on a shared interval completes N transmissions per
@@ -14,7 +15,6 @@ package ndp
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/network"
@@ -30,9 +30,6 @@ type Config struct {
 	MissedCycles int
 	// OnUp is invoked when a new neighbor is first heard. Optional.
 	OnUp func(network.NodeID)
-	// OnDown is invoked when a known neighbor times out or the protocol
-	// stops. Optional.
-	OnDown func(network.NodeID)
 	// Beacon, when set, supplies "other useful information" carried by
 	// each hello message — GroCoca piggybacks its pending cache-signature
 	// deltas here. It returns the payload and the extra bytes it adds to
@@ -50,9 +47,6 @@ type Protocol struct {
 	lastSeen map[network.NodeID]time.Duration
 	running  bool
 	tick     *sim.Event
-	// expired is the expiry sweep's scratch buffer, reused across beacon
-	// periods so steady-state expiry does not regrow it.
-	expired []network.NodeID
 }
 
 // New creates a stopped protocol instance for the given node.
@@ -82,8 +76,8 @@ func (p *Protocol) Start() {
 	p.loop()
 }
 
-// Stop halts beaconing and clears the neighbor table, reporting each known
-// neighbor as down. A host calls Stop when it disconnects from the network.
+// Stop halts beaconing and clears the neighbor table. A host calls Stop
+// when it disconnects from the network.
 func (p *Protocol) Stop() {
 	if !p.running {
 		return
@@ -93,13 +87,7 @@ func (p *Protocol) Stop() {
 		p.tick.Cancel()
 		p.tick = nil
 	}
-	ids := sortedIDs(p.lastSeen)
-	p.lastSeen = make(map[network.NodeID]time.Duration)
-	if p.cfg.OnDown != nil {
-		for _, id := range ids {
-			p.cfg.OnDown(id)
-		}
-	}
+	clear(p.lastSeen)
 }
 
 // Running reports whether the protocol is beaconing.
@@ -124,35 +112,15 @@ func (p *Protocol) loop() {
 	p.tick = p.k.Schedule(p.cfg.Interval, p.loop)
 }
 
-// expire drops neighbors that have been silent too long. Expiry callbacks
-// fire in ID order so simulations replay deterministically.
+// expire drops neighbors that have been silent too long.
 func (p *Protocol) expire() {
 	deadline := time.Duration(p.cfg.MissedCycles) * p.cfg.Interval
 	now := p.k.Now()
-	expired := p.expired[:0]
 	for id, seen := range p.lastSeen {
 		if now-seen > deadline {
-			expired = append(expired, id)
+			delete(p.lastSeen, id)
 		}
 	}
-	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-	p.expired = expired
-	for _, id := range expired {
-		delete(p.lastSeen, id)
-		if p.cfg.OnDown != nil {
-			p.cfg.OnDown(id)
-		}
-	}
-}
-
-// sortedIDs returns the map keys in ascending order.
-func sortedIDs(m map[network.NodeID]time.Duration) []network.NodeID {
-	ids := make([]network.NodeID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // HandleBeacon records a beacon heard from a peer. The owning host routes

@@ -100,12 +100,7 @@ func TestOutOfRangeNotDiscovered(t *testing.T) {
 
 func TestLinkFailureDetection(t *testing.T) {
 	k, m := setup(t)
-	var downs []network.NodeID
-	a := newHost(t, k, m, 1, 0, Config{
-		Interval:     time.Second,
-		MissedCycles: 2,
-		OnDown:       func(id network.NodeID) { downs = append(downs, id) },
-	})
+	a := newHost(t, k, m, 1, 0, Config{Interval: time.Second, MissedCycles: 2})
 	b := newHost(t, k, m, 2, 50, Config{Interval: time.Second, MissedCycles: 2})
 	a.proto.Start()
 	b.proto.Start()
@@ -123,9 +118,6 @@ func TestLinkFailureDetection(t *testing.T) {
 	}
 	if a.proto.Knows(2) {
 		t.Error("a still knows b after silence")
-	}
-	if len(downs) != 1 || downs[0] != 2 {
-		t.Errorf("OnDown calls = %v, want [2]", downs)
 	}
 }
 
@@ -161,14 +153,9 @@ func TestReconnectRediscovers(t *testing.T) {
 	}
 }
 
-func TestStopReportsAllNeighborsDown(t *testing.T) {
+func TestStopClearsNeighbors(t *testing.T) {
 	k, m := setup(t)
-	var downs []network.NodeID
-	a := newHost(t, k, m, 1, 0, Config{
-		Interval:     time.Second,
-		MissedCycles: 3,
-		OnDown:       func(id network.NodeID) { downs = append(downs, id) },
-	})
+	a := newHost(t, k, m, 1, 0, Config{Interval: time.Second, MissedCycles: 3})
 	newHost(t, k, m, 2, 30, Config{Interval: time.Second, MissedCycles: 3}).proto.Start()
 	newHost(t, k, m, 3, 60, Config{Interval: time.Second, MissedCycles: 3}).proto.Start()
 	a.proto.Start()
@@ -179,8 +166,8 @@ func TestStopReportsAllNeighborsDown(t *testing.T) {
 		t.Fatalf("neighbor count = %d, want 2", a.proto.NeighborCount())
 	}
 	a.proto.Stop()
-	if len(downs) != 2 {
-		t.Errorf("OnDown calls on Stop = %d, want 2", len(downs))
+	if a.proto.NeighborCount() != 0 {
+		t.Errorf("neighbor count after Stop = %d, want 0", a.proto.NeighborCount())
 	}
 	if a.proto.Running() {
 		t.Error("protocol still running after Stop")

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/geo"
 	"repro/internal/network"
@@ -259,7 +258,6 @@ func (m *TCGManager) TCG(i network.NodeID) []network.NodeID {
 			out = append(out, network.NodeID(j))
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }
 
