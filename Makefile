@@ -4,7 +4,7 @@ GO ?= go
 ## bench-check. BENCH_OUT lets a PR snapshot its own baseline (e.g.
 ## `make bench-baseline BENCH_OUT=BENCH_pr7.json`) without touching the
 ## committed one; BENCH_BASE is what bench-check gates against.
-BENCH_PATTERN = KernelScheduleRun|MediumTransmit|FilterAdd|FilterTest|PeerVectorCovers|VLFL|BenchmarkNeighbors|BenchmarkBroadcast|BenchmarkBeaconRound
+BENCH_PATTERN = KernelScheduleRun|ChannelSend|MediumTransmit|FilterAdd|FilterTest|PeerVectorCovers|VLFL|BenchmarkNeighbors|BenchmarkBroadcast|BenchmarkBeaconRound
 BENCH_PKGS = ./internal/sim/ ./internal/network/ ./internal/bloom/
 BENCH_OUT ?= BENCH_seed.json
 BENCH_BASE ?= BENCH_pr8.json
@@ -106,9 +106,10 @@ resilience-smoke:
 	@echo "resilience-smoke ok: breaker campaign clean, worker-count- and kill-resume-identical"
 
 ## bench-baseline: regenerate $(BENCH_OUT) (default BENCH_seed.json), the
-## committed hot-path baseline — kernel dispatch, medium transmission and
-## spatial-index reachability (grid vs brute at N=100/1k/10k), bloom-filter
-## ops — as ops/sec and allocs/op, so PRs can review performance drift.
+## committed hot-path baseline — kernel dispatch, FCFS channel churn,
+## medium transmission and spatial-index reachability (grid vs brute at
+## N=100/1k/10k), bloom-filter ops — as ops/sec and allocs/op, so PRs can
+## review performance drift.
 bench-baseline:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/grococa-benchjson > $(BENCH_OUT)
 	@echo "bench-baseline: wrote $(BENCH_OUT)"

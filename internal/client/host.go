@@ -39,7 +39,7 @@ type pendingRequest struct {
 	item        workload.ItemID
 	start       time.Duration
 	phase       phase
-	timeout     *sim.Event
+	timeout     sim.Event
 	broadcastAt time.Duration
 	// replyPath is the hop path from this host to the providing peer.
 	replyPath []network.NodeID
@@ -61,7 +61,7 @@ type pendingRequest struct {
 	// sets none), hedge is the armed hedged-retrieve timer and hedged
 	// marks that it fired.
 	deadlineAt time.Duration
-	hedge      *sim.Event
+	hedge      sim.Event
 	hedged     bool
 	// cause attributes abnormal terminations for the audit feed.
 	cause string
@@ -71,14 +71,8 @@ type pendingRequest struct {
 // teardown point for complete, crash aborts and phase changes that
 // re-arm.
 func (p *pendingRequest) cancelTimers() {
-	if p.timeout != nil {
-		p.timeout.Cancel()
-		p.timeout = nil
-	}
-	if p.hedge != nil {
-		p.hedge.Cancel()
-		p.hedge = nil
-	}
+	p.timeout.Cancel()
+	p.hedge.Cancel()
 }
 
 // Host is one mobile host. It is driven entirely by simulation events; all
@@ -122,7 +116,7 @@ type Host struct {
 	// recovery can re-issue the same item without disturbing the
 	// workload stream.
 	faults         *network.FaultPlan
-	nextReqEv      *sim.Event
+	nextReqEv      sim.Event
 	nextReqItem    workload.ItemID
 	nextReqPending bool
 	doneSent       bool
@@ -137,7 +131,8 @@ type Host struct {
 	neighborHints  map[workload.ItemID]hintState
 	beaconInterval time.Duration
 
-	// Flood deduplication for HopDist > 1.
+	// seenFloods deduplicates forwarded and multi-hop search floods. It is
+	// allocated on first use and dropped whole past 16,384 keys.
 	seenFloods map[floodKey]struct{}
 
 	// GroCoca state.
@@ -217,7 +212,6 @@ func NewHost(
 	}
 	h.beaconInterval = ndpCfg.Interval
 	if h.traits.PeerSearch {
-		h.seenFloods = make(map[floodKey]struct{})
 		proto, err := ndp.New(k, medium, id, h.ndpConfig(ndpCfg))
 		if err != nil {
 			return nil, err
@@ -342,7 +336,6 @@ func (h *Host) scheduleNextRequest() {
 	h.nextReqPending = true
 	h.nextReqEv = h.k.Schedule(think, func() {
 		h.nextReqPending = false
-		h.nextReqEv = nil
 		h.beginRequest(item)
 	})
 }
@@ -429,11 +422,8 @@ func (h *Host) crash() {
 	}
 	h.collector.aux.Crashes++
 	h.setConnected(false)
-	if h.nextReqEv != nil {
-		// Keep nextReqPending: recovery re-issues the same item.
-		h.nextReqEv.Cancel()
-		h.nextReqEv = nil
-	}
+	// Keep nextReqPending: recovery re-issues the same item.
+	h.nextReqEv.Cancel()
 	if a := h.audit(); a != nil {
 		a.FaultEvent(h.k.Now(), h.id, "crash")
 	}

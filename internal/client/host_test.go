@@ -421,6 +421,53 @@ func TestHopDistOneDoesNotFlood(t *testing.T) {
 	}
 }
 
+// replyCounter stands in for a host on the medium and counts the search
+// replies it hears before passing every message on.
+type replyCounter struct {
+	*Host
+	replies int
+}
+
+func (r *replyCounter) Receive(msg network.Message) {
+	if msg.Kind == network.KindReply {
+		r.replies++
+	}
+	r.Host.Receive(msg)
+}
+
+// TestFloodDedupAnswersOnce has three hosts in range of each other at
+// HopDist 2. The relay forwards the origin's search, so the holder hears
+// the same flood twice, first from the origin and then from the relay; it
+// must answer only the first.
+func TestFloodDedupAnswersOnce(t *testing.T) {
+	h := newHarness(t, 3, false)
+	cfg := testClientConfig(SchemeCOCA)
+	cfg.HopDist = 2
+	a, err := NewHost(h.k, 1, cfg, mobility.Fixed{At: geo.Point{}},
+		h.medium, h.link, nil, h.collector, sim.NewRNG(1001), defaultNDPConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := &replyCounter{Host: a}
+	if err := h.medium.Register(origin); err != nil {
+		t.Fatal(err)
+	}
+	h.hosts[1] = a
+	h.addHost(2, 30, 0, cfg) // the relay, registered before the holder
+	c := h.addHost(3, 60, 0, cfg)
+	if err := c.Preload(11, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	a.beginRequest(11)
+	h.run(time.Second)
+	if got := h.collector.OutcomeCount(OutcomeGlobalHit); got != 1 {
+		t.Fatalf("global hits = %d (outcomes %v)", got, h.collector.outcomes)
+	}
+	if origin.replies != 1 {
+		t.Errorf("origin heard %d replies, want 1: the holder answered the relayed copy too", origin.replies)
+	}
+}
+
 func TestDisconnectionPausesAndReconnects(t *testing.T) {
 	h := newHarness(t, 1, false)
 	cfg := testClientConfig(SchemeSC)

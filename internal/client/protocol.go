@@ -168,12 +168,20 @@ func (h *Host) handlePeerRequest(msg network.Message) {
 	if !ok || payload.Key.origin == h.id {
 		return
 	}
-	if _, dup := h.seenFloods[payload.Key]; dup {
-		return
-	}
-	h.seenFloods[payload.Key] = struct{}{}
-	if len(h.seenFloods) > 1<<14 {
-		h.seenFloods = make(map[floodKey]struct{})
+	// A request its origin sent with one hop is never forwarded, and the
+	// origin broadcasts each key once, so this host hears it only once:
+	// only forwarded or multi-hop requests need the duplicate check.
+	if payload.HopsLeft > 1 || msg.From != payload.Key.origin {
+		if _, dup := h.seenFloods[payload.Key]; dup {
+			return
+		}
+		if h.seenFloods == nil {
+			h.seenFloods = make(map[floodKey]struct{})
+		}
+		h.seenFloods[payload.Key] = struct{}{}
+		if len(h.seenFloods) > 1<<14 {
+			h.seenFloods = nil
+		}
 	}
 
 	// Apply the piggybacked signature delta when the origin is a TCG
@@ -237,9 +245,7 @@ func (h *Host) handleReply(msg network.Message) {
 	}
 	// Record the measured search duration τ for the adaptive timeout.
 	h.tau.Add(float64(h.k.Now() - p.broadcastAt))
-	if p.timeout != nil {
-		p.timeout.Cancel()
-	}
+	p.timeout.Cancel()
 	p.phase = phaseWaitData
 	p.provider = payload.Holder
 	p.replyPath = payload.Path
@@ -354,9 +360,7 @@ func (h *Host) handleData(msg network.Message) {
 	if p == nil || p.phase != phaseWaitData || payload.Key != (floodKey{origin: h.id, seq: p.seq}) {
 		return
 	}
-	if p.timeout != nil {
-		p.timeout.Cancel()
-	}
+	p.timeout.Cancel()
 	now := h.k.Now()
 	ttl := payload.ExpiresAt - now
 	if ttl < 0 {

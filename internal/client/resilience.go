@@ -150,7 +150,6 @@ func (h *Host) hedgeFired(p *pendingRequest) {
 	if h.cur != p || p.phase != phaseWaitData || p.hedged {
 		return
 	}
-	p.hedge = nil
 	alt := p.nextHolder()
 	if alt == nil {
 		return

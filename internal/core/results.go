@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/client"
@@ -167,22 +166,12 @@ func Run(cfg Config) (Results, error) {
 	return s.Run()
 }
 
-// energyFairness computes Jain's index over the per-host energy accounts.
-// Hosts are visited in ID order: float sums are not associative, so map
-// iteration order would perturb the last bits run to run and break the
-// byte-identical reproducibility guarantee.
+// energyFairness computes Jain's index over the energy accounts of the
+// hosts charged since the warm-up reset, visited in ID order: float sums
+// are not associative, so a varying order would perturb the last bits run
+// to run and break the byte-identical reproducibility guarantee.
 func energyFairness(m *network.Meter) float64 {
-	perNode := m.PerNode()
-	ids := make([]network.NodeID, 0, len(perNode))
-	for id := range perNode {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	values := make([]float64, 0, len(ids))
-	for _, id := range ids {
-		values = append(values, perNode[id])
-	}
-	return stats.JainIndex(values)
+	return stats.JainIndex(m.Accounts())
 }
 
 // geoRect builds the movement space rectangle.

@@ -38,7 +38,7 @@ func TestAllExportedIdentifiersDocumented(t *testing.T) {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				// Methods on unexported receivers (e.g. container/heap
+				// Methods on unexported receivers (e.g. sort.Interface
 				// plumbing) are not part of the public API.
 				if d.Name.IsExported() && d.Doc == nil && !hasUnexportedReceiver(d) {
 					missing = append(missing, rel+": func "+d.Name.Name)

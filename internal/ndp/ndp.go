@@ -46,7 +46,10 @@ type Protocol struct {
 	cfg      Config
 	lastSeen map[network.NodeID]time.Duration
 	running  bool
-	tick     *sim.Event
+	// tick is the pending beacon; loopFn is p.loop, bound once so that
+	// scheduling a beacon allocates nothing.
+	tick   sim.Event
+	loopFn func()
 }
 
 // New creates a stopped protocol instance for the given node.
@@ -57,13 +60,15 @@ func New(k *sim.Kernel, medium *network.Medium, id network.NodeID, cfg Config) (
 	if cfg.MissedCycles < 1 {
 		return nil, fmt.Errorf("ndp: missed cycles %d must be at least 1", cfg.MissedCycles)
 	}
-	return &Protocol{
+	p := &Protocol{
 		k:        k,
 		medium:   medium,
 		id:       id,
 		cfg:      cfg,
 		lastSeen: make(map[network.NodeID]time.Duration),
-	}, nil
+	}
+	p.loopFn = p.loop
+	return p, nil
 }
 
 // Start begins beaconing and neighbor expiry. Starting a running protocol
@@ -83,10 +88,7 @@ func (p *Protocol) Stop() {
 		return
 	}
 	p.running = false
-	if p.tick != nil {
-		p.tick.Cancel()
-		p.tick = nil
-	}
+	p.tick.Cancel()
 	clear(p.lastSeen)
 }
 
@@ -109,7 +111,7 @@ func (p *Protocol) loop() {
 	}
 	p.medium.Broadcast(msg)
 	p.expire()
-	p.tick = p.k.Schedule(p.cfg.Interval, p.loop)
+	p.tick = p.k.Schedule(p.cfg.Interval, p.loopFn)
 }
 
 // expire drops neighbors that have been silent too long.

@@ -27,7 +27,7 @@ type Peer interface {
 }
 
 // Medium is the shared P2P wireless channel: every mobile host has one
-// half-duplex NIC modelled as a single-capacity FCFS resource; a message
+// half-duplex NIC modelled as an FCFS sim.Channel of frames; a message
 // occupies the sender's NIC for size/bandwidth, and on completion it is
 // delivered to every connected peer within TranRange (broadcast) or to the
 // destination with bystander discard costs (point-to-point).
@@ -56,7 +56,7 @@ type Medium struct {
 	// SetConnected changes either.
 	peers      []Peer
 	ids        []NodeID
-	nics       []*sim.Resource
+	nics       []*sim.Channel[frame]
 	connected  []bool
 	nConnected int
 	regIdx     map[NodeID]int
@@ -89,6 +89,14 @@ type Medium struct {
 	sent, delivered uint64
 	bytesSent       uint64
 	drops           DropCounts
+}
+
+// frame is one transmission on a NIC: the registration slots of its
+// sender and, for a point-to-point send, its destination (-1 for a
+// broadcast), and the message.
+type frame struct {
+	src, dst int
+	msg      Message
 }
 
 // DropCounts breaks a medium's dropped-message total down by cause, so
@@ -162,15 +170,20 @@ func NewMedium(k *sim.Kernel, cfg MediumConfig, meter *Meter) (*Medium, error) {
 }
 
 // Register attaches a peer to the medium, connected. Registering a
-// duplicate ID is an error.
+// duplicate or negative ID is an error: negative IDs are not host
+// addresses (BroadcastID is -1), and the energy meter indexes its per-node
+// sums by ID.
 func (m *Medium) Register(p Peer) error {
+	if p.ID() < 0 {
+		return fmt.Errorf("network: negative peer ID %d", p.ID())
+	}
 	if _, ok := m.regIdx[p.ID()]; ok {
 		return fmt.Errorf("network: duplicate peer %d", p.ID())
 	}
 	m.regIdx[p.ID()] = len(m.peers)
 	m.peers = append(m.peers, p)
 	m.ids = append(m.ids, p.ID())
-	m.nics = append(m.nics, sim.NewResource(m.k, 1))
+	m.nics = append(m.nics, sim.NewChannel(m.k, m.complete))
 	m.connected = append(m.connected, false)
 	m.sampledAt = append(m.sampledAt, -1)
 	m.wake = append(m.wake, 0) // due at the next sync
@@ -368,28 +381,42 @@ func (m *Medium) Broadcast(msg Message) {
 	msg.To = BroadcastID
 	m.sent++
 	m.bytesSent += uint64(msg.Size)
-	m.nics[srcIdx].Use(TxTime(msg.Size, m.bwKbps), func() {
-		if !m.connected[srcIdx] {
-			m.drops.SenderDisconnected++
-			return
+	m.nics[srcIdx].Send(frame{src: srcIdx, dst: -1, msg: msg}, TxTime(msg.Size, m.bwKbps))
+}
+
+// complete runs when frame f leaves its sender's NIC. A sender that left
+// the network meanwhile sent nothing.
+func (m *Medium) complete(f frame) {
+	if !m.connected[f.src] {
+		m.drops.SenderDisconnected++
+		return
+	}
+	if f.dst < 0 {
+		m.broadcastDone(f.src, f.msg)
+	} else {
+		m.sendDone(f.src, f.dst, f.msg)
+	}
+}
+
+// broadcastDone delivers a completed broadcast to every connected peer in
+// range of its sender.
+func (m *Medium) broadcastDone(srcIdx int, msg Message) {
+	now := m.k.Now()
+	m.meter.Charge(msg.From, EnergyBroadcastSend, m.power.BSend.Energy(msg.Size))
+	if m.brute {
+		m.broadcastBrute(srcIdx, msg, now)
+		return
+	}
+	if !m.sync(now, srcIdx, -1) {
+		return // no other connected peer exists; nobody hears the frame
+	}
+	src := m.grid.Pos(geo.GridID(srcIdx))
+	m.candSrc = m.candidates(m.candSrc, srcIdx)
+	for _, ci := range m.candSrc {
+		if int(ci) != srcIdx && m.hears(src, int(ci), now) {
+			m.deliverBroadcast(int(ci), msg, now)
 		}
-		now := m.k.Now()
-		m.meter.Charge(msg.From, EnergyBroadcastSend, m.power.BSend.Energy(msg.Size))
-		if m.brute {
-			m.broadcastBrute(srcIdx, msg, now)
-			return
-		}
-		if !m.sync(now, srcIdx, -1) {
-			return // no other connected peer exists; nobody hears the frame
-		}
-		src := m.grid.Pos(geo.GridID(srcIdx))
-		m.candSrc = m.candidates(m.candSrc, srcIdx)
-		for _, ci := range m.candSrc {
-			if int(ci) != srcIdx && m.hears(src, int(ci), now) {
-				m.deliverBroadcast(int(ci), msg, now)
-			}
-		}
-	})
+	}
 }
 
 // broadcastBrute is the receiver loop of the pairwise scan.
@@ -432,81 +459,82 @@ func (m *Medium) Send(msg Message) {
 	}
 	m.sent++
 	m.bytesSent += uint64(msg.Size)
-	m.nics[srcIdx].Use(TxTime(msg.Size, m.bwKbps), func() {
-		if !m.connected[srcIdx] {
-			m.drops.SenderDisconnected++
-			return
+	m.nics[srcIdx].Send(frame{src: srcIdx, dst: dstIdx, msg: msg}, TxTime(msg.Size, m.bwKbps))
+}
+
+// sendDone completes a point-to-point send: it delivers the message if
+// the destination is connected and in range, and charges bystanders the
+// Table I discard costs.
+func (m *Medium) sendDone(srcIdx, dstIdx int, msg Message) {
+	now := m.k.Now()
+	m.meter.Charge(msg.From, EnergyP2PSend, m.power.Send.Energy(msg.Size))
+	if m.brute {
+		m.sendBrute(srcIdx, dstIdx, msg, now)
+		return
+	}
+	sampled := m.sync(now, srcIdx, dstIdx)
+	srcPos, dstPos := m.grid.Pos(geo.GridID(srcIdx)), m.grid.Pos(geo.GridID(dstIdx))
+	reachable := m.connected[dstIdx] && geo.WithinRange(srcPos, dstPos, m.rangeM)
+	faulted := false
+	if reachable {
+		// The destination receives (and pays for) the frame even
+		// when the fault plan corrupts it in transit.
+		m.meter.Charge(msg.To, EnergyP2PRecv, m.power.Recv.Energy(msg.Size))
+		if m.faults != nil && m.faults.DropP2P(msg.Size, now) {
+			faulted = true
+			m.drops.Fault++
 		}
-		now := m.k.Now()
-		m.meter.Charge(msg.From, EnergyP2PSend, m.power.Send.Energy(msg.Size))
-		if m.brute {
-			m.sendBrute(srcIdx, dstIdx, msg, now)
-			return
+	} else {
+		m.drops.Unreachable++
+	}
+	// Bystander discard accounting: merge the sorted candidate sets
+	// around the source and (when reached) the destination, walking
+	// their union in registration order.
+	var nearSrc, nearDst []geo.GridID
+	if sampled {
+		m.candSrc = m.candidates(m.candSrc, srcIdx)
+		nearSrc = m.candSrc
+	}
+	if reachable {
+		m.candDst = m.candidates(m.candDst, dstIdx)
+		nearDst = m.candDst
+	}
+	i, j := 0, 0
+	for i < len(nearSrc) || j < len(nearDst) {
+		var ci int
+		switch {
+		case j >= len(nearDst) || (i < len(nearSrc) && nearSrc[i] < nearDst[j]):
+			ci = int(nearSrc[i])
+			i++
+		case i >= len(nearSrc) || nearDst[j] < nearSrc[i]:
+			ci = int(nearDst[j])
+			j++
+		default: // a candidate around both
+			ci = int(nearSrc[i])
+			i++
+			j++
 		}
-		sampled := m.sync(now, srcIdx, dstIdx)
-		srcPos, dstPos := m.grid.Pos(geo.GridID(srcIdx)), m.grid.Pos(geo.GridID(dstIdx))
-		reachable := m.connected[dstIdx] && geo.WithinRange(srcPos, dstPos, m.rangeM)
-		faulted := false
-		if reachable {
-			// The destination receives (and pays for) the frame even
-			// when the fault plan corrupts it in transit.
-			m.meter.Charge(msg.To, EnergyP2PRecv, m.power.Recv.Energy(msg.Size))
-			if m.faults != nil && m.faults.DropP2P(msg.Size, now) {
-				faulted = true
-				m.drops.Fault++
-			}
-		} else {
-			m.drops.Unreachable++
+		if ci == srcIdx || ci == dstIdx || !m.connected[ci] {
+			continue
 		}
-		// Bystander discard accounting: merge the sorted candidate sets
-		// around the source and (when reached) the destination, walking
-		// their union in registration order.
-		var nearSrc, nearDst []geo.GridID
-		if sampled {
-			m.candSrc = m.candidates(m.candSrc, srcIdx)
-			nearSrc = m.candSrc
+		m.sample(ci, now)
+		pos := m.grid.Pos(geo.GridID(ci))
+		ns := geo.WithinRange(srcPos, pos, m.rangeM)
+		nd := reachable && geo.WithinRange(dstPos, pos, m.rangeM)
+		oid := m.ids[ci]
+		switch {
+		case ns && nd:
+			m.meter.Charge(oid, EnergyP2PDiscard, m.power.DiscardBoth.Energy(msg.Size))
+		case ns:
+			m.meter.Charge(oid, EnergyP2PDiscard, m.power.DiscardSrc.Energy(msg.Size))
+		case nd:
+			m.meter.Charge(oid, EnergyP2PDiscard, m.power.DiscardDst.Energy(msg.Size))
 		}
-		if reachable {
-			m.candDst = m.candidates(m.candDst, dstIdx)
-			nearDst = m.candDst
-		}
-		i, j := 0, 0
-		for i < len(nearSrc) || j < len(nearDst) {
-			var ci int
-			switch {
-			case j >= len(nearDst) || (i < len(nearSrc) && nearSrc[i] < nearDst[j]):
-				ci = int(nearSrc[i])
-				i++
-			case i >= len(nearSrc) || nearDst[j] < nearSrc[i]:
-				ci = int(nearDst[j])
-				j++
-			default: // a candidate around both
-				ci = int(nearSrc[i])
-				i++
-				j++
-			}
-			if ci == srcIdx || ci == dstIdx || !m.connected[ci] {
-				continue
-			}
-			m.sample(ci, now)
-			pos := m.grid.Pos(geo.GridID(ci))
-			ns := geo.WithinRange(srcPos, pos, m.rangeM)
-			nd := reachable && geo.WithinRange(dstPos, pos, m.rangeM)
-			oid := m.ids[ci]
-			switch {
-			case ns && nd:
-				m.meter.Charge(oid, EnergyP2PDiscard, m.power.DiscardBoth.Energy(msg.Size))
-			case ns:
-				m.meter.Charge(oid, EnergyP2PDiscard, m.power.DiscardSrc.Energy(msg.Size))
-			case nd:
-				m.meter.Charge(oid, EnergyP2PDiscard, m.power.DiscardDst.Energy(msg.Size))
-			}
-		}
-		if reachable && !faulted {
-			m.delivered++
-			m.peers[dstIdx].Receive(msg)
-		}
-	})
+	}
+	if reachable && !faulted {
+		m.delivered++
+		m.peers[dstIdx].Receive(msg)
+	}
 }
 
 // sendBrute is the completion body of the pairwise point-to-point scan.

@@ -2,6 +2,7 @@ package network
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -74,6 +75,17 @@ func TestRegisterDuplicate(t *testing.T) {
 	if err := m.Register(&testPeer{id: 1}); err == nil {
 		t.Error("duplicate registration accepted")
 	}
+}
+
+func TestRegisterRejectsNegativeID(t *testing.T) {
+	k := sim.NewKernel()
+	m, _ := newTestMedium(t, k)
+	for _, id := range []NodeID{BroadcastID, -7} {
+		if err := m.Register(&testPeer{id: id}); err == nil {
+			t.Errorf("registration of ID %d accepted", id)
+		}
+	}
+	addPeer(t, m, 0, 0, 0) // ID 0 is a host
 }
 
 func TestBroadcastReachesOnlyInRangeConnected(t *testing.T) {
@@ -382,9 +394,20 @@ func TestMeterBasics(t *testing.T) {
 	if m.Category(EnergyCategory(0)) != 0 || m.Category(numEnergyCategories) != 0 {
 		t.Error("out-of-range category non-zero")
 	}
+	if m.Node(0) != 0 || m.Node(3) != 0 || m.Node(-1) != 0 {
+		t.Error("uncharged node has energy")
+	}
+	m.Charge(5, EnergyP2PRecv, 4)
+	if got, want := m.Accounts(), []float64{15, 3, 4}; !slices.Equal(got, want) {
+		t.Errorf("Accounts = %v, want %v (charged nodes in ID order)", got, want)
+	}
 	m.Reset()
-	if m.Total() != 0 {
+	if m.Total() != 0 || m.Node(1) != 0 || len(m.Accounts()) != 0 {
 		t.Error("Reset left energy")
+	}
+	m.Charge(2, EnergyP2PSend, 6)
+	if got, want := m.Accounts(), []float64{6}; !slices.Equal(got, want) {
+		t.Errorf("Accounts after Reset = %v, want %v", got, want)
 	}
 }
 
@@ -465,5 +488,59 @@ func TestMediumStats(t *testing.T) {
 	}
 	if m.Meter() == nil {
 		t.Error("Meter() nil")
+	}
+}
+
+// TestTransmitSteadyStateAllocs pins two point-to-point sends and a
+// broadcast with nil payloads, run to completion, at zero allocations once
+// the NIC's waiting ring, the event heap, the meter and the medium's
+// scratch buffers have grown.
+func TestTransmitSteadyStateAllocs(t *testing.T) {
+	k := sim.NewKernel()
+	m, _ := newTestMedium(t, k)
+	for i := 0; i < 5; i++ {
+		if err := m.Register(&benchPeer{id: NodeID(i), pos: geo.Point{X: float64(i * 20)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round := func() {
+		m.Send(Message{Kind: KindRequest, From: 0, To: 1, Size: RequestSize})
+		m.Send(Message{Kind: KindRequest, From: 0, To: 2, Size: RequestSize}) // waits for the first
+		m.Broadcast(Message{Kind: KindBeacon, From: 0, Size: BeaconSize})
+		for k.Step() {
+		}
+	}
+	round()
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Errorf("a transmission round allocates %.1f times, want 0", avg)
+	}
+	if _, delivered, dropped, _ := m.Stats(); delivered != 202*6 || dropped != 0 {
+		t.Errorf("delivered %d, dropped %d; want %d, 0", delivered, dropped, 202*6)
+	}
+}
+
+// TestServerLinkSteadyStateAllocs pins an uplink and a downlink
+// transmission with no-op handlers at zero allocations once the event heap
+// and the meter have grown.
+func TestServerLinkSteadyStateAllocs(t *testing.T) {
+	k := sim.NewKernel()
+	link, err := NewServerLink(k, ServerLinkConfig{UplinkKbps: 200, DownlinkKbps: 2000, Power: DefaultPowerModel()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	link.SetHandler(func(Message) {})
+	link.SetDeliver(func(NodeID, Message) bool { return true })
+	round := func() {
+		link.SendUp(Message{Kind: KindServerRequest, From: 3, Size: ControlSize})
+		link.SendDown(Message{Kind: KindServerReply, To: 3, Size: 1000})
+		for k.Step() {
+		}
+	}
+	round()
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Errorf("an uplink and downlink round allocates %.1f times, want 0", avg)
+	}
+	if up, down, dropped := link.Stats(); up != 202 || down != 202 || dropped != 0 {
+		t.Errorf("stats = (%d, %d, %d), want (202, 202, 0)", up, down, dropped)
 	}
 }

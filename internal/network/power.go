@@ -68,23 +68,26 @@ const (
 )
 
 // Meter accumulates per-node and per-category energy in µW·s. The grand
-// total is maintained as a running sum so it is independent of map
-// iteration order (exact float reproducibility across runs).
+// total is a running sum in charge order, which keeps it exactly
+// reproducible across runs.
 type Meter struct {
-	perNode    map[NodeID]float64
+	// perNode is indexed by NodeID and grows to the largest ID charged.
+	perNode    []float64
 	byCategory [numEnergyCategories]float64
 	total      float64
 }
 
 // NewMeter returns an empty meter.
-func NewMeter() *Meter {
-	return &Meter{perNode: make(map[NodeID]float64)}
-}
+func NewMeter() *Meter { return &Meter{} }
 
-// Charge adds energy to node's account under the given category.
+// Charge adds energy to node's account under the given category. node must
+// not be negative; Medium.Register refuses negative IDs.
 func (m *Meter) Charge(node NodeID, cat EnergyCategory, energy float64) {
 	if energy <= 0 {
 		return
+	}
+	if n := int(node) + 1; n > len(m.perNode) {
+		m.perNode = append(m.perNode, make([]float64, n-len(m.perNode))...)
 	}
 	m.perNode[node] += energy
 	m.total += energy
@@ -97,7 +100,25 @@ func (m *Meter) Charge(node NodeID, cat EnergyCategory, energy float64) {
 func (m *Meter) Total() float64 { return m.total }
 
 // Node returns the energy consumed by one node, µW·s.
-func (m *Meter) Node(id NodeID) float64 { return m.perNode[id] }
+func (m *Meter) Node(id NodeID) float64 {
+	if id < 0 || int(id) >= len(m.perNode) {
+		return 0
+	}
+	return m.perNode[id]
+}
+
+// Accounts returns the energy of every node charged since the last Reset,
+// µW·s, in ascending ID order. A charged account is never zero: Charge
+// adds only positive energy.
+func (m *Meter) Accounts() []float64 {
+	out := make([]float64, 0, len(m.perNode))
+	for _, e := range m.perNode {
+		if e != 0 {
+			out = append(out, e)
+		}
+	}
+	return out
+}
 
 // Category returns the energy consumed under one category, µW·s.
 func (m *Meter) Category(cat EnergyCategory) float64 {
@@ -141,16 +162,7 @@ func (m *Meter) Breakdown() map[string]float64 {
 // Reset zeroes all accounts; the simulation calls this at the end of the
 // warm-up period.
 func (m *Meter) Reset() {
-	m.perNode = make(map[NodeID]float64, len(m.perNode))
+	clear(m.perNode)
 	m.byCategory = [numEnergyCategories]float64{}
 	m.total = 0
-}
-
-// PerNode returns a copy of every node's energy account, µW·s.
-func (m *Meter) PerNode() map[NodeID]float64 {
-	out := make(map[NodeID]float64, len(m.perNode))
-	for id, e := range m.perNode {
-		out[id] = e
-	}
-	return out
 }

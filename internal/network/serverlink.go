@@ -14,8 +14,8 @@ import (
 // transmission on it.
 type ServerLink struct {
 	k        *sim.Kernel
-	uplink   *sim.Resource
-	downlink *sim.Resource
+	uplink   *sim.Channel[Message]
+	downlink *sim.Channel[Message]
 	upKbps   float64
 	downKbps float64
 	power    PowerModel
@@ -68,15 +68,16 @@ func NewServerLink(k *sim.Kernel, cfg ServerLinkConfig, meter *Meter) (*ServerLi
 	if meter == nil {
 		meter = NewMeter()
 	}
-	return &ServerLink{
+	l := &ServerLink{
 		k:        k,
-		uplink:   sim.NewResource(k, 1),
-		downlink: sim.NewResource(k, 1),
 		upKbps:   cfg.UplinkKbps,
 		downKbps: cfg.DownlinkKbps,
 		power:    cfg.Power,
 		meter:    meter,
-	}, nil
+	}
+	l.uplink = sim.NewChannel(k, l.upDone)
+	l.downlink = sim.NewChannel(k, l.downDone)
+	return l, nil
 }
 
 // SetHandler installs the MSS-side uplink handler. It must be set before
@@ -93,21 +94,25 @@ func (l *ServerLink) SetDeliver(d func(to NodeID, msg Message) bool) { l.deliver
 func (l *ServerLink) SendUp(msg Message) {
 	l.upCount++
 	l.meter.Charge(msg.From, EnergyServerSend, l.power.ServerSend.Energy(msg.Size))
-	l.uplink.Use(TxTime(msg.Size, l.upKbps), func() {
-		if l.faults != nil {
-			if l.faults.InOutage(l.k.Now()) {
-				l.drops.UplinkOutage++
-				return
-			}
-			if l.faults.DropUplink(msg.Size, l.k.Now()) {
-				l.drops.UplinkFault++
-				return
-			}
+	l.uplink.Send(msg, TxTime(msg.Size, l.upKbps))
+}
+
+// upDone hands a request that crossed the uplink to the MSS handler,
+// unless an injected fault destroyed it.
+func (l *ServerLink) upDone(msg Message) {
+	if l.faults != nil {
+		if l.faults.InOutage(l.k.Now()) {
+			l.drops.UplinkOutage++
+			return
 		}
-		if l.handler != nil {
-			l.handler(msg)
+		if l.faults.DropUplink(msg.Size, l.k.Now()) {
+			l.drops.UplinkFault++
+			return
 		}
-	})
+	}
+	if l.handler != nil {
+		l.handler(msg)
+	}
 }
 
 // SendDown queues msg on the shared downlink for the addressed client; the
@@ -116,27 +121,31 @@ func (l *ServerLink) SendUp(msg Message) {
 // client re-requests after reconnecting).
 func (l *ServerLink) SendDown(msg Message) {
 	l.downCount++
-	l.downlink.Use(TxTime(msg.Size, l.downKbps), func() {
-		if l.faults != nil {
-			if l.faults.InOutage(l.k.Now()) {
-				l.drops.DownlinkOutage++
-				return
-			}
-			if l.faults.DropDownlink(msg.Size, l.k.Now()) {
-				l.drops.DownlinkFault++
-				return
-			}
-		}
-		if l.deliver == nil {
-			l.drops.DownlinkDisconnected++
+	l.downlink.Send(msg, TxTime(msg.Size, l.downKbps))
+}
+
+// downDone delivers a reply that crossed the downlink to its client,
+// unless an injected fault destroyed it or the client cannot take it.
+func (l *ServerLink) downDone(msg Message) {
+	if l.faults != nil {
+		if l.faults.InOutage(l.k.Now()) {
+			l.drops.DownlinkOutage++
 			return
 		}
-		if l.deliver(msg.To, msg) {
-			l.meter.Charge(msg.To, EnergyServerRecv, l.power.ServerRecv.Energy(msg.Size))
-		} else {
-			l.drops.DownlinkDisconnected++
+		if l.faults.DropDownlink(msg.Size, l.k.Now()) {
+			l.drops.DownlinkFault++
+			return
 		}
-	})
+	}
+	if l.deliver == nil {
+		l.drops.DownlinkDisconnected++
+		return
+	}
+	if l.deliver(msg.To, msg) {
+		l.meter.Charge(msg.To, EnergyServerRecv, l.power.ServerRecv.Energy(msg.Size))
+	} else {
+		l.drops.DownlinkDisconnected++
+	}
 }
 
 // SetFaultPlan installs the injected-fault source for both directions. A

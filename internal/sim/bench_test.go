@@ -21,13 +21,14 @@ func BenchmarkKernelScheduleRun(b *testing.B) {
 	}
 }
 
-// BenchmarkResourceUse measures FCFS resource churn.
-func BenchmarkResourceUse(b *testing.B) {
+// BenchmarkChannelSend measures FCFS channel churn: one send and, amortised,
+// one completion per op.
+func BenchmarkChannelSend(b *testing.B) {
 	k := NewKernel()
-	r := NewResource(k, 1)
+	c := NewChannel(k, func(int) {})
 	for i := 0; i < b.N; i++ {
-		r.Use(time.Microsecond, nil)
-		if r.QueueLen() > 1000 {
+		c.Send(i, time.Microsecond)
+		if c.QueueLen() > 1000 {
 			if err := k.Run(k.Now() + time.Second); err != nil {
 				b.Fatal(err)
 			}

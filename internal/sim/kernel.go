@@ -2,13 +2,16 @@
 //
 // It is the stand-in for the CSIM framework used by the paper: a virtual
 // clock, an event heap ordered by (time, sequence) so that ties resolve
-// deterministically, cancellable timers, and FCFS resources for modelling
-// bandwidth-limited channels. A Kernel is single-threaded: all events run on
+// deterministically, cancellable timers, and FCFS channels for modelling
+// bandwidth-limited links. A Kernel is single-threaded: all events run on
 // the goroutine that calls Run, so model code needs no locking.
+//
+// Scheduling allocates nothing once the heap has grown: the heap holds
+// events by value, and an Event is a value handle checked against the
+// slot its heap entry occupies.
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"time"
@@ -18,77 +21,58 @@ import (
 // before reaching its horizon.
 var ErrStopped = errors.New("simulation stopped")
 
-// Event is a scheduled callback. It is returned by the scheduling methods so
-// callers can cancel it before it fires (e.g. a protocol timeout that is
-// disarmed when the awaited reply arrives).
+// Event is a handle to a scheduled callback. It is returned by the
+// scheduling methods so callers can cancel it before it fires (e.g. a
+// protocol timeout that is disarmed when the awaited reply arrives). The
+// zero Event, and the handle of an event that has fired or been cancelled,
+// cancel nothing.
 type Event struct {
-	at       time.Duration
-	seq      uint64
-	index    int // heap index; -1 once fired or cancelled
-	fn       func()
-	canceled bool
+	k    *Kernel
+	seq  uint64
+	slot int
 }
 
-// Time reports the simulation time at which the event fires.
-func (e *Event) Time() time.Duration { return e.at }
-
-// Cancel prevents the event from firing. Cancelling an event that has
-// already fired or been cancelled is a no-op. It reports whether the event
-// was still pending.
-func (e *Event) Cancel() bool {
-	if e.canceled || e.index < 0 {
+// Cancel prevents the event from firing and reports whether it was still
+// pending. The event's heap entry stays until its time comes and is then
+// dropped unfired, so Kernel.Pending counts it until then.
+func (e Event) Cancel() bool {
+	if e.k == nil || e.k.slots[e.slot] != e.seq {
 		return false
 	}
-	e.canceled = true
+	e.k.slots[e.slot] = 0
 	return true
 }
 
-// Canceled reports whether Cancel was called before the event fired.
-func (e *Event) Canceled() bool { return e.canceled }
-
-// eventHeap orders events by (time, sequence).
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// entry is one scheduled event in the heap. slot is the index in
+// Kernel.slots that the entry owns until it leaves the heap.
+type entry struct {
+	at   time.Duration
+	seq  uint64
+	fn   func()
+	slot int
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*Event)
-	if !ok {
-		return
-	}
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+// before orders entries by (time, sequence). Sequence numbers are unique,
+// so the order is total and the firing order does not depend on the heap's
+// layout.
+func before(a, b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Kernel is the simulation executive. The zero value is not usable; create
 // one with NewKernel.
 type Kernel struct {
-	now    time.Duration
-	seq    uint64
-	events eventHeap
+	now time.Duration
+	seq uint64
+	// heap is a binary min-heap of entries under before.
+	heap []entry
+	// slots[i] holds the sequence number of the pending event whose entry
+	// owns slot i, or 0 once that event is cancelled. A slot is freed when
+	// its entry leaves the heap, so a handle whose event has fired, been
+	// cancelled or been reaped never matches it again: sequence numbers are
+	// not reused. free lists the free slots.
+	slots []uint64
+	free  []int
 	// stopped is set by Stop and cleared when Run starts.
 	stopped bool
 	// processed counts events that have fired, for diagnostics.
@@ -105,7 +89,7 @@ func (k *Kernel) Now() time.Duration { return k.now }
 
 // Pending reports the number of scheduled (not yet fired) events, including
 // cancelled events that have not been reaped from the heap.
-func (k *Kernel) Pending() int { return len(k.events) }
+func (k *Kernel) Pending() int { return len(k.heap) }
 
 // Processed reports how many events have fired since the kernel was created.
 func (k *Kernel) Processed() uint64 { return k.processed }
@@ -113,7 +97,7 @@ func (k *Kernel) Processed() uint64 { return k.processed }
 // Schedule runs fn after delay of simulated time. A negative delay is an
 // error in the model; it is clamped to zero so the event fires "now" (after
 // currently pending same-time events).
-func (k *Kernel) Schedule(delay time.Duration, fn func()) *Event {
+func (k *Kernel) Schedule(delay time.Duration, fn func()) Event {
 	if delay < 0 {
 		delay = 0
 	}
@@ -122,14 +106,72 @@ func (k *Kernel) Schedule(delay time.Duration, fn func()) *Event {
 
 // At runs fn at absolute simulation time t. Times in the past are clamped to
 // the current time.
-func (k *Kernel) At(t time.Duration, fn func()) *Event {
+//
+//hot:one call per scheduled event; 0 allocs/op pinned by TestKernelScheduleFireAllocs
+func (k *Kernel) At(t time.Duration, fn func()) Event {
 	if t < k.now {
 		t = k.now
 	}
 	k.seq++
-	ev := &Event{at: t, seq: k.seq, fn: fn}
-	heap.Push(&k.events, ev)
-	return ev
+	var slot int
+	if n := len(k.free); n > 0 {
+		slot = k.free[n-1]
+		k.free = k.free[:n-1]
+	} else {
+		slot = len(k.slots)
+		k.slots = append(k.slots, 0)
+	}
+	k.slots[slot] = k.seq
+	e := entry{at: t, seq: k.seq, fn: fn, slot: slot}
+	k.heap = append(k.heap, e)
+	h := k.heap
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(&e, &h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	return Event{k: k, seq: e.seq, slot: slot}
+}
+
+// pop removes the earliest entry from the non-empty heap, frees its slot
+// and reports whether the event is live (not cancelled).
+//
+//hot:one call per fired or reaped event
+func (k *Kernel) pop() (entry, bool) {
+	h := k.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{} // drop the closure so the collector can reclaim it
+	h = h[:n]
+	k.heap = h
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && before(&h[r], &h[c]) {
+				c = r
+			}
+			if !before(&h[c], &last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	live := k.slots[top.slot] == top.seq
+	k.slots[top.slot] = 0
+	k.free = append(k.free, top.slot)
+	return top, live
 }
 
 // Stop halts Run after the currently executing event returns.
@@ -143,16 +185,15 @@ func (k *Kernel) Run(horizon time.Duration) error {
 		return fmt.Errorf("sim: horizon %v before current time %v", horizon, k.now)
 	}
 	k.stopped = false
-	for len(k.events) > 0 {
+	for len(k.heap) > 0 {
 		if k.stopped {
 			return ErrStopped
 		}
-		next := k.events[0]
-		if next.at > horizon {
+		if k.heap[0].at > horizon {
 			break
 		}
-		heap.Pop(&k.events)
-		if next.canceled {
+		next, live := k.pop()
+		if !live {
 			continue
 		}
 		k.now = next.at
@@ -171,12 +212,9 @@ func (k *Kernel) Run(horizon time.Duration) error {
 // Step fires exactly one pending event (skipping cancelled ones) and reports
 // whether an event fired. It is mainly useful in tests.
 func (k *Kernel) Step() bool {
-	for len(k.events) > 0 {
-		next, ok := heap.Pop(&k.events).(*Event)
-		if !ok {
-			return false
-		}
-		if next.canceled {
+	for len(k.heap) > 0 {
+		next, live := k.pop()
+		if !live {
 			continue
 		}
 		k.now = next.at

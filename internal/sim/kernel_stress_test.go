@@ -12,7 +12,10 @@ import (
 // and from inside firing callbacks — drawn from a named RNG stream, and
 // checks the executive's contract against an independent model: events
 // fire exactly once, in (time, sequence) order, at their clamped times,
-// and cancelled events never fire.
+// and cancelled events never fire. The handles of fired and cancelled
+// events are kept and cancelled again later, after their heap slots may
+// have passed to newer events; such a Cancel must report false and leave
+// the newer event alone.
 func TestKernelStressRandomizedSchedule(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7, 99, 20260805} {
 		seed := seed
@@ -24,9 +27,10 @@ func TestKernelStressRandomizedSchedule(t *testing.T) {
 
 // tracked mirrors one scheduled event in the test's model of the kernel.
 type tracked struct {
-	ev        *Event
+	ev        Event
 	at        time.Duration // clamped firing time the kernel promised
 	cancelled bool
+	fired     bool
 }
 
 func stressKernel(t *testing.T, seed int64) {
@@ -42,6 +46,21 @@ func stressKernel(t *testing.T, seed int64) {
 	var fired []firing
 	budget := 400 // cap on callback-scheduled events so the run terminates
 
+	// recancel cancels the handle of one random fired or cancelled event
+	// again, which must report that nothing was pending.
+	recancel := func() {
+		for try := 0; try < 8; try++ {
+			i := rng.Intn(len(model))
+			if m := model[i]; m.fired || m.cancelled {
+				if m.ev.Cancel() {
+					t.Fatalf("stale handle of event %d (fired %v, cancelled %v) cancelled a pending event",
+						i, m.fired, m.cancelled)
+				}
+				return
+			}
+		}
+	}
+
 	// add schedules an event at absolute time t (which the kernel clamps
 	// to its current clock) and registers it in the model.
 	var add func(at time.Duration)
@@ -53,6 +72,7 @@ func stressKernel(t *testing.T, seed int64) {
 		}
 		ev := k.At(at, func() {
 			fired = append(fired, firing{id: id, at: k.Now()})
+			model[id].fired = true
 			// Mutate the schedule from inside the executive: follow-up
 			// events and cancellations of still-pending peers.
 			if budget > 0 && rng.Bool(0.4) {
@@ -61,6 +81,9 @@ func stressKernel(t *testing.T, seed int64) {
 			}
 			if rng.Bool(0.2) {
 				cancelRandom(rng, model)
+			}
+			if rng.Bool(0.3) {
+				recancel()
 			}
 		})
 		model = append(model, tracked{ev: ev, at: eff})
@@ -81,6 +104,9 @@ func stressKernel(t *testing.T, seed int64) {
 		add(at)
 		if rng.Bool(0.15) {
 			cancelRandom(rng, model)
+		}
+		if rng.Bool(0.1) {
+			recancel()
 		}
 		if rng.Bool(0.1) {
 			// Reschedule: cancel a random pending event, schedule a

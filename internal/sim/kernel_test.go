@@ -105,8 +105,9 @@ func TestEventCancel(t *testing.T) {
 	if fired {
 		t.Error("cancelled event fired")
 	}
-	if !ev.Canceled() {
-		t.Error("Canceled() = false after Cancel")
+	var zero Event
+	if zero.Cancel() {
+		t.Error("Cancel on the zero Event returned true")
 	}
 }
 
@@ -118,6 +119,30 @@ func TestEventCancelAfterFire(t *testing.T) {
 	}
 	if ev.Cancel() {
 		t.Error("Cancel after fire returned true")
+	}
+}
+
+// TestEventStaleHandleCannotCancel fires event A, lets event B take the
+// heap slot A freed, and checks that A's handle cannot cancel B.
+func TestEventStaleHandleCannotCancel(t *testing.T) {
+	k := NewKernel()
+	a := k.Schedule(time.Second, func() {})
+	if !k.Step() {
+		t.Fatal("A did not fire")
+	}
+	fired := false
+	b := k.Schedule(time.Second, func() { fired = true })
+	if b.slot != a.slot {
+		t.Fatalf("B took slot %d, want A's freed slot %d", b.slot, a.slot)
+	}
+	if a.Cancel() {
+		t.Error("Cancel on a fired event's handle returned true")
+	}
+	if err := k.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if !fired {
+		t.Error("a stale handle cancelled the event that reused its slot")
 	}
 }
 
@@ -235,5 +260,53 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEventTimeAndKernelPending checks when an event fires and that
+// Pending counts a cancelled event until its time comes: cancellation is
+// lazy.
+func TestEventTimeAndKernelPending(t *testing.T) {
+	k := NewKernel()
+	var at time.Duration
+	k.Schedule(3*time.Second, func() { at = k.Now() })
+	k.Schedule(2*time.Second, func() {}).Cancel()
+	if k.Pending() != 2 {
+		t.Errorf("Pending = %d, want 2 with one cancelled", k.Pending())
+	}
+	if err := k.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if at != 3*time.Second {
+		t.Errorf("event fired at %v, want 3s", at)
+	}
+	if k.Pending() != 0 {
+		t.Errorf("Pending after drain = %d", k.Pending())
+	}
+}
+
+// TestKernelScheduleFireAllocs pins scheduling and firing a pre-bound func
+// at zero allocations once the heap and slot table have grown.
+func TestKernelScheduleFireAllocs(t *testing.T) {
+	k := NewKernel()
+	n := 0
+	fn := func() { n++ }
+	for i := 0; i < 4; i++ {
+		k.Schedule(time.Duration(i)*time.Millisecond, fn)
+	}
+	for k.Step() {
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		ev := k.Schedule(time.Millisecond, fn)
+		k.Schedule(0, fn)
+		ev.Cancel()
+		for k.Step() {
+		}
+	})
+	if avg != 0 {
+		t.Errorf("schedule, cancel and fire allocate %.1f per run, want 0", avg)
+	}
+	if n != 4+201 {
+		t.Errorf("fired %d events, want %d", n, 4+201)
 	}
 }
