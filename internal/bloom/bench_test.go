@@ -49,6 +49,73 @@ func BenchmarkPeerVectorCovers(b *testing.B) {
 	}
 }
 
+// BenchmarkPeerVectorAddSignature measures folding a member's signature
+// (100 items in 10,000 bits) into a peer vector; each op also withdraws it
+// again, so the counters stay bounded.
+func BenchmarkPeerVectorAddSignature(b *testing.B) {
+	v, err := NewPeerVector(10000, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sig, _ := NewFilter(10000, 2)
+	for e := uint64(0); e < 100; e++ {
+		sig.Add(e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := v.AddSignature(sig); err != nil {
+			b.Fatal(err)
+		}
+		if err := v.RemoveSignature(sig); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCountingFilterSignature measures materialising a full cache
+// signature (100 items in 10,000 counters) for a signature reply.
+func BenchmarkCountingFilterSignature(b *testing.B) {
+	c, err := NewCountingFilter(10000, 2, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for e := uint64(0); e < 100; e++ {
+		c.Insert(e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSig = c.Signature()
+	}
+}
+
+var benchSig *Filter
+
+// BenchmarkCountingFilterDelta measures one cache replacement in a
+// 100-item cache (evict the oldest item, admit a new one) followed by
+// reading the piggyback lists for the next broadcast.
+func BenchmarkCountingFilterDelta(b *testing.B) {
+	c, err := NewCountingFilter(10000, 2, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for e := uint64(0); e < 100; e++ {
+		c.Insert(e)
+	}
+	c.Delta()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := uint64(100 + i)
+		c.Remove(e - 100)
+		c.Insert(e)
+		benchIns, benchEvi = c.Delta()
+	}
+}
+
+var benchIns, benchEvi []int
+
 // BenchmarkVLFLEncode measures the compression path for a typical cache
 // signature (100 items in 10,000 bits).
 func BenchmarkVLFLEncode(b *testing.B) {

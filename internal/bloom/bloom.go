@@ -57,18 +57,6 @@ func probeBasis(element uint64) (h1, h2 uint64) {
 	return h1, h2
 }
 
-// Positions returns the k bit positions for an element, in probe order.
-// This is the allocating, cold-path form; Add and Test walk the same probe
-// sequence inline.
-func (f *Filter) Positions(element uint64) []int {
-	pos := make([]int, f.k)
-	h1, h2 := probeBasis(element)
-	for i := 0; i < f.k; i++ {
-		pos[i] = int((h1 + uint64(i)*h2) % uint64(f.m))
-	}
-	return pos
-}
-
 // Add inserts an element.
 //
 //hot:per-request signature insertion (BenchmarkFilterAdd); probes inline, allocation-free
@@ -100,13 +88,21 @@ func (f *Filter) Bit(p int) bool {
 
 func (f *Filter) setBit(p int) { f.words[p/64] |= 1 << (p % 64) }
 
-// SetBit sets bit p; it is exported for reconstructing filters from counter
-// vectors.
-func (f *Filter) SetBit(p int) { f.setBit(p) }
+// SetBit sets bit p for applying piggybacked insertion deltas to stored
+// member signatures. Positions outside [0, M) are ignored.
+func (f *Filter) SetBit(p int) {
+	if p >= 0 && p < f.m {
+		f.setBit(p)
+	}
+}
 
-// ClearBit clears bit p; it is exported for applying piggybacked eviction
-// deltas to stored member signatures.
-func (f *Filter) ClearBit(p int) { f.words[p/64] &^= 1 << (p % 64) }
+// ClearBit clears bit p for applying piggybacked eviction deltas to stored
+// member signatures. Positions outside [0, M) are ignored.
+func (f *Filter) ClearBit(p int) {
+	if p >= 0 && p < f.m {
+		f.words[p/64] &^= 1 << (p % 64)
+	}
+}
 
 // Union folds other into f (bitwise or). Both filters must have identical
 // geometry; mismatches are an error.

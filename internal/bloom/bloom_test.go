@@ -60,17 +60,18 @@ func TestFilterAbsentMostlyNegative(t *testing.T) {
 }
 
 func TestFilterPositionsDeterministicAndInRange(t *testing.T) {
-	f := mustFilter(t, 997, 5)
 	for e := uint64(0); e < 100; e++ {
-		p1 := f.Positions(e)
-		p2 := f.Positions(e)
-		for i := range p1 {
-			if p1[i] != p2[i] {
-				t.Fatalf("positions not deterministic for %d", e)
-			}
-			if p1[i] < 0 || p1[i] >= 997 {
-				t.Fatalf("position %d out of range", p1[i])
-			}
+		a, b := mustFilter(t, 997, 5), mustFilter(t, 997, 5)
+		a.Add(e)
+		b.Add(e)
+		if !a.Equal(b) {
+			t.Fatalf("probe positions not deterministic for %d", e)
+		}
+		if n := a.OnesCount(); n < 1 || n > 5 {
+			t.Fatalf("element %d set %d bits, want 1 to 5", e, n)
+		}
+		if last := a.Words()[len(a.Words())-1]; last>>(997%64) != 0 {
+			t.Fatalf("element %d set a bit at or past M = 997", e)
 		}
 	}
 }
@@ -142,6 +143,36 @@ func TestFilterResetCloneEqual(t *testing.T) {
 	}
 	if f.Equal(nil) {
 		t.Error("Equal(nil) = true")
+	}
+}
+
+// TestFilterSetBitIgnoresOutOfRange: positions past M in the last word,
+// beyond the last word or negative are ignored, so the bits past M stay
+// zero for Words, Covers, OnesCount and the peer vector's word walks.
+func TestFilterSetBitIgnoresOutOfRange(t *testing.T) {
+	f := mustFilter(t, 100, 2)
+	for _, p := range []int{100, 127, 128, -1} {
+		f.SetBit(p)
+		if n := f.OnesCount(); n != 0 {
+			t.Fatalf("OnesCount = %d after SetBit(%d) on M = 100", n, p)
+		}
+	}
+	f.SetBit(99)
+	for _, p := range []int{100, 128, -1} {
+		f.ClearBit(p)
+	}
+	if !f.Bit(99) || f.OnesCount() != 1 {
+		t.Errorf("out-of-range ClearBit disturbed bit 99 (OnesCount %d)", f.OnesCount())
+	}
+	v, err := NewPeerVector(100, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.AddSignature(f); err != nil {
+		t.Fatal(err)
+	}
+	if got := v.Signature(); !got.Equal(f) {
+		t.Errorf("peer vector folded %d bits, want only bit 99", got.OnesCount())
 	}
 }
 

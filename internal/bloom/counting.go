@@ -1,6 +1,9 @@
 package bloom
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CountingFilter is the proactive cache-signature structure: a vector of σ
 // counters of width widthBits. Inserting (evicting) a cached item increments
@@ -12,8 +15,14 @@ import "fmt"
 // be discarded the owner is expected to rebuild the vector from the cache.
 type CountingFilter struct {
 	counts []uint32
-	m      int
-	k      int
+	// live holds the signature: bit p is set exactly when counts[p] > 0.
+	live []uint64
+	// announced holds the live bits as of the last Delta or Rebuild, and
+	// flipped is set once a live bit changes after that.
+	announced []uint64
+	flipped   bool
+	m         int
+	k         int
 	// max is the saturation bound, (1<<widthBits)-1.
 	max uint32
 	// dirty is set when a saturation event forced a discard, signalling
@@ -32,63 +41,61 @@ func NewCountingFilter(m, k, widthBits int) (*CountingFilter, error) {
 		return nil, fmt.Errorf("bloom: counter width %d outside [1, 32]", widthBits)
 	}
 	return &CountingFilter{
-		counts: make([]uint32, m),
-		m:      m,
-		k:      k,
-		max:    uint32(1)<<widthBits - 1,
+		counts:    make([]uint32, m),
+		live:      make([]uint64, (m+63)/64),
+		announced: make([]uint64, (m+63)/64),
+		m:         m,
+		k:         k,
+		max:       uint32(1)<<widthBits - 1,
 	}, nil
 }
 
-// positions mirrors Filter.Positions so a CountingFilter and a Filter with
-// the same geometry agree on probe locations.
-func (c *CountingFilter) positions(element uint64) []int {
-	f := Filter{m: c.m, k: c.k}
-	return f.Positions(element)
-}
-
-// Insert increments the counters for an element and returns the bit
-// positions that transitioned from zero to set — the entries of the
-// signature-update insertion list the owner piggybacks on its next
-// broadcast. Counters already at their maximum are left unchanged
-// (saturation).
-func (c *CountingFilter) Insert(element uint64) []int {
-	var changed []int
-	for _, p := range c.positions(element) {
-		switch {
-		case c.counts[p] == 0:
+// Insert increments the counters for an element, walking the same probe
+// sequence as Filter.Add. A counter leaving zero sets its signature bit;
+// counters already at their maximum are left unchanged (saturation) and
+// mark the vector dirty.
+//
+//hot:per-admission signature maintenance; 0 allocs/op pinned by TestSignatureMaintenanceAllocs
+func (c *CountingFilter) Insert(element uint64) {
+	h1, h2 := probeBasis(element)
+	for i := 0; i < c.k; i++ {
+		p := int((h1 + uint64(i)*h2) % uint64(c.m))
+		switch n := c.counts[p]; {
+		case n == 0:
 			c.counts[p] = 1
-			changed = append(changed, p)
-		case c.counts[p] < c.max:
-			c.counts[p]++
+			c.live[p/64] |= 1 << (p % 64)
+			c.flipped = true
+		case n < c.max:
+			c.counts[p] = n + 1
 		default:
 			c.dirty = true
 		}
 	}
-	return changed
 }
 
-// Remove decrements the counters for an element and returns the bit
-// positions that transitioned to zero — the entries of the eviction list.
-// Decrements on zero-valued counters are discarded and mark the vector
-// dirty, prompting a rebuild.
-func (c *CountingFilter) Remove(element uint64) []int {
-	var changed []int
-	for _, p := range c.positions(element) {
-		switch {
-		case c.counts[p] == 0:
+// Remove decrements the counters for an element. A counter reaching zero
+// clears its signature bit. Decrements on zero-valued counters are
+// discarded and mark the vector dirty, prompting a rebuild.
+//
+//hot:per-eviction signature maintenance; 0 allocs/op pinned by TestSignatureMaintenanceAllocs
+func (c *CountingFilter) Remove(element uint64) {
+	h1, h2 := probeBasis(element)
+	for i := 0; i < c.k; i++ {
+		p := int((h1 + uint64(i)*h2) % uint64(c.m))
+		switch n := c.counts[p]; {
+		case n == 0, n == c.max:
+			// Underflow, or a saturated counter whose true count is
+			// unknown: leave it set and flag for rebuild rather than
+			// risk a false negative.
 			c.dirty = true
-		case c.counts[p] == c.max:
-			// The true count is unknown once saturated; leave it set and
-			// flag for rebuild rather than risk a false negative.
-			c.dirty = true
-		case c.counts[p] == 1:
+		case n == 1:
 			c.counts[p] = 0
-			changed = append(changed, p)
+			c.live[p/64] &^= 1 << (p % 64)
+			c.flipped = true
 		default:
-			c.counts[p]--
+			c.counts[p] = n - 1
 		}
 	}
-	return changed
 }
 
 // Dirty reports whether a saturation or underflow event made the vector
@@ -97,37 +104,68 @@ func (c *CountingFilter) Dirty() bool { return c.dirty }
 
 // Rebuild resets the vector and re-inserts all elements, clearing the dirty
 // flag. This is the paper's "reset and reconstruct the counter vector"
-// step.
+// step. The rebuilt signature counts as announced: changes from before the
+// rebuild no longer appear in Delta.
 func (c *CountingFilter) Rebuild(elements []uint64) {
-	for i := range c.counts {
-		c.counts[i] = 0
-	}
+	clear(c.counts)
+	clear(c.live)
 	c.dirty = false
 	for _, e := range elements {
 		c.Insert(e)
 	}
+	copy(c.announced, c.live)
+	c.flipped = false
 }
 
-// Signature materialises the current cache signature: a Bloom filter with a
-// bit set wherever the counter is non-zero.
+// Signature returns the current cache signature: a Bloom filter with a bit
+// set wherever the counter is non-zero, copied from the live bits.
 func (c *CountingFilter) Signature() *Filter {
-	f := &Filter{words: make([]uint64, (c.m+63)/64), m: c.m, k: c.k}
-	for p, n := range c.counts {
-		if n > 0 {
-			f.setBit(p)
+	return (&Filter{words: c.live, m: c.m, k: c.k}).Clone()
+}
+
+// Delta returns the signature-update lists the owner piggybacks on its next
+// broadcast: the positions set (inserts) and cleared (evicts) since the
+// last Delta or Rebuild, both ascending. They are the live bits XOR the
+// announced bits, so a position set and cleared again in between is in
+// neither list. Delta then marks the live bits announced. A list with no
+// positions is nil.
+func (c *CountingFilter) Delta() (inserts, evicts []int) {
+	if !c.flipped {
+		return nil, nil
+	}
+	c.flipped = false
+	nIns, nEvi := 0, 0
+	for i, w := range c.live {
+		nIns += bits.OnesCount64(w &^ c.announced[i])
+		nEvi += bits.OnesCount64(c.announced[i] &^ w)
+	}
+	if nIns > 0 {
+		inserts = make([]int, 0, nIns)
+	}
+	if nEvi > 0 {
+		evicts = make([]int, 0, nEvi)
+	}
+	for i, w := range c.live {
+		if a := c.announced[i]; w != a {
+			inserts = appendSetBits(inserts, i, w&^a)
+			evicts = appendSetBits(evicts, i, a&^w)
+			c.announced[i] = w
 		}
 	}
-	return f
+	return inserts, evicts
+}
+
+// appendSetBits appends the positions of word wi's set bits w, ascending.
+func appendSetBits(dst []int, wi int, w uint64) []int {
+	for ; w != 0; w &= w - 1 {
+		dst = append(dst, wi*64+trailingZeros(w))
+	}
+	return dst
 }
 
 // Test reports whether the element is possibly represented.
 func (c *CountingFilter) Test(element uint64) bool {
-	for _, p := range c.positions(element) {
-		if c.counts[p] == 0 {
-			return false
-		}
-	}
-	return true
+	return (&Filter{words: c.live, m: c.m, k: c.k}).Test(element)
 }
 
 // PeerVector aggregates the cache signatures of a mobile host's TCG members
@@ -135,7 +173,10 @@ func (c *CountingFilter) Test(element uint64) bool {
 // would overflow and contracts when every counter fits in half the width,
 // following Section IV.D.4. A host with no TCG members has width zero.
 type PeerVector struct {
-	counts    []uint32
+	counts []uint32
+	// lenHist[b] is the number of counters whose value is b bits long
+	// (bits.Len32), so contract finds the widest counter without a scan.
+	lenHist   [33]int
 	m         int
 	k         int
 	widthBits int
@@ -148,7 +189,9 @@ func NewPeerVector(m, k int) (*PeerVector, error) {
 	if m <= 0 || k <= 0 {
 		return nil, fmt.Errorf("bloom: peer vector geometry (%d, %d) invalid", m, k)
 	}
-	return &PeerVector{counts: make([]uint32, m), m: m, k: k}, nil
+	v := &PeerVector{counts: make([]uint32, m), m: m, k: k}
+	v.lenHist[0] = m
+	return v, nil
 }
 
 // WidthBits returns the current counter width π_p.
@@ -156,6 +199,25 @@ func (v *PeerVector) WidthBits() int { return v.widthBits }
 
 // Members returns the number of member signatures currently folded in.
 func (v *PeerVector) Members() int { return v.members }
+
+// inc increments counter p, expanding the width when the counter would
+// reach 2^π_p.
+func (v *PeerVector) inc(p int) {
+	n := v.counts[p] + 1
+	v.counts[p] = n
+	v.lenHist[bits.Len32(n-1)]--
+	v.lenHist[bits.Len32(n)]++
+	v.widthBits = max(v.widthBits, bits.Len32(n))
+}
+
+// dec decrements counter p, clamping at zero.
+func (v *PeerVector) dec(p int) {
+	if n := v.counts[p]; n > 0 {
+		v.lenHist[bits.Len32(n)]--
+		v.lenHist[bits.Len32(n-1)]++
+		v.counts[p] = n - 1
+	}
+}
 
 // AddSignature folds a member's cache signature into the vector,
 // incrementing the counter at every set bit and expanding the width when a
@@ -167,17 +229,25 @@ func (v *PeerVector) AddSignature(sig *Filter) error {
 	if v.widthBits == 0 {
 		v.widthBits = 1
 	}
-	for p := 0; p < v.m; p++ {
-		if !sig.Bit(p) {
-			continue
-		}
-		v.counts[p]++
-		for v.counts[p] >= uint32(1)<<v.widthBits {
-			v.widthBits++
-		}
-	}
+	v.fold(sig.words, true)
 	v.members++
 	return nil
+}
+
+// fold increments (add) or decrements the counter at every set bit of a
+// signature, walking the set bits one word at a time.
+//
+//hot:per-signature-reply fold and withdrawal (BenchmarkPeerVectorAddSignature); 0 allocs/op pinned by TestSignatureMaintenanceAllocs
+func (v *PeerVector) fold(words []uint64, add bool) {
+	for wi, w := range words {
+		for ; w != 0; w &= w - 1 {
+			if p := wi*64 + trailingZeros(w); add {
+				v.inc(p)
+			} else {
+				v.dec(p)
+			}
+		}
+	}
 }
 
 // RemoveSignature subtracts a member's cache signature (used when a precise
@@ -188,11 +258,7 @@ func (v *PeerVector) RemoveSignature(sig *Filter) error {
 	if sig.M() != v.m {
 		return fmt.Errorf("bloom: signature size %d != vector size %d", sig.M(), v.m)
 	}
-	for p := 0; p < v.m; p++ {
-		if sig.Bit(p) && v.counts[p] > 0 {
-			v.counts[p]--
-		}
-	}
+	v.fold(sig.words, false)
 	if v.members > 0 {
 		v.members--
 	}
@@ -202,57 +268,35 @@ func (v *PeerVector) RemoveSignature(sig *Filter) error {
 
 // ApplyDelta applies a piggybacked signature update: bit positions newly set
 // (insertions) and newly cleared (evictions) by one member since its last
-// broadcast.
+// broadcast. Positions outside [0, σ) are ignored.
+//
+//hot:per-beacon and per-request delta fold; 0 allocs/op pinned by TestSignatureMaintenanceAllocs
 func (v *PeerVector) ApplyDelta(insertions, evictions []int) {
 	if v.widthBits == 0 && len(insertions) > 0 {
 		v.widthBits = 1
 	}
 	for _, p := range insertions {
-		if p < 0 || p >= v.m {
-			continue
-		}
-		v.counts[p]++
-		for v.counts[p] >= uint32(1)<<v.widthBits {
-			v.widthBits++
+		if p >= 0 && p < v.m {
+			v.inc(p)
 		}
 	}
 	for _, p := range evictions {
-		if p < 0 || p >= v.m {
-			continue
-		}
-		if v.counts[p] > 0 {
-			v.counts[p]--
+		if p >= 0 && p < v.m {
+			v.dec(p)
 		}
 	}
 	v.contract()
 }
 
+// contract narrows the width while every counter fits in one bit less,
+// reading the widest counters' bit length off the histogram; a vector with
+// no members and no set counter returns to width zero.
 func (v *PeerVector) contract() {
-	for v.widthBits > 1 {
-		limit := uint32(1) << (v.widthBits - 1)
-		allBelow := true
-		for _, n := range v.counts {
-			if n >= limit {
-				allBelow = false
-				break
-			}
-		}
-		if !allBelow {
-			return
-		}
+	for v.widthBits > 1 && v.lenHist[v.widthBits] == 0 {
 		v.widthBits--
 	}
-	if v.members == 0 {
-		empty := true
-		for _, n := range v.counts {
-			if n != 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			v.widthBits = 0
-		}
+	if v.members == 0 && v.lenHist[0] == v.m {
+		v.widthBits = 0
 	}
 }
 
@@ -260,9 +304,8 @@ func (v *PeerVector) contract() {
 // The paper resets the vector when a TCG member departs or after a
 // reconnection, then recollects the remaining members' signatures.
 func (v *PeerVector) Reset() {
-	for i := range v.counts {
-		v.counts[i] = 0
-	}
+	clear(v.counts)
+	v.lenHist = [33]int{0: v.m}
 	v.members = 0
 	v.widthBits = 0
 }

@@ -42,9 +42,8 @@ type sigDeltaPayload struct {
 func (h *Host) beaconPayload() (any, int) {
 	info := beaconInfo{}
 	extra := 0
-	if h.traits.Signatures && (len(h.insertDelta) > 0 || len(h.evictDelta) > 0) {
-		ins, evi := h.drainSigDelta()
-		if len(h.tcg) > 0 {
+	if h.traits.Signatures {
+		if ins, evi := h.ownSig.Delta(); (len(ins) > 0 || len(evi) > 0) && len(h.tcg) > 0 {
 			// Each position costs two bytes on air (σ ≤ 64 Ki).
 			info.SigDelta = &sigDeltaPayload{Insert: ins, Evict: evi}
 			extra += 2 * (len(ins) + len(evi))
@@ -159,44 +158,25 @@ func (h *Host) PeerCovered(item workload.ItemID) bool {
 // CoopReplaceDisabled implements strategy.ReplacementEnv.
 func (h *Host) CoopReplaceDisabled() bool { return h.cfg.DisableCoopReplace }
 
-// sigInsert maintains the proactive cache signature and the piggyback
-// insertion list after a cache insertion.
+// sigInsert maintains the proactive cache signature after an insertion.
 func (h *Host) sigInsert(item workload.ItemID) {
 	if !h.traits.Signatures {
 		return
 	}
-	changed := h.ownSig.Insert(uint64(item))
+	h.ownSig.Insert(uint64(item))
 	if h.ownSig.Dirty() {
 		h.rebuildOwnSig()
-		return
-	}
-	for _, p := range changed {
-		// Annihilate matching evictions; otherwise record the insertion.
-		if _, ok := h.evictDelta[p]; ok {
-			delete(h.evictDelta, p)
-		} else {
-			h.insertDelta[p] = struct{}{}
-		}
 	}
 }
 
-// sigRemove maintains the cache signature and eviction list after an
-// eviction.
+// sigRemove maintains the cache signature after an eviction.
 func (h *Host) sigRemove(item workload.ItemID) {
 	if !h.traits.Signatures {
 		return
 	}
-	changed := h.ownSig.Remove(uint64(item))
+	h.ownSig.Remove(uint64(item))
 	if h.ownSig.Dirty() {
 		h.rebuildOwnSig()
-		return
-	}
-	for _, p := range changed {
-		if _, ok := h.insertDelta[p]; ok {
-			delete(h.insertDelta, p)
-		} else {
-			h.evictDelta[p] = struct{}{}
-		}
 	}
 }
 
@@ -209,30 +189,6 @@ func (h *Host) rebuildOwnSig() {
 		elems[i] = uint64(id)
 	}
 	h.ownSig.Rebuild(elems)
-	// Deltas based on the old vector are no longer meaningful.
-	h.insertDelta = make(map[int]struct{})
-	h.evictDelta = make(map[int]struct{})
-}
-
-// drainSigDelta returns and clears the piggyback lists, sorted for
-// determinism.
-func (h *Host) drainSigDelta() (inserts, evicts []int) {
-	if len(h.insertDelta) == 0 && len(h.evictDelta) == 0 {
-		return nil, nil
-	}
-	inserts = make([]int, 0, len(h.insertDelta))
-	for p := range h.insertDelta {
-		inserts = append(inserts, p)
-	}
-	evicts = make([]int, 0, len(h.evictDelta))
-	for p := range h.evictDelta {
-		evicts = append(evicts, p)
-	}
-	sort.Ints(inserts)
-	sort.Ints(evicts)
-	h.insertDelta = make(map[int]struct{})
-	h.evictDelta = make(map[int]struct{})
-	return inserts, evicts
 }
 
 // applySigDelta folds a TCG member's piggybacked signature update into the
@@ -244,14 +200,10 @@ func (h *Host) applySigDelta(from network.NodeID, inserts, evicts []int) {
 	h.peerVec.ApplyDelta(inserts, evicts)
 	if sig, ok := h.haveSig[from]; ok {
 		for _, p := range inserts {
-			if p >= 0 && p < sig.M() {
-				sig.SetBit(p)
-			}
+			sig.SetBit(p)
 		}
 		for _, p := range evicts {
-			if p >= 0 && p < sig.M() {
-				sig.ClearBit(p)
-			}
+			sig.ClearBit(p)
 		}
 	}
 }
@@ -437,5 +389,7 @@ func (h *Host) handleSigReply(msg network.Message) {
 	if err := h.peerVec.AddSignature(payload.Sig); err != nil {
 		return
 	}
-	h.haveSig[msg.From] = payload.Sig.Clone()
+	// The sender built this filter for this one point-to-point reply and
+	// keeps no reference to it, so the stored copy takes it over.
+	h.haveSig[msg.From] = payload.Sig
 }

@@ -382,6 +382,60 @@ func TestGroCocaOutstandSigListRetriesOnNeighborUp(t *testing.T) {
 	}
 }
 
+// TestGroCocaSigReplyHandsOverFilter: the receiver of a SigReply stores the
+// reply's filter without copying it, so the sender's counting filter and
+// the receiver's stored signature must still change independently.
+func TestGroCocaSigReplyHandsOverFilter(t *testing.T) {
+	h := newHarness(t, 2, true)
+	a := h.addHost(0, 0, 0, testClientConfig(SchemeGroCoca))
+	b := h.addHost(1, 50, 0, testClientConfig(SchemeGroCoca))
+	if err := b.Preload(9, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	join(a, b)
+	h.run(time.Second) // sig request/reply round trip
+	stored, ok := a.haveSig[b.id]
+	if !ok {
+		t.Fatal("a stored no signature for b after the exchange")
+	}
+	sent := b.ownSig.Signature()
+	if !stored.Equal(sent) {
+		t.Fatal("stored signature differs from the sender's")
+	}
+
+	// A delta applied to a's stored copy leaves b's signature alone.
+	set, unset := -1, -1
+	for p := 0; p < stored.M(); p++ {
+		switch {
+		case stored.Bit(p) && set < 0:
+			set = p
+		case !stored.Bit(p) && unset < 0:
+			unset = p
+		}
+	}
+	if set < 0 || unset < 0 {
+		t.Fatal("signature has no set or no unset bit to flip")
+	}
+	a.applySigDelta(b.id, []int{unset}, []int{set})
+	if !stored.Bit(unset) || stored.Bit(set) {
+		t.Fatal("delta not applied to the stored signature")
+	}
+	if !b.ownSig.Signature().Equal(sent) {
+		t.Error("a delta applied to the receiver's stored copy changed the sender's signature")
+	}
+
+	// And a change to b's cache leaves a's stored copy alone.
+	before := stored.Clone()
+	b.sigInsert(77)
+	b.sigRemove(9)
+	if b.ownSig.Signature().Equal(sent) {
+		t.Fatal("sender's signature did not change")
+	}
+	if !a.haveSig[b.id].Equal(before) {
+		t.Error("a change to the sender's cache changed the receiver's stored copy")
+	}
+}
+
 func TestGroCocaSigReplySizesCompression(t *testing.T) {
 	h := newHarness(t, 2, true)
 	cfgCompressed := testClientConfig(SchemeGroCoca)

@@ -141,8 +141,6 @@ type Host struct {
 	peerVec           *bloom.PeerVector
 	haveSig           map[network.NodeID]*bloom.Filter
 	outstandSig       map[network.NodeID]struct{}
-	insertDelta       map[int]struct{}
-	evictDelta        map[int]struct{}
 	departures        int
 	peerAccessLog     []workload.ItemID
 	lastServerContact time.Duration
@@ -222,8 +220,6 @@ func NewHost(
 		h.tcg = make(map[network.NodeID]bool)
 		h.haveSig = make(map[network.NodeID]*bloom.Filter)
 		h.outstandSig = make(map[network.NodeID]struct{})
-		h.insertDelta = make(map[int]struct{})
-		h.evictDelta = make(map[int]struct{})
 		h.ownSig, err = bloom.NewCountingFilter(cfg.SigBits, cfg.SigHashes, cfg.CacheCounterBits)
 		if err != nil {
 			return nil, err

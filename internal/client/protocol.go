@@ -119,7 +119,7 @@ func (h *Host) broadcastSearch(item workload.ItemID) {
 		HopsLeft: h.cfg.HopDist,
 	}
 	if h.traits.Signatures {
-		payload.SigInsert, payload.SigEvict = h.drainSigDelta()
+		payload.SigInsert, payload.SigEvict = h.ownSig.Delta()
 	}
 	h.medium.Broadcast(network.Message{
 		Kind:    network.KindRequest,

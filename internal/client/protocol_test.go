@@ -175,14 +175,14 @@ func TestSigDeltaAnnihilation(t *testing.T) {
 	// Insert then evict the same item: the deltas must cancel.
 	a.sigInsert(42)
 	a.sigRemove(42)
-	ins, evi := a.drainSigDelta()
+	ins, evi := a.ownSig.Delta()
 	if len(ins) != 0 || len(evi) != 0 {
 		t.Errorf("deltas not annihilated: +%v -%v", ins, evi)
 	}
 	// Evict-then-insert likewise (counting filter marks dirty on
 	// underflow, triggering a rebuild which clears deltas).
 	a.sigInsert(43)
-	ins, _ = a.drainSigDelta()
+	ins, _ = a.ownSig.Delta()
 	if len(ins) == 0 {
 		t.Error("insertion delta missing")
 	}

@@ -3,6 +3,7 @@ package geo
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -52,7 +53,10 @@ type Grid struct {
 	in    []bool
 	where []gridKey
 	pos   []Point
-	n     int
+	// hits has one bit per ID: a range query sets the bits of the IDs it
+	// finds, then emits them ascending and zeroes the words it touched.
+	hits []uint64
+	n    int
 
 	// Bounding box of occupied cells, grown on insert/move and never
 	// shrunk. It only clamps query rectangles — an over-wide query
@@ -61,7 +65,6 @@ type Grid struct {
 	hasBounds    bool
 	minCx, maxCx int32
 	minCy, maxCy int32
-	sparse       []GridID // scratch for the sparse-world fallback
 }
 
 // NewGrid creates an empty index with the given cell size, normally the
@@ -161,10 +164,14 @@ func (g *Grid) Upsert(id GridID, p Point) {
 	}
 }
 
-// place adds a known-absent id at p, growing the per-entry slices to it.
+// place adds a known-absent id at p, growing the per-entry slices and the
+// hit bitmap to it, so queries never grow them.
 func (g *Grid) place(id GridID, p Point) {
 	for GridID(len(g.in)) <= id {
 		g.in, g.where, g.pos = append(g.in, false), append(g.where, 0), append(g.pos, Point{})
+	}
+	for GridID(len(g.hits))*64 <= id {
+		g.hits = append(g.hits, 0)
 	}
 	g.in[id] = true
 	g.pos[id] = p
@@ -191,7 +198,8 @@ func (g *Grid) Remove(id GridID) bool {
 }
 
 // removeFromCell swap-deletes id from its cell slice. Intra-cell order is
-// therefore history-dependent, which is fine: query output is sorted.
+// therefore history-dependent, which is fine: queries emit IDs from the
+// hit bitmap in ascending order, whatever order they found them in.
 func (g *Grid) removeFromCell(id GridID, key gridKey) {
 	ids := g.cells[key]
 	i := slices.Index(ids, id)
@@ -221,7 +229,6 @@ func (g *Grid) AppendRange(dst []GridID, p Point, r float64) []GridID {
 		return dst
 	}
 	r = math.Abs(r)
-	start := len(dst)
 	// Clamp the query's cell rectangle to occupied cells; NaN bounds
 	// (e.g. p.X = +Inf with r = +Inf) widen to the full occupied box.
 	cx0 := max(g.coord(p.X-r, math.MinInt32), g.minCx)
@@ -232,14 +239,16 @@ func (g *Grid) AppendRange(dst []GridID, p Point, r float64) []GridID {
 		return dst
 	}
 	nx, ny := int64(cx1)-int64(cx0)+1, int64(cy1)-int64(cy0)+1
+	lo, hi := len(g.hits), -1 // the hit words this query touched
 	if nx*ny <= 4*int64(len(g.cells))+16 {
-		// Dense path: walk the cell rectangle in deterministic row-major
-		// order. With cell ≈ r this is the 3×3 block around p.
+		// Dense path: walk the cell rectangle. With cell ≈ r this is the
+		// 3×3 block around p.
 		for cy := cy0; ; cy++ {
 			for cx := cx0; ; cx++ {
 				for _, id := range g.cells[makeKey(cx, cy)] {
 					if WithinRange(p, g.pos[id], r) {
-						dst = append(dst, id)
+						g.hits[id/64] |= 1 << (id % 64)
+						lo, hi = min(lo, int(id/64)), max(hi, int(id/64))
 					}
 				}
 				if cx == cx1 {
@@ -253,10 +262,8 @@ func (g *Grid) AppendRange(dst []GridID, p Point, r float64) []GridID {
 	} else {
 		// Sparse-world fallback (huge radius over few, scattered cells):
 		// visiting the rectangle would dwarf visiting every occupied
-		// cell, so scan the cells map instead. Candidates are collected
-		// and sorted immediately, making the map's randomized iteration
-		// order unobservable.
-		found := g.sparse[:0]
+		// cell, so scan the cells map instead. Setting bits commutes, so
+		// the map's randomized iteration order is unobservable.
 		for key, ids := range g.cells {
 			cx, cy := unpackKey(key)
 			if cx < cx0 || cx > cx1 || cy < cy0 || cy > cy1 {
@@ -264,15 +271,18 @@ func (g *Grid) AppendRange(dst []GridID, p Point, r float64) []GridID {
 			}
 			for _, id := range ids {
 				if WithinRange(p, g.pos[id], r) {
-					found = append(found, id)
+					g.hits[id/64] |= 1 << (id % 64)
+					lo, hi = min(lo, int(id/64)), max(hi, int(id/64))
 				}
 			}
 		}
-		slices.Sort(found)
-		g.sparse = found[:0]
-		dst = append(dst, found...)
 	}
-	tail := dst[start:]
-	slices.Sort(tail)
+	for wi := lo; wi <= hi; wi++ {
+		w := g.hits[wi]
+		g.hits[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, GridID(wi*64+bits.TrailingZeros64(w)))
+		}
+	}
 	return dst
 }

@@ -32,7 +32,8 @@ func sameIDs(a, b []GridID) bool {
 }
 
 // checkEquivalence queries the grid and the brute-force oracle at p/r and
-// fails the test if they disagree.
+// fails the test if they disagree. It then repeats the query, which must
+// return the same IDs: a query leaves its hit bitmap zeroed.
 func checkEquivalence(t *testing.T, g *Grid, hosts []Point, present []bool, p Point, r float64) {
 	t.Helper()
 	got := g.QueryRange(p, r)
@@ -40,6 +41,9 @@ func checkEquivalence(t *testing.T, g *Grid, hosts []Point, present []bool, p Po
 	if !sameIDs(got, want) {
 		t.Fatalf("grid/brute divergence at p=%v r=%v cell=%v:\n grid  = %v\n brute = %v",
 			p, r, g.CellSize(), got, want)
+	}
+	if again := g.QueryRange(p, r); !sameIDs(again, got) {
+		t.Fatalf("repeated query at p=%v r=%v differs:\n first  = %v\n second = %v", p, r, got, again)
 	}
 }
 
@@ -82,10 +86,12 @@ func TestGridMatchesBruteForceRandomized(t *testing.T) {
 }
 
 // TestGridMatchesBruteForceUnderChurn moves and removes random hosts between
-// queries: the index must track the oracle through arbitrary history.
+// queries: the index must track the oracle through arbitrary history. With
+// 240 IDs the candidates of one query span four words of the hit bitmap
+// and include IDs removed earlier.
 func TestGridMatchesBruteForceUnderChurn(t *testing.T) {
 	rng := sim.NewRNG(11).Stream("grid-churn")
-	const n = 25
+	const n = 240
 	cell := 50.0
 	g, err := NewGrid(cell)
 	if err != nil {

@@ -14,7 +14,7 @@
 //  1. Calls into package fmt (Sprintf and friends) — formatting allocates
 //     its result and boxes every operand.
 //  2. make — every make call allocates; hot paths reuse scratch buffers
-//     owned by the receiver (grid.sparse, medium.neighbors) instead.
+//     owned by the receiver (grid.hits, medium.neighbors) instead.
 //  3. append to a fresh, unsized local slice (declared `var s []T` or
 //     `s := []T{}`) — growth reallocates on every few appends. Appending
 //     to caller-provided or receiver-owned scratch is the sanctioned idiom
