@@ -4,12 +4,12 @@ GO ?= go
 ## bench-check. BENCH_OUT lets a PR snapshot its own baseline (e.g.
 ## `make bench-baseline BENCH_OUT=BENCH_pr7.json`) without touching the
 ## committed one; BENCH_BASE is what bench-check gates against.
-BENCH_PATTERN = KernelScheduleRun|ChannelSend|MediumTransmit|FilterAdd|FilterTest|PeerVectorCovers|PeerVectorAddSignature|CountingFilterSignature|CountingFilterDelta|VLFL|BenchmarkNeighbors|BenchmarkBroadcast|BenchmarkBeaconRound
-BENCH_PKGS = ./internal/sim/ ./internal/network/ ./internal/bloom/
+BENCH_PATTERN = KernelScheduleRun|ChannelSend|MediumTransmit|FilterAdd|FilterTest|PeerVectorCovers|PeerVectorAddSignature|CountingFilterSignature|CountingFilterDelta|VLFL|BenchmarkNeighbors|BenchmarkBroadcast|BenchmarkBeaconRound|BenchmarkLRUHit|BenchmarkLRUAdmit
+BENCH_PKGS = ./internal/sim/ ./internal/network/ ./internal/bloom/ ./internal/cache/
 BENCH_OUT ?= BENCH_seed.json
 BENCH_BASE ?= BENCH_pr8.json
 
-.PHONY: tier1 vet build lint conformance test race cellbench-test short bench race-runner sweep-smoke chaos-smoke bench-baseline bench-check fuzz-smoke resume-smoke resilience-smoke loc
+.PHONY: tier1 vet build lint conformance test race cellbench-test short bench race-runner sweep-smoke chaos-smoke bench-baseline bench-check cellbench-ab fuzz-smoke resume-smoke resilience-smoke loc
 
 ## tier1: the gate every change must pass — vet, build, the contract-lint
 ## suite, the scheme-conformance suite, tests with the race detector, and
@@ -119,6 +119,18 @@ bench-baseline:
 ## 30% fails. Benchmarks on only one side are informational.
 bench-check:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/grococa-benchjson -compare $(BENCH_BASE) -max-regress 0.30
+
+## cellbench-ab: the whole-run A/B of the working tree against BASE —
+## PAIRS pairs of cellbench runs of WORKLOAD at SEED, alternating which
+## side runs first, printed as JSON: each end-to-end metric's per-side
+## median and quartiles and the working tree's wins. BASE is unpacked
+## with git archive under .bench_build/.
+BASE ?= HEAD
+WORKLOAD ?= sc-baseline
+SEED ?= 1
+PAIRS ?= 10
+cellbench-ab:
+	@$(GO) run ./cmd/grococa-ab -base $(BASE) -workload $(WORKLOAD) -seed $(SEED) -pairs $(PAIRS)
 
 ## fuzz-smoke: short native-fuzzing passes, one run per target (go test
 ## -fuzz takes one target at a time): the spatial index's grid-vs-brute-

@@ -6,9 +6,9 @@
 package cache
 
 import (
-	"container/list"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/workload"
@@ -32,15 +32,18 @@ type Entry struct {
 	// survived only because it had no replica in the TCG; it is reset to
 	// ReplaceDelay on access.
 	SingletTTL int
+	// Accesses counts Get/Touch hits on this entry — spillover's "proven
+	// useful" filter donates only items that were hit more than once.
+	Accesses int
 	// Donated marks entries received via cache spillover; donations may
 	// only displace other donations and lose the mark when the owner
 	// itself accesses the item.
 	Donated bool
-	// Accesses counts Get/Touch hits on this entry — spillover's "proven
-	// useful" filter donates only items that were hit more than once.
-	Accesses int
 
-	elem *list.Element
+	// prev and next link the entry's slot into the recency list (toward
+	// the most and the least recently used end); -1 ends the list. A free
+	// slot chains the free list through next.
+	prev, next int32
 }
 
 // Valid reports whether the copy's TTL has not expired at time now.
@@ -48,14 +51,34 @@ func (e *Entry) Valid(now time.Duration) bool {
 	return now <= e.RetrievedAt+e.TTL
 }
 
+// The errors Add reports; both are programming errors in the caller.
+var (
+	ErrFull      = errors.New("cache: add into full cache")
+	ErrDuplicate = errors.New("cache: duplicate add")
+)
+
+// none ends the recency list and the free list.
+const none int32 = -1
+
 // LRU is a fixed-capacity least-recently-used cache keyed by item ID. It
 // never evicts on its own: callers make room explicitly, which is where the
 // schemes' replacement policies plug in.
+//
+// Entries live in one slice of slots, linked into the recency list by
+// index, and a pointer-free map resolves an ID to its slot, so neither an
+// admission nor an eviction allocates once the slice has grown to
+// capacity. An *Entry the cache returns points into that slice: it stays
+// valid until the next Add, which may reuse a removed entry's slot or
+// move the slice while it grows. So a removed entry can still be read
+// until then, which is how an evicted victim is offered for spillover.
 type LRU struct {
 	capacity int
-	entries  map[workload.ItemID]*Entry
-	// order holds *Entry values, most recently used at the front.
-	order *list.List
+	index    map[workload.ItemID]int32
+	// slots grows by append up to capacity and is never shrunk.
+	slots []Entry
+	// head is the most and tail the least recently used slot; free heads
+	// the list of removed slots.
+	head, tail, free int32
 }
 
 // NewLRU creates a cache holding up to capacity items.
@@ -65,8 +88,10 @@ func NewLRU(capacity int) (*LRU, error) {
 	}
 	return &LRU{
 		capacity: capacity,
-		entries:  make(map[workload.ItemID]*Entry, capacity),
-		order:    list.New(),
+		index:    make(map[workload.ItemID]int32, capacity),
+		head:     none,
+		tail:     none,
+		free:     none,
 	}, nil
 }
 
@@ -74,126 +99,173 @@ func NewLRU(capacity int) (*LRU, error) {
 func (c *LRU) Cap() int { return c.capacity }
 
 // Len returns the number of cached items.
-func (c *LRU) Len() int { return len(c.entries) }
+func (c *LRU) Len() int { return len(c.index) }
 
 // Full reports whether the cache is at capacity.
-func (c *LRU) Full() bool { return len(c.entries) >= c.capacity }
+func (c *LRU) Full() bool { return len(c.index) >= c.capacity }
 
 // Get returns the entry for id and promotes it to most recently used,
 // updating LastAccess to now. It returns nil when absent.
+//
+//hot:the local lookup of every request; 0 allocs/op pinned by TestLRUSteadyStateAllocs
 func (c *LRU) Get(id workload.ItemID, now time.Duration) *Entry {
-	e, ok := c.entries[id]
+	i, ok := c.index[id]
 	if !ok {
 		return nil
 	}
+	e := &c.slots[i]
 	e.LastAccess = now
 	e.Accesses++
-	c.order.MoveToFront(e.elem)
+	c.toFront(i)
 	return e
 }
 
 // Peek returns the entry for id without disturbing recency, or nil.
+//
+//hot:every peer search a host hears and every admission probe this cache
 func (c *LRU) Peek(id workload.ItemID) *Entry {
-	return c.entries[id]
+	i, ok := c.index[id]
+	if !ok {
+		return nil
+	}
+	return &c.slots[i]
 }
 
 // Touch promotes id as if accessed at now, without returning it. This is
 // the remote LRU refresh the cooperative admission protocol performs when a
 // TCG member serves an item. It reports whether the item was present.
+//
+//hot:the refresh of every re-admitted copy and cooperative-admission touch
 func (c *LRU) Touch(id workload.ItemID, now time.Duration) bool {
-	e, ok := c.entries[id]
-	if !ok {
-		return false
-	}
-	e.LastAccess = now
-	e.Accesses++
-	c.order.MoveToFront(e.elem)
-	return true
+	return c.Get(id, now) != nil
 }
 
-// Add inserts an entry as most recently used. Inserting into a full cache
-// or inserting a duplicate ID is a programming error and is reported.
-func (c *LRU) Add(e *Entry) error {
+// Add inserts a copy of e as most recently used. Inserting into a full
+// cache or inserting a duplicate ID is a programming error and is
+// reported.
+//
+//hot:every admission; 0 allocs/op pinned by TestLRUSteadyStateAllocs
+func (c *LRU) Add(e Entry) error {
 	if c.Full() {
-		return fmt.Errorf("cache: add %d into full cache", e.ID)
+		return ErrFull
 	}
-	if _, ok := c.entries[e.ID]; ok {
-		return fmt.Errorf("cache: duplicate add of %d", e.ID)
+	if _, ok := c.index[e.ID]; ok {
+		return ErrDuplicate
 	}
-	e.elem = c.order.PushFront(e)
-	c.entries[e.ID] = e
+	i := c.free
+	if i != none {
+		c.free = c.slots[i].next
+	} else {
+		i = int32(len(c.slots))
+		c.slots = append(c.slots, Entry{})
+	}
+	e.prev, e.next = none, c.head
+	c.slots[i] = e
+	if c.head != none {
+		c.slots[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+	c.index[e.ID] = i
 	return nil
 }
 
-// Remove deletes the entry for id and returns it, or nil when absent.
+// Remove deletes the entry for id and returns it, or nil when absent. The
+// returned entry stays readable until the next Add.
+//
+//hot:every eviction; 0 allocs/op pinned by TestLRUSteadyStateAllocs
 func (c *LRU) Remove(id workload.ItemID) *Entry {
-	e, ok := c.entries[id]
+	i, ok := c.index[id]
 	if !ok {
 		return nil
 	}
-	c.order.Remove(e.elem)
-	e.elem = nil
-	delete(c.entries, id)
+	delete(c.index, id)
+	c.unlink(i)
+	e := &c.slots[i]
+	e.next = c.free
+	c.free = i
 	return e
 }
 
 // Victim returns the least recently used entry, or nil when empty.
+//
+//hot:the plain LRU eviction of every admission into a full cache
 func (c *LRU) Victim() *Entry {
-	back := c.order.Back()
-	if back == nil {
+	if c.tail == none {
 		return nil
 	}
-	e, ok := back.Value.(*Entry)
-	if !ok {
-		return nil
-	}
-	return e
+	return &c.slots[c.tail]
 }
 
 // VictimMatching returns the least recently used entry satisfying pred, or
 // nil when none does.
+//
+//hot:the donated-window eviction of every accepted spillover offer
 func (c *LRU) VictimMatching(pred func(*Entry) bool) *Entry {
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		if e, ok := el.Value.(*Entry); ok && pred(e) {
+	for i := c.tail; i != none; i = c.slots[i].prev {
+		if e := &c.slots[i]; pred(e) {
 			return e
 		}
 	}
 	return nil
 }
 
-// Candidates returns up to n least valuable entries, least recently used
-// first — the paper's ReplaceCandidate window. The returned slice is fresh
-// but the entries are the live cache entries.
-func (c *LRU) Candidates(n int) []*Entry {
-	if n <= 0 {
-		return nil
+// Candidates appends up to n least valuable entries to dst[:0], least
+// recently used first — the paper's ReplaceCandidate window — and returns
+// the result. The entries are the live cache entries.
+//
+//hot:the ranked-replacement window of every admission into a full cache
+func (c *LRU) Candidates(dst []*Entry, n int) []*Entry {
+	dst = dst[:0]
+	for i := c.tail; i != none && len(dst) < n; i = c.slots[i].prev {
+		dst = append(dst, &c.slots[i])
 	}
-	out := make([]*Entry, 0, min(n, c.order.Len()))
-	for el := c.order.Back(); el != nil && len(out) < n; el = el.Prev() {
-		if e, ok := el.Value.(*Entry); ok {
-			out = append(out, e)
-		}
-	}
-	return out
+	return dst
 }
 
 // Items returns the IDs of all cached items in ascending ID order, so
 // consumers (signature rebuilds, diagnostics) never observe Go's
 // randomized map iteration order.
 func (c *LRU) Items() []workload.ItemID {
-	ids := make([]workload.ItemID, 0, len(c.entries))
-	for id := range c.entries {
-		ids = append(ids, id)
+	ids := make([]workload.ItemID, 0, len(c.index))
+	for i := c.head; i != none; i = c.slots[i].next {
+		ids = append(ids, c.slots[i].ID)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
 // Each calls fn for every entry, most recently used first.
 func (c *LRU) Each(fn func(*Entry)) {
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		if e, ok := el.Value.(*Entry); ok {
-			fn(e)
-		}
+	for i := c.head; i != none; i = c.slots[i].next {
+		fn(&c.slots[i])
+	}
+}
+
+// toFront moves slot i to the most recently used end.
+func (c *LRU) toFront(i int32) {
+	if c.head == i {
+		return
+	}
+	c.unlink(i)
+	e := &c.slots[i]
+	e.prev, e.next = none, c.head
+	c.slots[c.head].prev = i
+	c.head = i
+}
+
+// unlink takes slot i out of the recency list.
+func (c *LRU) unlink(i int32) {
+	e := &c.slots[i]
+	if e.prev != none {
+		c.slots[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next != none {
+		c.slots[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
 	}
 }

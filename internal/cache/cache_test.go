@@ -17,13 +17,11 @@ func mustLRU(t *testing.T, capacity int) *LRU {
 	return c
 }
 
-func add(t *testing.T, c *LRU, id workload.ItemID, now time.Duration) *Entry {
+func add(t *testing.T, c *LRU, id workload.ItemID, now time.Duration) {
 	t.Helper()
-	e := &Entry{ID: id, Size: 1024, RetrievedAt: now, TTL: time.Hour, LastAccess: now}
-	if err := c.Add(e); err != nil {
+	if err := c.Add(Entry{ID: id, Size: 1024, RetrievedAt: now, TTL: time.Hour, LastAccess: now}); err != nil {
 		t.Fatalf("Add(%d): %v", id, err)
 	}
-	return e
 }
 
 func TestNewLRUValidation(t *testing.T) {
@@ -62,15 +60,15 @@ func TestAddGetRemove(t *testing.T) {
 func TestAddErrors(t *testing.T) {
 	c := mustLRU(t, 2)
 	add(t, c, 1, 0)
-	if err := c.Add(&Entry{ID: 1}); err == nil {
-		t.Error("duplicate add accepted")
+	if err := c.Add(Entry{ID: 1}); err != ErrDuplicate {
+		t.Errorf("duplicate add: err = %v, want ErrDuplicate", err)
 	}
 	add(t, c, 2, 0)
 	if !c.Full() {
 		t.Error("Full() = false at capacity")
 	}
-	if err := c.Add(&Entry{ID: 3}); err == nil {
-		t.Error("add into full cache accepted")
+	if err := c.Add(Entry{ID: 3}); err != ErrFull {
+		t.Errorf("add into full cache: err = %v, want ErrFull", err)
 	}
 }
 
@@ -114,7 +112,7 @@ func TestCandidatesOrder(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		add(t, c, workload.ItemID(i), time.Duration(i)*time.Second)
 	}
-	got := c.Candidates(3)
+	got := c.Candidates(nil, 3)
 	want := []workload.ItemID{1, 2, 3}
 	if len(got) != 3 {
 		t.Fatalf("Candidates len = %d", len(got))
@@ -124,11 +122,11 @@ func TestCandidatesOrder(t *testing.T) {
 			t.Errorf("candidate[%d] = %d, want %d", i, got[i].ID, w)
 		}
 	}
-	if got := c.Candidates(10); len(got) != 5 {
+	if got := c.Candidates(got, 10); len(got) != 5 {
 		t.Errorf("Candidates(10) len = %d, want 5", len(got))
 	}
-	if got := c.Candidates(0); got != nil {
-		t.Errorf("Candidates(0) = %v, want nil", got)
+	if got := c.Candidates(got, 0); len(got) != 0 {
+		t.Errorf("Candidates(0) = %v, want none", got)
 	}
 }
 
@@ -214,7 +212,7 @@ func TestLRUInvariantProperty(t *testing.T) {
 				c.Remove(v.ID)
 				delete(lastUse, v.ID)
 			}
-			if err := c.Add(&Entry{ID: id, LastAccess: now}); err != nil {
+			if err := c.Add(Entry{ID: id, LastAccess: now}); err != nil {
 				return false
 			}
 			lastUse[id] = now

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -12,26 +13,19 @@ import (
 	"repro/internal/workload"
 )
 
-// sigRequestPayload asks peers for their full cache signatures. Members is
-// nil for a direct request to one peer; for the broadcast recollection after
-// a membership change or reconnection it lists the requester's TCG members,
-// and only listed peers reply.
-type sigRequestPayload struct {
-	Members []network.NodeID
-}
+// The signature exchange carries its content in Message.Extra: a SigRequest
+// broadcast for a recollection carries the requester's sorted TCG member
+// list as a []network.NodeID (a direct request carries none, and only
+// listed peers answer a broadcast one), and a SigReply carries the full
+// signature as a *bloom.Filter.
 
-// sigReplyPayload returns a full cache signature.
-type sigReplyPayload struct {
-	Sig *bloom.Filter
-}
-
-// sigDeltaPayload is the signature update information piggybacked on NDP
+// sigDelta is the signature update information piggybacked on NDP
 // beacons ("other useful information") and on request broadcasts: the bit
 // positions the owner's cache signature set and cleared since its last
 // announcement.
-type sigDeltaPayload struct {
-	Insert []int
-	Evict  []int
+type sigDelta struct {
+	insert []int
+	evict  []int
 }
 
 // beaconPayload supplies the "other useful information" of the hello
@@ -45,7 +39,7 @@ func (h *Host) beaconPayload() (any, int) {
 	if h.traits.Signatures {
 		if ins, evi := h.ownSig.Delta(); (len(ins) > 0 || len(evi) > 0) && len(h.tcg) > 0 {
 			// Each position costs two bytes on air (σ ≤ 64 Ki).
-			info.SigDelta = &sigDeltaPayload{Insert: ins, Evict: evi}
+			info.SigDelta = &sigDelta{insert: ins, evict: evi}
 			extra += 2 * (len(ins) + len(evi))
 		}
 	}
@@ -68,6 +62,8 @@ func (h *Host) beaconPayload() (any, int) {
 // admit places a freshly obtained item into the cache, running the
 // cooperative cache admission control and replacement protocols of Section
 // IV.E for GroCoca hosts and plain LRU replacement otherwise.
+//
+//hot:every MSS and peer retrieval; 0 allocs/op pinned by TestRequestPathAllocs
 func (h *Host) admit(item workload.ItemID, now, ttl time.Duration, fromTCG bool) {
 	if e := h.cache.Peek(item); e != nil {
 		// Refresh the existing copy in place.
@@ -92,11 +88,13 @@ func (h *Host) admit(item workload.ItemID, now, ttl time.Duration, fromTCG bool)
 		if victim == nil {
 			return
 		}
+		// The removed victim stays readable until the Add below, so
+		// spillover can still offer it.
 		h.cache.Remove(victim.ID)
 		h.sigRemove(victim.ID)
 		h.maybeSpill(victim)
 	}
-	entry := &cache.Entry{
+	entry := cache.Entry{
 		ID:          item,
 		Size:        h.cfg.DataSize,
 		RetrievedAt: now,
@@ -122,7 +120,8 @@ func (h *Host) pickVictim() *cache.Entry {
 	if !h.strat.ReplaceActive(h) {
 		return h.cache.Victim()
 	}
-	cands := h.cache.Candidates(h.cfg.ReplaceCandidate)
+	cands := h.cache.Candidates(h.cands, h.cfg.ReplaceCandidate)
+	h.cands = cands
 	if len(cands) == 0 {
 		return nil
 	}
@@ -183,12 +182,11 @@ func (h *Host) sigRemove(item workload.ItemID) {
 // rebuildOwnSig reconstructs the counter vector from the cache contents
 // after a saturation or underflow event.
 func (h *Host) rebuildOwnSig() {
-	items := h.cache.Items()
-	elems := make([]uint64, len(items))
-	for i, id := range items {
-		elems[i] = uint64(id)
+	h.sigElems = h.sigElems[:0]
+	for _, id := range h.cache.Items() {
+		h.sigElems = append(h.sigElems, uint64(id))
 	}
-	h.ownSig.Rebuild(elems)
+	h.ownSig.Rebuild(h.sigElems)
 }
 
 // applySigDelta folds a TCG member's piggybacked signature update into the
@@ -248,11 +246,10 @@ func (h *Host) applyMembershipChanges(changes []server.MembershipChange) {
 // sendSigRequest asks one peer directly for its cache signature.
 func (h *Host) sendSigRequest(peer network.NodeID) {
 	h.medium.Send(network.Message{
-		Kind:    network.KindSigRequest,
-		From:    h.id,
-		To:      peer,
-		Size:    network.SigRequestSize,
-		Payload: sigRequestPayload{},
+		Kind: network.KindSigRequest,
+		From: h.id,
+		To:   peer,
+		Size: network.SigRequestSize,
 	})
 }
 
@@ -273,10 +270,10 @@ func (h *Host) recollectSignatures() {
 	}
 	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 	h.medium.Broadcast(network.Message{
-		Kind:    network.KindSigRequest,
-		From:    h.id,
-		Size:    network.SigRequestSize,
-		Payload: sigRequestPayload{Members: members},
+		Kind:  network.KindSigRequest,
+		From:  h.id,
+		Size:  network.SigRequestSize,
+		Extra: members,
 	})
 }
 
@@ -284,17 +281,7 @@ func (h *Host) recollectSignatures() {
 // reconnecting, synchronize TCG membership with the MSS, then rebuild the
 // peer counter vector from scratch.
 func (h *Host) reconnectSignatures() {
-	now := h.k.Now()
-	h.lastServerContact = now
-	h.link.SendUp(network.Message{
-		Kind: network.KindLocationUpdate,
-		From: h.id,
-		Size: network.ControlSize,
-		Payload: server.LocationPayload{
-			Location:     h.Position(now),
-			PeerAccesses: h.samplePeerAccesses(),
-		},
-	})
+	h.sendLocationUpdate(h.k.Now())
 	h.recollectSignatures()
 }
 
@@ -316,32 +303,19 @@ func (h *Host) handleSigRequest(msg network.Message) {
 	if !h.traits.Signatures {
 		return
 	}
-	payload, ok := msg.Payload.(sigRequestPayload)
-	if !ok {
+	if members, ok := msg.Extra.([]network.NodeID); ok && !slices.Contains(members, h.id) {
 		return
-	}
-	if payload.Members != nil {
-		listed := false
-		for _, id := range payload.Members {
-			if id == h.id {
-				listed = true
-				break
-			}
-		}
-		if !listed {
-			return
-		}
 	}
 	sig := h.ownSig.Signature()
 	size := network.HeaderSize + h.sigTransferBytes(sig)
 	h.collector.aux.SigExchanges++
 	h.collector.aux.SigBytes += uint64(size)
 	h.medium.Send(network.Message{
-		Kind:    network.KindSigReply,
-		From:    h.id,
-		To:      msg.From,
-		Size:    size,
-		Payload: sigReplyPayload{Sig: sig},
+		Kind:  network.KindSigReply,
+		From:  h.id,
+		To:    msg.From,
+		Size:  size,
+		Extra: sig,
 	})
 }
 
@@ -373,8 +347,8 @@ func (h *Host) handleSigReply(msg network.Message) {
 	if !h.traits.Signatures {
 		return
 	}
-	payload, ok := msg.Payload.(sigReplyPayload)
-	if !ok || payload.Sig == nil {
+	sig, ok := msg.Extra.(*bloom.Filter)
+	if !ok || sig == nil {
 		return
 	}
 	if !h.tcg[msg.From] {
@@ -386,10 +360,10 @@ func (h *Host) handleSigReply(msg network.Message) {
 			return
 		}
 	}
-	if err := h.peerVec.AddSignature(payload.Sig); err != nil {
+	if err := h.peerVec.AddSignature(sig); err != nil {
 		return
 	}
 	// The sender built this filter for this one point-to-point reply and
 	// keeps no reference to it, so the stored copy takes it over.
-	h.haveSig[msg.From] = payload.Sig
+	h.haveSig[msg.From] = sig
 }

@@ -2,6 +2,7 @@ package client
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -33,24 +34,29 @@ const (
 )
 
 // pendingRequest is the host's single outstanding request (the client model
-// is closed-loop: think, request, complete, repeat).
+// is closed-loop: think, request, complete, repeat). A host reuses one
+// record for every request; seq tells its requests apart.
 type pendingRequest struct {
-	seq         uint64
-	item        workload.ItemID
-	start       time.Duration
-	phase       phase
+	seq   uint64
+	item  workload.ItemID
+	start time.Duration
+	phase phase
+	// timeout is the phase's timer: τ while the search waits for a
+	// reply, the data timeout while it waits for data, the rescue while
+	// an MSS exchange is in flight.
 	timeout     sim.Event
 	broadcastAt time.Duration
-	// replyPath is the hop path from this host to the providing peer.
-	replyPath []network.NodeID
-	provider  network.NodeID
+	// validateAt is the retrieval time of the expired copy a validation
+	// asks about.
+	validateAt time.Duration
+	provider   network.NodeID
 	// replies collects every reply heard for this search (the first one
 	// selects the provider; later ones feed the longest-TTL touch
 	// selection of the cooperative admission protocol).
-	replies []replyPayload
-	// tried marks holders already asked for the data, so retrieve
+	replies []peerReply
+	// tried lists holders already asked for the data, so retrieve
 	// retries pick a fresh one.
-	tried map[network.NodeID]bool
+	tried []network.NodeID
 	// retrieveAttempts counts alternate-holder retries after data
 	// timeouts; serverAttempts counts rescue re-sends of a lost MSS
 	// exchange; budgetSpent counts both, against the retry budget.
@@ -69,7 +75,8 @@ type pendingRequest struct {
 
 // cancelTimers cancels every timer the request holds; it is the single
 // teardown point for complete, crash aborts and phase changes that
-// re-arm.
+// re-arm. So a request timer that fires always belongs to the current
+// request.
 func (p *pendingRequest) cancelTimers() {
 	p.timeout.Cancel()
 	p.hedge.Cancel()
@@ -109,7 +116,21 @@ type Host struct {
 
 	completed int
 	seq       uint64
-	cur       *pendingRequest
+	// cur is &req while a request is in flight and nil otherwise.
+	cur *pendingRequest
+	req pendingRequest
+
+	// The callbacks the request path schedules, bound once in NewHost so
+	// that scheduling one allocates nothing. The timers read h.cur; the
+	// broadcast-disk callbacks get the seq of the request that tuned in,
+	// since a crash abort leaves them registered.
+	nextReqFn, timeoutFn, hedgeFn, reconnectFn func()
+	broadcastFn                                push.DeliverFunc
+	broadcastDropFn                            push.DropFunc
+
+	// Scratch reused by the replacement window and signature rebuilds.
+	cands    []*cache.Entry
+	sigElems []uint64
 
 	// Crash/recover churn (driven by the fault plan). The pending
 	// next-request timer is tracked so a crash can cancel it and
@@ -127,12 +148,12 @@ type Host struct {
 	// Spillover state: request activity estimate and neighbor beacon table.
 	activityGap    stats.EWMA
 	lastRequestAt  time.Duration
-	neighborStates map[network.NodeID]neighborState
+	neighborStates []neighborState // indexed by NodeID
 	neighborHints  map[workload.ItemID]hintState
 	beaconInterval time.Duration
 
 	// seenFloods deduplicates forwarded and multi-hop search floods. It is
-	// allocated on first use and dropped whole past 16,384 keys.
+	// emptied whole past 16,384 keys.
 	seenFloods map[floodKey]struct{}
 
 	// GroCoca state.
@@ -194,7 +215,14 @@ func NewHost(
 		rngDisc:     rng.Stream(fmt.Sprintf("disc-%d", id)),
 		rngSample:   rng.Stream(fmt.Sprintf("sample-%d", id)),
 		activityGap: stats.NewEWMA(0.3),
+		seenFloods:  make(map[floodKey]struct{}),
 	}
+	h.nextReqFn = h.issueNextRequest
+	h.timeoutFn = h.timeoutFired
+	h.hedgeFn = h.hedgeFired
+	h.reconnectFn = h.reconnect
+	h.broadcastFn = h.broadcastDelivered
+	h.broadcastDropFn = h.broadcastDropped
 	if cfg.Resilience.Jitter > 0 {
 		h.rngResil = rng.Stream(fmt.Sprintf("resil-%d", id))
 	}
@@ -330,10 +358,14 @@ func (h *Host) scheduleNextRequest() {
 	item, think := h.gen.Next()
 	h.nextReqItem = item
 	h.nextReqPending = true
-	h.nextReqEv = h.k.Schedule(think, func() {
-		h.nextReqPending = false
-		h.beginRequest(item)
-	})
+	h.nextReqEv = h.k.Schedule(think, h.nextReqFn)
+}
+
+// issueNextRequest fires when the think time scheduleNextRequest drew
+// has passed.
+func (h *Host) issueNextRequest() {
+	h.nextReqPending = false
+	h.beginRequest(h.nextReqItem)
 }
 
 // Preload inserts an item into the cache outside the protocol, maintaining
@@ -346,7 +378,7 @@ func (h *Host) Preload(item workload.ItemID, ttl time.Duration) error {
 	if h.cache.Full() {
 		return fmt.Errorf("client: preload into full cache")
 	}
-	err := h.cache.Add(&cache.Entry{
+	err := h.cache.Add(cache.Entry{
 		ID:          item,
 		Size:        h.cfg.DataSize,
 		RetrievedAt: now,
@@ -474,7 +506,7 @@ func (h *Host) setConnected(on bool) {
 func (h *Host) disconnect() {
 	h.setConnected(false)
 	length := h.rngDisc.UniformDuration(h.cfg.DiscMin, h.cfg.DiscMax)
-	h.k.Schedule(length, h.reconnect)
+	h.k.Schedule(length, h.reconnectFn)
 }
 
 // reconnect restores connectivity and runs the GroCoca client
@@ -492,36 +524,46 @@ func (h *Host) reconnect() {
 func (h *Host) explicitUpdateTick() {
 	now := h.k.Now()
 	if h.medium.Connected(h.id) && now-h.lastServerContact >= h.cfg.ExplicitUpdateAfter && h.inServiceArea(now) {
-		h.lastServerContact = now
-		h.link.SendUp(network.Message{
-			Kind: network.KindLocationUpdate,
-			From: h.id,
-			Size: network.ControlSize,
-			Payload: server.LocationPayload{
-				Location:     h.Position(now),
-				PeerAccesses: h.samplePeerAccesses(),
-			},
-		})
+		h.sendLocationUpdate(now)
 	}
 	if h.completed < h.totalRequests() {
 		h.k.Schedule(h.cfg.ExplicitUpdateAfter, h.explicitUpdateTick)
 	}
 }
 
-// samplePeerAccesses returns a ρ_P sample of the peer-served items since
-// the last server contact and clears the log.
-func (h *Host) samplePeerAccesses() []workload.ItemID {
-	if len(h.peerAccessLog) == 0 {
-		return nil
+// sendLocationUpdate reports the host's location and a ρ_P sample of its
+// peer accesses to the MSS.
+func (h *Host) sendLocationUpdate(now time.Duration) {
+	h.lastServerContact = now
+	msg := network.Message{
+		Kind:     network.KindLocationUpdate,
+		From:     h.id,
+		Size:     network.ControlSize,
+		Location: h.Position(now),
 	}
-	var out []workload.ItemID
-	for _, it := range h.peerAccessLog {
+	if sample := h.samplePeerAccesses(); sample != nil {
+		msg.Extra = sample
+	}
+	h.link.SendUp(msg)
+}
+
+// samplePeerAccesses returns a ρ_P sample of the peer-served items since
+// the last server contact, or nil, and clears the log. The sample is a
+// copy: the message carrying it is still in flight when the log refills.
+func (h *Host) samplePeerAccesses() *server.AccessSample {
+	log := h.peerAccessLog
+	n := 0
+	for _, it := range log {
 		if h.rngSample.Bool(h.cfg.PeerAccessSample) {
-			out = append(out, it)
+			log[n] = it
+			n++
 		}
 	}
-	h.peerAccessLog = h.peerAccessLog[:0]
-	return out
+	h.peerAccessLog = log[:0]
+	if n == 0 {
+		return nil
+	}
+	return &server.AccessSample{Items: slices.Clone(log[:n])}
 }
 
 // Receive implements network.Peer: P2P traffic dispatch.
@@ -531,27 +573,35 @@ func (h *Host) Receive(msg network.Message) {
 		if h.ndp != nil {
 			h.ndp.HandleBeacon(msg.From)
 		}
-		if info, ok := msg.Payload.(beaconInfo); ok {
+		if info, ok := msg.Extra.(beaconInfo); ok {
 			h.recordNeighborBeacon(msg.From, info)
 			h.recordNeighborHints(info.Hints)
 			if info.SigDelta != nil && h.traits.Signatures && h.tcg[msg.From] {
-				h.applySigDelta(msg.From, info.SigDelta.Insert, info.SigDelta.Evict)
+				h.applySigDelta(msg.From, info.SigDelta.insert, info.SigDelta.evict)
 			}
 		}
 	case network.KindRequest:
 		h.handlePeerRequest(msg)
 	case network.KindReply:
-		h.handleRelayed(msg, func(m network.Message) { h.handleReply(m) })
+		if h.atFinalHop(msg) {
+			h.handleReply(msg)
+		}
 	case network.KindRetrieve:
-		h.handleRelayed(msg, func(m network.Message) { h.handleRetrieve(m) })
+		if h.atFinalHop(msg) {
+			h.handleRetrieve(msg)
+		}
 	case network.KindData:
-		h.handleRelayed(msg, func(m network.Message) { h.handleData(m) })
+		if h.atFinalHop(msg) {
+			h.handleData(msg)
+		}
 	case network.KindSigRequest:
 		h.handleSigRequest(msg)
 	case network.KindSigReply:
 		h.handleSigReply(msg)
 	case network.KindTouch:
-		h.handleRelayed(msg, func(m network.Message) { h.handleTouch(m) })
+		if h.atFinalHop(msg) {
+			h.handleTouch(msg)
+		}
 	case network.KindSpill:
 		h.handleSpill(msg)
 	default:
@@ -571,10 +621,17 @@ func (h *Host) ReceiveFromServer(msg network.Message) bool {
 	case network.KindValidateOK:
 		h.handleValidateOK(msg)
 	case network.KindLocationUpdate:
-		if payload, ok := msg.Payload.(server.MembershipPayload); ok {
-			h.applyMembershipChanges(payload.Changes)
-		}
+		h.applyMembershipChanges(membershipChanges(msg))
 	default:
 	}
 	return true
+}
+
+// membershipChanges returns the TCG membership changes an MSS message
+// carries, or nil.
+func membershipChanges(msg network.Message) []server.MembershipChange {
+	if changes, ok := msg.Extra.(*server.Changes); ok {
+		return changes.List
+	}
+	return nil
 }

@@ -111,9 +111,10 @@ func TestReceiveFromServerWhileDisconnected(t *testing.T) {
 	a := h.addHost(1, 0, 0, testClientConfig(SchemeSC))
 	a.setConnected(false)
 	ok := a.ReceiveFromServer(network.Message{
-		Kind:    network.KindServerReply,
-		To:      1,
-		Payload: server.ReplyPayload{Item: 5, TTL: time.Hour},
+		Kind: network.KindServerReply,
+		To:   1,
+		Item: 5,
+		TTL:  time.Hour,
 	})
 	if ok {
 		t.Error("disconnected host accepted a downlink message")
@@ -185,11 +186,9 @@ func TestMembershipPayloadViaDownlink(t *testing.T) {
 	a := h.addHost(0, 0, 0, testClientConfig(SchemeGroCoca))
 	h.addHost(1, 50, 0, testClientConfig(SchemeGroCoca))
 	ok := a.ReceiveFromServer(network.Message{
-		Kind: network.KindLocationUpdate,
-		To:   0,
-		Payload: server.MembershipPayload{
-			Changes: []server.MembershipChange{{Peer: 1, Joined: true}},
-		},
+		Kind:  network.KindLocationUpdate,
+		To:    0,
+		Extra: &server.Changes{List: []server.MembershipChange{{Peer: 1, Joined: true}}},
 	})
 	if !ok {
 		t.Fatal("connected host rejected downlink message")
@@ -198,7 +197,7 @@ func TestMembershipPayloadViaDownlink(t *testing.T) {
 		t.Errorf("TCG size = %d after membership payload, want 1", a.TCGSize())
 	}
 	// Malformed payload is ignored without panic.
-	a.ReceiveFromServer(network.Message{Kind: network.KindLocationUpdate, To: 0, Payload: 42})
+	a.ReceiveFromServer(network.Message{Kind: network.KindLocationUpdate, To: 0, Extra: 42})
 	a.ReceiveFromServer(network.Message{Kind: network.KindBeacon, To: 0})
 	if a.TCGSize() != 1 {
 		t.Error("malformed payload disturbed state")

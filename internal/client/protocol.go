@@ -1,73 +1,66 @@
 package client
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/geo"
 	"repro/internal/network"
-	"repro/internal/server"
 	"repro/internal/workload"
 )
 
-// requestPayload is the P2P broadcast searching the peers' caches. Path
-// accumulates the hop sequence from the origin (excluding the origin) so
-// replies can be routed back over multi-hop floods.
-type requestPayload struct {
-	Key      floodKey
-	Item     workload.ItemID
-	HopsLeft int
-	Path     []network.NodeID
-	// Piggybacked GroCoca signature update (bit positions set / cleared by
-	// the origin since its last broadcast).
-	SigInsert []int
-	SigEvict  []int
+// The P2P search exchange carries its content in network.Message's
+// scalar fields: a request names its Origin, Seq, Item and the Hops it
+// has left; a reply or data message names the holder as Origin and the
+// offered copy's RetrievedAt and TTL; a retrieve or touch names the
+// requesting Origin. A message that crosses several hops carries a
+// *route in Extra; a request from its origin may carry a *sigDelta there
+// instead.
+
+// route is the bulky part of a message on a multi-hop path: the hops it
+// visits, its final receiver last (Message.Hops is the current
+// receiver's place), and the search path origin→holder, excluding the
+// origin, that a forwarded request, a reply or a retrieve carries.
+type route struct {
+	hops []network.NodeID
+	path []network.NodeID
 }
 
-// replyPayload announces that Holder caches a valid copy; Path is the full
-// hop path from the origin to the holder.
-type replyPayload struct {
-	Key       floodKey
-	Item      workload.ItemID
-	Holder    network.NodeID
-	Path      []network.NodeID
-	ExpiresAt time.Duration
+// peerReply is a reply remembered for the outstanding search: the holder
+// of a valid copy, the search path to it (nil when the holder is one hop
+// away) and when its copy expires.
+type peerReply struct {
+	holder    network.NodeID
+	path      []network.NodeID
+	expiresAt time.Duration
 }
 
-// retrievePayload asks the holder to turn in the item.
-type retrievePayload struct {
-	Key  floodKey
-	Item workload.ItemID
-	// Origin lets the holder route the data back and apply the
-	// cooperative-admission LRU touch for TCG members.
-	Origin network.NodeID
-	Path   []network.NodeID
-}
-
-// dataPayload carries the item from the holder to the requester.
-type dataPayload struct {
-	Key      floodKey
-	Item     workload.ItemID
-	Provider network.NodeID
-	// RetrievedAt and ExpiresAt describe the provider copy's consistency
-	// contract; the staleness oracle checks served hits against them.
-	RetrievedAt time.Duration
-	ExpiresAt   time.Duration
-}
-
-// relayedPayload is the multi-hop envelope: the inner message is forwarded
-// hop by hop along Path; Idx is the position of the current receiver.
-type relayedPayload struct {
-	Path  []network.NodeID
-	Idx   int
-	Inner network.Message
+// searchPath returns the search path a message carries, or nil.
+func searchPath(msg network.Message) []network.NodeID {
+	if r, ok := msg.Extra.(*route); ok {
+		return r.path
+	}
+	return nil
 }
 
 // beginRequest starts one client request for item.
+//
+//hot:every request; 0 allocs/op pinned by TestRequestPathAllocs
 func (h *Host) beginRequest(item workload.ItemID) {
 	now := h.k.Now()
 	h.observeActivity(now)
 	h.seq++
-	h.cur = &pendingRequest{seq: h.seq, item: item, start: now, deadlineAt: now + h.cfg.Resilience.Deadline}
+	// Reuse the record, keeping the arrays of its reply and holder lists.
+	p := &h.req
+	*p = pendingRequest{
+		seq:        h.seq,
+		item:       item,
+		start:      now,
+		deadlineAt: now + h.cfg.Resilience.Deadline,
+		replies:    p.replies[:0],
+		tried:      p.tried[:0],
+	}
+	h.cur = p
 	if a := h.audit(); a != nil {
 		a.RequestBegan(now, h.id, h.seq, item)
 	}
@@ -84,12 +77,13 @@ func (h *Host) beginRequest(item workload.ItemID) {
 			return
 		}
 		// Expired copy: validate with the MSS (Section IV.F).
-		h.validateWithServer(item, e.RetrievedAt)
+		p.validateAt = e.RetrievedAt
+		h.validateWithServer()
 		return
 	}
 
 	if !h.traits.PeerSearch {
-		h.goToServer(item)
+		h.goToServer()
 		return
 	}
 
@@ -100,7 +94,7 @@ func (h *Host) beginRequest(item workload.ItemID) {
 		// falls back to the base COCA search.
 		if !h.peerVec.CoversElement(uint64(item)) {
 			h.collector.aux.FilterBypasses++
-			h.goToServer(item)
+			h.goToServer()
 			return
 		}
 	}
@@ -113,26 +107,40 @@ func (h *Host) broadcastSearch(item workload.ItemID) {
 	now := h.k.Now()
 	p.phase = phaseWaitReply
 	p.broadcastAt = now
-	payload := requestPayload{
-		Key:      floodKey{origin: h.id, seq: p.seq},
-		Item:     item,
-		HopsLeft: h.cfg.HopDist,
+	msg := network.Message{
+		Kind:   network.KindRequest,
+		From:   h.id,
+		Size:   network.RequestSize,
+		Item:   item,
+		Seq:    p.seq,
+		Origin: h.id,
+		Hops:   int32(h.cfg.HopDist),
 	}
 	if h.traits.Signatures {
-		payload.SigInsert, payload.SigEvict = h.ownSig.Delta()
-	}
-	h.medium.Broadcast(network.Message{
-		Kind:    network.KindRequest,
-		From:    h.id,
-		Size:    network.RequestSize,
-		Payload: payload,
-	})
-	p.timeout = h.k.Schedule(h.capToDeadline(p, h.searchTimeout()), func() {
-		if h.cur == p && p.phase == phaseWaitReply {
-			h.collector.aux.PeerTimeouts++
-			h.goToServer(item)
+		if ins, evi := h.ownSig.Delta(); len(ins) > 0 || len(evi) > 0 {
+			msg.Extra = &sigDelta{insert: ins, evict: evi}
 		}
-	})
+	}
+	h.medium.Broadcast(msg)
+	p.timeout = h.k.Schedule(h.capToDeadline(p, h.searchTimeout()), h.timeoutFn)
+}
+
+// timeoutFired runs the outstanding request's timer for the phase that
+// armed it: after τ without a reply the search falls back to the MSS.
+func (h *Host) timeoutFired() {
+	p := h.cur
+	if p == nil {
+		return
+	}
+	switch p.phase {
+	case phaseWaitReply:
+		h.collector.aux.PeerTimeouts++
+		h.goToServer()
+	case phaseWaitData:
+		h.dataTimeoutFired(p)
+	case phaseWaitServer, phaseWaitValidate:
+		h.serverRescueFired(p)
+	}
 }
 
 // searchTimeout returns τ: adaptive once enough samples exist, otherwise
@@ -163,81 +171,80 @@ func (h *Host) dataTimeout() time.Duration {
 }
 
 // handlePeerRequest serves or forwards another host's search broadcast.
+//
+//hot:every search broadcast a host hears; 0 allocs/op pinned by TestRequestPathAllocs
 func (h *Host) handlePeerRequest(msg network.Message) {
-	payload, ok := msg.Payload.(requestPayload)
-	if !ok || payload.Key.origin == h.id {
+	if msg.Origin == h.id {
 		return
 	}
 	// A request its origin sent with one hop is never forwarded, and the
 	// origin broadcasts each key once, so this host hears it only once:
 	// only forwarded or multi-hop requests need the duplicate check.
-	if payload.HopsLeft > 1 || msg.From != payload.Key.origin {
-		if _, dup := h.seenFloods[payload.Key]; dup {
+	if msg.Hops > 1 || msg.From != msg.Origin {
+		key := floodKey{origin: msg.Origin, seq: msg.Seq}
+		if _, dup := h.seenFloods[key]; dup {
 			return
 		}
-		if h.seenFloods == nil {
-			h.seenFloods = make(map[floodKey]struct{})
-		}
-		h.seenFloods[payload.Key] = struct{}{}
+		h.seenFloods[key] = struct{}{}
 		if len(h.seenFloods) > 1<<14 {
-			h.seenFloods = nil
+			clear(h.seenFloods)
 		}
 	}
 
 	// Apply the piggybacked signature delta when the origin is a TCG
 	// member.
-	if h.traits.Signatures && h.tcg[payload.Key.origin] {
-		h.applySigDelta(payload.Key.origin, payload.SigInsert, payload.SigEvict)
+	if h.traits.Signatures && h.tcg[msg.Origin] {
+		if d, ok := msg.Extra.(*sigDelta); ok {
+			h.applySigDelta(msg.Origin, d.insert, d.evict)
+		}
 	}
 
 	now := h.k.Now()
-	if e := h.cache.Peek(payload.Item); e != nil && e.Valid(now) {
+	path := searchPath(msg)
+	if e := h.cache.Peek(msg.Item); e != nil && e.Valid(now) {
 		// Reply to the origin over the reverse path.
-		forward := append(append([]network.NodeID{}, payload.Path...), h.id)
-		h.sendRouted(reversePath(forward, payload.Key.origin), network.Message{
-			Kind: network.KindReply,
-			From: h.id,
-			Size: network.ReplySize,
-			Payload: replyPayload{
-				Key:       payload.Key,
-				Item:      payload.Item,
-				Holder:    h.id,
-				Path:      forward,
-				ExpiresAt: e.RetrievedAt + e.TTL,
-			},
-		})
+		reply := network.Message{
+			Kind:        network.KindReply,
+			From:        h.id,
+			Size:        network.ReplySize,
+			Item:        msg.Item,
+			Seq:         msg.Seq,
+			Origin:      h.id,
+			RetrievedAt: e.RetrievedAt,
+			TTL:         e.TTL,
+		}
+		var hops, forward []network.NodeID
+		if len(path) > 0 {
+			forward = append(path[:len(path):len(path)], h.id)
+			hops = reversePath(forward, msg.Origin)
+		}
+		h.sendRouted(reply, msg.Origin, hops, forward)
 		return
 	}
-	// Not cached: extend the flood if hops remain.
-	if payload.HopsLeft > 1 {
-		fwd := payload
-		fwd.HopsLeft--
-		fwd.Path = append(append([]network.NodeID{}, payload.Path...), h.id)
-		// Forwarders do not re-piggyback the origin's signature delta.
-		fwd.SigInsert, fwd.SigEvict = nil, nil
-		h.medium.Broadcast(network.Message{
-			Kind:    network.KindRequest,
-			From:    h.id,
-			Size:    network.RequestSize,
-			Payload: fwd,
-		})
+	// Not cached: extend the flood if hops remain. Forwarders do not
+	// re-piggyback the origin's signature delta.
+	if msg.Hops > 1 {
+		fwd := msg
+		fwd.From = h.id
+		fwd.Hops--
+		fwd.Extra = &route{path: append(path[:len(path):len(path)], h.id)}
+		h.medium.Broadcast(fwd)
 	}
 }
 
 // handleReply processes peer replies: the first reply selects the target
 // peer; later replies arriving before the data are retained for the
 // longest-TTL touch selection.
+//
+//hot:every reply to this host's searches; 0 allocs/op pinned by TestRequestPathAllocs
 func (h *Host) handleReply(msg network.Message) {
-	payload, ok := msg.Payload.(replyPayload)
-	if !ok {
-		return
-	}
 	p := h.cur
-	if p == nil || payload.Key != (floodKey{origin: h.id, seq: p.seq}) {
+	if p == nil || msg.Seq != p.seq {
 		return // stale reply for an old request
 	}
+	r := peerReply{holder: msg.Origin, path: searchPath(msg), expiresAt: msg.RetrievedAt + msg.TTL}
 	if p.phase == phaseWaitData {
-		p.replies = append(p.replies, payload)
+		p.replies = append(p.replies, r)
 		return
 	}
 	if p.phase != phaseWaitReply {
@@ -247,24 +254,26 @@ func (h *Host) handleReply(msg network.Message) {
 	h.tau.Add(float64(h.k.Now() - p.broadcastAt))
 	p.timeout.Cancel()
 	p.phase = phaseWaitData
-	p.provider = payload.Holder
-	p.replyPath = payload.Path
-	p.replies = append(p.replies, payload)
-	p.tried = map[network.NodeID]bool{payload.Holder: true}
-	h.sendRouted(payload.Path, network.Message{
-		Kind: network.KindRetrieve,
-		From: h.id,
-		Size: network.RetrieveSize,
-		Payload: retrievePayload{
-			Key:    payload.Key,
-			Item:   payload.Item,
-			Origin: h.id,
-			Path:   payload.Path,
-		},
-	})
+	p.provider = r.holder
+	p.replies = append(p.replies, r)
+	p.tried = append(p.tried, r.holder)
+	h.sendRetrieve(p, r)
 	to := h.capToDeadline(p, h.dataTimeout())
-	p.timeout = h.k.Schedule(to, func() { h.dataTimeoutFired(p) })
+	p.timeout = h.k.Schedule(to, h.timeoutFn)
 	h.armHedge(p, to)
+}
+
+// sendRetrieve asks the holder of reply r to turn in the item.
+func (h *Host) sendRetrieve(p *pendingRequest, r peerReply) {
+	msg := network.Message{
+		Kind:   network.KindRetrieve,
+		From:   h.id,
+		Size:   network.RetrieveSize,
+		Item:   p.item,
+		Seq:    p.seq,
+		Origin: h.id,
+	}
+	h.sendRouted(msg, r.holder, r.path, r.path)
 }
 
 // dataTimeoutFired handles an expired retrieve→data exchange: while the
@@ -273,9 +282,6 @@ func (h *Host) handleReply(msg network.Message) {
 // the freshest copy, backing off per attempt; otherwise the request falls
 // back to the MSS.
 func (h *Host) dataTimeoutFired(p *pendingRequest) {
-	if h.cur != p || p.phase != phaseWaitData {
-		return
-	}
 	if h.deadlineExpired(p) {
 		h.failDeadline(p)
 		return
@@ -285,40 +291,29 @@ func (h *Host) dataTimeoutFired(p *pendingRequest) {
 			p.retrieveAttempts++
 			h.collector.aux.RetrieveRetries++
 			h.spendRetryBudget(p, "retrieve-retry")
-			p.tried[alt.Holder] = true
-			p.provider = alt.Holder
-			p.replyPath = alt.Path
-			h.sendRouted(alt.Path, network.Message{
-				Kind: network.KindRetrieve,
-				From: h.id,
-				Size: network.RetrieveSize,
-				Payload: retrievePayload{
-					Key:    alt.Key,
-					Item:   alt.Item,
-					Origin: h.id,
-					Path:   alt.Path,
-				},
-			})
+			p.tried = append(p.tried, alt.holder)
+			p.provider = alt.holder
+			h.sendRetrieve(p, *alt)
 			backoff := h.backoff(p, h.dataTimeout(), p.retrieveAttempts)
-			p.timeout = h.k.Schedule(backoff, func() { h.dataTimeoutFired(p) })
+			p.timeout = h.k.Schedule(backoff, h.timeoutFn)
 			return
 		}
 	}
 	h.collector.aux.PeerTimeouts++
-	h.goToServer(p.item)
+	h.goToServer()
 }
 
 // nextHolder selects the untried reply with the freshest copy (longest
 // expiry, ties broken by arrival order), or nil when every replying
 // holder has been asked.
-func (p *pendingRequest) nextHolder() *replyPayload {
-	var best *replyPayload
+func (p *pendingRequest) nextHolder() *peerReply {
+	var best *peerReply
 	for i := range p.replies {
 		r := &p.replies[i]
-		if p.tried[r.Holder] {
+		if slices.Contains(p.tried, r.holder) {
 			continue
 		}
-		if best == nil || r.ExpiresAt > best.ExpiresAt {
+		if best == nil || r.expiresAt > best.expiresAt {
 			best = r
 		}
 	}
@@ -326,54 +321,55 @@ func (p *pendingRequest) nextHolder() *replyPayload {
 }
 
 // handleRetrieve turns in the requested item to the origin.
+//
+//hot:every retrieve this host is asked to serve; 0 allocs/op pinned by TestRequestPathAllocs
 func (h *Host) handleRetrieve(msg network.Message) {
-	payload, ok := msg.Payload.(retrievePayload)
-	if !ok {
-		return
-	}
 	now := h.k.Now()
-	e := h.cache.Peek(payload.Item)
+	e := h.cache.Peek(msg.Item)
 	if e == nil || !e.Valid(now) {
 		return // evicted or expired since the reply; origin's timeout recovers
 	}
-	h.sendRouted(reversePath(payload.Path, payload.Origin), network.Message{
-		Kind: network.KindData,
-		From: h.id,
-		Size: network.HeaderSize + h.cfg.DataSize,
-		Payload: dataPayload{
-			Key:         payload.Key,
-			Item:        payload.Item,
-			Provider:    h.id,
-			RetrievedAt: e.RetrievedAt,
-			ExpiresAt:   e.RetrievedAt + e.TTL,
-		},
-	})
+	data := network.Message{
+		Kind:        network.KindData,
+		From:        h.id,
+		Size:        network.HeaderSize + h.cfg.DataSize,
+		Item:        msg.Item,
+		Seq:         msg.Seq,
+		Origin:      h.id,
+		RetrievedAt: e.RetrievedAt,
+		TTL:         e.TTL,
+	}
+	var hops []network.NodeID
+	if path := searchPath(msg); path != nil {
+		hops = reversePath(path, msg.Origin)
+	}
+	h.sendRouted(data, msg.Origin, hops, nil)
 }
 
 // handleData completes the outstanding request with a global cache hit.
+//
+//hot:every peer hit; 0 allocs/op pinned by TestRequestPathAllocs
 func (h *Host) handleData(msg network.Message) {
-	payload, ok := msg.Payload.(dataPayload)
-	if !ok {
-		return
-	}
 	p := h.cur
-	if p == nil || p.phase != phaseWaitData || payload.Key != (floodKey{origin: h.id, seq: p.seq}) {
+	if p == nil || p.phase != phaseWaitData || msg.Seq != p.seq {
 		return
 	}
 	p.timeout.Cancel()
 	now := h.k.Now()
-	ttl := payload.ExpiresAt - now
+	expiresAt := msg.RetrievedAt + msg.TTL
+	ttl := expiresAt - now
 	if ttl < 0 {
 		ttl = 0
 	}
-	h.collector.recordProvider(h.id, payload.Provider)
+	provider := msg.Origin
+	h.collector.recordProvider(h.id, provider)
 	if a := h.audit(); a != nil {
-		a.HitServed(now, h.id, payload.Provider, payload.Item, OutcomeGlobalHit, payload.RetrievedAt, payload.ExpiresAt)
+		a.HitServed(now, h.id, provider, msg.Item, OutcomeGlobalHit, msg.RetrievedAt, expiresAt)
 	}
-	fromTCG := h.traits.CoopAdmission && h.tcg[payload.Provider]
-	h.admit(payload.Item, now, ttl, fromTCG)
+	fromTCG := h.traits.CoopAdmission && h.tcg[provider]
+	h.admit(msg.Item, now, ttl, fromTCG)
 	if h.traits.Signatures {
-		h.peerAccessLog = append(h.peerAccessLog, payload.Item)
+		h.peerAccessLog = append(h.peerAccessLog, msg.Item)
 	}
 	if h.traits.CoopAdmission {
 		h.touchLongestTTLMember(p)
@@ -389,43 +385,39 @@ func (h *Host) touchLongestTTLMember(p *pendingRequest) {
 	if h.cfg.DisableAdmission {
 		return
 	}
-	var best *replyPayload
+	var best *peerReply
 	for i := range p.replies {
 		r := &p.replies[i]
-		if !h.tcg[r.Holder] {
+		if !h.tcg[r.holder] {
 			continue
 		}
-		if best == nil || r.ExpiresAt > best.ExpiresAt {
+		if best == nil || r.expiresAt > best.expiresAt {
 			best = r
 		}
 	}
 	if best == nil {
 		return
 	}
-	h.sendRouted(best.Path, network.Message{
-		Kind:    network.KindTouch,
-		From:    h.id,
-		Size:    network.ControlSize,
-		Payload: touchPayload{Item: p.item, Origin: h.id},
-	})
-}
-
-// touchPayload asks the selected TCG member to refresh a served item's
-// last access timestamp.
-type touchPayload struct {
-	Item   workload.ItemID
-	Origin network.NodeID
+	msg := network.Message{
+		Kind:   network.KindTouch,
+		From:   h.id,
+		Size:   network.ControlSize,
+		Item:   p.item,
+		Origin: h.id,
+	}
+	h.sendRouted(msg, best.holder, best.path, nil)
 }
 
 // handleTouch refreshes the recency of a copy this host serves to its TCG.
+//
+//hot:every cooperative-admission touch this host receives
 func (h *Host) handleTouch(msg network.Message) {
-	payload, ok := msg.Payload.(touchPayload)
-	if !ok || !h.traits.CoopAdmission || !h.tcg[payload.Origin] {
+	if !h.traits.CoopAdmission || !h.tcg[msg.Origin] {
 		return
 	}
 	now := h.k.Now()
-	if e := h.cache.Peek(payload.Item); e != nil && e.Valid(now) {
-		h.cache.Touch(payload.Item, now)
+	if e := h.cache.Peek(msg.Item); e != nil && e.Valid(now) {
+		h.cache.Touch(msg.Item, now)
 		e.SingletTTL = h.cfg.ReplaceDelay
 	}
 }
@@ -441,7 +433,7 @@ func (h *Host) inServiceArea(now time.Duration) bool {
 
 // goToServer falls back to the MSS for the outstanding request. Outside the
 // MSS service area the request is an access failure.
-func (h *Host) goToServer(item workload.ItemID) {
+func (h *Host) goToServer() {
 	p := h.cur
 	if p == nil {
 		return
@@ -459,15 +451,15 @@ func (h *Host) goToServer(item workload.ItemID) {
 	}
 	// Push/hybrid delivery: when the item is on the broadcast disk, tune
 	// in and wait for its slot instead of pulling.
-	if h.cfg.Delivery != DeliveryPull && h.disk != nil && h.disk.Contains(item) {
-		h.tuneToBroadcast(item)
+	if h.cfg.Delivery != DeliveryPull && h.disk != nil && h.disk.Contains(p.item) {
+		h.tuneToBroadcast()
 		return
 	}
-	h.sendPull(item, now)
+	h.sendPull(now)
 }
 
 // sendPull issues the point-to-point request of the pull environment.
-func (h *Host) sendPull(item workload.ItemID, now time.Duration) {
+func (h *Host) sendPull(now time.Duration) {
 	p := h.cur
 	if p == nil {
 		return
@@ -477,17 +469,18 @@ func (h *Host) sendPull(item workload.ItemID, now time.Duration) {
 	}
 	p.phase = phaseWaitServer
 	h.lastServerContact = now
-	h.link.SendUp(network.Message{
-		Kind: network.KindServerRequest,
-		From: h.id,
-		Size: network.RequestSize,
-		Payload: server.RequestPayload{
-			Item:         item,
-			Location:     h.Position(now),
-			PeerAccesses: h.samplePeerAccesses(),
-		},
-	})
-	h.armServerRescue(p, phaseWaitServer, func() { h.sendPull(item, h.k.Now()) })
+	msg := network.Message{
+		Kind:     network.KindServerRequest,
+		From:     h.id,
+		Size:     network.RequestSize,
+		Item:     p.item,
+		Location: h.Position(now),
+	}
+	if sample := h.samplePeerAccesses(); sample != nil {
+		msg.Extra = sample
+	}
+	h.link.SendUp(msg)
+	h.armServerRescue(p)
 }
 
 // armServerRescue schedules the lost-exchange recovery timer: if the MSS
@@ -497,9 +490,9 @@ func (h *Host) sendPull(item workload.ItemID, now time.Duration) {
 // budget is exhausted the request is declared an access failure instead
 // of stalling the host forever. A fired rescue is also the breaker's
 // failure signal for the MSS link.
-func (h *Host) armServerRescue(p *pendingRequest, want phase, resend func()) {
+func (h *Host) armServerRescue(p *pendingRequest) {
 	to := h.backoff(p, h.serverRescueTimeout(), p.serverAttempts)
-	p.timeout = h.k.Schedule(to, func() { h.serverRescueFired(p, want, resend) })
+	p.timeout = h.k.Schedule(to, h.timeoutFn)
 }
 
 // serverRescueTimeout estimates how long a full MSS exchange can take
@@ -523,34 +516,44 @@ func (h *Host) serverRescueTimeout() time.Duration {
 	return t
 }
 
-// tuneToBroadcast waits for the item's slot on the broadcast disk.
-func (h *Host) tuneToBroadcast(item workload.ItemID) {
+// tuneToBroadcast waits for the item's slot on the broadcast disk. The
+// disk hands the request's seq back to the callbacks: a crash abort
+// leaves them registered, and the host's record by then serves a later
+// request.
+func (h *Host) tuneToBroadcast() {
 	p := h.cur
 	p.phase = phaseWaitBroadcast
 	h.collector.aux.TuneIns++
-	h.disk.Tune(h.id, item,
-		func(ttl, _ time.Duration) {
-			if h.cur != p || p.phase != phaseWaitBroadcast {
-				return
-			}
-			h.collector.aux.BroadcastDeliveries++
-			h.admit(item, h.k.Now(), ttl, false)
-			h.complete(OutcomeServerRequest)
-		},
-		func() {
-			if h.cur != p || p.phase != phaseWaitBroadcast {
-				return
-			}
-			// The item fell off the schedule: fall back to pulling.
-			h.collector.aux.BroadcastDrops++
-			h.sendPull(item, h.k.Now())
-		},
-	)
+	h.disk.Tune(h.id, p.item, p.seq, h.broadcastFn, h.broadcastDropFn)
 }
 
-// validateWithServer checks a TTL-expired cached copy with the MSS; outside
-// the service area the copy cannot be validated and the request fails.
-func (h *Host) validateWithServer(item workload.ItemID, retrievedAt time.Duration) {
+// broadcastDelivered completes request seq with its item off the
+// broadcast disk.
+func (h *Host) broadcastDelivered(seq uint64, ttl, _ time.Duration) {
+	p := h.cur
+	if p == nil || p.seq != seq || p.phase != phaseWaitBroadcast {
+		return
+	}
+	h.collector.aux.BroadcastDeliveries++
+	h.admit(p.item, h.k.Now(), ttl, false)
+	h.complete(OutcomeServerRequest)
+}
+
+// broadcastDropped falls back to pulling when request seq's item fell off
+// the schedule.
+func (h *Host) broadcastDropped(seq uint64) {
+	p := h.cur
+	if p == nil || p.seq != seq || p.phase != phaseWaitBroadcast {
+		return
+	}
+	h.collector.aux.BroadcastDrops++
+	h.sendPull(h.k.Now())
+}
+
+// validateWithServer checks the TTL-expired cached copy the outstanding
+// request found with the MSS; outside the service area the copy cannot be
+// validated and the request fails.
+func (h *Host) validateWithServer() {
 	p := h.cur
 	now := h.k.Now()
 	if !h.inServiceArea(now) {
@@ -565,123 +568,101 @@ func (h *Host) validateWithServer(item workload.ItemID, retrievedAt time.Duratio
 	h.lastServerContact = now
 	h.collector.aux.Validations++
 	h.link.SendUp(network.Message{
-		Kind: network.KindValidate,
-		From: h.id,
-		Size: network.ValidateSize,
-		Payload: server.ValidatePayload{
-			Item:        item,
-			RetrievedAt: retrievedAt,
-			Location:    h.Position(now),
-		},
+		Kind:        network.KindValidate,
+		From:        h.id,
+		Size:        network.ValidateSize,
+		Item:        p.item,
+		RetrievedAt: p.validateAt,
+		Location:    h.Position(now),
 	})
-	h.armServerRescue(p, phaseWaitValidate, func() { h.validateWithServer(item, retrievedAt) })
+	h.armServerRescue(p)
 }
 
 // handleServerReply processes a full data reply from the MSS.
 func (h *Host) handleServerReply(msg network.Message) {
-	payload, ok := msg.Payload.(server.ReplyPayload)
-	if !ok {
-		return
-	}
-	h.applyMembershipChanges(payload.Changes)
+	h.applyMembershipChanges(membershipChanges(msg))
 	p := h.cur
-	if p == nil || p.item != payload.Item {
+	if p == nil || p.item != msg.Item {
 		return
 	}
 	now := h.k.Now()
 	switch {
 	case p.phase == phaseWaitServer:
 		h.breakerSuccess(now)
-		h.admit(payload.Item, now, payload.TTL, false)
+		h.admit(msg.Item, now, msg.TTL, false)
 		h.complete(OutcomeServerRequest)
-	case p.phase == phaseWaitValidate && payload.Refresh:
+	case p.phase == phaseWaitValidate && msg.Refresh:
 		h.breakerSuccess(now)
 		h.collector.aux.Refreshes++
 		// Replace the stale copy in place.
-		if old := h.cache.Remove(payload.Item); old != nil {
-			h.sigRemove(payload.Item)
+		if old := h.cache.Remove(msg.Item); old != nil {
+			h.sigRemove(msg.Item)
 		}
-		h.admit(payload.Item, now, payload.TTL, false)
+		h.admit(msg.Item, now, msg.TTL, false)
 		h.complete(OutcomeServerRequest)
 	}
 }
 
 // handleValidateOK renews a validated copy's lifetime.
 func (h *Host) handleValidateOK(msg network.Message) {
-	payload, ok := msg.Payload.(server.ValidateOKPayload)
-	if !ok {
-		return
-	}
-	h.applyMembershipChanges(payload.Changes)
+	h.applyMembershipChanges(membershipChanges(msg))
 	p := h.cur
-	if p == nil || p.phase != phaseWaitValidate || p.item != payload.Item {
+	if p == nil || p.phase != phaseWaitValidate || p.item != msg.Item {
 		return
 	}
 	now := h.k.Now()
 	h.breakerSuccess(now)
-	if e := h.cache.Peek(payload.Item); e != nil {
+	if e := h.cache.Peek(msg.Item); e != nil {
 		e.RetrievedAt = now
-		e.TTL = payload.TTL
+		e.TTL = msg.TTL
 		e.SingletTTL = h.cfg.ReplaceDelay
 		if a := h.audit(); a != nil {
 			// The renewal is a fresh contract; the validated copy then
 			// serves the request as a local hit.
-			a.CopyAdmitted(now, h.id, payload.Item, payload.TTL)
-			a.HitServed(now, h.id, h.id, payload.Item, OutcomeLocalHit, now, now+payload.TTL)
+			a.CopyAdmitted(now, h.id, msg.Item, msg.TTL)
+			a.HitServed(now, h.id, h.id, msg.Item, OutcomeLocalHit, now, now+msg.TTL)
 		}
 	}
 	h.complete(OutcomeLocalHit)
 }
 
-// sendRouted delivers a message over the hop path; a single-hop path is a
-// plain point-to-point send, longer paths use the relay envelope.
-func (h *Host) sendRouted(path []network.NodeID, inner network.Message) {
-	if len(path) == 0 {
-		return
+// sendRouted sends msg to the peer to, one hop away, when hops is nil.
+// Otherwise msg crosses hops carrying a *route with the hops and the
+// search path, and each intermediate host forwards it (atFinalHop).
+func (h *Host) sendRouted(msg network.Message, to network.NodeID, hops, path []network.NodeID) {
+	msg.To = to
+	if hops != nil {
+		msg.To = hops[0]
+		msg.Hops = 0
+		msg.Extra = &route{hops: hops, path: path}
 	}
-	if len(path) == 1 {
-		inner.To = path[0]
-		h.medium.Send(inner)
-		return
-	}
-	h.medium.Send(network.Message{
-		Kind:    inner.Kind,
-		From:    h.id,
-		To:      path[0],
-		Size:    inner.Size,
-		Payload: relayedPayload{Path: path, Idx: 0, Inner: inner},
-	})
+	h.medium.Send(msg)
 }
 
-// handleRelayed unwraps relay envelopes, forwarding when this host is an
-// intermediate hop and handling the inner message at the final hop.
-func (h *Host) handleRelayed(msg network.Message, handle func(network.Message)) {
-	payload, ok := msg.Payload.(relayedPayload)
-	if !ok {
-		handle(msg) // direct single-hop message
-		return
+// atFinalHop forwards a message routed over several hops to its next hop
+// and reports whether this host is its final receiver, as it is of every
+// single-hop message.
+func (h *Host) atFinalHop(msg network.Message) bool {
+	r, ok := msg.Extra.(*route)
+	if !ok || int(msg.Hops) >= len(r.hops)-1 {
+		return true
 	}
-	if payload.Idx >= len(payload.Path)-1 {
-		handle(payload.Inner)
-		return
-	}
-	next := payload.Path[payload.Idx+1]
-	h.medium.Send(network.Message{
-		Kind:    msg.Kind,
-		From:    h.id,
-		To:      next,
-		Size:    msg.Size,
-		Payload: relayedPayload{Path: payload.Path, Idx: payload.Idx + 1, Inner: payload.Inner},
-	})
+	msg.From = h.id
+	msg.Hops++
+	msg.To = r.hops[msg.Hops]
+	h.medium.Send(msg)
+	return false
 }
 
 // reversePath converts the forward path origin→…→holder into the path a
 // message travels from the holder back to the origin.
 func reversePath(forward []network.NodeID, origin network.NodeID) []network.NodeID {
 	// forward = [h1, h2, ..., holder]; back = [h_{n-1}, ..., h1, origin].
-	out := make([]network.NodeID, 0, len(forward))
-	for i := len(forward) - 2; i >= 0; i-- {
-		out = append(out, forward[i])
+	back := slices.Clone(forward)
+	n := len(back)
+	for i := 0; i < n-1; i++ {
+		back[i] = forward[n-2-i]
 	}
-	return append(out, origin)
+	back[n-1] = origin
+	return back
 }

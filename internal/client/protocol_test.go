@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"repro/internal/network"
-	"repro/internal/server"
-	"repro/internal/workload"
 )
 
 func TestReversePath(t *testing.T) {
@@ -46,16 +44,14 @@ func TestStaleReplyAfterTimeoutIgnored(t *testing.T) {
 	}
 	// A forged stale reply for the old request must not disturb the host.
 	a.handleReply(network.Message{
-		Kind: network.KindReply,
-		From: 2,
-		To:   1,
-		Size: network.ReplySize,
-		Payload: replyPayload{
-			Key:    floodKey{origin: 1, seq: 1},
-			Item:   3,
-			Holder: 2,
-			Path:   []network.NodeID{2},
-		},
+		Kind:   network.KindReply,
+		From:   2,
+		To:     1,
+		Size:   network.ReplySize,
+		Item:   3,
+		Seq:    1,
+		Origin: 2,
+		TTL:    time.Hour,
 	})
 	h.run(time.Second)
 	if got := h.collector.Requests(); got != 1 {
@@ -115,9 +111,10 @@ func TestServerReplyForWrongItemIgnored(t *testing.T) {
 	a.beginRequest(7)
 	// Inject a reply for a different item before the real one arrives.
 	a.handleServerReply(network.Message{
-		Kind:    network.KindServerReply,
-		To:      1,
-		Payload: mustServerReply(99),
+		Kind: network.KindServerReply,
+		To:   1,
+		Item: 99,
+		TTL:  time.Hour,
 	})
 	h.run(time.Second)
 	if got := h.collector.OutcomeCount(OutcomeServerRequest); got != 1 {
@@ -231,9 +228,4 @@ func TestRelayedEnvelopeForwarding(t *testing.T) {
 	if h.hosts[2].Cache().Peek(11) != nil {
 		t.Error("relay cached the forwarded item")
 	}
-}
-
-// mustServerReply builds a minimal ReplyPayload for injection tests.
-func mustServerReply(item int) any {
-	return server.ReplyPayload{Item: workload.ItemID(item), TTL: time.Hour}
 }

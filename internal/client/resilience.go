@@ -3,7 +3,6 @@ package client
 import (
 	"time"
 
-	"repro/internal/network"
 	"repro/internal/resilience"
 )
 
@@ -140,14 +139,15 @@ func (h *Host) armHedge(p *pendingRequest, dataTimeout time.Duration) {
 	if delay < time.Millisecond {
 		delay = time.Millisecond
 	}
-	p.hedge = h.k.Schedule(delay, func() { h.hedgeFired(p) })
+	p.hedge = h.k.Schedule(delay, h.hedgeFn)
 }
 
 // hedgeFired issues the hedged retrieve. The first retrieve stays in
 // flight: whichever data message arrives first completes the request
-// (handleData matches on the flood key, not the provider).
-func (h *Host) hedgeFired(p *pendingRequest) {
-	if h.cur != p || p.phase != phaseWaitData || p.hedged {
+// (handleData matches on the request's seq, not the provider).
+func (h *Host) hedgeFired() {
+	p := h.cur
+	if p == nil || p.phase != phaseWaitData || p.hedged {
 		return
 	}
 	alt := p.nextHolder()
@@ -155,32 +155,19 @@ func (h *Host) hedgeFired(p *pendingRequest) {
 		return
 	}
 	p.hedged = true
-	p.tried[alt.Holder] = true
+	p.tried = append(p.tried, alt.holder)
 	h.collector.aux.HedgedRetrieves++
 	if a := h.audit(); a != nil {
-		a.HedgeIssued(h.k.Now(), h.id, p.seq, alt.Holder)
+		a.HedgeIssued(h.k.Now(), h.id, p.seq, alt.holder)
 	}
-	h.sendRouted(alt.Path, network.Message{
-		Kind: network.KindRetrieve,
-		From: h.id,
-		Size: network.RetrieveSize,
-		Payload: retrievePayload{
-			Key:    alt.Key,
-			Item:   alt.Item,
-			Origin: h.id,
-			Path:   alt.Path,
-		},
-	})
+	h.sendRetrieve(p, *alt)
 }
 
 // serverRescueFired is the rescue-timer body: it charges the failed
 // exchange to the breaker, then walks deadline → caps → re-send, where
 // the re-send re-enters the breaker gate (an exchange that just tripped
 // it degrades instead of sending).
-func (h *Host) serverRescueFired(p *pendingRequest, want phase, resend func()) {
-	if h.cur != p || p.phase != want {
-		return
-	}
+func (h *Host) serverRescueFired(p *pendingRequest) {
 	if h.breaker != nil {
 		h.breaker.Failure(h.k.Now())
 	}
@@ -197,5 +184,9 @@ func (h *Host) serverRescueFired(p *pendingRequest, want phase, resend func()) {
 	p.serverAttempts++
 	h.collector.aux.ServerRescues++
 	h.spendRetryBudget(p, "server-rescue")
-	resend()
+	if p.phase == phaseWaitServer {
+		h.sendPull(h.k.Now())
+	} else {
+		h.validateWithServer()
+	}
 }

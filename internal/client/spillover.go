@@ -17,7 +17,7 @@ import (
 // beaconInfo is the hello-message payload: the GroCoca signature delta,
 // the neighbour-hint list, plus the spillover state.
 type beaconInfo struct {
-	SigDelta *sigDeltaPayload
+	SigDelta *sigDelta
 	// Hints are the sender's most-recently-used valid item IDs (schemes
 	// with the NeighborHints trait; see hints.go).
 	Hints []workload.ItemID
@@ -27,16 +27,11 @@ type beaconInfo struct {
 	HasSpace bool
 }
 
-// spillPayload offers an evicted item to a low-activity neighbor.
-type spillPayload struct {
-	Item      workload.ItemID
-	ExpiresAt time.Duration
-}
-
 // neighborState is what a host remembers about a neighbor from its beacons.
 type neighborState struct {
 	activityPerSec float64
 	hasSpace       bool
+	heard          bool
 	heardAt        time.Duration
 }
 
@@ -64,12 +59,16 @@ func (h *Host) recordNeighborBeacon(from network.NodeID, info beaconInfo) {
 	if !h.cfg.EnableSpillover {
 		return
 	}
-	if h.neighborStates == nil {
-		h.neighborStates = make(map[network.NodeID]neighborState)
+	if from < 0 {
+		return
+	}
+	for int(from) >= len(h.neighborStates) {
+		h.neighborStates = append(h.neighborStates, neighborState{})
 	}
 	h.neighborStates[from] = neighborState{
 		activityPerSec: info.ActivityPerSec,
 		hasSpace:       info.HasSpace,
+		heard:          true,
 		heardAt:        h.k.Now(),
 	}
 }
@@ -77,8 +76,8 @@ func (h *Host) recordNeighborBeacon(from network.NodeID, info beaconInfo) {
 // spillTarget picks the least active neighbor that is fresh in the beacon
 // table and sufficiently idle relative to this host. Donations replace the
 // receiver's least-recently-used entry when its cache is full, so spare
-// space is a tie-breaker rather than a requirement. It returns false when
-// no neighbor qualifies.
+// space is a tie-breaker rather than a requirement, and the lowest ID
+// breaks the remaining ties. It returns false when no neighbor qualifies.
 func (h *Host) spillTarget() (network.NodeID, bool) {
 	now := h.k.Now()
 	own := h.activityPerSec()
@@ -92,13 +91,15 @@ func (h *Host) spillTarget() (network.NodeID, bool) {
 	best := network.NodeID(-1)
 	bestActivity := own * h.cfg.SpilloverActivityRatio
 	bestSpace := false
-	for id, st := range h.neighborStates {
-		if now-st.heardAt > staleAfter {
+	// The table is indexed by ID, so a later neighbor must be strictly
+	// better to win.
+	for i, st := range h.neighborStates {
+		if !st.heard || now-st.heardAt > staleAfter {
 			continue
 		}
 		if st.activityPerSec < bestActivity ||
 			(st.activityPerSec == bestActivity && st.hasSpace && !bestSpace) {
-			best = id
+			best = network.NodeID(i)
 			bestActivity = st.activityPerSec
 			bestSpace = st.hasSpace
 		}
@@ -131,14 +132,13 @@ func (h *Host) maybeSpill(victim *cache.Entry) {
 	}
 	h.collector.aux.SpillsSent++
 	h.medium.Send(network.Message{
-		Kind: network.KindSpill,
-		From: h.id,
-		To:   target,
-		Size: network.HeaderSize + h.cfg.DataSize,
-		Payload: spillPayload{
-			Item:      victim.ID,
-			ExpiresAt: victim.RetrievedAt + victim.TTL,
-		},
+		Kind:        network.KindSpill,
+		From:        h.id,
+		To:          target,
+		Size:        network.HeaderSize + h.cfg.DataSize,
+		Item:        victim.ID,
+		RetrievedAt: victim.RetrievedAt,
+		TTL:         victim.TTL,
 	})
 }
 
@@ -147,13 +147,9 @@ func (h *Host) handleSpill(msg network.Message) {
 	if !h.cfg.EnableSpillover {
 		return
 	}
-	payload, ok := msg.Payload.(spillPayload)
-	if !ok {
-		return
-	}
 	now := h.k.Now()
-	ttl := payload.ExpiresAt - now
-	if ttl <= 0 || h.cache.Peek(payload.Item) != nil {
+	ttl := msg.RetrievedAt + msg.TTL - now
+	if ttl <= 0 || h.cache.Peek(msg.Item) != nil {
 		return
 	}
 	// A full cache rolls only its donated window: the donation replaces
@@ -168,8 +164,8 @@ func (h *Host) handleSpill(msg network.Message) {
 		h.cache.Remove(victim.ID)
 		h.sigRemove(victim.ID)
 	}
-	entry := &cache.Entry{
-		ID:          payload.Item,
+	entry := cache.Entry{
+		ID:          msg.Item,
 		Size:        h.cfg.DataSize,
 		RetrievedAt: now,
 		TTL:         ttl,
@@ -180,9 +176,9 @@ func (h *Host) handleSpill(msg network.Message) {
 	if err := h.cache.Add(entry); err != nil {
 		return
 	}
-	h.sigInsert(payload.Item)
+	h.sigInsert(msg.Item)
 	h.collector.aux.SpillsAccepted++
 	if a := h.audit(); a != nil {
-		a.CopyAdmitted(now, h.id, payload.Item, ttl)
+		a.CopyAdmitted(now, h.id, msg.Item, ttl)
 	}
 }

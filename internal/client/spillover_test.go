@@ -57,7 +57,7 @@ func TestHandleSpillAcceptsAndRejects(t *testing.T) {
 	cfg.CacheSize = 2
 	a := h.addHost(1, 0, 0, cfg)
 	spill := func(item int, expiresAt time.Duration) {
-		a.handleSpill(networkMessage(spillPayload{Item: workloadID(item), ExpiresAt: expiresAt}))
+		a.handleSpill(network.Message{Kind: network.KindSpill, Item: workloadID(item), TTL: expiresAt})
 	}
 	spill(5, time.Hour)
 	if a.Cache().Peek(5) == nil {
@@ -169,7 +169,60 @@ func TestSpilloverEndToEnd(t *testing.T) {
 	}
 }
 
-// networkMessage wraps a payload in a minimal message for handler tests.
-func networkMessage(payload any) network.Message {
-	return network.Message{Kind: network.KindSpill, Payload: payload}
+// TestAdmitSpillsTheRemovedVictim pins the cache-entry lifetime admit
+// relies on: the victim is offered for spillover after its Remove, and
+// the offer must carry the victim's own item and expiry, not those of
+// the entry admitted into its slot.
+func TestAdmitSpillsTheRemovedVictim(t *testing.T) {
+	h := newHarness(t, 2, false)
+	active := spilloverConfig()
+	active.CacheSize = 2
+	a := h.addHost(1, 0, 0, active)
+	b := h.addHost(2, 50, 0, spilloverConfig())
+	for i := 0; i < 10; i++ {
+		a.observeActivity(time.Duration(i) * 100 * time.Millisecond)
+	}
+	a.recordNeighborBeacon(2, beaconInfo{ActivityPerSec: 0.1, HasSpace: true})
+	if err := a.Preload(100, 30*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Preload(101, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	a.Cache().Get(100, 0)
+	a.Cache().Get(100, 0)
+	a.Cache().Get(101, 0)
+	h.run(time.Second)
+	a.admit(102, h.k.Now(), 2*time.Hour, false)
+	h.run(time.Second)
+	e := b.Cache().Peek(100)
+	if e == nil || !e.Donated {
+		t.Fatalf("victim 100 not donated to b: %+v", e)
+	}
+	if got := e.RetrievedAt + e.TTL; got != 30*time.Minute {
+		t.Errorf("donated copy expires at %v, want the victim's 30m0s", got)
+	}
+	if b.Cache().Peek(102) != nil || a.Cache().Peek(102) == nil {
+		t.Error("the admitted item, not the victim, was offered")
+	}
+}
+
+// TestSpillTargetBreaksTiesByLowestID gives eight neighbors the same
+// activity and space flag: every call must pick the lowest ID, whatever
+// order the beacons arrived in.
+func TestSpillTargetBreaksTiesByLowestID(t *testing.T) {
+	h := newHarness(t, 1, false)
+	a := h.addHost(1, 0, 0, spilloverConfig())
+	for i := 0; i < 10; i++ {
+		a.observeActivity(time.Duration(i) * 100 * time.Millisecond)
+	}
+	for _, id := range []network.NodeID{9, 4, 7, 3, 8, 5, 6, 2} {
+		a.recordNeighborBeacon(id, beaconInfo{ActivityPerSec: 0.1, HasSpace: true})
+	}
+	a.recordNeighborBeacon(10, beaconInfo{ActivityPerSec: 0.1, HasSpace: false})
+	for i := 0; i < 200; i++ {
+		if target, ok := a.spillTarget(); !ok || target != 2 {
+			t.Fatalf("call %d: spill target = %d (%v), want 2, the lowest tied ID", i, target, ok)
+		}
+	}
 }

@@ -15,7 +15,10 @@
 //     reported);
 //   - draws from an RNG (*math/rand.Rand or the simulator's named-stream
 //     sim.RNG): the stream consumption order, and therefore every
-//     downstream value, becomes run-dependent.
+//     downstream value, becomes run-dependent;
+//   - assigns the range key to a variable declared outside the loop: an
+//     argmin or argmax that keeps a key selects, among tied values,
+//     whichever key the iteration visits first.
 //
 // Iterate over sorted keys instead.
 package mapiterorder
@@ -31,7 +34,7 @@ import (
 // Analyzer is the mapiterorder pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "mapiterorder",
-	Doc:  "flags range-over-map loops whose bodies depend on iteration order (float/string accumulation, unsorted appends, RNG draws)",
+	Doc:  "flags range-over-map loops whose bodies depend on iteration order (float/string accumulation, unsorted appends, RNG draws, keys kept past the loop)",
 	Run:  run,
 }
 
@@ -103,6 +106,7 @@ func checkBody(pass *analysis.Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
 		case *ast.AssignStmt:
 			checkAccumulation(pass, n)
 			checkAppend(pass, n, rest)
+			checkKeyEscape(pass, rs, n)
 		case *ast.CallExpr:
 			checkRNG(pass, n)
 		}
@@ -257,6 +261,36 @@ func sortedLater(pass *analysis.Pass, obj types.Object, rest []ast.Stmt) bool {
 		}
 	}
 	return false
+}
+
+// checkKeyEscape flags `x = k` inside the loop when k is the range key
+// and x is declared outside the loop: which key x keeps then depends on
+// visit order whenever the selection has ties.
+func checkKeyEscape(pass *analysis.Pass, rs *ast.RangeStmt, as *ast.AssignStmt) {
+	key, ok := rs.Key.(*ast.Ident)
+	if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
+		return
+	}
+	keyObj := pass.TypesInfo.Defs[key]
+	if keyObj == nil {
+		keyObj = pass.TypesInfo.Uses[key]
+	}
+	for i, rhs := range as.Rhs {
+		id, ok := rhs.(*ast.Ident)
+		if !ok || keyObj == nil || pass.TypesInfo.Uses[id] != keyObj {
+			continue
+		}
+		lhs, ok := as.Lhs[i].(*ast.Ident)
+		if !ok {
+			continue
+		}
+		obj := pass.TypesInfo.Uses[lhs]
+		if obj == nil || (obj.Pos() >= rs.Pos() && obj.Pos() < rs.End()) {
+			continue
+		}
+		pass.Reportf(as.Pos(), "map key %s kept in %s past the loop depends on iteration order among ties; iterate over sorted keys",
+			key.Name, lhs.Name)
+	}
 }
 
 // checkRNG flags method calls on RNG types inside the loop: consuming

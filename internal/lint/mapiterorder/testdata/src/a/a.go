@@ -112,3 +112,23 @@ func nestedRanges(m map[string]map[string]float64) float64 {
 	}
 	return sum
 }
+
+func argminKeepsKey(m map[int]float64) int {
+	best, bestVal := -1, 1e9
+	for k, v := range m {
+		if v < bestVal {
+			best = k // want "map key k kept in best past the loop"
+			bestVal = v
+		}
+	}
+	return best
+}
+
+func keyUsedInsideLoopIsSafe(m map[int]float64) int {
+	n := 0
+	for k := range m {
+		local := k // declared inside the loop: no diagnostic
+		n += local
+	}
+	return n
+}

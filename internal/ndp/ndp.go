@@ -32,19 +32,27 @@ type Config struct {
 	OnUp func(network.NodeID)
 	// Beacon, when set, supplies "other useful information" carried by
 	// each hello message — GroCoca piggybacks its pending cache-signature
-	// deltas here. It returns the payload and the extra bytes it adds to
-	// the beacon size.
-	Beacon func() (payload any, extraBytes int)
+	// deltas here. It returns the message's Extra content and the extra
+	// bytes it adds to the beacon size.
+	Beacon func() (extra any, extraBytes int)
 }
+
+// unseen marks a neighbor-table slot whose node is not a neighbor.
+const unseen time.Duration = -1
 
 // Protocol is one mobile host's NDP state: its beacon loop and neighbor
 // table.
 type Protocol struct {
-	k        *sim.Kernel
-	medium   *network.Medium
-	id       network.NodeID
-	cfg      Config
-	lastSeen map[network.NodeID]time.Duration
+	k      *sim.Kernel
+	medium *network.Medium
+	id     network.NodeID
+	cfg    Config
+	// lastSeen[id] is when neighbor id was last heard, or unseen; it
+	// grows to the largest ID heard. known lists the IDs whose slot is
+	// set, in no particular order, so expiry and Stop cost O(neighbors)
+	// rather than O(N).
+	lastSeen []time.Duration
+	known    []network.NodeID
 	running  bool
 	// tick is the pending beacon; loopFn is p.loop, bound once so that
 	// scheduling a beacon allocates nothing.
@@ -61,11 +69,10 @@ func New(k *sim.Kernel, medium *network.Medium, id network.NodeID, cfg Config) (
 		return nil, fmt.Errorf("ndp: missed cycles %d must be at least 1", cfg.MissedCycles)
 	}
 	p := &Protocol{
-		k:        k,
-		medium:   medium,
-		id:       id,
-		cfg:      cfg,
-		lastSeen: make(map[network.NodeID]time.Duration),
+		k:      k,
+		medium: medium,
+		id:     id,
+		cfg:    cfg,
 	}
 	p.loopFn = p.loop
 	return p, nil
@@ -89,7 +96,10 @@ func (p *Protocol) Stop() {
 	}
 	p.running = false
 	p.tick.Cancel()
-	clear(p.lastSeen)
+	for _, id := range p.known {
+		p.lastSeen[id] = unseen
+	}
+	p.known = p.known[:0]
 }
 
 // Running reports whether the protocol is beaconing.
@@ -105,9 +115,9 @@ func (p *Protocol) loop() {
 		Size: network.BeaconSize,
 	}
 	if p.cfg.Beacon != nil {
-		payload, extra := p.cfg.Beacon()
-		msg.Payload = payload
-		msg.Size += extra
+		extra, extraBytes := p.cfg.Beacon()
+		msg.Extra = extra
+		msg.Size += extraBytes
 	}
 	p.medium.Broadcast(msg)
 	p.expire()
@@ -118,31 +128,46 @@ func (p *Protocol) loop() {
 func (p *Protocol) expire() {
 	deadline := time.Duration(p.cfg.MissedCycles) * p.cfg.Interval
 	now := p.k.Now()
-	for id, seen := range p.lastSeen {
-		if now-seen > deadline {
-			delete(p.lastSeen, id)
+	for i := 0; i < len(p.known); {
+		id := p.known[i]
+		if now-p.lastSeen[id] <= deadline {
+			i++
+			continue
 		}
+		p.lastSeen[id] = unseen
+		last := len(p.known) - 1
+		p.known[i] = p.known[last]
+		p.known = p.known[:last]
 	}
 }
 
 // HandleBeacon records a beacon heard from a peer. The owning host routes
-// KindBeacon messages here from its Receive method.
+// KindBeacon messages here from its Receive method. Negative IDs are not
+// host addresses and are ignored.
+//
+//hot:every beacon a host hears; 0 allocs/op pinned by TestHandleBeaconSteadyStateAllocs
 func (p *Protocol) HandleBeacon(from network.NodeID) {
-	if !p.running {
+	if !p.running || from < 0 {
 		return
 	}
-	_, known := p.lastSeen[from]
+	for int(from) >= len(p.lastSeen) {
+		p.lastSeen = append(p.lastSeen, unseen)
+	}
+	known := p.lastSeen[from] != unseen
 	p.lastSeen[from] = p.k.Now()
-	if !known && p.cfg.OnUp != nil {
+	if known {
+		return
+	}
+	p.known = append(p.known, from)
+	if p.cfg.OnUp != nil {
 		p.cfg.OnUp(from)
 	}
 }
 
 // Knows reports whether the peer is currently in the neighbor table.
 func (p *Protocol) Knows(id network.NodeID) bool {
-	_, ok := p.lastSeen[id]
-	return ok
+	return id >= 0 && int(id) < len(p.lastSeen) && p.lastSeen[id] != unseen
 }
 
 // NeighborCount returns the size of the neighbor table.
-func (p *Protocol) NeighborCount() int { return len(p.lastSeen) }
+func (p *Protocol) NeighborCount() int { return len(p.known) }

@@ -2,6 +2,7 @@ package ndp
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -192,5 +193,99 @@ func TestStartIdempotent(t *testing.T) {
 	sent, _, _, _ := m.Stats()
 	if sent < 5 || sent > 7 {
 		t.Errorf("beacons sent = %d, want ~5-6", sent)
+	}
+}
+
+// TestNeighborTable drives one protocol's neighbor table directly: the
+// protocol beacons every second and drops a neighbor silent for more
+// than two cycles.
+func TestNeighborTable(t *testing.T) {
+	const ms = time.Millisecond
+	type step struct {
+		at          time.Duration
+		from        network.NodeID // a beacon heard from, unless stop or start
+		stop, start bool
+	}
+	tests := []struct {
+		name  string
+		steps []step
+		until time.Duration
+		ups   []network.NodeID
+		known []network.NodeID
+	}{
+		{"first hear fires OnUp once", []step{{at: 100 * ms, from: 5}, {at: 500 * ms, from: 5}, {at: 1500 * ms, from: 5}},
+			2 * time.Second, []network.NodeID{5}, []network.NodeID{5}},
+		{"expiry after MissedCycles", []step{{at: 100 * ms, from: 5}, {at: 100 * ms, from: 6}, {at: 100 * ms, from: 7}, {at: 1500 * ms, from: 6}},
+			3500 * ms, []network.NodeID{5, 6, 7}, []network.NodeID{6}},
+		{"expired neighbor comes back up", []step{{at: 100 * ms, from: 5}, {at: 3500 * ms, from: 5}},
+			4 * time.Second, []network.NodeID{5, 5}, []network.NodeID{5}},
+		{"Stop clears the table", []step{{at: 100 * ms, from: 3}, {at: 100 * ms, from: 9}, {at: 100 * ms, from: 0}, {at: 200 * ms, stop: true}},
+			time.Second, []network.NodeID{3, 9, 0}, nil},
+		{"back up after Stop", []step{{at: 100 * ms, from: 5}, {at: 200 * ms, stop: true}, {at: 300 * ms, start: true}, {at: 400 * ms, from: 5}},
+			time.Second, []network.NodeID{5, 5}, []network.NodeID{5}},
+		{"beacons while stopped are ignored", []step{{at: 50 * ms, stop: true}, {at: 100 * ms, from: 5}},
+			time.Second, nil, nil},
+		{"negative IDs are ignored", []step{{at: 100 * ms, from: -1}, {at: 200 * ms, from: -7}},
+			time.Second, nil, nil},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			k, m := setup(t)
+			var ups []network.NodeID
+			p, err := New(k, m, 1, Config{Interval: time.Second, MissedCycles: 2, OnUp: func(id network.NodeID) { ups = append(ups, id) }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Start()
+			for _, s := range tt.steps {
+				k.At(s.at, func() {
+					switch {
+					case s.stop:
+						p.Stop()
+					case s.start:
+						p.Start()
+					default:
+						p.HandleBeacon(s.from)
+					}
+				})
+			}
+			if err := k.Run(tt.until); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(ups, tt.ups) {
+				t.Errorf("OnUp fired for %v, want %v", ups, tt.ups)
+			}
+			if p.NeighborCount() != len(tt.known) {
+				t.Errorf("NeighborCount = %d, want %d", p.NeighborCount(), len(tt.known))
+			}
+			for id := network.NodeID(-2); id < 12; id++ {
+				if want := slices.Contains(tt.known, id); p.Knows(id) != want {
+					t.Errorf("Knows(%d) = %v, want %v", id, p.Knows(id), want)
+				}
+			}
+		})
+	}
+}
+
+// TestHandleBeaconSteadyStateAllocs pins hearing known neighbors at zero
+// allocations once the table has grown to the largest ID heard.
+func TestHandleBeaconSteadyStateAllocs(t *testing.T) {
+	k, m := setup(t)
+	p, err := New(k, m, 1, Config{Interval: time.Second, MissedCycles: 2, OnUp: func(network.NodeID) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	round := func() {
+		for id := network.NodeID(0); id < 50; id++ {
+			p.HandleBeacon(id)
+		}
+	}
+	round()
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Errorf("hearing 50 known neighbors allocates %.1f times, want 0", avg)
+	}
+	if p.NeighborCount() != 50 {
+		t.Errorf("NeighborCount = %d, want 50", p.NeighborCount())
 	}
 }

@@ -9,7 +9,12 @@
 // server downlink) that the paper's figures hinge on.
 package network
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/geo"
+	"repro/internal/workload"
+)
 
 // NodeID identifies a mobile host on the medium. The MSS is not a medium
 // node; it is reached through the ServerLink.
@@ -19,7 +24,7 @@ type NodeID int
 const BroadcastID NodeID = -1
 
 // Kind enumerates the protocol message types.
-type Kind int
+type Kind uint8
 
 // Message kinds, covering the COCA protocol (request/reply/retrieve/data),
 // the GroCoca signature exchange, NDP beacons, and the client–MSS
@@ -67,14 +72,43 @@ func (k Kind) String() string {
 }
 
 // Message is one protocol message. Size is the on-air size in bytes and
-// fully determines transmission time and power; Payload carries the
-// protocol content and is never serialised.
+// fully determines transmission time and power; the other fields carry
+// the protocol content and are never serialised.
+//
+// The scalar fields are shared by the kinds that need them (PROTOCOL.md's
+// message table lists which kind uses which), so an ordinary exchange
+// builds no payload on the heap. Extra holds the rare bulky content:
+// multi-hop paths, signature deltas and filters, TCG membership changes
+// and peer-access samples.
 type Message struct {
-	Kind    Kind
-	From    NodeID
-	To      NodeID
-	Size    int
-	Payload any
+	Kind Kind
+	// Refresh marks an MSS data reply that answers a validation with an
+	// updated copy.
+	Refresh bool
+	// Hops is the hops a search request has left; on a message routed
+	// over several hops it is the current receiver's place on the route.
+	Hops int32
+	From NodeID
+	To   NodeID
+	Size int
+	// Item is the data item the message is about.
+	Item workload.ItemID
+	// Seq is the request sequence number of the origin host: with
+	// Origin it keys a search flood, and it matches replies and data to
+	// the request that asked.
+	Seq uint64
+	// Origin is the requesting host, or on a reply or data message the
+	// host holding the copy.
+	Origin NodeID
+	// RetrievedAt and TTL describe a copy's consistency contract: when it
+	// was obtained and how long it stays valid. A copy offered by a peer
+	// expires at RetrievedAt+TTL.
+	RetrievedAt time.Duration
+	TTL         time.Duration
+	// Location is the sender's position reported to the MSS.
+	Location geo.Point
+	// Extra is the bulky content of the few messages that carry one.
+	Extra any
 }
 
 // Default message sizes in bytes. Control messages are small fixed-size

@@ -425,8 +425,8 @@ func TestKindString(t *testing.T) {
 	if KindRequest.String() != "request" {
 		t.Errorf("KindRequest = %q", KindRequest.String())
 	}
-	if Kind(999).String() != "unknown" {
-		t.Errorf("unknown kind = %q", Kind(999).String())
+	if Kind(200).String() != "unknown" {
+		t.Errorf("unknown kind = %q", Kind(200).String())
 	}
 }
 

@@ -20,17 +20,19 @@ import (
 	"repro/internal/workload"
 )
 
-// DeliverFunc receives a broadcast item: the TTL assigned at broadcast time
-// and the time the waiter spent listening.
-type DeliverFunc func(ttl time.Duration, waited time.Duration)
+// DeliverFunc receives a broadcast item: the token the waiter tuned in
+// with, the TTL assigned at broadcast time and the time the waiter spent
+// listening.
+type DeliverFunc func(token uint64, ttl time.Duration, waited time.Duration)
 
-// DropFunc tells a waiter its item left the broadcast schedule; the client
-// falls back to pulling.
-type DropFunc func()
+// DropFunc tells a waiter, by the token it tuned in with, that its item
+// left the broadcast schedule; the client falls back to pulling.
+type DropFunc func(token uint64)
 
 // waiter is one tuned-in client.
 type waiter struct {
 	id      network.NodeID
+	token   uint64
 	since   time.Duration
 	deliver DeliverFunc
 	dropped DropFunc
@@ -170,16 +172,18 @@ func (d *Disk) OutageSlots() uint64 { return d.outageSlots }
 
 // Tune registers a client waiting for an item. The item must currently be
 // on the disk (check Contains first); tuning for an off-disk item invokes
-// dropped immediately.
-func (d *Disk) Tune(id network.NodeID, item workload.ItemID, deliver DeliverFunc, dropped DropFunc) {
+// dropped immediately. Both callbacks get token back, so one pair of
+// callbacks bound once per client can tell its waits apart.
+func (d *Disk) Tune(id network.NodeID, item workload.ItemID, token uint64, deliver DeliverFunc, dropped DropFunc) {
 	if _, ok := d.inSet[item]; !ok {
 		if dropped != nil {
-			dropped()
+			dropped(token)
 		}
 		return
 	}
 	d.waiters[item] = append(d.waiters[item], waiter{
 		id:      id,
+		token:   token,
 		since:   d.k.Now(),
 		deliver: deliver,
 		dropped: dropped,
@@ -214,7 +218,7 @@ func (d *Disk) tick() {
 			d.meter.Charge(w.id, network.EnergyServerRecv, energy)
 			d.deliveries++
 			if w.deliver != nil {
-				w.deliver(ttl, waited)
+				w.deliver(w.token, ttl, waited)
 			}
 		}
 	}
@@ -251,7 +255,7 @@ func (d *Disk) setItems(items []workload.ItemID) {
 		for _, w := range ws {
 			d.drops++
 			if w.dropped != nil {
-				w.dropped()
+				w.dropped(w.token)
 			}
 		}
 	}

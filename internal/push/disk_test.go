@@ -91,8 +91,10 @@ func TestTuneDeliversWithinOneCycle(t *testing.T) {
 	var gotTTL time.Duration
 	var waited time.Duration
 	delivered := false
-	d.Tune(7, workload.ItemID(5), func(ttl, w time.Duration) {
+	var gotToken uint64
+	d.Tune(7, workload.ItemID(5), 42, func(token uint64, ttl, w time.Duration) {
 		delivered = true
+		gotToken = token
 		gotTTL = ttl
 		waited = w
 	}, nil)
@@ -101,6 +103,9 @@ func TestTuneDeliversWithinOneCycle(t *testing.T) {
 	}
 	if !delivered {
 		t.Fatal("item not delivered within one cycle")
+	}
+	if gotToken != 42 {
+		t.Errorf("token = %d, want the 42 tuned in with", gotToken)
 	}
 	if waited > d.CycleTime() {
 		t.Errorf("waited %v, more than one cycle %v", waited, d.CycleTime())
@@ -122,9 +127,9 @@ func TestListenEnergyGrowsWithWait(t *testing.T) {
 	// one pays more listen energy.
 	k, d, _, meter := testDisk(t, defaultDiskConfig(), 100)
 	d.Start()
-	d.Tune(1, workload.ItemID(9), nil, nil)
+	d.Tune(1, workload.ItemID(9), 0, nil, nil)
 	k.Schedule(d.SlotTime()*5, func() {
-		d.Tune(2, workload.ItemID(9), nil, nil)
+		d.Tune(2, workload.ItemID(9), 0, nil, nil)
 	})
 	if err := k.Run(d.CycleTime() * 2); err != nil {
 		t.Fatal(err)
@@ -138,7 +143,7 @@ func TestListenEnergyGrowsWithWait(t *testing.T) {
 func TestTuneForOffDiskItemDropsImmediately(t *testing.T) {
 	_, d, _, _ := testDisk(t, defaultDiskConfig(), 100) // hot items 0..9
 	dropped := false
-	d.Tune(1, workload.ItemID(99), nil, func() { dropped = true })
+	d.Tune(1, workload.ItemID(99), 0, nil, func(uint64) { dropped = true })
 	if !dropped {
 		t.Error("off-disk tune not dropped")
 	}
@@ -198,11 +203,11 @@ func TestReshuffleDropsWaitersOfEvictedItems(t *testing.T) {
 	// Register a waiter for an item that will be evicted, at a time when
 	// its slot has just passed so delivery cannot beat the reshuffle.
 	k.Schedule(48*time.Millisecond+500*time.Microsecond, func() {
-		d.Tune(1, workload.ItemID(0), func(time.Duration, time.Duration) {
+		d.Tune(1, workload.ItemID(0), 0, func(uint64, time.Duration, time.Duration) {
 			// Delivery may legitimately win if a slot lands in the 1.5 ms
 			// window; treat as inconclusive.
 			t.Skip("slot delivered before reshuffle; inconclusive timing")
-		}, func() { dropped = true })
+		}, func(uint64) { dropped = true })
 	})
 	if err := k.Run(200 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -243,7 +248,7 @@ func TestReshuffleKeepsWaitersOfSurvivingItems(t *testing.T) {
 	}
 	d.Start()
 	delivered := false
-	d.Tune(1, workload.ItemID(0), func(time.Duration, time.Duration) { delivered = true }, nil)
+	d.Tune(1, workload.ItemID(0), 0, func(uint64, time.Duration, time.Duration) { delivered = true }, nil)
 	if err := k.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +280,7 @@ func TestOutageSlotsDoNotDeliver(t *testing.T) {
 	// slot will only come up inside it (cycle ≈ 33 ms covers all 10 items,
 	// so every item recurs during the 60 ms outage).
 	k.Schedule(99*time.Millisecond, func() {
-		d.Tune(1, workload.ItemID(3), func(time.Duration, time.Duration) {
+		d.Tune(1, workload.ItemID(3), 0, func(uint64, time.Duration, time.Duration) {
 			delivered = true
 			deliveredAt = k.Now()
 		}, nil)
@@ -308,7 +313,7 @@ func TestDiskSlotAdvancesThroughWholeCycle(t *testing.T) {
 	// plus a slot.
 	served := 0
 	for i := 0; i < 10; i++ {
-		d.Tune(network.NodeID(i), workload.ItemID(i), func(time.Duration, time.Duration) { served++ }, nil)
+		d.Tune(network.NodeID(i), workload.ItemID(i), 0, func(uint64, time.Duration, time.Duration) { served++ }, nil)
 	}
 	if err := k.Run(d.CycleTime() + 2*d.SlotTime()); err != nil {
 		t.Fatal(err)

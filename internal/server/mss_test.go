@@ -62,10 +62,11 @@ func TestNewMSSValidation(t *testing.T) {
 func TestMSSServesRequest(t *testing.T) {
 	f := newMSSFixture(t, false)
 	f.link.SendUp(network.Message{
-		Kind:    network.KindServerRequest,
-		From:    1,
-		Size:    network.RequestSize,
-		Payload: RequestPayload{Item: 42, Location: geo.Point{X: 1, Y: 2}},
+		Kind:     network.KindServerRequest,
+		From:     1,
+		Size:     network.RequestSize,
+		Item:     42,
+		Location: geo.Point{X: 1, Y: 2},
 	})
 	if err := f.k.Run(time.Second); err != nil {
 		t.Fatal(err)
@@ -80,12 +81,8 @@ func TestMSSServesRequest(t *testing.T) {
 	if reply.Size != network.HeaderSize+4096 {
 		t.Errorf("reply size = %d", reply.Size)
 	}
-	payload, ok := reply.Payload.(ReplyPayload)
-	if !ok {
-		t.Fatal("wrong payload type")
-	}
-	if payload.Item != 42 || payload.TTL != InfiniteTTL || payload.Refresh {
-		t.Errorf("payload = %+v", payload)
+	if reply.To != 1 || reply.Item != 42 || reply.TTL != InfiniteTTL || reply.Refresh || reply.Extra != nil {
+		t.Errorf("reply = %+v", reply)
 	}
 	reqs, _, _, _ := f.mss.Stats()
 	if reqs != 1 {
@@ -97,10 +94,11 @@ func TestMSSValidateApprovesUnchanged(t *testing.T) {
 	f := newMSSFixture(t, false)
 	f.k.Schedule(10*time.Second, func() {
 		f.link.SendUp(network.Message{
-			Kind:    network.KindValidate,
-			From:    1,
-			Size:    network.ValidateSize,
-			Payload: ValidatePayload{Item: 5, RetrievedAt: 5 * time.Second},
+			Kind:        network.KindValidate,
+			From:        1,
+			Size:        network.ValidateSize,
+			Item:        5,
+			RetrievedAt: 5 * time.Second,
 		})
 	})
 	if err := f.k.Run(time.Minute); err != nil {
@@ -122,10 +120,11 @@ func TestMSSValidateRefreshesUpdated(t *testing.T) {
 	f.k.Schedule(8*time.Second, func() { f.catalog.Update(5) })
 	f.k.Schedule(10*time.Second, func() {
 		f.link.SendUp(network.Message{
-			Kind:    network.KindValidate,
-			From:    1,
-			Size:    network.ValidateSize,
-			Payload: ValidatePayload{Item: 5, RetrievedAt: 5 * time.Second},
+			Kind:        network.KindValidate,
+			From:        1,
+			Size:        network.ValidateSize,
+			Item:        5,
+			RetrievedAt: 5 * time.Second,
 		})
 	})
 	if err := f.k.Run(time.Minute); err != nil {
@@ -138,9 +137,8 @@ func TestMSSValidateRefreshesUpdated(t *testing.T) {
 	if reply.Kind != network.KindServerReply {
 		t.Fatalf("kind = %v, want full reply", reply.Kind)
 	}
-	payload, ok := reply.Payload.(ReplyPayload)
-	if !ok || !payload.Refresh {
-		t.Errorf("payload = %+v, want Refresh", reply.Payload)
+	if reply.Item != 5 || !reply.Refresh {
+		t.Errorf("reply = %+v, want a Refresh of item 5", reply)
 	}
 	_, validations, refreshes, _ := f.mss.Stats()
 	if validations != 1 || refreshes != 1 {
@@ -154,13 +152,11 @@ func TestMSSPiggybacksTCGChanges(t *testing.T) {
 	// set, adjacent locations.
 	send := func(from network.NodeID, item int, x float64) {
 		f.link.SendUp(network.Message{
-			Kind: network.KindServerRequest,
-			From: from,
-			Size: network.RequestSize,
-			Payload: RequestPayload{
-				Item:     workload.ItemID(item),
-				Location: geo.Point{X: x, Y: 0},
-			},
+			Kind:     network.KindServerRequest,
+			From:     from,
+			Size:     network.RequestSize,
+			Item:     workload.ItemID(item),
+			Location: geo.Point{X: x, Y: 0},
 		})
 	}
 	for rep := 0; rep < 5; rep++ {
@@ -178,11 +174,16 @@ func TestMSSPiggybacksTCGChanges(t *testing.T) {
 	// Some reply must have carried the join for each client.
 	joins := map[network.NodeID]bool{}
 	for _, msg := range f.inbox {
-		if p, ok := msg.Payload.(ReplyPayload); ok {
-			for _, ch := range p.Changes {
-				if ch.Joined {
-					joins[msg.To] = true
-				}
+		if msg.Kind != network.KindServerReply {
+			continue
+		}
+		changes, ok := msg.Extra.(*Changes)
+		if !ok {
+			continue
+		}
+		for _, ch := range changes.List {
+			if ch.Joined {
+				joins[msg.To] = true
 			}
 		}
 	}
@@ -194,10 +195,10 @@ func TestMSSPiggybacksTCGChanges(t *testing.T) {
 func TestMSSLocationUpdateRepliesOnlyWithChanges(t *testing.T) {
 	f := newMSSFixture(t, true)
 	f.link.SendUp(network.Message{
-		Kind:    network.KindLocationUpdate,
-		From:    0,
-		Size:    network.ControlSize,
-		Payload: LocationPayload{Location: geo.Point{X: 5, Y: 5}},
+		Kind:     network.KindLocationUpdate,
+		From:     0,
+		Size:     network.ControlSize,
+		Location: geo.Point{X: 5, Y: 5},
 	})
 	if err := f.k.Run(time.Second); err != nil {
 		t.Fatal(err)
@@ -213,14 +214,22 @@ func TestMSSLocationUpdateRepliesOnlyWithChanges(t *testing.T) {
 
 func TestMSSIgnoresMalformedPayloads(t *testing.T) {
 	f := newMSSFixture(t, true)
-	f.link.SendUp(network.Message{Kind: network.KindServerRequest, From: 0, Size: 10, Payload: "bogus"})
-	f.link.SendUp(network.Message{Kind: network.KindValidate, From: 0, Size: 10, Payload: 7})
+	// Extra content of the wrong type is no peer-access sample: the
+	// request is served, and only its own item counts as an access.
+	f.link.SendUp(network.Message{Kind: network.KindServerRequest, From: 0, Size: 10, Item: 3, Extra: "bogus"})
+	f.link.SendUp(network.Message{Kind: network.KindLocationUpdate, From: 0, Size: 10, Extra: 7})
+	// Kinds the MSS does not serve are dropped.
 	f.link.SendUp(network.Message{Kind: network.KindBeacon, From: 0, Size: 10})
+	f.link.SendUp(network.Message{Kind: network.KindData, From: 0, Size: 10, Item: 4})
 	if err := f.k.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.inbox) != 0 {
-		t.Errorf("malformed traffic produced %d replies", len(f.inbox))
+	if len(f.inbox) != 1 || f.inbox[0].Kind != network.KindServerReply || f.inbox[0].Item != 3 {
+		t.Errorf("malformed traffic produced replies %+v, want one reply for item 3", f.inbox)
+	}
+	f.mss.TCG().RecordAccess(1, 3)
+	if got := f.mss.TCG().Similarity(0, 1); got != 1 {
+		t.Errorf("similarity = %v, want 1 (client 0 accessed only item 3)", got)
 	}
 }
 
@@ -228,10 +237,10 @@ func TestMSSRecordsDemandFromRequests(t *testing.T) {
 	f := newMSSFixture(t, false)
 	for i := 0; i < 3; i++ {
 		f.link.SendUp(network.Message{
-			Kind:    network.KindServerRequest,
-			From:    1,
-			Size:    network.RequestSize,
-			Payload: RequestPayload{Item: 42},
+			Kind: network.KindServerRequest,
+			From: 1,
+			Size: network.RequestSize,
+			Item: 42,
 		})
 	}
 	if err := f.k.Run(time.Second); err != nil {
@@ -245,10 +254,11 @@ func TestMSSRecordsDemandFromRequests(t *testing.T) {
 func TestMSSValidateRecordsAccessForTCG(t *testing.T) {
 	f := newMSSFixture(t, true)
 	f.link.SendUp(network.Message{
-		Kind:    network.KindValidate,
-		From:    0,
-		Size:    network.ValidateSize,
-		Payload: ValidatePayload{Item: 5, RetrievedAt: 0, Location: geo.Point{X: 1, Y: 1}},
+		Kind:     network.KindValidate,
+		From:     0,
+		Size:     network.ValidateSize,
+		Item:     5,
+		Location: geo.Point{X: 1, Y: 1},
 	})
 	if err := f.k.Run(time.Second); err != nil {
 		t.Fatal(err)

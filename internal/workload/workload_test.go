@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -177,10 +178,15 @@ func TestAccessRangeShuffleGivesGroupsDistinctHotSets(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			counts[ar.Next(rng)]++
 		}
+		ids := make([]ItemID, 0, len(counts))
+		for id := range counts {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
 		var best ItemID
 		bestN := -1
-		for id, n := range counts {
-			if n > bestN {
+		for _, id := range ids {
+			if n := counts[id]; n > bestN {
 				best, bestN = id, n
 			}
 		}
