@@ -1,13 +1,14 @@
 GO ?= go
 
-## Hot-path benchmark selection and baseline artifact for bench-baseline /
-## bench-check. BENCH_OUT lets a PR snapshot its own baseline (e.g.
-## `make bench-baseline BENCH_OUT=BENCH_pr7.json`) without touching the
-## committed one; BENCH_BASE is what bench-check gates against.
+## Hot-path benchmark selection for bench-baseline / bench-check.
+## BENCH_OUT lets a PR snapshot its own baseline (e.g. `make bench-baseline
+## BENCH_OUT=BENCH_pr7.json`) without touching the committed one. BASE is
+## the revision bench-check and cellbench-ab compare the working tree
+## against.
 BENCH_PATTERN = KernelScheduleRun|ChannelSend|MediumTransmit|FilterAdd|FilterTest|PeerVectorCovers|PeerVectorAddSignature|CountingFilterSignature|CountingFilterDelta|VLFL|BenchmarkNeighbors|BenchmarkBroadcast|BenchmarkBeaconRound|BenchmarkLRUHit|BenchmarkLRUAdmit
 BENCH_PKGS = ./internal/sim/ ./internal/network/ ./internal/bloom/ ./internal/cache/
 BENCH_OUT ?= BENCH_seed.json
-BENCH_BASE ?= BENCH_pr8.json
+BASE ?= HEAD
 
 .PHONY: tier1 vet build lint conformance test race cellbench-test short bench race-runner sweep-smoke chaos-smoke bench-baseline bench-check cellbench-ab fuzz-smoke resume-smoke resilience-smoke loc
 
@@ -114,18 +115,31 @@ bench-baseline:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/grococa-benchjson > $(BENCH_OUT)
 	@echo "bench-baseline: wrote $(BENCH_OUT)"
 
-## bench-check: rerun the hot-path benchmarks and gate them against the
-## committed $(BENCH_BASE): any benchmark whose ops/sec dropped more than
-## 30% fails. Benchmarks on only one side are informational.
+## bench-check: the same-host hot-path gate. BASE is unpacked with git
+## archive under .bench_build/ab-<sha>/, as cellbench-ab does; the hot-path
+## benchmarks then run 5 times in each tree, alternating trees and
+## flipping which goes first every round, and any benchmark whose median
+## ops/sec in the working tree is more than 30% below its median in the
+## base tree fails. Benchmarks on only one side are informational.
 bench-check:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/grococa-benchjson -compare $(BENCH_BASE) -max-regress 0.30
+	@sha=$$(git rev-parse --verify '$(BASE)^{commit}') && dir=.bench_build/ab-$$(printf %.12s $$sha) && \
+	if [ ! -f $$dir/go.mod ]; then mkdir -p $$dir && git archive $$sha | tar -x -C $$dir; fi && \
+	rm -f .bench_build/micro-base.txt .bench_build/micro-work.txt && \
+	for i in 1 2 3 4 5; do \
+		order="$$dir ."; if [ $$((i % 2)) = 0 ]; then order=". $$dir"; fi; \
+		for d in $$order; do \
+			side=base; if [ $$d = . ]; then side=work; fi; \
+			echo "bench-check: round $$i/5, $$side tree" >&2; \
+			(cd $$d && $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS)) >> .bench_build/micro-$$side.txt || exit 1; \
+		done; \
+	done && \
+	$(GO) run ./cmd/grococa-benchjson -compare .bench_build/micro-base.txt -max-regress 0.30 < .bench_build/micro-work.txt
 
 ## cellbench-ab: the whole-run A/B of the working tree against BASE —
 ## PAIRS pairs of cellbench runs of WORKLOAD at SEED, alternating which
 ## side runs first, printed as JSON: each end-to-end metric's per-side
 ## median and quartiles and the working tree's wins. BASE is unpacked
 ## with git archive under .bench_build/.
-BASE ?= HEAD
 WORKLOAD ?= sc-baseline
 SEED ?= 1
 PAIRS ?= 10

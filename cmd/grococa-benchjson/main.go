@@ -10,18 +10,25 @@
 //	go test -run '^$' -bench . -benchmem ./internal/sim/ | grococa-benchjson
 //
 // With -compare, the tool becomes a regression gate instead of a converter:
-// fresh `go test -bench` output on stdin is compared against a committed
-// baseline, and any benchmark present in both whose ops/sec dropped by more
-// than -max-regress (fractional, default 0.30) fails the run. Benchmarks
-// that exist on only one side are reported but never fail the gate, so
-// adding a benchmark does not require regenerating every baseline.
+// fresh `go test -bench` output on stdin is compared against a base file of
+// the same raw output, and any benchmark present on both sides whose median
+// ops/sec dropped by more than -max-regress (fractional, default 0.30)
+// fails the run. Either side may hold several runs of a benchmark, as
+// `-count` or repeated invocations produce; each row is gated on its
+// per-side median. Benchmarks that exist on only one side are reported but
+// never fail the gate, so adding a benchmark needs no change to the gate.
+// `make bench-check` feeds it alternating runs of a base revision and the
+// working tree on one host.
 //
+//	go test -run '^$' -bench . -benchmem ./internal/network/ > base.txt
+//	# ... change the code ...
 //	go test -run '^$' -bench . -benchmem ./internal/network/ | \
-//	    grococa-benchjson -compare BENCH_seed.json
+//	    grococa-benchjson -compare base.txt
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -57,8 +64,8 @@ type Baseline struct {
 }
 
 func main() {
-	compare := flag.String("compare", "", "baseline JSON to gate against instead of emitting JSON")
-	maxRegress := flag.Float64("max-regress", 0.30, "maximum tolerated fractional ops/sec drop vs the baseline")
+	compare := flag.String("compare", "", "raw go test -bench output to gate against instead of emitting JSON")
+	maxRegress := flag.Float64("max-regress", 0.30, "maximum tolerated fractional ops/sec drop vs the base")
 	flag.Parse()
 	var err error
 	if *compare != "" {
@@ -86,20 +93,21 @@ func run(in io.Reader, out io.Writer) error {
 	return enc.Encode(Baseline{Format: 1, Benchmarks: benches})
 }
 
-// runCompare parses fresh bench output on in and gates its ops/sec rates
-// against the baseline file: a drop beyond maxRegress on any benchmark
-// present in both is an error. One line per compared benchmark goes to out.
-func runCompare(in io.Reader, out io.Writer, baselinePath string, maxRegress float64) error {
+// runCompare parses fresh bench output on in and gates its per-benchmark
+// median ops/sec against the base file's: a drop beyond maxRegress on any
+// benchmark present on both sides is an error. One line per compared
+// benchmark goes to out.
+func runCompare(in io.Reader, out io.Writer, basePath string, maxRegress float64) error {
 	if maxRegress < 0 {
 		return fmt.Errorf("-max-regress %v must be non-negative", maxRegress)
 	}
-	data, err := os.ReadFile(baselinePath)
+	data, err := os.ReadFile(basePath)
 	if err != nil {
 		return err
 	}
-	var base Baseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", baselinePath, err)
+	base, err := parse(bytes.NewReader(data))
+	if err != nil {
+		return fmt.Errorf("base %s: %w", basePath, err)
 	}
 	fresh, err := parse(in)
 	if err != nil {
@@ -108,34 +116,36 @@ func runCompare(in io.Reader, out io.Writer, baselinePath string, maxRegress flo
 	if len(fresh) == 0 {
 		return fmt.Errorf("no benchmark lines on stdin (want `go test -bench` output)")
 	}
-	baseBy := make(map[string]Benchmark, len(base.Benchmarks))
-	for _, b := range base.Benchmarks {
-		baseBy[b.Name] = b
+	baseBy, freshBy := medianRates(base), medianRates(fresh)
+	names := make([]string, 0, len(freshBy))
+	for name := range freshBy {
+		names = append(names, name)
 	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].Name < fresh[j].Name })
+	sort.Strings(names)
 
 	var failures []string
 	compared := 0
-	for _, cur := range fresh {
-		ref, ok := baseBy[cur.Name]
+	for _, name := range names {
+		cur := freshBy[name]
+		ref, ok := baseBy[name]
 		if !ok {
-			_, _ = fmt.Fprintf(out, "  new   %-60s %12.0f ops/sec (not in baseline, informational)\n", cur.Name, cur.OpsPerSec)
+			_, _ = fmt.Fprintf(out, "  new   %-60s %12.0f ops/sec (not in base, informational)\n", name, cur)
 			continue
 		}
-		delete(baseBy, cur.Name)
-		if ref.OpsPerSec <= 0 {
+		delete(baseBy, name)
+		if ref <= 0 {
 			continue
 		}
 		compared++
-		change := cur.OpsPerSec/ref.OpsPerSec - 1
+		change := cur/ref - 1
 		status := "ok"
 		if change < -maxRegress {
 			status = "FAIL"
 			failures = append(failures, fmt.Sprintf("%s: %.0f -> %.0f ops/sec (%+.1f%%, limit -%.0f%%)",
-				cur.Name, ref.OpsPerSec, cur.OpsPerSec, 100*change, 100*maxRegress))
+				name, ref, cur, 100*change, 100*maxRegress))
 		}
 		_, _ = fmt.Fprintf(out, "  %-5s %-60s %12.0f -> %12.0f ops/sec (%+.1f%%)\n",
-			status, cur.Name, ref.OpsPerSec, cur.OpsPerSec, 100*change)
+			status, name, ref, cur, 100*change)
 	}
 	var gone []string
 	for name := range baseBy {
@@ -143,17 +153,32 @@ func runCompare(in io.Reader, out io.Writer, baselinePath string, maxRegress flo
 	}
 	sort.Strings(gone)
 	for _, name := range gone {
-		_, _ = fmt.Fprintf(out, "  gone  %-60s (in baseline, not on stdin, informational)\n", name)
+		_, _ = fmt.Fprintf(out, "  gone  %-60s (in base, not on stdin, informational)\n", name)
 	}
 	if compared == 0 {
-		return fmt.Errorf("no benchmark on stdin matched the baseline %s", baselinePath)
+		return fmt.Errorf("no benchmark on stdin matched the base %s", basePath)
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("%d benchmark(s) regressed more than %.0f%%:\n  %s",
 			len(failures), 100*maxRegress, strings.Join(failures, "\n  "))
 	}
-	_, _ = fmt.Fprintf(out, "bench-compare ok: %d benchmark(s) within %.0f%% of %s\n", compared, 100*maxRegress, baselinePath)
+	_, _ = fmt.Fprintf(out, "bench-compare ok: %d benchmark(s) within %.0f%% of %s\n", compared, 100*maxRegress, basePath)
 	return nil
+}
+
+// medianRates maps each benchmark name to the median ops/sec of its runs.
+func medianRates(benches []Benchmark) map[string]float64 {
+	runs := make(map[string][]float64)
+	for _, b := range benches {
+		runs[b.Name] = append(runs[b.Name], b.OpsPerSec)
+	}
+	medians := make(map[string]float64, len(runs))
+	for name, rates := range runs {
+		sort.Float64s(rates)
+		n := len(rates)
+		medians[name] = (rates[(n-1)/2] + rates[n/2]) / 2
+	}
+	return medians
 }
 
 // parse walks the benchmark output, tracking `pkg:` headers to qualify

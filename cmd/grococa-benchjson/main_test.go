@@ -66,22 +66,18 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// writeBaseline converts sample bench output to a baseline file on disk.
-func writeBaseline(t *testing.T, sample string) string {
+// writeBase writes raw bench output to a base file on disk.
+func writeBase(t *testing.T, raw string) string {
 	t.Helper()
-	var out bytes.Buffer
-	if err := run(strings.NewReader(sample), &out); err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/baseline.json"
-	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+	path := t.TempDir() + "/base.txt"
+	if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
 func TestCompareWithinToleranceOK(t *testing.T) {
-	path := writeBaseline(t, sampleBench)
+	path := writeBase(t, sampleBench)
 	// 20% slower kernel dispatch: inside the 30% gate.
 	fresh := strings.ReplaceAll(sampleBench, "250.0 ns/op", "312.5 ns/op")
 	var out bytes.Buffer
@@ -94,7 +90,7 @@ func TestCompareWithinToleranceOK(t *testing.T) {
 }
 
 func TestCompareFailsOnRegression(t *testing.T) {
-	path := writeBaseline(t, sampleBench)
+	path := writeBase(t, sampleBench)
 	// Kernel dispatch 2x slower: 50% ops/sec drop, beyond the 30% gate.
 	fresh := strings.ReplaceAll(sampleBench, "250.0 ns/op", "500.0 ns/op")
 	var out bytes.Buffer
@@ -111,7 +107,7 @@ func TestCompareFailsOnRegression(t *testing.T) {
 }
 
 func TestCompareNewAndGoneAreInformational(t *testing.T) {
-	path := writeBaseline(t, sampleBench)
+	path := writeBase(t, sampleBench)
 	// Fresh output drops the bloom benchmark and adds a new one.
 	fresh := strings.ReplaceAll(sampleBench,
 		"BenchmarkFilterAdd-8           	10000000	       100.0 ns/op	       0 B/op	       0 allocs/op",
@@ -126,17 +122,40 @@ func TestCompareNewAndGoneAreInformational(t *testing.T) {
 }
 
 func TestCompareRejectsDisjointAndBadInputs(t *testing.T) {
-	path := writeBaseline(t, sampleBench)
+	path := writeBase(t, sampleBench)
 	if err := runCompare(strings.NewReader(sampleBench), &bytes.Buffer{}, path, -1); err == nil {
 		t.Error("negative tolerance accepted")
 	}
-	if err := runCompare(strings.NewReader(sampleBench), &bytes.Buffer{}, t.TempDir()+"/missing.json", 0.3); err == nil {
-		t.Error("missing baseline accepted")
+	if err := runCompare(strings.NewReader(sampleBench), &bytes.Buffer{}, t.TempDir()+"/missing.txt", 0.3); err == nil {
+		t.Error("missing base accepted")
 	}
 	// No overlap at all: the gate must refuse rather than vacuously pass.
 	other := "pkg: repro/other\nBenchmarkElsewhere-8 1000 10.0 ns/op\n"
 	if err := runCompare(strings.NewReader(other), &bytes.Buffer{}, path, 0.3); err == nil {
 		t.Error("disjoint benchmark sets passed the gate")
+	}
+}
+
+// TestCompareGatesMedians gates multi-run output on both sides by per-row
+// medians: one slow outlier run on either side moves nothing.
+func TestCompareGatesMedians(t *testing.T) {
+	runs := func(nsPerOp ...string) string {
+		out := "pkg: repro/internal/sim\n"
+		for _, ns := range nsPerOp {
+			out += "BenchmarkKernelScheduleRun-2 1000 " + ns + " ns/op 0 B/op 0 allocs/op\n"
+		}
+		return out
+	}
+	path := writeBase(t, runs("250", "900", "250", "260", "240"))
+	var out bytes.Buffer
+	if err := runCompare(strings.NewReader(runs("300", "310", "1000", "290", "300")), &out, path, 0.30); err != nil {
+		t.Fatalf("medians 250 -> 300 ns/op failed the 30%% gate: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "4000000 ->      3333333 ops/sec") {
+		t.Errorf("compared rates are not the per-side medians:\n%s", out.String())
+	}
+	if err := runCompare(strings.NewReader(runs("400", "400", "100", "400", "400")), &bytes.Buffer{}, path, 0.30); err == nil {
+		t.Error("medians 250 -> 400 ns/op (-37.5% ops/sec) passed the 30% gate")
 	}
 }
 

@@ -60,24 +60,27 @@ func TestVLFLRoundTripSparse(t *testing.T) {
 }
 
 func TestVLFLRoundTripEdgeCases(t *testing.T) {
-	cases := map[string]func(f *Filter){
-		"empty": func(*Filter) {},
-		"all ones": func(f *Filter) {
+	cases := []struct {
+		name  string
+		setup func(f *Filter)
+	}{
+		{"empty", func(*Filter) {}},
+		{"all ones", func(f *Filter) {
 			for p := 0; p < f.M(); p++ {
 				f.SetBit(p)
 			}
-		},
-		"leading one":    func(f *Filter) { f.SetBit(0) },
-		"trailing one":   func(f *Filter) { f.SetBit(f.M() - 1) },
-		"both ends":      func(f *Filter) { f.SetBit(0); f.SetBit(f.M() - 1) },
-		"adjacent ones":  func(f *Filter) { f.SetBit(10); f.SetBit(11); f.SetBit(12) },
-		"run exactly R":  func(f *Filter) { f.SetBit(7) },
-		"run R plus one": func(f *Filter) { f.SetBit(8) },
+		}},
+		{"leading one", func(f *Filter) { f.SetBit(0) }},
+		{"trailing one", func(f *Filter) { f.SetBit(f.M() - 1) }},
+		{"both ends", func(f *Filter) { f.SetBit(0); f.SetBit(f.M() - 1) }},
+		{"adjacent ones", func(f *Filter) { f.SetBit(10); f.SetBit(11); f.SetBit(12) }},
+		{"run exactly R", func(f *Filter) { f.SetBit(7) }},
+		{"run R plus one", func(f *Filter) { f.SetBit(8) }},
 	}
-	for name, setup := range cases {
-		t.Run(name, func(t *testing.T) {
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			f := mustFilter(t, 97, 2) // deliberately not a multiple of 64
-			setup(f)
+			c.setup(f)
 			for _, r := range []int{1, 7, 15} {
 				data, _, err := EncodeVLFL(f, r)
 				if err != nil {

@@ -223,23 +223,23 @@ func TestPoolJournaledReplaysRecords(t *testing.T) {
 	if string(canonical) != `{"Cell":1,"Rep":0,"Note":"c1r0"}` {
 		t.Fatalf("journaled record %s is not the encoding/json form", canonical)
 	}
-	for name, record := range map[string]string{
-		"reordered fields": `{"Rep":0,"Cell":1,"Note":"c1r0"}`,
-		"extra field":      `{"Cell":1,"Rep":0,"Note":"c1r0","Extra":7}`,
-		"missing field":    `{"Cell":1,"Rep":0}`,
-		"trailing bytes":   `{"Cell":1,"Rep":0,"Note":"c1r0"}` + "\n",
+	for _, tc := range []struct{ name, record string }{
+		{"reordered fields", `{"Rep":0,"Cell":1,"Note":"c1r0"}`},
+		{"extra field", `{"Cell":1,"Rep":0,"Note":"c1r0","Extra":7}`},
+		{"missing field", `{"Cell":1,"Rep":0}`},
+		{"trailing bytes", `{"Cell":1,"Rep":0,"Note":"c1r0"}` + "\n"},
 	} {
-		if err := jr.Append(key, []byte(record)); err != nil {
+		if err := jr.Append(key, []byte(tc.record)); err != nil {
 			t.Fatal(err)
 		}
 		if got := pass(); got != 1 {
-			t.Errorf("%s: ran %d cells, want the tampered one re-run once", name, got)
+			t.Errorf("%s: ran %d cells, want the tampered one re-run once", tc.name, got)
 		}
 		if p, _ := jr.Lookup(key); string(p) != string(canonical) {
-			t.Errorf("%s: re-run did not supersede the record: %s", name, p)
+			t.Errorf("%s: re-run did not supersede the record: %s", tc.name, p)
 		}
 		if got := pass(); got != 0 {
-			t.Errorf("%s: pass after the re-run ran %d cells, want 0", name, got)
+			t.Errorf("%s: pass after the re-run ran %d cells, want 0", tc.name, got)
 		}
 	}
 }

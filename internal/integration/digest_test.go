@@ -179,3 +179,36 @@ func TestSeedDigest(t *testing.T) {
 		t.Logf("wrote %d digests to %s", len(got), digestGoldenFile)
 	}
 }
+
+// TestHybridDeliveryRepeatable runs a hybrid-delivery simulation whose
+// broadcast-disk reshuffles drop several awaited items at once twice, and
+// requires equal Results: the dropped waiters fall back to pulling in one
+// fixed order. Repro: go run ./cmd/grococa-sim -scheme sc -delivery hybrid
+// -bcasthot 100 -bcastbw 200 -bcastreshuffle 2s -clients 60 -warmup 20
+// -requests 60 -seed 3 (run it twice and diff).
+func TestHybridDeliveryRepeatable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scenario simulations in -short mode")
+	}
+	cfg := core.DefaultConfig()
+	cfg.Scheme = core.SchemeSC
+	cfg.Delivery = core.DeliveryHybrid
+	cfg.BroadcastHotItems = 100
+	cfg.BroadcastKbps = 200
+	cfg.BroadcastReshuffle = 2 * time.Second
+	cfg.NumClients = 60
+	cfg.WarmupRequests = 20
+	cfg.MeasuredRequests = 60
+	cfg.Seed = 3
+	var digests [2]string
+	for i := range digests {
+		r, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests[i] = resultsDigest(t, r)
+	}
+	if digests[0] != digests[1] {
+		t.Errorf("same seed diverged across two hybrid-delivery runs: %s vs %s", digests[0], digests[1])
+	}
+}

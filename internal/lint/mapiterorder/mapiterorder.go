@@ -18,7 +18,11 @@
 //     downstream value, becomes run-dependent;
 //   - assigns the range key to a variable declared outside the loop: an
 //     argmin or argmax that keeps a key selects, among tied values,
-//     whichever key the iteration visits first.
+//     whichever key the iteration visits first;
+//   - calls through a func-typed variable, parameter or field (not a
+//     declared function or method): a callback's effects, such as a
+//     waiter falling back to another path, then happen in visit order,
+//     and nothing at the call site shows that they commute.
 //
 // Iterate over sorted keys instead.
 package mapiterorder
@@ -34,7 +38,7 @@ import (
 // Analyzer is the mapiterorder pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "mapiterorder",
-	Doc:  "flags range-over-map loops whose bodies depend on iteration order (float/string accumulation, unsorted appends, RNG draws, keys kept past the loop)",
+	Doc:  "flags range-over-map loops whose bodies depend on iteration order (float/string accumulation, unsorted appends, RNG draws, keys kept past the loop, calls through func values)",
 	Run:  run,
 }
 
@@ -109,6 +113,7 @@ func checkBody(pass *analysis.Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
 			checkKeyEscape(pass, rs, n)
 		case *ast.CallExpr:
 			checkRNG(pass, n)
+			checkFuncValueCall(pass, n)
 		}
 		return true
 	})
@@ -318,6 +323,30 @@ func checkRNG(pass *analysis.Pass, call *ast.CallExpr) {
 	}
 	pass.Reportf(call.Pos(), "RNG draw %s.%s inside map iteration consumes the stream in randomized order; iterate over sorted keys",
 		exprString(sel.X), sel.Sel.Name)
+}
+
+// checkFuncValueCall flags a call whose callee is a func-typed variable,
+// parameter or field rather than a declared function or method: the
+// callback runs once per visited entry, in randomized order.
+func checkFuncValueCall(pass *analysis.Pass, call *ast.CallExpr) {
+	var id *ast.Ident
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return
+	}
+	v, ok := pass.TypesInfo.Uses[id].(*types.Var)
+	if !ok {
+		return
+	}
+	if _, ok := v.Type().Underlying().(*types.Signature); !ok {
+		return
+	}
+	pass.Reportf(call.Pos(), "call through func value %s inside map iteration runs it in randomized order; iterate over sorted keys",
+		exprString(call.Fun))
 }
 
 // exprString renders a short name for simple expressions in diagnostics.

@@ -132,3 +132,59 @@ func keyUsedInsideLoopIsSafe(m map[int]float64) int {
 	}
 	return n
 }
+
+// waiter holds a callback, as a broadcast-disk waiter does.
+type waiter struct {
+	dropped func(int)
+}
+
+func fieldCallback(m map[int][]waiter) {
+	for k, ws := range m {
+		for _, w := range ws {
+			w.dropped(k) // want "call through func value w.dropped inside map iteration"
+		}
+	}
+}
+
+func paramCallback(m map[string]int, f func(int)) {
+	for _, v := range m {
+		f(v) // want "call through func value f inside map iteration"
+	}
+}
+
+func localCallback(m map[string]int) {
+	record := func(int) {}
+	for _, v := range m {
+		record(v) // want "call through func value record inside map iteration"
+	}
+}
+
+func storedCallbacks(m map[string]func()) {
+	for _, fn := range m {
+		fn() // want "call through func value fn inside map iteration"
+	}
+}
+
+func double(v int) int { return 2 * v }
+
+// Len is a declared method.
+func (w waiter) Len() int { return 0 }
+
+func declaredCallsAreSafe(m map[string]int, w waiter) int {
+	n := 0
+	for _, v := range m {
+		n += double(v) + w.Len() + len(m) + int(int64(v)) // declared function, method, builtin, conversion: no diagnostic
+	}
+	return n
+}
+
+func callbackOverSortedKeysIsSafe(m map[int]func()) {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	for _, k := range keys {
+		m[k]() // slice order is deterministic: no diagnostic
+	}
+}

@@ -17,9 +17,10 @@ import (
 // Motion reports the peer's position at t, the time until which that
 // position is a pure function of time (no randomness drawn, no state changed
 // that alters later results), and a bound on its speed until then. The
-// medium re-samples a peer only when that time has passed or the speed
-// bound says it may have drifted by the query slack (see DESIGN.md "Spatial
-// index").
+// medium re-samples a peer only when that time has passed, when the speed
+// bound says it may have drifted by the query slack, or when the bound
+// cannot settle whether the peer hears a completing frame (see DESIGN.md
+// "Spatial index").
 type Peer interface {
 	ID() NodeID
 	Motion(t time.Duration) (pos geo.Point, until time.Duration, speed float64)
@@ -37,8 +38,9 @@ type Peer interface {
 // completion costs O(k) for k hosts near the sender rather than O(N). The
 // grid is synced lazily: a host is re-sampled only when its mobility could
 // draw randomness or its worst-case drift since the last sample could reach
-// a fixed slack, and queries widen by that slack before filtering on
-// positions sampled at the completion time. The brute-force scan survives
+// a fixed slack, and queries widen by that slack. A candidate's drift bound
+// then decides whether it is in range at the completion time; only a host
+// the bound cannot classify is sampled. The brute-force scan survives
 // behind MediumConfig.BruteForce and is proven byte-identical by the
 // index-equivalence tests.
 type Medium struct {
@@ -63,10 +65,12 @@ type Medium struct {
 
 	// Spatial index state. The grid is derived, rebuilt lazily from
 	// Motion(), and holds each host's last sampled position; sampledAt
-	// holds the time it was sampled at (negative = never).
+	// holds the time it was sampled at (negative = never), and speed the
+	// speed bound that sample reported, in metres per nanosecond.
 	brute     bool
 	grid      *geo.Grid
 	sampledAt []time.Duration
+	speed     []float64
 	// slack is how far a grid position may lag its host's true position;
 	// queries widen by it. driftNs is 90% of it in metre-nanoseconds per
 	// metre-per-second: a host moving at speed v stays within slack of its
@@ -186,6 +190,7 @@ func (m *Medium) Register(p Peer) error {
 	m.nics = append(m.nics, sim.NewChannel(m.k, m.complete))
 	m.connected = append(m.connected, false)
 	m.sampledAt = append(m.sampledAt, -1)
+	m.speed = append(m.speed, 0)
 	m.wake = append(m.wake, 0) // due at the next sync
 	m.SetConnected(p.ID(), true)
 	return nil
@@ -235,14 +240,20 @@ func (m *Medium) inRange(a, b int, now time.Duration) bool {
 // timestamp, and sets its wake: one nanosecond past the end of the piece
 // Motion reported, or the last nanosecond before its drift at the reported
 // speed could reach 90% of the slack, whichever is earlier (never before
-// now + 1 ns).
+// now + 1 ns). A speed bound that is not ≥ 0 (NaN or negative) bounds
+// nothing and counts as infinite: the host is re-sampled at every sync and
+// never decided from its drift.
 func (m *Medium) sample(i int, now time.Duration) {
 	if m.sampledAt[i] == now {
 		return
 	}
 	pos, until, speed := m.peers[i].Motion(now)
+	if !(speed >= 0) {
+		speed = math.Inf(1)
+	}
 	m.grid.Upsert(geo.GridID(i), pos)
 	m.sampledAt[i] = now
+	m.speed[i] = speed / float64(time.Second)
 	wake := until
 	if wake < math.MaxInt64 {
 		wake++
@@ -308,25 +319,63 @@ func (m *Medium) sync(now time.Duration, srcIdx, dstIdx int) bool {
 	return true
 }
 
+// The drift-bound margins. A position a model computes may differ from
+// the exact one by float rounding, as may the distances compared here, so
+// a decision from the bound widens the drift by absErr plus relErr times
+// the magnitudes involved. relErr is about 10⁷ float64 unit roundoffs;
+// absErr covers rounding in a position formula whose inputs (segment ends,
+// a group's reference point and offset) are far larger than the position
+// itself, up to about 10¹¹ m. See DESIGN.md "Spatial index".
+const (
+	absErr = 1e-3
+	relErr = 1e-9
+)
+
 // candidates fills dst with the slots of all indexed hosts whose grid
 // position lies within range plus slack of host i's position at now,
 // ascending — which is registration order. It is a superset of the
-// connected hosts in range: callers sample each connected candidate and
-// filter on its position at now.
+// connected hosts in range: callers decide each connected candidate with
+// reaches.
 func (m *Medium) candidates(dst []geo.GridID, i int) []geo.GridID {
 	return m.grid.AppendRange(dst[:0], m.grid.Pos(geo.GridID(i)), m.rangeM+m.slack)
 }
 
-// hears reports whether the host in slot j is connected and, sampled at
-// now, within range of p — the position at now of a host sampled by sync.
-// Sampling a connected host here never draws randomness: sync already
-// sampled every host whose Motion could draw at now.
-func (m *Medium) hears(p geo.Point, j int, now time.Duration) bool {
-	if !m.connected[j] {
-		return false
+// reaches reports whether the connected host in slot j is within range, at
+// now, of p, a position sampled at now: exactly geo.WithinRange(p, q,
+// range) for q the host's position at now. A host sampled at now is
+// compared as is. Otherwise its drift e = speed·(now − sampledAt) bounds
+// how far it is from its grid position g, so the host is in range when
+// |p − g| + e < range, and out of range when |p − g| − e > range, with e
+// widened by the float margins; only a host between the two is sampled.
+// A NaN or infinite position, speed or drift never settles, and sampling
+// it never draws randomness: sync already sampled every host whose Motion
+// could draw at now.
+//
+//hot:per-candidate reachability decision of every completion and neighbor query
+func (m *Medium) reaches(p geo.Point, j int, now time.Duration) bool {
+	g := m.grid.Pos(geo.GridID(j))
+	if at := m.sampledAt[j]; at != now {
+		e := m.speed[j] * float64(now-at)
+		mag := math.Abs(p.X) + math.Abs(p.Y) + math.Abs(g.X) + math.Abs(g.Y)
+		if tol := e + absErr + relErr*(e+mag+m.rangeM); tol < m.rangeM {
+			d2 := geo.Dist2(p, g)
+			if in := m.rangeM - tol; d2 < in*in {
+				return true
+			}
+			if out := m.rangeM + tol; d2 > out*out {
+				return false
+			}
+		}
+		m.sample(j, now)
+		g = m.grid.Pos(geo.GridID(j))
 	}
-	m.sample(j, now)
-	return geo.WithinRange(p, m.grid.Pos(geo.GridID(j)), m.rangeM)
+	return geo.WithinRange(p, g, m.rangeM)
+}
+
+// hears reports whether the host in slot j is connected and in range of
+// p at now.
+func (m *Medium) hears(p geo.Point, j int, now time.Duration) bool {
+	return m.connected[j] && m.reaches(p, j, now)
 }
 
 // Neighbors returns the IDs of connected peers currently within range of
@@ -517,10 +566,8 @@ func (m *Medium) sendDone(srcIdx, dstIdx int, msg Message) {
 		if ci == srcIdx || ci == dstIdx || !m.connected[ci] {
 			continue
 		}
-		m.sample(ci, now)
-		pos := m.grid.Pos(geo.GridID(ci))
-		ns := geo.WithinRange(srcPos, pos, m.rangeM)
-		nd := reachable && geo.WithinRange(dstPos, pos, m.rangeM)
+		ns := m.reaches(srcPos, ci, now)
+		nd := reachable && m.reaches(dstPos, ci, now)
 		oid := m.ids[ci]
 		switch {
 		case ns && nd:

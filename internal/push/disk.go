@@ -12,6 +12,7 @@ package push
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/network"
@@ -246,11 +247,18 @@ func (d *Disk) setItems(items []workload.ItemID) {
 	if d.slot >= len(d.items) {
 		d.slot = 0
 	}
-	// Drop waiters for items no longer scheduled.
-	for item, ws := range d.waiters {
-		if _, ok := d.inSet[item]; ok {
-			continue
+	// Drop waiters for items no longer scheduled: items ascending, each
+	// item's waiters in tune order, so the fallbacks the callbacks start
+	// replay exactly.
+	var gone []workload.ItemID
+	for item := range d.waiters {
+		if _, ok := d.inSet[item]; !ok {
+			gone = append(gone, item)
 		}
+	}
+	slices.Sort(gone)
+	for _, item := range gone {
+		ws := d.waiters[item]
 		delete(d.waiters, item)
 		for _, w := range ws {
 			d.drops++

@@ -1,6 +1,7 @@
 package push
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -320,5 +321,33 @@ func TestDiskSlotAdvancesThroughWholeCycle(t *testing.T) {
 	}
 	if served != 10 {
 		t.Errorf("served = %d, want all 10 scheduled items", served)
+	}
+}
+
+// TestReshuffleDropsInItemOrder has one reshuffle drop three awaited
+// items, tuned for out of order and with two waiters on two of them: the
+// drop callbacks must fire in ascending item order, each item's waiters in
+// tune order, on every run, whatever order the waiter map visits.
+func TestReshuffleDropsInItemOrder(t *testing.T) {
+	cfg := defaultDiskConfig()
+	cfg.HotItems = 3
+	for run := 0; run < 50; run++ {
+		_, d, catalog, _ := testDisk(t, cfg, 100)
+		for item := workload.ItemID(10); item < 13; item++ {
+			catalog.RecordDemand(item)
+		}
+		var got []uint64
+		record := func(token uint64) { got = append(got, token) }
+		// Tokens are 10·item + the waiter's rank on its item.
+		for _, tune := range []struct {
+			item  workload.ItemID
+			token uint64
+		}{{2, 20}, {0, 0}, {1, 10}, {2, 21}, {0, 1}} {
+			d.Tune(1, tune.item, tune.token, nil, record)
+		}
+		d.setItems(catalog.TopDemand(cfg.HotItems))
+		if want := []uint64{0, 1, 10, 20, 21}; !slices.Equal(got, want) {
+			t.Fatalf("run %d: drops fired for tokens %v, want %v", run, got, want)
+		}
 	}
 }

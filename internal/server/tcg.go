@@ -86,8 +86,9 @@ type TCGManager struct {
 	cfg        TCGConfig
 	numClients int
 	nData      int
-	// counts[i][d] is A_i(d).
-	counts [][]uint32
+	// counts[d*numClients+i] is A_i(d): item-major, so one access reads
+	// its item's counts for every client from one contiguous row.
+	counts []uint32
 	// norms[i] = Σ_d A_i(d)².
 	norms []float64
 	// dots and wadm are upper-triangular pair matrices indexed by pairIndex.
@@ -118,7 +119,7 @@ func NewTCGManager(numClients, nData int, cfg TCGConfig) (*TCGManager, error) {
 		cfg:        cfg,
 		numClients: numClients,
 		nData:      nData,
-		counts:     make([][]uint32, numClients),
+		counts:     make([]uint32, nData*numClients),
 		norms:      make([]float64, numClients),
 		dots:       make([]float64, pairs),
 		wadm:       make([]stats.EWMA, pairs),
@@ -126,9 +127,6 @@ func NewTCGManager(numClients, nData int, cfg TCGConfig) (*TCGManager, error) {
 		locKnown:   make([]bool, numClients),
 		member:     make([]bool, pairs),
 		pending:    make([][]MembershipChange, numClients),
-	}
-	for i := range m.counts {
-		m.counts[i] = make([]uint32, nData)
 	}
 	for p := range m.wadm {
 		m.wadm[p] = stats.NewEWMA(cfg.DistanceWeight)
@@ -177,18 +175,16 @@ func (m *TCGManager) RecordAccess(i network.NodeID, item workload.ItemID) {
 		return
 	}
 	ii := int(i)
-	old := m.counts[ii][item]
+	row := m.counts[int(item)*m.numClients:][:m.numClients]
+	old := row[ii]
 	// Dot products against every peer gain A_j(item) from the +1 on
 	// A_i(item).
-	for j := 0; j < m.numClients; j++ {
-		if j == ii {
-			continue
-		}
-		if aj := m.counts[j][item]; aj > 0 {
+	for j, aj := range row {
+		if j != ii && aj > 0 {
 			m.dots[m.pairIndex(ii, j)] += float64(aj)
 		}
 	}
-	m.counts[ii][item] = old + 1
+	row[ii] = old + 1
 	m.norms[ii] += float64(2*old + 1)
 	for j := 0; j < m.numClients; j++ {
 		if j != ii {
@@ -203,11 +199,16 @@ func (m *TCGManager) Similarity(i, j network.NodeID) float64 {
 	if !m.validClient(i) || !m.validClient(j) || i == j {
 		return 0
 	}
+	return m.similarity(int(i), int(j), m.pairIndex(int(i), int(j)))
+}
+
+// similarity is Similarity for the valid pair (i, j) at pair index p.
+func (m *TCGManager) similarity(i, j, p int) float64 {
 	ni, nj := m.norms[i], m.norms[j]
 	if ni == 0 || nj == 0 {
 		return 0
 	}
-	return m.dots[m.pairIndex(int(i), int(j))] / math.Sqrt(ni*nj)
+	return m.dots[p] / math.Sqrt(ni*nj)
 }
 
 // WeightedDistance returns the pair's EWMA weighted average distance and
@@ -221,20 +222,20 @@ func (m *TCGManager) WeightedDistance(i, j network.NodeID) (float64, bool) {
 }
 
 // checkMembership implements Algorithm 3 for the pair (i, j), under the
-// configured grouping criteria.
+// configured grouping criteria. The similarity, a square root and a
+// division, is computed only when the criteria need it: under both, only
+// for a pair that passes the distance test.
 func (m *TCGManager) checkMembership(i, j int) {
 	p := m.pairIndex(i, j)
-	dist := m.wadm[p]
-	closeEnough := dist.Set() && dist.Value() <= m.cfg.DistanceThreshold
-	similarEnough := m.Similarity(network.NodeID(i), network.NodeID(j)) >= m.cfg.SimilarityThreshold
 	var inGroup bool
-	switch m.cfg.Criteria {
+	switch dist := m.wadm[p]; m.cfg.Criteria {
 	case CriteriaDistanceOnly:
-		inGroup = closeEnough
+		inGroup = dist.Set() && dist.Value() <= m.cfg.DistanceThreshold
 	case CriteriaSimilarityOnly:
-		inGroup = similarEnough
+		inGroup = m.similarity(i, j, p) >= m.cfg.SimilarityThreshold
 	default:
-		inGroup = closeEnough && similarEnough
+		inGroup = dist.Set() && dist.Value() <= m.cfg.DistanceThreshold &&
+			m.similarity(i, j, p) >= m.cfg.SimilarityThreshold
 	}
 	if inGroup == m.member[p] {
 		return
