@@ -15,8 +15,11 @@
 // ops/sec dropped by more than -max-regress (fractional, default 0.30)
 // fails the run. Either side may hold several runs of a benchmark, as
 // `-count` or repeated invocations produce; each row is gated on its
-// per-side median. Benchmarks that exist on only one side are reported but
-// never fail the gate, so adding a benchmark needs no change to the gate.
+// per-side median. Next to each compared row's change it prints the base
+// side's own spread, its slowest and fastest run relative to its median, so
+// a reader can tell a change from the row's run-to-run noise. Benchmarks
+// that exist on only one side are reported but never fail the gate, so
+// adding a benchmark needs no change to the gate.
 // `make bench-check` feeds it alternating runs of a base revision and the
 // working tree on one host.
 //
@@ -116,7 +119,7 @@ func runCompare(in io.Reader, out io.Writer, basePath string, maxRegress float64
 	if len(fresh) == 0 {
 		return fmt.Errorf("no benchmark lines on stdin (want `go test -bench` output)")
 	}
-	baseBy, freshBy := medianRates(base), medianRates(fresh)
+	baseBy, freshBy := summarize(base), summarize(fresh)
 	names := make([]string, 0, len(freshBy))
 	for name := range freshBy {
 		names = append(names, name)
@@ -126,8 +129,9 @@ func runCompare(in io.Reader, out io.Writer, basePath string, maxRegress float64
 	var failures []string
 	compared := 0
 	for _, name := range names {
-		cur := freshBy[name]
-		ref, ok := baseBy[name]
+		cur := freshBy[name].median
+		refRuns, ok := baseBy[name]
+		ref := refRuns.median
 		if !ok {
 			_, _ = fmt.Fprintf(out, "  new   %-60s %12.0f ops/sec (not in base, informational)\n", name, cur)
 			continue
@@ -144,8 +148,8 @@ func runCompare(in io.Reader, out io.Writer, basePath string, maxRegress float64
 			failures = append(failures, fmt.Sprintf("%s: %.0f -> %.0f ops/sec (%+.1f%%, limit -%.0f%%)",
 				name, ref, cur, 100*change, 100*maxRegress))
 		}
-		_, _ = fmt.Fprintf(out, "  %-5s %-60s %12.0f -> %12.0f ops/sec (%+.1f%%)\n",
-			status, name, ref, cur, 100*change)
+		_, _ = fmt.Fprintf(out, "  %-5s %-60s %12.0f -> %12.0f ops/sec (%+.1f%%; base spread %+.1f%% to %+.1f%%)\n",
+			status, name, ref, cur, 100*change, 100*(refRuns.slowest/ref-1), 100*(refRuns.fastest/ref-1))
 	}
 	var gone []string
 	for name := range baseBy {
@@ -166,19 +170,25 @@ func runCompare(in io.Reader, out io.Writer, basePath string, maxRegress float64
 	return nil
 }
 
-// medianRates maps each benchmark name to the median ops/sec of its runs.
-func medianRates(benches []Benchmark) map[string]float64 {
+// rates summarises one benchmark's runs on one side, in ops/sec.
+type rates struct {
+	median, slowest, fastest float64
+}
+
+// summarize maps each benchmark name to the median, lowest and highest
+// ops/sec of its runs.
+func summarize(benches []Benchmark) map[string]rates {
 	runs := make(map[string][]float64)
 	for _, b := range benches {
 		runs[b.Name] = append(runs[b.Name], b.OpsPerSec)
 	}
-	medians := make(map[string]float64, len(runs))
-	for name, rates := range runs {
-		sort.Float64s(rates)
-		n := len(rates)
-		medians[name] = (rates[(n-1)/2] + rates[n/2]) / 2
+	out := make(map[string]rates, len(runs))
+	for name, r := range runs {
+		sort.Float64s(r)
+		n := len(r)
+		out[name] = rates{median: (r[(n-1)/2] + r[n/2]) / 2, slowest: r[0], fastest: r[n-1]}
 	}
-	return medians
+	return out
 }
 
 // parse walks the benchmark output, tracking `pkg:` headers to qualify

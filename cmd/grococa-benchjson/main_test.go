@@ -159,6 +159,27 @@ func TestCompareGatesMedians(t *testing.T) {
 	}
 }
 
+// TestComparePrintsBaseSpread pins the base side's spread printed next to
+// a compared row: its slowest and fastest run relative to its median.
+func TestComparePrintsBaseSpread(t *testing.T) {
+	runs := func(nsPerOp ...string) string {
+		out := "pkg: repro/internal/network\n"
+		for _, ns := range nsPerOp {
+			out += "BenchmarkMediumTransmit-2 1000 " + ns + " ns/op 0 B/op 0 allocs/op\n"
+		}
+		return out
+	}
+	// 4.0M, 5.0M, 4.0M, 3.2M and 4.0M ops/sec: median 4.0M.
+	path := writeBase(t, runs("250", "200", "250", "312.5", "250"))
+	var out bytes.Buffer
+	if err := runCompare(strings.NewReader(runs("250", "250", "250")), &out, path, 0.30); err != nil {
+		t.Fatalf("unchanged row failed the gate: %v\n%s", err, out.String())
+	}
+	if want := "4000000 ->      4000000 ops/sec (+0.0%; base spread -20.0% to +25.0%)"; !strings.Contains(out.String(), want) {
+		t.Errorf("compared row lacks %q:\n%s", want, out.String())
+	}
+}
+
 func TestRunRejectsEmptyAndGarbageValues(t *testing.T) {
 	if err := run(strings.NewReader("PASS\nok x 1s\n"), &bytes.Buffer{}); err == nil {
 		t.Error("empty input accepted")

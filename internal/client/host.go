@@ -100,11 +100,14 @@ type Host struct {
 	collector *Collector
 	ndp       *ndp.Protocol
 
+	// Each per-host stream is derived only when a run can draw from it:
+	// rngDisc when DiscProb > 0, rngSample for schemes with signatures
+	// (only they log peer-served items to sample), and rngResil, which
+	// feeds backoff jitter, when the policy sets Jitter. Otherwise it
+	// stays nil and costs no seeding.
 	rngDisc   *sim.RNG
 	rngSample *sim.RNG
-	// rngResil feeds backoff jitter; nil (and never derived) unless the
-	// policy sets Jitter, so jitter-free runs derive no extra stream.
-	rngResil *sim.RNG
+	rngResil  *sim.RNG
 
 	// breaker is the MSS server-link circuit breaker; nil unless the
 	// policy sets BreakerFailures.
@@ -212,8 +215,6 @@ func NewHost(
 		gen:         gen,
 		cache:       lru,
 		collector:   collector,
-		rngDisc:     rng.Stream(fmt.Sprintf("disc-%d", id)),
-		rngSample:   rng.Stream(fmt.Sprintf("sample-%d", id)),
 		activityGap: stats.NewEWMA(0.3),
 		seenFloods:  make(map[floodKey]struct{}),
 	}
@@ -223,6 +224,12 @@ func NewHost(
 	h.reconnectFn = h.reconnect
 	h.broadcastFn = h.broadcastDelivered
 	h.broadcastDropFn = h.broadcastDropped
+	if cfg.DiscProb > 0 {
+		h.rngDisc = rng.Stream(fmt.Sprintf("disc-%d", id))
+	}
+	if h.traits.Signatures {
+		h.rngSample = rng.Stream(fmt.Sprintf("sample-%d", id))
+	}
 	if cfg.Resilience.Jitter > 0 {
 		h.rngResil = rng.Stream(fmt.Sprintf("resil-%d", id))
 	}
@@ -408,7 +415,7 @@ func (h *Host) complete(outcome Outcome) {
 	h.finish(p, outcome)
 	// Client disconnection: with probability P_disc, leave the network for
 	// DiscTime before the next request.
-	if h.rngDisc.Bool(h.cfg.DiscProb) {
+	if h.rngDisc != nil && h.rngDisc.Bool(h.cfg.DiscProb) {
 		h.disconnect()
 		return
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 )
 
 // GridID identifies one entry in a Grid. Callers choose the numbering; the
@@ -12,28 +11,36 @@ import (
 // ascending-ID output coincides with registration order.
 type GridID int64
 
-// gridKey packs a cell's integer coordinates into one map key.
-type gridKey uint64
-
-func makeKey(cx, cy int32) gridKey {
-	return gridKey(uint64(uint32(cx))<<32 | uint64(uint32(cy)))
-}
-
-func unpackKey(k gridKey) (cx, cy int32) {
-	return int32(uint32(k >> 32)), int32(uint32(k))
-}
+// The cell table is tableSide × tableSide buckets that wrap at their edges
+// like a torus: cell (cx, cy) lives in bucket (cx mod tableSide, cy mod
+// tableSide), so cells tableSide apart on an axis share a bucket. At the
+// default 100 m TranRange the table covers 6.4 km × 6.4 km without
+// aliasing; a wider world only puts more entries in each bucket, which
+// costs distance tests, never a wrong answer.
+const (
+	tableBits = 6
+	tableSide = 1 << tableBits
+	tableMask = tableSide - 1
+)
 
 // Grid is a deterministic uniform-cell spatial index over 2-D points: every
-// entry lives in the cell floor(p/cell), and QueryRange visits only the
+// entry lives in the cell floor(p/cell), and AppendRange visits only the
 // cells overlapping the query disc's bounding square instead of every
 // entry. With cell size ≈ query radius a query touches at most a 3×3 cell
 // block, turning an O(N) scan into O(k) for k hosts near the query point.
 //
+// Cells are kept in a fixed 64 × 64 torus of buckets (the fixed-size
+// spatial hash of Teschner et al., VMV 2003), so a query indexes an array
+// instead of hashing a cell key. Each bucket is an intrusive list threaded
+// through the per-entry state by int32 links, so the table holds no
+// pointers and never allocates after an entry is first placed. A bucket
+// can hold entries of several cells 64 apart; the distance filter drops
+// them.
+//
 // Determinism rules (see DESIGN.md "Spatial index"):
 //
-//   - QueryRange/AppendRange return IDs in canonical ascending-GridID
-//     order, independent of insertion, movement, or removal history and of
-//     Go's randomized map iteration.
+//   - AppendRange returns IDs in canonical ascending-GridID order,
+//     independent of placement and movement history.
 //   - The candidate filter is the exact geo.WithinRange predicate on the
 //     stored positions — bit-identical to the brute-force pairwise scan it
 //     replaces, including the boundary case Dist(p, q) == r.
@@ -44,27 +51,29 @@ func unpackKey(k gridKey) (cx, cy int32) {
 // NaN; NaN coordinates land in cell 0 and (exactly like the brute-force
 // scan) never satisfy WithinRange.
 //
-// IDs must be non-negative. Per-entry state is indexed by ID, so callers
-// number entries densely from zero, as the medium does with its slots.
+// IDs must be non-negative and below math.MaxInt32. Per-entry state is
+// indexed by ID, so callers number entries densely from zero, as the medium
+// does with its slots.
 type Grid struct {
-	cell  float64
-	cells map[gridKey][]GridID // cells hold IDs only
-	// Per-entry state, indexed by GridID.
-	in    []bool
-	where []gridKey
-	pos   []Point
+	cell    float64
+	entries []gridEntry // indexed by GridID
 	// hits has one bit per ID: a range query sets the bits of the IDs it
 	// finds, then emits them ascending and zeroes the words it touched.
 	hits []uint64
-	n    int
+	// head holds, per bucket, one more than the ID at the head of its
+	// list, or 0 for an empty bucket. It comes last so that the garbage
+	// collector, which scans an object only up to its last pointer, never
+	// reads it.
+	head [tableSide * tableSide]int32
+}
 
-	// Bounding box of occupied cells, grown on insert/move and never
-	// shrunk. It only clamps query rectangles — an over-wide query
-	// (r much larger than the populated world) costs time on empty cell
-	// lookups, never correctness — so staleness after Remove is fine.
-	hasBounds    bool
-	minCx, maxCx int32
-	minCy, maxCy int32
+// gridEntry is one ID's state. An entry is filed in exactly one bucket
+// while it is indexed.
+type gridEntry struct {
+	pos    Point
+	next   int32  // one more than the next ID in the bucket's list; 0 ends it
+	bucket uint16 // the table index of the bucket holding the entry
+	in     bool
 }
 
 // NewGrid creates an empty index with the given cell size, normally the
@@ -73,24 +82,18 @@ func NewGrid(cellSize float64) (*Grid, error) {
 	if !(cellSize > 0) || math.IsInf(cellSize, 1) {
 		return nil, fmt.Errorf("geo: grid cell size %v must be positive and finite", cellSize)
 	}
-	return &Grid{cell: cellSize, cells: make(map[gridKey][]GridID)}, nil
+	return &Grid{cell: cellSize}, nil
 }
 
-// CellSize returns the configured cell edge length.
-func (g *Grid) CellSize() float64 { return g.cell }
-
-// Len returns the number of indexed entries.
-func (g *Grid) Len() int { return g.n }
-
-// Contains reports whether id is indexed.
-func (g *Grid) Contains(id GridID) bool {
-	return id >= 0 && id < GridID(len(g.in)) && g.in[id]
+// contains reports whether id is indexed.
+func (g *Grid) contains(id GridID) bool {
+	return id >= 0 && id < GridID(len(g.entries)) && g.entries[id].in
 }
 
 // Pos returns id's stored position, or the zero Point if id is not indexed.
 func (g *Grid) Pos(id GridID) (p Point) {
-	if g.Contains(id) {
-		p = g.pos[id]
+	if g.contains(id) {
+		p = g.entries[id].pos
 	}
 	return p
 }
@@ -110,112 +113,65 @@ func (g *Grid) coord(v float64, nanTo int32) int32 {
 	return int32(f)
 }
 
-// keyFor returns the cell key holding position p.
-func (g *Grid) keyFor(p Point) gridKey {
-	return makeKey(g.coord(p.X, 0), g.coord(p.Y, 0))
+// bucket returns the table index of cell (cx, cy). The uint32 conversion
+// takes negative cells to their residue mod tableSide.
+func bucket(cx, cy int32) uint16 {
+	return uint16(uint32(cy)&tableMask<<tableBits | uint32(cx)&tableMask)
 }
 
-// growBounds widens the occupied-cell bounding box to include key.
-func (g *Grid) growBounds(key gridKey) {
-	cx, cy := unpackKey(key)
-	if !g.hasBounds {
-		g.hasBounds = true
-		g.minCx, g.maxCx, g.minCy, g.maxCy = cx, cx, cy, cy
-		return
-	}
-	g.minCx, g.maxCx = min(g.minCx, cx), max(g.maxCx, cx)
-	g.minCy, g.maxCy = min(g.minCy, cy), max(g.maxCy, cy)
-}
-
-// Insert adds a new entry. Inserting a negative ID, or one that is already
-// present, is an error (use Move or Upsert to relocate).
-func (g *Grid) Insert(id GridID, p Point) error {
-	if id < 0 || g.Contains(id) {
-		return fmt.Errorf("geo: grid insert of negative or duplicate id %d", id)
-	}
-	g.place(id, p)
-	return nil
-}
-
-// Move relocates an existing entry to p. Moving an unknown ID is an error.
-func (g *Grid) Move(id GridID, p Point) error {
-	if !g.Contains(id) {
-		return fmt.Errorf("geo: grid move of unknown id %d", id)
-	}
-	g.Upsert(id, p)
-	return nil
+// bucketFor returns the table index of the bucket holding position p.
+func (g *Grid) bucketFor(p Point) uint16 {
+	return bucket(g.coord(p.X, 0), g.coord(p.Y, 0))
 }
 
 // Upsert inserts id at p, or moves it there if already present: the
-// medium's position-sync entry point, which cannot fail. id must be
-// non-negative. A move within the entry's cell is one key computation and
-// one store.
+// medium's position-sync entry point, which cannot fail. A move that stays
+// in its entry's bucket is one bucket computation and one store.
 //
 //hot:per-host position sync, at most once per host and timestamp
 func (g *Grid) Upsert(id GridID, p Point) {
-	if !g.Contains(id) {
+	if !g.contains(id) {
 		g.place(id, p)
 		return
 	}
-	g.pos[id] = p
-	if key := g.keyFor(p); key != g.where[id] {
-		g.removeFromCell(id, g.where[id])
-		g.link(id, key)
+	e := &g.entries[id]
+	e.pos = p
+	if b := g.bucketFor(p); b != e.bucket {
+		g.unlink(id, e.bucket)
+		g.link(id, b)
 	}
 }
 
-// place adds a known-absent id at p, growing the per-entry slices and the
+// place adds a known-absent id at p, growing the per-entry state and the
 // hit bitmap to it, so queries never grow them.
 func (g *Grid) place(id GridID, p Point) {
-	for GridID(len(g.in)) <= id {
-		g.in, g.where, g.pos = append(g.in, false), append(g.where, 0), append(g.pos, Point{})
+	for GridID(len(g.entries)) <= id {
+		g.entries = append(g.entries, gridEntry{})
 	}
 	for GridID(len(g.hits))*64 <= id {
 		g.hits = append(g.hits, 0)
 	}
-	g.in[id] = true
-	g.pos[id] = p
-	g.n++
-	g.link(id, g.keyFor(p))
+	g.entries[id].in = true
+	g.entries[id].pos = p
+	g.link(id, g.bucketFor(p))
 }
 
-// link files id under the cell key.
-func (g *Grid) link(id GridID, key gridKey) {
-	g.where[id] = key
-	g.cells[key] = append(g.cells[key], id)
-	g.growBounds(key)
-}
-
-// Remove deletes an entry, reporting whether it was present.
-func (g *Grid) Remove(id GridID) bool {
-	if !g.Contains(id) {
-		return false
-	}
-	g.removeFromCell(id, g.where[id])
-	g.in[id] = false
-	g.n--
-	return true
-}
-
-// removeFromCell swap-deletes id from its cell slice. Intra-cell order is
-// therefore history-dependent, which is fine: queries emit IDs from the
+// link pushes id onto the front of bucket b's list. Order within a bucket
+// is therefore history-dependent, which is fine: queries emit IDs from the
 // hit bitmap in ascending order, whatever order they found them in.
-func (g *Grid) removeFromCell(id GridID, key gridKey) {
-	ids := g.cells[key]
-	i := slices.Index(ids, id)
-	ids[i] = ids[len(ids)-1]
-	if ids = ids[:len(ids)-1]; len(ids) == 0 {
-		delete(g.cells, key)
-	} else {
-		g.cells[key] = ids
-	}
+func (g *Grid) link(id GridID, b uint16) {
+	g.entries[id].bucket = b
+	g.entries[id].next = g.head[b]
+	g.head[b] = int32(id) + 1
 }
 
-// QueryRange returns the IDs of all entries within Euclidean distance r of
-// p (boundary inclusive, exactly WithinRange), in canonical ascending-ID
-// order. The slice is freshly allocated; use AppendRange to reuse one.
-func (g *Grid) QueryRange(p Point, r float64) []GridID {
-	return g.AppendRange(nil, p, r)
+// unlink removes id from bucket b's list.
+func (g *Grid) unlink(id GridID, b uint16) {
+	at := &g.head[b]
+	for *at != int32(id)+1 {
+		at = &g.entries[*at-1].next
+	}
+	*at = g.entries[id].next
 }
 
 // AppendRange appends the IDs of all entries within distance r of p to
@@ -223,57 +179,29 @@ func (g *Grid) QueryRange(p Point, r float64) []GridID {
 // A negative r matches the brute-force WithinRange predicate, which
 // squares the radius: -r behaves as r.
 //
+// The query visits the buckets of its cell rectangle. A rectangle 64 or
+// more cells wide on an axis (NaN bounds, e.g. p.X = +Inf with r = +Inf,
+// clamp to the whole int32 cell space) visits each bucket of that axis
+// once, so every query visits at most the 4,096 buckets of the table.
+//
 //hot:per-transmission reachability query; 0 allocs/op pinned by TestNeighborsSteadyStateAllocs
 func (g *Grid) AppendRange(dst []GridID, p Point, r float64) []GridID {
-	if g.n == 0 {
-		return dst
-	}
 	r = math.Abs(r)
-	// Clamp the query's cell rectangle to occupied cells; NaN bounds
-	// (e.g. p.X = +Inf with r = +Inf) widen to the full occupied box.
-	cx0 := max(g.coord(p.X-r, math.MinInt32), g.minCx)
-	cx1 := min(g.coord(p.X+r, math.MaxInt32), g.maxCx)
-	cy0 := max(g.coord(p.Y-r, math.MinInt32), g.minCy)
-	cy1 := min(g.coord(p.Y+r, math.MaxInt32), g.maxCy)
-	if cx0 > cx1 || cy0 > cy1 {
-		return dst
-	}
-	nx, ny := int64(cx1)-int64(cx0)+1, int64(cy1)-int64(cy0)+1
+	cx0, cy0 := g.coord(p.X-r, math.MinInt32), g.coord(p.Y-r, math.MinInt32)
+	nx := min(int64(g.coord(p.X+r, math.MaxInt32))-int64(cx0)+1, tableSide)
+	ny := min(int64(g.coord(p.Y+r, math.MaxInt32))-int64(cy0)+1, tableSide)
 	lo, hi := len(g.hits), -1 // the hit words this query touched
-	if nx*ny <= 4*int64(len(g.cells))+16 {
-		// Dense path: walk the cell rectangle. With cell ≈ r this is the
-		// 3×3 block around p.
-		for cy := cy0; ; cy++ {
-			for cx := cx0; ; cx++ {
-				for _, id := range g.cells[makeKey(cx, cy)] {
-					if WithinRange(p, g.pos[id], r) {
-						g.hits[id/64] |= 1 << (id % 64)
-						lo, hi = min(lo, int(id/64)), max(hi, int(id/64))
-					}
-				}
-				if cx == cx1 {
-					break
-				}
-			}
-			if cy == cy1 {
-				break
-			}
-		}
-	} else {
-		// Sparse-world fallback (huge radius over few, scattered cells):
-		// visiting the rectangle would dwarf visiting every occupied
-		// cell, so scan the cells map instead. Setting bits commutes, so
-		// the map's randomized iteration order is unobservable.
-		for key, ids := range g.cells {
-			cx, cy := unpackKey(key)
-			if cx < cx0 || cx > cx1 || cy < cy0 || cy > cy1 {
-				continue
-			}
-			for _, id := range ids {
-				if WithinRange(p, g.pos[id], r) {
+	// cx0+i and cy0+j wrap past MaxInt32 at the top of the cell space;
+	// 2³² is a multiple of tableSide, so they still name the right bucket.
+	for j := range int32(ny) {
+		for i := range int32(nx) {
+			for at := g.head[bucket(cx0+i, cy0+j)]; at != 0; {
+				id, e := at-1, &g.entries[at-1]
+				if WithinRange(p, e.pos, r) {
 					g.hits[id/64] |= 1 << (id % 64)
 					lo, hi = min(lo, int(id/64)), max(hi, int(id/64))
 				}
+				at = e.next
 			}
 		}
 	}

@@ -36,19 +36,19 @@ func sameIDs(a, b []GridID) bool {
 // return the same IDs: a query leaves its hit bitmap zeroed.
 func checkEquivalence(t *testing.T, g *Grid, hosts []Point, present []bool, p Point, r float64) {
 	t.Helper()
-	got := g.QueryRange(p, r)
+	got := queryRange(g, p, r)
 	want := bruteRange(hosts, present, p, r)
 	if !sameIDs(got, want) {
 		t.Fatalf("grid/brute divergence at p=%v r=%v cell=%v:\n grid  = %v\n brute = %v",
-			p, r, g.CellSize(), got, want)
+			p, r, g.cell, got, want)
 	}
-	if again := g.QueryRange(p, r); !sameIDs(again, got) {
+	if again := queryRange(g, p, r); !sameIDs(again, got) {
 		t.Fatalf("repeated query at p=%v r=%v differs:\n first  = %v\n second = %v", p, r, got, again)
 	}
 }
 
 // TestGridMatchesBruteForceRandomized is the core property: for randomized
-// host counts, cell sizes, ranges, and position snapshots, QueryRange
+// host counts, cell sizes, ranges, and position snapshots, a range query
 // deep-equals the brute-force WithinRange scan.
 func TestGridMatchesBruteForceRandomized(t *testing.T) {
 	rng := sim.NewRNG(7).Stream("grid-prop")
@@ -68,9 +68,7 @@ func TestGridMatchesBruteForceRandomized(t *testing.T) {
 				Y: rng.Uniform(-world, world),
 			}
 			present[i] = true
-			if err := g.Insert(GridID(i), hosts[i]); err != nil {
-				t.Fatal(err)
-			}
+			g.Upsert(GridID(i), hosts[i])
 		}
 		for q := 0; q < 5; q++ {
 			p := Point{X: rng.Uniform(-world, world), Y: rng.Uniform(-world, world)}
@@ -85,10 +83,9 @@ func TestGridMatchesBruteForceRandomized(t *testing.T) {
 	}
 }
 
-// TestGridMatchesBruteForceUnderChurn moves and removes random hosts between
-// queries: the index must track the oracle through arbitrary history. With
-// 240 IDs the candidates of one query span four words of the hit bitmap
-// and include IDs removed earlier.
+// TestGridMatchesBruteForceUnderChurn moves random hosts between queries:
+// the index must track the oracle through arbitrary history. With 240 IDs
+// the candidates of one query span four words of the hit bitmap.
 func TestGridMatchesBruteForceUnderChurn(t *testing.T) {
 	rng := sim.NewRNG(11).Stream("grid-churn")
 	const n = 240
@@ -102,32 +99,129 @@ func TestGridMatchesBruteForceUnderChurn(t *testing.T) {
 	for i := range hosts {
 		hosts[i] = Point{X: rng.Uniform(-500, 500), Y: rng.Uniform(-500, 500)}
 		present[i] = true
-		if err := g.Insert(GridID(i), hosts[i]); err != nil {
-			t.Fatal(err)
-		}
+		g.Upsert(GridID(i), hosts[i])
 	}
 	for step := 0; step < 500; step++ {
 		i := rng.Intn(n)
-		switch rng.Intn(3) {
-		case 0: // move (mobility step; Upsert is the medium's hot path)
-			hosts[i] = Point{X: rng.Uniform(-500, 500), Y: rng.Uniform(-500, 500)}
-			if present[i] {
-				g.Upsert(GridID(i), hosts[i])
-			}
-		case 1: // remove
-			if g.Remove(GridID(i)) != present[i] {
-				t.Fatalf("remove(%d) disagreed with oracle presence", i)
-			}
-			present[i] = false
-		case 2: // (re)insert via Upsert
-			if !present[i] {
-				hosts[i] = Point{X: rng.Uniform(-500, 500), Y: rng.Uniform(-500, 500)}
-				g.Upsert(GridID(i), hosts[i])
-				present[i] = true
-			}
-		}
+		hosts[i] = Point{X: rng.Uniform(-500, 500), Y: rng.Uniform(-500, 500)}
+		g.Upsert(GridID(i), hosts[i])
 		p := Point{X: rng.Uniform(-600, 600), Y: rng.Uniform(-600, 600)}
 		checkEquivalence(t, g, hosts, present, p, rng.Uniform(0, 400))
+	}
+}
+
+// TestGridMatchesBruteOnTorusEdges drives the wrap-around of the cell
+// table: cells 64 apart share a bucket, a rectangle 64 or more cells wide
+// visits each bucket of its axis once, and cells clamp to the ends of the
+// int32 cell space. After placing the hosts and after each move it queries
+// around every host, where only hosts at that very position may answer,
+// and at the case's extra points.
+func TestGridMatchesBruteOnTorusEdges(t *testing.T) {
+	type move struct {
+		id GridID
+		to Point
+	}
+	type query struct {
+		p Point
+		r float64
+	}
+	inf := math.Inf(1)
+	// A row and a column of hosts at integer coordinates through (0.5, 0.5):
+	// around that point, radius 31 spans 63 cells on each axis, 31.5 spans
+	// 64 and 32 spans 65. At 31.5 the hosts in the rectangle's end cells
+	// sit exactly at the radius.
+	var cross []Point
+	for k := -70.0; k <= 70; k++ {
+		cross = append(cross, Point{X: k, Y: 0.5}, Point{X: 0.5, Y: k})
+	}
+	cases := []struct {
+		name    string
+		cell    float64
+		hosts   []Point
+		shared  [2]GridID // two hosts the first placement puts in one bucket
+		moves   []move
+		queries []query
+	}{
+		{
+			name:   "aliased cells",
+			cell:   10,
+			hosts:  []Point{{X: 5, Y: 5}, {X: 645, Y: 5}, {X: 5, Y: 645}, {X: -635, Y: -635}},
+			shared: [2]GridID{0, 1},
+			queries: []query{
+				{Point{X: 5, Y: 5}, 639}, {Point{X: 5, Y: 5}, 640},
+			},
+		},
+		{
+			name:   "move between aliased cells",
+			cell:   10,
+			hosts:  []Point{{X: 5, Y: 5}, {X: 15, Y: 5}, {X: 645, Y: 5}},
+			shared: [2]GridID{0, 2},
+			moves: []move{
+				{0, Point{X: -635, Y: 5}}, // cell -64: the same bucket
+				{0, Point{X: 25, Y: 5}},   // a third bucket
+				{2, Point{X: 645, Y: -635}},
+			},
+		},
+		{
+			name:  "one turn of the table",
+			cell:  1,
+			hosts: cross,
+			queries: []query{
+				{Point{X: 0.5, Y: 0.5}, 31}, {Point{X: 0.5, Y: 0.5}, 31.5},
+				{Point{X: 0.5, Y: 0.5}, 32}, {Point{X: 0.5, Y: 0.5}, inf},
+				{Point{X: 0.5, Y: 64.5}, 31.5}, {Point{X: -63.5, Y: 0.5}, 32},
+			},
+		},
+		{
+			name: "ends of the cell space",
+			cell: 1,
+			hosts: []Point{
+				{X: 1e300, Y: 1e300}, {X: -1e300, Y: -1e300}, {X: 1e300, Y: -1e300},
+				{X: inf, Y: 0}, {X: -inf, Y: 0}, {X: 0, Y: inf}, {X: 0, Y: -inf}, {X: 0.5, Y: 0.5},
+			},
+			moves: []move{
+				{0, Point{X: -1e300, Y: -1e300}},
+				{1, Point{X: 1e300, Y: 1e300}},
+				{7, Point{X: -inf, Y: inf}},
+			},
+			queries: []query{
+				{Point{X: 1e300, Y: 1e300}, 1e300}, {Point{}, inf},
+				{Point{X: inf, Y: inf}, inf}, {Point{X: -inf, Y: 0}, 1},
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := NewGrid(tc.cell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hosts := append([]Point(nil), tc.hosts...)
+			present := make([]bool, len(hosts))
+			for i, h := range hosts {
+				present[i] = true
+				g.Upsert(GridID(i), h)
+			}
+			if a, b := tc.shared[0], tc.shared[1]; a != b && g.entries[a].bucket != g.entries[b].bucket {
+				t.Fatalf("hosts %d and %d at %v and %v are in buckets %d and %d, want one",
+					a, b, hosts[a], hosts[b], g.entries[a].bucket, g.entries[b].bucket)
+			}
+			check := func() {
+				t.Helper()
+				for _, h := range hosts {
+					checkEquivalence(t, g, hosts, present, h, tc.cell/4)
+				}
+				for _, q := range tc.queries {
+					checkEquivalence(t, g, hosts, present, q.p, q.r)
+				}
+			}
+			check()
+			for _, m := range tc.moves {
+				hosts[m.id] = m.to
+				g.Upsert(m.id, m.to)
+				check()
+			}
+		})
 	}
 }
 
@@ -157,9 +251,7 @@ func TestGridBoundaryProperties(t *testing.T) {
 			}
 			present := []bool{true, true, true, true}
 			for i, h := range hosts {
-				if err := g.Insert(GridID(i), h); err != nil {
-					t.Fatal(err)
-				}
+				g.Upsert(GridID(i), h)
 			}
 			checkEquivalence(t, g, hosts, present, center, r)
 		}
@@ -182,9 +274,7 @@ func TestGridBoundaryProperties(t *testing.T) {
 		present := make([]bool, len(hosts))
 		for i, h := range hosts {
 			present[i] = true
-			if err := g.Insert(GridID(i), h); err != nil {
-				t.Fatal(err)
-			}
+			g.Upsert(GridID(i), h)
 		}
 		for trial := 0; trial < 200; trial++ {
 			p := Point{X: rng.Uniform(-25, 25), Y: rng.Uniform(-25, 25)}
@@ -207,9 +297,7 @@ func TestGridBoundaryProperties(t *testing.T) {
 			for i := range hosts {
 				hosts[i] = Point{X: rng.Uniform(-50, 50), Y: rng.Uniform(-50, 50)}
 				present[i] = true
-				if err := g.Insert(GridID(i), hosts[i]); err != nil {
-					t.Fatal(err)
-				}
+				g.Upsert(GridID(i), hosts[i])
 			}
 			// A radius vastly exceeding the populated area must return
 			// everyone without walking an astronomically large cell rect.
@@ -232,9 +320,7 @@ func TestGridBoundaryProperties(t *testing.T) {
 		for i := range hosts {
 			hosts[i] = at
 			present[i] = true
-			if err := g.Insert(GridID(i), at); err != nil {
-				t.Fatal(err)
-			}
+			g.Upsert(GridID(i), at)
 		}
 		checkEquivalence(t, g, hosts, present, at, 0)
 		checkEquivalence(t, g, hosts, present, at, 100)
@@ -258,9 +344,7 @@ func TestGridAppendRangeReuseStaysEquivalent(t *testing.T) {
 	for i := range hosts {
 		hosts[i] = Point{X: rng.Uniform(-300, 300), Y: rng.Uniform(-300, 300)}
 		present[i] = true
-		if err := g.Insert(GridID(i), hosts[i]); err != nil {
-			t.Fatal(err)
-		}
+		g.Upsert(GridID(i), hosts[i])
 	}
 	var scratch []GridID
 	for trial := 0; trial < 300; trial++ {

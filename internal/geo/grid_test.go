@@ -25,57 +25,45 @@ func TestNewGridValidation(t *testing.T) {
 	}
 }
 
-func TestGridInsertMoveRemove(t *testing.T) {
+// queryRange runs a range query into a fresh slice.
+func queryRange(g *Grid, p Point, r float64) []GridID {
+	return g.AppendRange(nil, p, r)
+}
+
+func TestGridUpsertMove(t *testing.T) {
 	g := mustGrid(t, 10)
-	if err := g.Insert(1, Point{X: 5, Y: 5}); err != nil {
-		t.Fatal(err)
+	g.Upsert(1, Point{X: 5, Y: 5})
+	if !g.contains(1) || g.contains(2) || g.contains(-1) {
+		t.Errorf("membership wrong: contains(1)=%v contains(2)=%v contains(-1)=%v", g.contains(1), g.contains(2), g.contains(-1))
 	}
-	if err := g.Insert(1, Point{X: 6, Y: 6}); err == nil {
-		t.Error("duplicate insert accepted")
-	}
-	if err := g.Insert(-1, Point{}); err == nil {
-		t.Error("negative id accepted")
-	}
-	if err := g.Move(2, Point{}); err == nil {
-		t.Error("move of unknown id accepted")
-	}
-	if !g.Contains(1) || g.Contains(2) || g.Len() != 1 {
-		t.Errorf("membership wrong: contains(1)=%v contains(2)=%v len=%d", g.Contains(1), g.Contains(2), g.Len())
+	if got := g.Pos(2); got != (Point{}) {
+		t.Errorf("Pos of an absent id = %v, want the zero Point", got)
 	}
 	// Move across a cell boundary and back.
-	if err := g.Move(1, Point{X: 25, Y: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.QueryRange(Point{X: 25, Y: 5}, 1); len(got) != 1 || got[0] != 1 {
+	g.Upsert(1, Point{X: 25, Y: 5})
+	if got := queryRange(g, Point{X: 25, Y: 5}, 1); len(got) != 1 || got[0] != 1 {
 		t.Errorf("query after move = %v", got)
 	}
-	if got := g.QueryRange(Point{X: 5, Y: 5}, 1); len(got) != 0 {
+	if got := queryRange(g, Point{X: 5, Y: 5}, 1); len(got) != 0 {
 		t.Errorf("query at old position = %v", got)
 	}
 	if got := g.Pos(1); got != (Point{X: 25, Y: 5}) {
 		t.Errorf("Pos after move = %v", got)
 	}
-	if !g.Remove(1) || g.Remove(1) || g.Len() != 0 {
-		t.Error("remove bookkeeping wrong")
-	}
-	if got := g.Pos(1); got != (Point{}) {
-		t.Errorf("Pos after remove = %v, want the zero Point", got)
-	}
-	if got := g.QueryRange(Point{X: 25, Y: 5}, 1); len(got) != 0 {
-		t.Errorf("query after remove = %v", got)
+	g.Upsert(1, Point{X: 5, Y: 5})
+	if got := queryRange(g, Point{X: 5, Y: 5}, 1); len(got) != 1 || got[0] != 1 {
+		t.Errorf("query after moving back = %v", got)
 	}
 }
 
 func TestGridQueryBoundaryInclusive(t *testing.T) {
 	// A host exactly at distance r is in range, exactly as WithinRange.
 	g := mustGrid(t, 5)
-	if err := g.Insert(7, Point{X: 3, Y: 4}); err != nil { // distance 5 from origin
-		t.Fatal(err)
-	}
-	if got := g.QueryRange(Point{}, 5); len(got) != 1 || got[0] != 7 {
+	g.Upsert(7, Point{X: 3, Y: 4}) // distance 5 from origin
+	if got := queryRange(g, Point{}, 5); len(got) != 1 || got[0] != 7 {
 		t.Errorf("boundary host not returned: %v", got)
 	}
-	if got := g.QueryRange(Point{}, 4.999); len(got) != 0 {
+	if got := queryRange(g, Point{}, 4.999); len(got) != 0 {
 		t.Errorf("out-of-range host returned: %v", got)
 	}
 }
@@ -85,15 +73,11 @@ func TestGridCanonicalOrder(t *testing.T) {
 	// output order: IDs come back ascending.
 	g := mustGrid(t, 10)
 	for _, id := range []GridID{9, 2, 7, 1, 5} {
-		if err := g.Insert(id, Point{X: float64(id), Y: 0}); err != nil {
-			t.Fatal(err)
-		}
+		g.Upsert(id, Point{X: float64(id), Y: 0})
 	}
-	if err := g.Move(7, Point{X: 3.5, Y: 0}); err != nil {
-		t.Fatal(err)
-	}
-	g.Remove(2)
-	got := g.QueryRange(Point{}, 100)
+	g.Upsert(7, Point{X: 3.5, Y: 0})
+	g.Upsert(2, Point{X: 1000, Y: 0})
+	got := queryRange(g, Point{}, 100)
 	want := []GridID{1, 5, 7, 9}
 	if len(got) != len(want) {
 		t.Fatalf("query = %v, want %v", got, want)
@@ -109,26 +93,22 @@ func TestGridNegativeCoordinates(t *testing.T) {
 	g := mustGrid(t, 10)
 	pts := []Point{{X: -5, Y: -5}, {X: -15, Y: 5}, {X: 5, Y: -25}}
 	for i, p := range pts {
-		if err := g.Insert(GridID(i), p); err != nil {
-			t.Fatal(err)
-		}
+		g.Upsert(GridID(i), p)
 	}
 	for i, p := range pts {
-		got := g.QueryRange(p, 0.5)
+		got := queryRange(g, p, 0.5)
 		if len(got) != 1 || got[i-i] != GridID(i) {
 			t.Errorf("point query at %v = %v, want [%d]", p, got, i)
 		}
 	}
-	if got := g.QueryRange(Point{X: -10, Y: -10}, 1e9); len(got) != 3 {
+	if got := queryRange(g, Point{X: -10, Y: -10}, 1e9); len(got) != 3 {
 		t.Errorf("huge-range query = %v, want all 3", got)
 	}
 }
 
 func TestGridAppendRangePreservesPrefix(t *testing.T) {
 	g := mustGrid(t, 10)
-	if err := g.Insert(3, Point{}); err != nil {
-		t.Fatal(err)
-	}
+	g.Upsert(3, Point{})
 	out := g.AppendRange([]GridID{42}, Point{}, 1)
 	if len(out) != 2 || out[0] != 42 || out[1] != 3 {
 		t.Errorf("AppendRange = %v, want [42 3]", out)
@@ -137,37 +117,31 @@ func TestGridAppendRangePreservesPrefix(t *testing.T) {
 
 func TestGridNaNAndInfinity(t *testing.T) {
 	g := mustGrid(t, 10)
-	if err := g.Insert(1, Point{X: math.NaN(), Y: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Insert(2, Point{X: 3, Y: 4}); err != nil {
-		t.Fatal(err)
-	}
+	g.Upsert(1, Point{X: math.NaN(), Y: 0})
+	g.Upsert(2, Point{X: 3, Y: 4})
 	// A NaN-positioned host is never within range of anything, exactly
 	// like the brute-force WithinRange predicate.
-	if got := g.QueryRange(Point{}, math.Inf(1)); len(got) != 1 || got[0] != 2 {
+	if got := queryRange(g, Point{}, math.Inf(1)); len(got) != 1 || got[0] != 2 {
 		t.Errorf("query around origin = %v, want [2]", got)
 	}
 	// A NaN query point matches nothing.
-	if got := g.QueryRange(Point{X: math.NaN()}, 100); len(got) != 0 {
+	if got := queryRange(g, Point{X: math.NaN()}, 100); len(got) != 0 {
 		t.Errorf("NaN query = %v, want empty", got)
 	}
 	// An infinite center with infinite radius matches every finite host:
 	// Dist2 = +Inf <= r^2 = +Inf, matching WithinRange bit-for-bit.
-	if got := g.QueryRange(Point{X: math.Inf(1)}, math.Inf(1)); len(got) != 1 || got[0] != 2 {
+	if got := queryRange(g, Point{X: math.Inf(1)}, math.Inf(1)); len(got) != 1 || got[0] != 2 {
 		t.Errorf("Inf query = %v, want [2]", got)
 	}
 }
 
 func TestGridZeroAndSingleHost(t *testing.T) {
 	g := mustGrid(t, 10)
-	if got := g.QueryRange(Point{}, 100); len(got) != 0 {
+	if got := queryRange(g, Point{}, 100); len(got) != 0 {
 		t.Errorf("empty grid query = %v", got)
 	}
-	if err := g.Insert(4, Point{X: 1, Y: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.QueryRange(Point{}, 100); len(got) != 1 || got[0] != 4 {
+	g.Upsert(4, Point{X: 1, Y: 1})
+	if got := queryRange(g, Point{}, 100); len(got) != 1 || got[0] != 4 {
 		t.Errorf("single-host query = %v", got)
 	}
 }
