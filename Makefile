@@ -5,8 +5,8 @@ GO ?= go
 ## BENCH_OUT=BENCH_pr7.json`) without touching the committed one. BASE is
 ## the revision bench-check and cellbench-ab compare the working tree
 ## against.
-BENCH_PATTERN = KernelScheduleRun|ChannelSend|MediumTransmit|FilterAdd|FilterTest|PeerVectorCovers|PeerVectorAddSignature|CountingFilterSignature|CountingFilterDelta|VLFL|BenchmarkNeighbors|BenchmarkBroadcast|BenchmarkBeaconRound|BenchmarkLRUHit|BenchmarkLRUAdmit
-BENCH_PKGS = ./internal/sim/ ./internal/network/ ./internal/bloom/ ./internal/cache/
+BENCH_PATTERN = KernelScheduleRun|ChannelSend|MediumTransmit|FilterAdd|FilterTest|PeerVectorCovers|PeerVectorAddSignature|CountingFilterSignature|CountingFilterDelta|VLFL|BenchmarkNeighbors|BenchmarkBroadcast|BenchmarkBeaconRound|BenchmarkLRUHit|BenchmarkLRUAdmit|BenchmarkZipfRank|BenchmarkSampleQuantile
+BENCH_PKGS = ./internal/sim/ ./internal/network/ ./internal/bloom/ ./internal/cache/ ./internal/workload/ ./internal/stats/
 BENCH_OUT ?= BENCH_seed.json
 BASE ?= HEAD
 
@@ -109,8 +109,9 @@ resilience-smoke:
 ## bench-baseline: regenerate $(BENCH_OUT) (default BENCH_seed.json), the
 ## committed hot-path baseline — kernel dispatch, FCFS channel churn,
 ## medium transmission and spatial-index reachability (grid vs brute at
-## N=100/1k/10k), bloom-filter ops and signature maintenance — as ops/sec
-## and allocs/op, so PRs can review performance drift.
+## N=100/1k/10k), bloom-filter ops and signature maintenance, the cache,
+## the Zipf item draw and the latency quantiles — as ops/sec and
+## allocs/op, so PRs can review performance drift.
 bench-baseline:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/grococa-benchjson > $(BENCH_OUT)
 	@echo "bench-baseline: wrote $(BENCH_OUT)"
@@ -153,11 +154,13 @@ cellbench-ab:
 ## loader on arbitrary images (no panic, exactly the records before the
 ## first torn or bad-digest frame kept, an append after them kept too),
 ## then the VLFL signature decoder on arbitrary peer bytes (no panic, round
-## trip, VLFLBits equal to the encoder's bit count).
+## trip, VLFLBits equal to the encoder's bit count), then the Zipf
+## guide-table draw against a binary search of the CDF.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGridQuery -fuzztime 30s ./internal/geo/
 	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime 30s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeVLFL -fuzztime 30s ./internal/bloom/
+	$(GO) test -run '^$$' -fuzz FuzzZipfRank -fuzztime 30s ./internal/workload/
 
 ## resume-smoke: crash-resume proven end to end with real SIGKILLs.
 ## Leg 1: a sweep is run to a golden CSV, rerun with journaling and

@@ -65,15 +65,25 @@ const none int32 = -1
 // schemes' replacement policies plug in.
 //
 // Entries live in one slice of slots, linked into the recency list by
-// index, and a pointer-free map resolves an ID to its slot, so neither an
-// admission nor an eviction allocates once the slice has grown to
-// capacity. An *Entry the cache returns points into that slice: it stays
-// valid until the next Add, which may reuse a removed entry's slot or
-// move the slice while it grows. So a removed entry can still be read
-// until then, which is how an evicted victim is offered for spillover.
+// index, and a pointer-free open-addressed table resolves an ID to its
+// slot, so neither an admission nor an eviction allocates once the slice
+// has grown to capacity. An *Entry the cache returns points into that
+// slice: it stays valid until the next Add, which may reuse a removed
+// entry's slot or move the slice while it grows. So a removed entry can
+// still be read until then, which is how an evicted victim is offered for
+// spillover.
 type LRU struct {
 	capacity int
-	index    map[workload.ItemID]int32
+	n        int // cached items
+	// table is the ID index: a power-of-two array of at least twice the
+	// capacity, probed linearly from an ID's Fibonacci hash (its home
+	// cell). A cell holds a slot index plus one, or 0 when empty; every
+	// cell from an entry's home to its own is occupied, which deletion
+	// keeps by shifting later entries of the run back (Knuth's Algorithm
+	// R). With the load at most one half, a probe always meets an empty
+	// cell.
+	table []int32
+	shift uint // 64 − log2(len(table))
 	// slots grows by append up to capacity and is never shrunk.
 	slots []Entry
 	// head is the most and tail the least recently used slot; free heads
@@ -81,14 +91,22 @@ type LRU struct {
 	head, tail, free int32
 }
 
+// maxCapacity keeps slot indices plus one, and the table, within int32.
+const maxCapacity = 1 << 29
+
 // NewLRU creates a cache holding up to capacity items.
 func NewLRU(capacity int) (*LRU, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("cache: capacity %d must be positive", capacity)
+	if capacity <= 0 || capacity > maxCapacity {
+		return nil, fmt.Errorf("cache: capacity %d must be in [1, %d]", capacity, maxCapacity)
+	}
+	bits := uint(1)
+	for 1<<bits < 2*capacity {
+		bits++
 	}
 	return &LRU{
 		capacity: capacity,
-		index:    make(map[workload.ItemID]int32, capacity),
+		table:    make([]int32, 1<<bits),
+		shift:    64 - bits,
 		head:     none,
 		tail:     none,
 		free:     none,
@@ -99,18 +117,55 @@ func NewLRU(capacity int) (*LRU, error) {
 func (c *LRU) Cap() int { return c.capacity }
 
 // Len returns the number of cached items.
-func (c *LRU) Len() int { return len(c.index) }
+func (c *LRU) Len() int { return c.n }
 
 // Full reports whether the cache is at capacity.
-func (c *LRU) Full() bool { return len(c.index) >= c.capacity }
+func (c *LRU) Full() bool { return c.n >= c.capacity }
+
+// home is id's first table cell: the top bits of id·2⁶⁴/φ.
+func (c *LRU) home(id workload.ItemID) uint64 {
+	return uint64(id) * 0x9E3779B97F4A7C15 >> c.shift
+}
+
+// locate returns id's slot and the table cell holding it, or none and the
+// empty cell where id's probe ended, which is where Add places it.
+//
+//hot:the index lookup of every Get, Peek, Add and Remove; 0 allocs/op pinned by TestIndexSteadyStateAllocs
+func (c *LRU) locate(id workload.ItemID) (cell uint64, slot int32) {
+	mask := uint64(len(c.table) - 1)
+	for cell = c.home(id); ; cell = (cell + 1) & mask {
+		slot = c.table[cell] - 1
+		if slot == none || c.slots[slot].ID == id {
+			return cell, slot
+		}
+	}
+}
+
+// vacate empties table cell h. Each later entry of the probe run whose
+// home is not cyclically in (h, j], j its cell, moves back into the gap,
+// which then moves to j; so no probe meets an empty cell before its entry.
+//
+//hot:the index deletion of every Remove; 0 allocs/op pinned by TestIndexSteadyStateAllocs
+func (c *LRU) vacate(h uint64) {
+	mask := uint64(len(c.table) - 1)
+	for j := (h + 1) & mask; c.table[j] != 0; j = (j + 1) & mask {
+		// The entry at j may fill the gap when its probe distance reaches
+		// back to h or beyond.
+		if (j-c.home(c.slots[c.table[j]-1].ID))&mask >= (j-h)&mask {
+			c.table[h] = c.table[j]
+			h = j
+		}
+	}
+	c.table[h] = 0
+}
 
 // Get returns the entry for id and promotes it to most recently used,
 // updating LastAccess to now. It returns nil when absent.
 //
 //hot:the local lookup of every request; 0 allocs/op pinned by TestLRUSteadyStateAllocs
 func (c *LRU) Get(id workload.ItemID, now time.Duration) *Entry {
-	i, ok := c.index[id]
-	if !ok {
+	_, i := c.locate(id)
+	if i == none {
 		return nil
 	}
 	e := &c.slots[i]
@@ -124,8 +179,8 @@ func (c *LRU) Get(id workload.ItemID, now time.Duration) *Entry {
 //
 //hot:every peer search a host hears and every admission probe this cache
 func (c *LRU) Peek(id workload.ItemID) *Entry {
-	i, ok := c.index[id]
-	if !ok {
+	_, i := c.locate(id)
+	if i == none {
 		return nil
 	}
 	return &c.slots[i]
@@ -149,10 +204,11 @@ func (c *LRU) Add(e Entry) error {
 	if c.Full() {
 		return ErrFull
 	}
-	if _, ok := c.index[e.ID]; ok {
+	cell, i := c.locate(e.ID)
+	if i != none {
 		return ErrDuplicate
 	}
-	i := c.free
+	i = c.free
 	if i != none {
 		c.free = c.slots[i].next
 	} else {
@@ -167,7 +223,8 @@ func (c *LRU) Add(e Entry) error {
 		c.tail = i
 	}
 	c.head = i
-	c.index[e.ID] = i
+	c.table[cell] = i + 1
+	c.n++
 	return nil
 }
 
@@ -176,11 +233,12 @@ func (c *LRU) Add(e Entry) error {
 //
 //hot:every eviction; 0 allocs/op pinned by TestLRUSteadyStateAllocs
 func (c *LRU) Remove(id workload.ItemID) *Entry {
-	i, ok := c.index[id]
-	if !ok {
+	cell, i := c.locate(id)
+	if i == none {
 		return nil
 	}
-	delete(c.index, id)
+	c.vacate(cell)
+	c.n--
 	c.unlink(i)
 	e := &c.slots[i]
 	e.next = c.free
@@ -224,11 +282,9 @@ func (c *LRU) Candidates(dst []*Entry, n int) []*Entry {
 	return dst
 }
 
-// Items returns the IDs of all cached items in ascending ID order, so
-// consumers (signature rebuilds, diagnostics) never observe Go's
-// randomized map iteration order.
+// Items returns the IDs of all cached items in ascending ID order.
 func (c *LRU) Items() []workload.ItemID {
-	ids := make([]workload.ItemID, 0, len(c.index))
+	ids := make([]workload.ItemID, 0, c.n)
 	for i := c.head; i != none; i = c.slots[i].next {
 		ids = append(ids, c.slots[i].ID)
 	}

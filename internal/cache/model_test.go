@@ -280,6 +280,134 @@ func TestLRUSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// clusterKeys returns n IDs whose home is one of c's last two table cells
+// or its first, so that their probe runs share one cluster that wraps past
+// the table's end.
+func clusterKeys(c *LRU, n int) []workload.ItemID {
+	size := uint64(len(c.table))
+	var keys []workload.ItemID
+	for id := workload.ItemID(0); len(keys) < n; id++ {
+		if h := c.home(id); h >= size-2 || h == 0 {
+			keys = append(keys, id)
+		}
+	}
+	return keys
+}
+
+// TestIndexMatchesMap drives the ID index through random Add, Remove, Get
+// and Peek calls against the index it replaced, a Go map from ID to slot,
+// with most keys in one probe cluster that wraps past the table's end. After
+// every step each cached ID must resolve to its slot, and every cell from an
+// entry's home to its own must be occupied.
+func TestIndexMatchesMap(t *testing.T) {
+	for _, capacity := range []int{1, 3, 8, 50} {
+		for seed := int64(1); seed <= 5; seed++ {
+			t.Run(fmt.Sprintf("cap=%d/seed=%d", capacity, seed), func(t *testing.T) {
+				checkIndexAgainstMap(t, capacity, seed, 3000)
+			})
+		}
+	}
+}
+
+func checkIndexAgainstMap(t *testing.T, capacity int, seed int64, steps int) {
+	t.Helper()
+	c := mustLRU(t, capacity)
+	rng := sim.NewRNG(seed).Stream("lru-index")
+	keys := clusterKeys(c, 3*capacity)
+	for range capacity {
+		keys = append(keys, workload.ItemID(rng.Intn(1<<30)-1<<29))
+	}
+	ref := map[workload.ItemID]int32{}
+	mask := uint64(len(c.table) - 1)
+	for step := 0; step < steps; step++ {
+		id := keys[rng.Intn(len(keys))]
+		want, present := ref[id]
+		switch op := rng.Intn(10); {
+		case op < 4:
+			err := c.Add(Entry{ID: id})
+			switch {
+			case len(ref) >= capacity:
+				if err != ErrFull {
+					t.Fatalf("step %d: Add(%d) into a full cache = %v", step, id, err)
+				}
+			case present:
+				if err != ErrDuplicate {
+					t.Fatalf("step %d: Add(%d) of a cached ID = %v", step, id, err)
+				}
+			case err != nil:
+				t.Fatalf("step %d: Add(%d): %v", step, id, err)
+			default:
+				ref[id] = c.head
+			}
+		case op < 7:
+			e := c.Remove(id)
+			if (e != nil) != present || present && e != &c.slots[want] {
+				t.Fatalf("step %d: Remove(%d) = %p, want slot %d (cached %v)", step, id, e, want, present)
+			}
+			delete(ref, id)
+		case op < 8:
+			if e := c.Get(id, time.Duration(step)); (e != nil) != present || present && e != &c.slots[want] {
+				t.Fatalf("step %d: Get(%d) = %p, want slot %d (cached %v)", step, id, e, want, present)
+			}
+		default:
+			if e := c.Peek(id); (e != nil) != present || present && e != &c.slots[want] {
+				t.Fatalf("step %d: Peek(%d) = %p, want slot %d (cached %v)", step, id, e, want, present)
+			}
+		}
+		if c.Len() != len(ref) {
+			t.Fatalf("step %d: Len = %d, map %d", step, c.Len(), len(ref))
+		}
+		for id, slot := range ref {
+			if _, got := c.locate(id); got != slot {
+				t.Fatalf("step %d: ID %d resolves to slot %d, map %d", step, id, got, slot)
+			}
+		}
+		occupied := 0
+		for h, cell := range c.table {
+			if cell == 0 {
+				continue
+			}
+			occupied++
+			for j := c.home(c.slots[cell-1].ID); j != uint64(h); j = (j + 1) & mask {
+				if c.table[j] == 0 {
+					t.Fatalf("step %d: empty cell %d between ID %d's home and its cell %d", step, j, c.slots[cell-1].ID, h)
+				}
+			}
+		}
+		if occupied != len(ref) {
+			t.Fatalf("step %d: %d occupied cells for %d cached IDs", step, occupied, len(ref))
+		}
+	}
+}
+
+// TestIndexSteadyStateAllocs pins the index's lookup, insert and delete at
+// zero allocations, on a cluster that wraps past the table's end.
+func TestIndexSteadyStateAllocs(t *testing.T) {
+	c := mustLRU(t, 16)
+	keys := clusterKeys(c, 16)
+	for _, id := range keys {
+		add(t, c, id, 0)
+	}
+	i := 0
+	round := func() {
+		id := keys[i%len(keys)]
+		i++
+		cell, slot := c.locate(id) // lookup hit
+		c.vacate(cell)             // delete, shifting the cluster back
+		cell, _ = c.locate(id)     // lookup miss
+		c.table[cell] = slot + 1   // insert
+	}
+	round()
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Errorf("an index lookup, delete and insert allocate %.1f times, want 0", avg)
+	}
+	for _, id := range keys {
+		if c.Peek(id) == nil || c.Peek(id).ID != id {
+			t.Fatalf("ID %d lost from the index", id)
+		}
+	}
+}
+
 // BenchmarkLRUHit measures a local hit: Get of a cached item, which
 // promotes it to most recently used.
 func BenchmarkLRUHit(b *testing.B) {

@@ -178,7 +178,8 @@ type floodKey struct {
 var _ network.Peer = (*Host)(nil)
 
 // NewHost builds a host. The NDP protocol is created for cooperative
-// schemes; SC hosts neither beacon nor answer peers.
+// schemes; SC hosts neither beacon nor answer peers. The host derives its
+// random streams from seed.
 func NewHost(
 	k *sim.Kernel,
 	id network.NodeID,
@@ -188,7 +189,7 @@ func NewHost(
 	link *network.ServerLink,
 	gen *workload.Generator,
 	collector *Collector,
-	rng *sim.RNG,
+	seed sim.Seed,
 	ndpCfg ndp.Config,
 ) (*Host, error) {
 	if err := cfg.Validate(); err != nil {
@@ -225,13 +226,13 @@ func NewHost(
 	h.broadcastFn = h.broadcastDelivered
 	h.broadcastDropFn = h.broadcastDropped
 	if cfg.DiscProb > 0 {
-		h.rngDisc = rng.Stream(fmt.Sprintf("disc-%d", id))
+		h.rngDisc = seed.Stream(fmt.Sprintf("disc-%d", id))
 	}
 	if h.traits.Signatures {
-		h.rngSample = rng.Stream(fmt.Sprintf("sample-%d", id))
+		h.rngSample = seed.Stream(fmt.Sprintf("sample-%d", id))
 	}
 	if cfg.Resilience.Jitter > 0 {
-		h.rngResil = rng.Stream(fmt.Sprintf("resil-%d", id))
+		h.rngResil = seed.Stream(fmt.Sprintf("resil-%d", id))
 	}
 	if cfg.Resilience.BreakerFailures > 0 {
 		h.breaker = resilience.NewBreaker(cfg.Resilience, func(at time.Duration, from, to resilience.State, cause string) {
@@ -431,11 +432,11 @@ func (h *Host) finish(p *pendingRequest, outcome Outcome) {
 	}
 	h.completed++
 	if h.completed == h.cfg.WarmupRequests {
-		h.collector.hostWarm(now)
+		h.collector.hostWarm(now, h.cfg.MeasuredRequests)
 	}
 	if h.cfg.WarmupRequests == 0 && h.completed == 1 {
 		// No warm-up: the first completion flips the host warm.
-		h.collector.hostWarm(now)
+		h.collector.hostWarm(now, h.cfg.MeasuredRequests)
 	}
 	if h.completed > h.cfg.WarmupRequests && h.collector.allWarm() {
 		h.collector.record(now, h.id, outcome, now-p.start)

@@ -18,16 +18,16 @@ import (
 // inside the client package.
 func (h *harness) addGeneratedHost(t *testing.T, id network.NodeID, x float64, cfg Config, accessFirst, accessSize int) *Host {
 	t.Helper()
-	rng := sim.NewRNG(int64(2000 + id))
-	access, err := workload.NewAccessRange(workload.ItemID(accessFirst), accessSize, 1000, 0.5, rng.Stream("ar"))
+	seed := sim.Seed(2000 + id)
+	access, err := workload.NewAccessRange(workload.ItemID(accessFirst), accessSize, 1000, 0.5, seed.Stream("ar"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := workload.NewGenerator(access, 200*time.Millisecond, rng.Stream("gen"))
+	gen, err := workload.NewGenerator(access, 200*time.Millisecond, seed.Stream("gen"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	host, err := NewHost(h.k, id, cfg, fixedAt(x), h.medium, h.link, gen, h.collector, rng, defaultNDPConfig())
+	host, err := NewHost(h.k, id, cfg, fixedAt(x), h.medium, h.link, gen, h.collector, seed, defaultNDPConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func (h *harness) addHost(id network.NodeID, x, y float64, cfg Config) *Host {
 		h.k, id, cfg,
 		mobility.Fixed{At: geo.Point{X: x, Y: y}},
 		h.medium, h.link, nil, h.collector,
-		sim.NewRNG(int64(1000+id)),
+		sim.Seed(1000+id),
 		defaultNDPConfig(),
 	)
 	if err != nil {
@@ -444,7 +444,7 @@ func TestFloodDedupAnswersOnce(t *testing.T) {
 	cfg := testClientConfig(SchemeCOCA)
 	cfg.HopDist = 2
 	a, err := NewHost(h.k, 1, cfg, mobility.Fixed{At: geo.Point{}},
-		h.medium, h.link, nil, h.collector, sim.NewRNG(1001), defaultNDPConfig())
+		h.medium, h.link, nil, h.collector, sim.Seed(1001), defaultNDPConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,11 +47,14 @@ type Collector struct {
 	done      int
 	onAllDone func()
 
-	latency      stats.Welford
-	latencyDist  stats.Sample
-	outcomes     map[Outcome]uint64
+	latency     stats.Welford
+	latencyDist stats.Sample
+	// outcomes counts measured requests by Outcome; entry 0 is unused.
+	outcomes     [OutcomeFailure + 1]uint64
 	aux          AuxCounters
 	measureStart time.Duration
+	// quota sums the measured-request quotas of the hosts warmed so far.
+	quota int
 
 	// GroupOf, when set by the assembler, maps a node to its motion group
 	// so global hits can be attributed to same-group vs foreign providers.
@@ -74,17 +77,21 @@ func NewCollector(numHosts int, meter *network.Meter, onAllDone func()) *Collect
 		meter:     meter,
 		numHosts:  numHosts,
 		onAllDone: onAllDone,
-		outcomes:  make(map[Outcome]uint64),
 	}
 }
 
-// hostWarm is called once per host when it passes its warm-up quota. When
-// the last host warms up, energy accounting restarts.
-func (c *Collector) hostWarm(now time.Duration) {
+// hostWarm is called once per host when it passes its warm-up quota, with
+// its measured-request quota. When the last host warms up, energy
+// accounting restarts and the latency sample is sized once for every
+// measured request: a host records only inside the window, and at most its
+// quota.
+func (c *Collector) hostWarm(now time.Duration, measured int) {
 	c.warm++
+	c.quota += measured
 	if c.warm == c.numHosts {
 		c.meter.Reset()
 		c.measureStart = now
+		c.latencyDist.Reserve(c.quota)
 	}
 }
 
@@ -125,12 +132,17 @@ func (c *Collector) LatencyQuantile(q float64) time.Duration {
 
 // OutcomeCount returns the number of measured requests with the given
 // outcome.
-func (c *Collector) OutcomeCount(o Outcome) uint64 { return c.outcomes[o] }
+func (c *Collector) OutcomeCount(o Outcome) uint64 {
+	if o < 0 || int(o) >= len(c.outcomes) {
+		return 0
+	}
+	return c.outcomes[o]
+}
 
 // OutcomeRatio returns the fraction of measured requests with the given
 // outcome.
 func (c *Collector) OutcomeRatio(o Outcome) float64 {
-	return stats.Ratio(c.outcomes[o], c.Requests())
+	return stats.Ratio(c.OutcomeCount(o), c.Requests())
 }
 
 // TotalEnergy returns the energy consumed since the measurement window

@@ -36,7 +36,7 @@ func New(cfg Config) (*Simulation, error) {
 		return nil, err
 	}
 	k := sim.NewKernel()
-	root := sim.NewRNG(cfg.Seed)
+	root := sim.Seed(cfg.Seed)
 	meter := network.NewMeter()
 
 	medium, err := network.NewMedium(k, network.MediumConfig{
@@ -140,7 +140,7 @@ func New(cfg Config) (*Simulation, error) {
 }
 
 // buildHosts creates the motion groups, per-group access ranges, and hosts.
-func (s *Simulation) buildHosts(root *sim.RNG) error {
+func (s *Simulation) buildHosts(root sim.Seed) error {
 	cfg := s.cfg
 	mobCfg := mobility.Config{
 		Space:    geoRect(cfg.SpaceWidth, cfg.SpaceHeight),
@@ -149,18 +149,19 @@ func (s *Simulation) buildHosts(root *sim.RNG) error {
 		Pause:    cfg.Pause,
 	}
 	numGroups := (cfg.NumClients + cfg.GroupSize - 1) / cfg.GroupSize
-	mobRNG := root.Stream("mobility")
+	// Only the workload stream draws itself; the others only derive.
+	mobSeed := root.Sub("mobility")
 	wlRNG := root.Stream("workload")
-	hostRNG := root.Stream("hosts")
+	hostSeed := root.Sub("hosts")
 
 	clientCfg := cfg.clientConfig()
 	ndpCfg := ndp.Config{Interval: cfg.BeaconInterval, MissedCycles: cfg.BeaconMissedCycles}
 
 	s.hosts = make([]*client.Host, 0, cfg.NumClients)
-	shiftRNG := root.Stream("hotspot-shift")
+	shiftSeed := root.Sub("hotspot-shift")
 	id := network.NodeID(0)
 	for g := 0; g < numGroups; g++ {
-		groupRNG := mobRNG.Stream(fmt.Sprintf("group-%d", g))
+		groupRNG := mobSeed.Stream(fmt.Sprintf("group-%d", g))
 		var group *mobility.Group
 		var err error
 		if cfg.Mobility == MobilityManhattan {
@@ -185,13 +186,13 @@ func (s *Simulation) buildHosts(root *sim.RNG) error {
 			return fmt.Errorf("core: access range %d: %w", g, err)
 		}
 		if cfg.HotspotShiftEvery > 0 {
-			s.scheduleHotspotShifts(access, shiftRNG.Stream(fmt.Sprintf("shift-%d", g)))
+			s.scheduleHotspotShifts(access, shiftSeed.Stream(fmt.Sprintf("shift-%d", g)))
 		}
 		for m := 0; m < cfg.GroupSize && int(id) < cfg.NumClients; m++ {
 			interarrival := cfg.MeanInterarrival
 			hostCfg := clientCfg
 			if cfg.LowActivityFraction > 0 &&
-				hostRNG.Stream(fmt.Sprintf("activity-%d", id)).Bool(cfg.LowActivityFraction) {
+				hostSeed.Stream(fmt.Sprintf("activity-%d", id)).Bool(cfg.LowActivityFraction) {
 				interarrival = time.Duration(float64(interarrival) * cfg.LowActivityFactor)
 				// Low-activity hosts carry proportionally smaller request
 				// quotas so every host finishes around the same simulated
@@ -206,7 +207,7 @@ func (s *Simulation) buildHosts(root *sim.RNG) error {
 			host, err := client.NewHost(
 				s.kernel, id, hostCfg, group.NewMember(),
 				s.medium, s.link, gen, s.collector,
-				hostRNG.Stream(fmt.Sprintf("host-%d", id)), ndpCfg,
+				hostSeed.Sub(fmt.Sprintf("host-%d", id)), ndpCfg,
 			)
 			if err != nil {
 				return fmt.Errorf("core: host %d: %w", id, err)

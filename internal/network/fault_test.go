@@ -308,17 +308,24 @@ func TestUnregisteredNodesCountAsDrops(t *testing.T) {
 	k := sim.NewKernel()
 	m, _ := newTestMedium(t, k)
 	addPeer(t, m, 1, 0, 0)
+	addPeer(t, m, 3, 10, 0)
 	m.Broadcast(Message{Kind: KindRequest, From: 99, Size: 40}) // unknown sender
 	m.Send(Message{Kind: KindReply, From: 1, To: 42, Size: 40}) // unknown destination
 	m.Send(Message{Kind: KindReply, From: 77, To: 1, Size: 40}) // unknown sender
+	m.Send(Message{Kind: KindReply, From: 1, To: 2, Size: 40})  // an ID between registered ones
+	m.Broadcast(Message{Kind: KindRequest, From: -5, Size: 40}) // a negative ID
+	m.SetConnected(2, true)
+	if m.Connected(2) || m.Connected(-5) || !m.Connected(3) {
+		t.Error("Connected wrong for an unregistered or a registered ID")
+	}
 	if err := k.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Drops().Unregistered; got != 3 {
-		t.Errorf("unregistered drops = %d, want 3", got)
+	if got := m.Drops().Unregistered; got != 5 {
+		t.Errorf("unregistered drops = %d, want 5", got)
 	}
-	if _, _, dropped, _ := m.Stats(); dropped != 3 {
-		t.Errorf("Stats dropped = %d, want 3", dropped)
+	if _, _, dropped, _ := m.Stats(); dropped != 5 {
+		t.Errorf("Stats dropped = %d, want 5", dropped)
 	}
 }
 

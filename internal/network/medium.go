@@ -53,15 +53,15 @@ type Medium struct {
 
 	// Peers live in registration slots: peers[i], ids[i], nics[i] and
 	// connected[i] belong to the i-th registered peer, whose grid ID is
-	// also i. regIdx, the only map keyed by NodeID, resolves a message's
-	// endpoints once. nConnected counts the true entries of connected; only
-	// SetConnected changes either.
+	// also i. regIdx[id] is the slot of the peer registered as id, or -1;
+	// it resolves a message's endpoints once. nConnected counts the true
+	// entries of connected; only SetConnected changes either.
 	peers      []Peer
 	ids        []NodeID
 	nics       []*sim.Channel[frame]
 	connected  []bool
 	nConnected int
-	regIdx     map[NodeID]int
+	regIdx     []int
 
 	// Spatial index state. The grid is derived, rebuilt lazily from
 	// Motion(), and holds each host's last sampled position; sampledAt
@@ -169,30 +169,33 @@ func NewMedium(k *sim.Kernel, cfg MediumConfig, meter *Meter) (*Medium, error) {
 		grid:    grid,
 		slack:   slack,
 		driftNs: 0.9 * slack * float64(time.Second),
-		regIdx:  make(map[NodeID]int),
 	}, nil
 }
 
 // Register attaches a peer to the medium, connected. Registering a
 // duplicate or negative ID is an error: negative IDs are not host
-// addresses (BroadcastID is -1), and the energy meter indexes its per-node
-// sums by ID.
+// addresses (BroadcastID is -1), and the medium's slot index and the
+// energy meter's per-node sums are both indexed by ID.
 func (m *Medium) Register(p Peer) error {
-	if p.ID() < 0 {
-		return fmt.Errorf("network: negative peer ID %d", p.ID())
+	id := p.ID()
+	if id < 0 {
+		return fmt.Errorf("network: negative peer ID %d", id)
 	}
-	if _, ok := m.regIdx[p.ID()]; ok {
-		return fmt.Errorf("network: duplicate peer %d", p.ID())
+	if m.slot(id) >= 0 {
+		return fmt.Errorf("network: duplicate peer %d", id)
 	}
-	m.regIdx[p.ID()] = len(m.peers)
+	for int(id) >= len(m.regIdx) {
+		m.regIdx = append(m.regIdx, -1)
+	}
+	m.regIdx[id] = len(m.peers)
 	m.peers = append(m.peers, p)
-	m.ids = append(m.ids, p.ID())
+	m.ids = append(m.ids, id)
 	m.nics = append(m.nics, sim.NewChannel(m.k, m.complete))
 	m.connected = append(m.connected, false)
 	m.sampledAt = append(m.sampledAt, -1)
 	m.speed = append(m.speed, 0)
 	m.wake = append(m.wake, 0) // due at the next sync
-	m.SetConnected(p.ID(), true)
+	m.SetConnected(id, true)
 	return nil
 }
 
@@ -200,8 +203,8 @@ func (m *Medium) Register(p Peer) error {
 // off. A disconnected peer neither sends, hears nor is sampled. Setting the
 // current value again, or naming an unknown peer, does nothing.
 func (m *Medium) SetConnected(id NodeID, on bool) {
-	i, ok := m.regIdx[id]
-	if !ok || m.connected[i] == on {
+	i := m.slot(id)
+	if i < 0 || m.connected[i] == on {
 		return
 	}
 	m.connected[i] = on
@@ -218,8 +221,16 @@ func (m *Medium) SetConnected(id NodeID, on bool) {
 // Connected reports whether the peer registered as id is on the air; an
 // unknown peer is not.
 func (m *Medium) Connected(id NodeID) bool {
-	i, ok := m.regIdx[id]
-	return ok && m.connected[i]
+	i := m.slot(id)
+	return i >= 0 && m.connected[i]
+}
+
+// slot returns the registration slot of the peer registered as id, or -1.
+func (m *Medium) slot(id NodeID) int {
+	if id < 0 || int(id) >= len(m.regIdx) {
+		return -1
+	}
+	return m.regIdx[id]
 }
 
 // Meter returns the energy meter the medium charges to.
@@ -385,8 +396,8 @@ func (m *Medium) hears(p geo.Point, j int, now time.Duration) bool {
 //
 //hot:per-beacon-round reachability; 0 allocs/op pinned by TestNeighborsSteadyStateAllocs
 func (m *Medium) Neighbors(id NodeID) []NodeID {
-	selfIdx, ok := m.regIdx[id]
-	if !ok || !m.connected[selfIdx] {
+	selfIdx := m.slot(id)
+	if selfIdx < 0 || !m.connected[selfIdx] {
 		return nil
 	}
 	now := m.k.Now()
@@ -422,8 +433,8 @@ func (m *Medium) Neighbors(id NodeID) []NodeID {
 // (queueing FCFS behind earlier traffic); reachability is evaluated at
 // completion time.
 func (m *Medium) Broadcast(msg Message) {
-	srcIdx, ok := m.regIdx[msg.From]
-	if !ok {
+	srcIdx := m.slot(msg.From)
+	if srcIdx < 0 {
 		m.drops.Unregistered++
 		return
 	}
@@ -496,13 +507,8 @@ func (m *Medium) deliverBroadcast(i int, msg Message, now time.Duration) {
 // message is lost. Bystanders in range of the source and/or destination pay
 // the Table I discard costs.
 func (m *Medium) Send(msg Message) {
-	srcIdx, ok := m.regIdx[msg.From]
-	if !ok {
-		m.drops.Unregistered++
-		return
-	}
-	dstIdx, ok := m.regIdx[msg.To]
-	if !ok {
+	srcIdx, dstIdx := m.slot(msg.From), m.slot(msg.To)
+	if srcIdx < 0 || dstIdx < 0 {
 		m.drops.Unregistered++
 		return
 	}

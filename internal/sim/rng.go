@@ -24,12 +24,23 @@ func NewRNG(seed int64) *RNG {
 
 // Stream derives an independent generator for the named purpose. The same
 // (seed, name) pair always yields the same stream.
-func (g *RNG) Stream(name string) *RNG {
+func (g *RNG) Stream(name string) *RNG { return Seed(g.seed).Stream(name) }
+
+// Seed roots named streams without a generator of its own, for a parent
+// that nothing draws from directly: seeding a math/rand source costs
+// hundreds of rounds, and a Seed skips them. s.Stream(name) is the same
+// stream as NewRNG(int64(s)).Stream(name).
+type Seed int64
+
+// Stream derives the generator for the named purpose.
+func (s Seed) Stream(name string) *RNG { return NewRNG(int64(s.Sub(name))) }
+
+// Sub derives the seed of the named stream without building its generator.
+func (s Seed) Sub(name string) Seed {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
 	const golden = int64(-0x61C8864680B583EB) // 0x9E3779B97F4A7C15 as int64
-	derived := int64(h.Sum64()) ^ (g.seed * golden)
-	return NewRNG(derived)
+	return Seed(int64(h.Sum64()) ^ (int64(s) * golden))
 }
 
 // Seed returns the seed this generator was rooted at.

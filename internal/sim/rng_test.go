@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"hash/fnv"
 	"testing"
 	"time"
 )
@@ -31,6 +32,39 @@ func TestRNGStreamsIndependentAndReproducible(t *testing.T) {
 	}
 	if same {
 		t.Error("streams x and y produced identical prefixes")
+	}
+}
+
+// parentStream is how a stream was derived before Seed existed: from a
+// parent generator built and seeded for the purpose.
+func parentStream(parent *RNG, name string) *RNG {
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(name))
+	const golden = int64(-0x61C8864680B583EB)
+	return NewRNG(int64(h.Sum64()) ^ (parent.seed * golden))
+}
+
+// TestSeedDerivesRNGStreams pins the derivation-only parent: a Seed's
+// streams, and those of a seed it derives, draw exactly as the same
+// streams derived from seeded parent generators.
+func TestSeedDerivesRNGStreams(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7, 1 << 40} {
+		for _, name := range []string{"", "host-0", "host-99", "disc-3"} {
+			hosts := parentStream(NewRNG(seed), "hosts")
+			pairs := [][2]*RNG{
+				{Seed(seed).Stream(name), parentStream(NewRNG(seed), name)},
+				{NewRNG(seed).Stream(name), parentStream(NewRNG(seed), name)},
+				{Seed(seed).Sub("hosts").Stream(name), parentStream(hosts, name)},
+				{NewRNG(int64(Seed(seed).Sub(name))), parentStream(NewRNG(seed), name)},
+			}
+			for i, p := range pairs {
+				for d := 0; d < 5; d++ {
+					if a, b := p[0].Int63(), p[1].Int63(); a != b {
+						t.Fatalf("seed %d, %q, pair %d: draw %d = %d, want %d", seed, name, i, d, a, b)
+					}
+				}
+			}
+		}
 	}
 }
 

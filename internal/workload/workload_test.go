@@ -20,6 +20,9 @@ func TestNewZipfValidation(t *testing.T) {
 	if _, err := NewZipf(10, -0.1); err == nil {
 		t.Error("negative theta accepted")
 	}
+	if _, err := NewZipf(10, math.NaN()); err == nil {
+		t.Error("NaN theta accepted")
+	}
 	if _, err := NewZipf(1, 0); err != nil {
 		t.Errorf("NewZipf(1, 0): %v", err)
 	}
