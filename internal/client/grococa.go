@@ -2,7 +2,6 @@ package client
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/bloom"
@@ -37,7 +36,7 @@ func (h *Host) beaconPayload() (any, int) {
 	info := beaconInfo{}
 	extra := 0
 	if h.traits.Signatures {
-		if ins, evi := h.ownSig.Delta(); (len(ins) > 0 || len(evi) > 0) && len(h.tcg) > 0 {
+		if ins, evi := h.ownSig.Delta(); (len(ins) > 0 || len(evi) > 0) && h.tcgSize > 0 {
 			// Each position costs two bytes on air (σ ≤ 64 Ki).
 			info.SigDelta = &sigDelta{insert: ins, evict: evi}
 			extra += 2 * (len(ins) + len(evi))
@@ -214,20 +213,20 @@ func (h *Host) applyMembershipChanges(changes []server.MembershipChange) {
 	}
 	departed := 0
 	for _, ch := range changes {
+		if uint(ch.Peer) >= uint(len(h.tcg)) || h.tcg[ch.Peer] == ch.Joined {
+			continue // outside the table, or no change
+		}
+		h.tcg[ch.Peer] = ch.Joined
 		if ch.Joined {
-			if !h.tcg[ch.Peer] {
-				h.tcg[ch.Peer] = true
-				h.outstandSig[ch.Peer] = struct{}{}
-				h.sendSigRequest(ch.Peer)
-			}
+			h.tcgSize++
+			h.outstandSig[ch.Peer] = struct{}{}
+			h.sendSigRequest(ch.Peer)
 			continue
 		}
-		if h.tcg[ch.Peer] {
-			delete(h.tcg, ch.Peer)
-			delete(h.outstandSig, ch.Peer)
-			delete(h.haveSig, ch.Peer)
-			departed++
-		}
+		h.tcgSize--
+		delete(h.outstandSig, ch.Peer)
+		delete(h.haveSig, ch.Peer)
+		departed++
 	}
 	if departed == 0 {
 		return
@@ -259,16 +258,14 @@ func (h *Host) sendSigRequest(peer network.NodeID) {
 func (h *Host) recollectSignatures() {
 	h.peerVec.Reset()
 	h.haveSig = make(map[network.NodeID]*bloom.Filter)
-	h.outstandSig = make(map[network.NodeID]struct{}, len(h.tcg))
-	if len(h.tcg) == 0 {
+	h.outstandSig = make(map[network.NodeID]struct{}, h.tcgSize)
+	if h.tcgSize == 0 {
 		return
 	}
-	members := make([]network.NodeID, 0, len(h.tcg))
-	for id := range h.tcg {
+	members := h.TCGMembers()
+	for _, id := range members {
 		h.outstandSig[id] = struct{}{}
-		members = append(members, id)
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 	h.medium.Broadcast(network.Message{
 		Kind:  network.KindSigRequest,
 		From:  h.id,
@@ -351,7 +348,7 @@ func (h *Host) handleSigReply(msg network.Message) {
 	if !ok || sig == nil {
 		return
 	}
-	if !h.tcg[msg.From] {
+	if !h.inTCG(msg.From) {
 		return
 	}
 	delete(h.outstandSig, msg.From)

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -541,6 +542,20 @@ func TestHostTCGSizeTracksMembership(t *testing.T) {
 	leave(a, b)
 	if a.TCGSize() != 0 {
 		t.Error("leave not reflected")
+	}
+	// The table spans the NumClients host IDs: a repeated join counts
+	// once, and IDs outside the table are ignored and read as
+	// non-members.
+	outside := network.NodeID(a.cfg.NumClients)
+	a.applyMembershipChanges([]server.MembershipChange{
+		{Peer: 7, Joined: true}, {Peer: 3, Joined: true}, {Peer: 3, Joined: true},
+		{Peer: outside, Joined: true}, {Peer: -1, Joined: true},
+	})
+	if got := a.TCGMembers(); !slices.Equal(got, []network.NodeID{3, 7}) || a.TCGSize() != 2 {
+		t.Errorf("members = %v (size %d), want [3 7]", got, a.TCGSize())
+	}
+	if a.inTCG(outside) || a.inTCG(-1) || b.inTCG(3) {
+		t.Error("an ID outside the table, or of a non-member, reads as a member")
 	}
 	h.run(time.Millisecond)
 }

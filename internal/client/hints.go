@@ -25,7 +25,7 @@ type hintState struct {
 
 // hintStaleAfter is how long a hint stays credible.
 func (h *Host) hintStaleAfter() time.Duration {
-	staleAfter := 3 * h.beaconInterval
+	staleAfter := 3 * h.cfg.BeaconInterval
 	if staleAfter <= 0 {
 		staleAfter = 10 * time.Second
 	}

@@ -3,7 +3,6 @@ package client
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/bloom"
@@ -153,14 +152,15 @@ type Host struct {
 	lastRequestAt  time.Duration
 	neighborStates []neighborState // indexed by NodeID
 	neighborHints  map[workload.ItemID]hintState
-	beaconInterval time.Duration
 
 	// seenFloods deduplicates forwarded and multi-hop search floods. It is
 	// emptied whole past 16,384 keys.
 	seenFloods map[floodKey]struct{}
 
-	// GroCoca state.
-	tcg               map[network.NodeID]bool
+	// GroCoca state. tcg[id] marks TCG member id; the table spans the
+	// NumClients host IDs and tcgSize counts its members.
+	tcg               []bool
+	tcgSize           int
 	ownSig            *bloom.CountingFilter
 	peerVec           *bloom.PeerVector
 	haveSig           map[network.NodeID]*bloom.Filter
@@ -190,7 +190,6 @@ func NewHost(
 	gen *workload.Generator,
 	collector *Collector,
 	seed sim.Seed,
-	ndpCfg ndp.Config,
 ) (*Host, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -244,16 +243,15 @@ func NewHost(
 			}
 		})
 	}
-	h.beaconInterval = ndpCfg.Interval
 	if h.traits.PeerSearch {
-		proto, err := ndp.New(k, medium, id, h.ndpConfig(ndpCfg))
+		proto, err := ndp.New(k, medium, id, h.ndpConfig())
 		if err != nil {
 			return nil, err
 		}
 		h.ndp = proto
 	}
 	if h.traits.Signatures {
-		h.tcg = make(map[network.NodeID]bool)
+		h.tcg = make([]bool, cfg.NumClients)
 		h.haveSig = make(map[network.NodeID]*bloom.Filter)
 		h.outstandSig = make(map[network.NodeID]struct{})
 		h.ownSig, err = bloom.NewCountingFilter(cfg.SigBits, cfg.SigHashes, cfg.CacheCounterBits)
@@ -268,11 +266,14 @@ func NewHost(
 	return h, nil
 }
 
-// ndpConfig wires the GroCoca reconnection hook into the caller-provided
-// NDP parameters.
-func (h *Host) ndpConfig(base ndp.Config) ndp.Config {
-	cfg := base
-	cfg.OnUp = h.handleNeighborUp
+// ndpConfig is the host's NDP configuration: the configured beacon
+// period, the GroCoca reconnection hook and the beacon payload.
+func (h *Host) ndpConfig() ndp.Config {
+	cfg := ndp.Config{
+		Interval:     h.cfg.BeaconInterval,
+		MissedCycles: h.cfg.BeaconMissedCycles,
+		OnUp:         h.handleNeighborUp,
+	}
 	if h.traits.Signatures || h.traits.NeighborHints || h.cfg.EnableSpillover {
 		cfg.Beacon = h.beaconPayload
 	}
@@ -298,17 +299,24 @@ func (h *Host) Cache() *cache.LRU { return h.cache }
 func (h *Host) SetBroadcastDisk(d *push.Disk) { h.disk = d }
 
 // TCGSize reports the host's current TCG membership count (GroCoca only).
-func (h *Host) TCGSize() int { return len(h.tcg) }
+func (h *Host) TCGSize() int { return h.tcgSize }
 
 // TCGMembers returns the host's current TCG member IDs (GroCoca only), in
 // ascending ID order so downstream iteration is deterministic.
 func (h *Host) TCGMembers() []network.NodeID {
-	out := make([]network.NodeID, 0, len(h.tcg))
-	for id := range h.tcg {
-		out = append(out, id)
+	out := make([]network.NodeID, 0, h.tcgSize)
+	for id, member := range h.tcg {
+		if member {
+			out = append(out, network.NodeID(id))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// inTCG reports whether peer is a TCG member. IDs outside the table, and
+// every peer of a host without signatures, read as non-members.
+func (h *Host) inTCG(peer network.NodeID) bool {
+	return uint(peer) < uint(len(h.tcg)) && h.tcg[peer]
 }
 
 // CoversItem reports whether the host's peer signature covers the item —
@@ -584,7 +592,7 @@ func (h *Host) Receive(msg network.Message) {
 		if info, ok := msg.Extra.(beaconInfo); ok {
 			h.recordNeighborBeacon(msg.From, info)
 			h.recordNeighborHints(info.Hints)
-			if info.SigDelta != nil && h.traits.Signatures && h.tcg[msg.From] {
+			if info.SigDelta != nil && h.inTCG(msg.From) {
 				h.applySigDelta(msg.From, info.SigDelta.insert, info.SigDelta.evict)
 			}
 		}

@@ -27,7 +27,7 @@ func (h *harness) addGeneratedHost(t *testing.T, id network.NodeID, x float64, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	host, err := NewHost(h.k, id, cfg, fixedAt(x), h.medium, h.link, gen, h.collector, seed, defaultNDPConfig())
+	host, err := NewHost(h.k, id, cfg, fixedAt(x), h.medium, h.link, gen, h.collector, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

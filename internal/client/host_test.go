@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/mobility"
-	"repro/internal/ndp"
 	"repro/internal/network"
+	"repro/internal/resilience"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -88,25 +88,18 @@ func newHarness(t *testing.T, numHosts int, withTCG bool) *harness {
 	return h
 }
 
+// testClientConfig is the Table II defaults with a small cache, no
+// warm-up, a long measured quota, the default rescue factor and no
+// recovery policy.
 func testClientConfig(scheme Scheme) Config {
-	return Config{
-		Scheme:               scheme,
-		CacheSize:            10,
-		DataSize:             4096,
-		HopDist:              1,
-		InitialTimeoutFactor: 2,
-		TimeoutStdDevFactor:  3,
-		P2PBandwidthKbps:     2000,
-		ExplicitUpdateAfter:  10 * time.Second,
-		PeerAccessSample:     0.5,
-		SigBits:              10000,
-		SigHashes:            2,
-		CacheCounterBits:     4,
-		ReplaceCandidate:     5,
-		ReplaceDelay:         2,
-		WarmupRequests:       0,
-		MeasuredRequests:     1000,
-	}
+	cfg := DefaultConfig()
+	cfg.Scheme = scheme
+	cfg.CacheSize = 10
+	cfg.WarmupRequests = 0
+	cfg.MeasuredRequests = 1000
+	cfg.ServerRescueFactor = 0
+	cfg.Resilience = resilience.Policy{}
+	return cfg
 }
 
 // addHost creates a stationary manually driven host.
@@ -117,7 +110,6 @@ func (h *harness) addHost(id network.NodeID, x, y float64, cfg Config) *Host {
 		mobility.Fixed{At: geo.Point{X: x, Y: y}},
 		h.medium, h.link, nil, h.collector,
 		sim.Seed(1000+id),
-		defaultNDPConfig(),
 	)
 	if err != nil {
 		h.t.Fatal(err)
@@ -129,10 +121,6 @@ func (h *harness) addHost(id network.NodeID, x, y float64, cfg Config) *Host {
 	return host
 }
 
-func defaultNDPConfig() ndp.Config {
-	return ndp.Config{Interval: time.Second, MissedCycles: 2}
-}
-
 // workloadID shortens workload.ItemID conversions in tests.
 func workloadID(i int) workload.ItemID { return workload.ItemID(i) }
 
@@ -140,76 +128,6 @@ func (h *harness) run(d time.Duration) {
 	h.t.Helper()
 	if err := h.k.Run(h.k.Now() + d); err != nil {
 		h.t.Fatal(err)
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	tests := []struct {
-		name    string
-		mutate  func(*Config)
-		wantErr bool
-	}{
-		{"valid SC", func(c *Config) { c.Scheme = SchemeSC }, false},
-		{"valid COCA", func(c *Config) { c.Scheme = SchemeCOCA }, false},
-		{"valid GroCoca", func(*Config) {}, false},
-		{"unknown scheme", func(c *Config) { c.Scheme = 0 }, true},
-		{"zero cache", func(c *Config) { c.CacheSize = 0 }, true},
-		{"zero data size", func(c *Config) { c.DataSize = 0 }, true},
-		{"zero hops", func(c *Config) { c.HopDist = 0 }, true},
-		{"bad disc prob", func(c *Config) { c.DiscProb = 1.5 }, true},
-		{"disc without durations", func(c *Config) { c.DiscProb = 0.1 }, true},
-		{"disc with durations", func(c *Config) {
-			c.DiscProb = 0.1
-			c.DiscMin = time.Second
-			c.DiscMax = 5 * time.Second
-		}, false},
-		{"bad sig bits", func(c *Config) { c.SigBits = 0 }, true},
-		{"bad counter bits", func(c *Config) { c.CacheCounterBits = 40 }, true},
-		{"bad replace window", func(c *Config) { c.ReplaceCandidate = 0 }, true},
-		{"bad sample", func(c *Config) { c.PeerAccessSample = -0.1 }, true},
-		{"bad measured", func(c *Config) { c.MeasuredRequests = 0 }, true},
-		{"SC ignores p2p fields", func(c *Config) {
-			c.Scheme = SchemeSC
-			c.HopDist = 0
-			c.P2PBandwidthKbps = 0
-		}, false},
-		{"no timeout at all", func(c *Config) {
-			c.InitialTimeoutFactor = 0
-			c.FixedTimeout = 0
-		}, true},
-		{"fixed timeout alone", func(c *Config) {
-			c.InitialTimeoutFactor = 0
-			c.TimeoutStdDevFactor = 0
-			c.FixedTimeout = time.Second
-		}, false},
-		{"negative initial factor with fixed timeout", func(c *Config) {
-			c.InitialTimeoutFactor = -1
-			c.FixedTimeout = time.Second
-		}, true},
-		{"negative stddev factor with fixed timeout", func(c *Config) {
-			c.TimeoutStdDevFactor = -0.5
-			c.FixedTimeout = time.Second
-		}, true},
-		{"negative stddev factor adaptive", func(c *Config) {
-			c.TimeoutStdDevFactor = -0.5
-		}, true},
-		{"negative fixed timeout", func(c *Config) {
-			c.FixedTimeout = -time.Second
-		}, true},
-		{"SC skips timeout checks", func(c *Config) {
-			c.Scheme = SchemeSC
-			c.InitialTimeoutFactor = -1
-			c.TimeoutStdDevFactor = -1
-		}, false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			cfg := testClientConfig(SchemeGroCoca)
-			tt.mutate(&cfg)
-			if err := cfg.Validate(); (err != nil) != tt.wantErr {
-				t.Errorf("err = %v, wantErr %v", err, tt.wantErr)
-			}
-		})
 	}
 }
 
@@ -444,7 +362,7 @@ func TestFloodDedupAnswersOnce(t *testing.T) {
 	cfg := testClientConfig(SchemeCOCA)
 	cfg.HopDist = 2
 	a, err := NewHost(h.k, 1, cfg, mobility.Fixed{At: geo.Point{}},
-		h.medium, h.link, nil, h.collector, sim.Seed(1001), defaultNDPConfig())
+		h.medium, h.link, nil, h.collector, sim.Seed(1001))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func (h *Host) beginRequest(item workload.ItemID) {
 		return
 	}
 
-	if h.traits.Filtering && !h.cfg.DisableFilter && h.peerVec.Members() > 0 {
+	if h.traits.Signatures && !h.cfg.DisableFilter && h.peerVec.Members() > 0 {
 		// Filtering mechanism: bypass the peer search when the peer
 		// signature cannot cover the search signature. A host without any
 		// collected member signature has no information to filter on and
@@ -193,7 +193,7 @@ func (h *Host) handlePeerRequest(msg network.Message) {
 
 	// Apply the piggybacked signature delta when the origin is a TCG
 	// member.
-	if h.traits.Signatures && h.tcg[msg.Origin] {
+	if h.inTCG(msg.Origin) {
 		if d, ok := msg.Extra.(*sigDelta); ok {
 			h.applySigDelta(msg.Origin, d.insert, d.evict)
 		}
@@ -366,12 +366,9 @@ func (h *Host) handleData(msg network.Message) {
 	if a := h.audit(); a != nil {
 		a.HitServed(now, h.id, provider, msg.Item, OutcomeGlobalHit, msg.RetrievedAt, expiresAt)
 	}
-	fromTCG := h.traits.CoopAdmission && h.tcg[provider]
-	h.admit(msg.Item, now, ttl, fromTCG)
+	h.admit(msg.Item, now, ttl, h.inTCG(provider))
 	if h.traits.Signatures {
 		h.peerAccessLog = append(h.peerAccessLog, msg.Item)
-	}
-	if h.traits.CoopAdmission {
 		h.touchLongestTTLMember(p)
 	}
 	h.complete(OutcomeGlobalHit)
@@ -388,7 +385,7 @@ func (h *Host) touchLongestTTLMember(p *pendingRequest) {
 	var best *peerReply
 	for i := range p.replies {
 		r := &p.replies[i]
-		if !h.tcg[r.holder] {
+		if !h.inTCG(r.holder) {
 			continue
 		}
 		if best == nil || r.expiresAt > best.expiresAt {
@@ -412,7 +409,7 @@ func (h *Host) touchLongestTTLMember(p *pendingRequest) {
 //
 //hot:every cooperative-admission touch this host receives
 func (h *Host) handleTouch(msg network.Message) {
-	if !h.traits.CoopAdmission || !h.tcg[msg.Origin] {
+	if !h.inTCG(msg.Origin) {
 		return
 	}
 	now := h.k.Now()
@@ -424,11 +421,11 @@ func (h *Host) handleTouch(msg network.Message) {
 
 // inServiceArea reports whether the host can currently reach the MSS.
 func (h *Host) inServiceArea(now time.Duration) bool {
-	if h.cfg.ServiceRadius <= 0 {
+	if h.cfg.ServiceAreaRadius <= 0 {
 		return true
 	}
-	center := geo.Point{X: h.cfg.ServiceCenterX, Y: h.cfg.ServiceCenterY}
-	return geo.WithinRange(h.Position(now), center, h.cfg.ServiceRadius)
+	center := geo.Point{X: h.cfg.SpaceWidth / 2, Y: h.cfg.SpaceHeight / 2}
+	return geo.WithinRange(h.Position(now), center, h.cfg.ServiceAreaRadius)
 }
 
 // goToServer falls back to the MSS for the outstanding request. Outside the

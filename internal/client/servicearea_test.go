@@ -5,12 +5,12 @@ import (
 	"time"
 )
 
-// serviceAreaConfig bounds MSS coverage to 200 m around the origin.
+// serviceAreaConfig bounds MSS coverage to 200 m around the origin, the
+// centre of a zero-sized space.
 func serviceAreaConfig(scheme Scheme) Config {
 	cfg := testClientConfig(scheme)
-	cfg.ServiceRadius = 200
-	cfg.ServiceCenterX = 0
-	cfg.ServiceCenterY = 0
+	cfg.ServiceAreaRadius = 200
+	cfg.SpaceWidth, cfg.SpaceHeight = 0, 0
 	return cfg
 }
 
@@ -80,7 +80,7 @@ func TestOutsideServiceAreaValidationFails(t *testing.T) {
 
 func TestZeroRadiusMeansUnlimitedCoverage(t *testing.T) {
 	h := newHarness(t, 1, false)
-	cfg := testClientConfig(SchemeSC) // ServiceRadius zero
+	cfg := testClientConfig(SchemeSC) // ServiceAreaRadius zero
 	a := h.addHost(1, 100000, 0, cfg)
 	a.beginRequest(7)
 	h.run(time.Second)

@@ -84,7 +84,7 @@ func (h *Host) spillTarget() (network.NodeID, bool) {
 	if own <= 0 {
 		return 0, false
 	}
-	staleAfter := 3 * h.beaconInterval
+	staleAfter := 3 * h.cfg.BeaconInterval
 	if staleAfter <= 0 {
 		staleAfter = 10 * time.Second
 	}

@@ -21,6 +21,9 @@ func smallConfig(scheme Scheme) Config {
 	return cfg
 }
 
+// TestConfigValidation requires core.New to refuse every configuration
+// the shared client.Config.Validate rejects; the full table of Validate's
+// cases lives next to it in internal/client.
 func TestConfigValidation(t *testing.T) {
 	tests := []struct {
 		name   string
@@ -71,6 +74,9 @@ func TestUnknownSchemeError(t *testing.T) {
 	err := cfg.Validate()
 	if err == nil {
 		t.Fatal("unregistered scheme accepted")
+	}
+	if _, err := New(cfg); err == nil {
+		t.Error("New accepted an unregistered scheme")
 	}
 	for _, flag := range SchemeFlags() {
 		if !strings.Contains(err.Error(), flag) {

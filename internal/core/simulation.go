@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/mobility"
-	"repro/internal/ndp"
 	"repro/internal/network"
 	"repro/internal/push"
 	"repro/internal/server"
@@ -103,7 +102,7 @@ func New(cfg Config) (*Simulation, error) {
 		}
 		return s.hosts[to].ReceiveFromServer(msg)
 	})
-	if fpc := cfg.faultPlanConfig(); !fpc.Zero() {
+	if fpc := cfg.FaultPlan(); !fpc.Zero() {
 		plan, err := network.NewFaultPlan(fpc, root.Stream("fault"))
 		if err != nil {
 			return nil, fmt.Errorf("core: fault plan: %w", err)
@@ -154,9 +153,6 @@ func (s *Simulation) buildHosts(root sim.Seed) error {
 	wlRNG := root.Stream("workload")
 	hostSeed := root.Sub("hosts")
 
-	clientCfg := cfg.clientConfig()
-	ndpCfg := ndp.Config{Interval: cfg.BeaconInterval, MissedCycles: cfg.BeaconMissedCycles}
-
 	s.hosts = make([]*client.Host, 0, cfg.NumClients)
 	shiftSeed := root.Sub("hotspot-shift")
 	id := network.NodeID(0)
@@ -190,7 +186,7 @@ func (s *Simulation) buildHosts(root sim.Seed) error {
 		}
 		for m := 0; m < cfg.GroupSize && int(id) < cfg.NumClients; m++ {
 			interarrival := cfg.MeanInterarrival
-			hostCfg := clientCfg
+			hostCfg := cfg
 			if cfg.LowActivityFraction > 0 &&
 				hostSeed.Stream(fmt.Sprintf("activity-%d", id)).Bool(cfg.LowActivityFraction) {
 				interarrival = time.Duration(float64(interarrival) * cfg.LowActivityFactor)
@@ -207,7 +203,7 @@ func (s *Simulation) buildHosts(root sim.Seed) error {
 			host, err := client.NewHost(
 				s.kernel, id, hostCfg, group.NewMember(),
 				s.medium, s.link, gen, s.collector,
-				hostSeed.Sub(fmt.Sprintf("host-%d", id)), ndpCfg,
+				hostSeed.Sub(fmt.Sprintf("host-%d", id)),
 			)
 			if err != nil {
 				return fmt.Errorf("core: host %d: %w", id, err)

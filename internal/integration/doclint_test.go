@@ -18,12 +18,56 @@ func TestAllExportedIdentifiersDocumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	missing, err := undocumentedExports(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(missing) > 0 {
+		t.Errorf("%d exported identifiers lack doc comments:\n  %s",
+			len(missing), strings.Join(missing, "\n  "))
+	}
+}
+
+// TestUndocumentedExportsSkipsWhatGoSkips checks the walk over a temporary
+// tree: it reports an undocumented exported function in a package
+// directory, and skips the directories the go command ignores — names
+// starting with "." or "_", and testdata — such as the unpacked base trees
+// under .bench_build/.
+func TestUndocumentedExportsSkipsWhatGoSkips(t *testing.T) {
+	root := t.TempDir()
+	const undocumented = "package p\n\nfunc Exported() {}\n"
+	for _, dir := range []string{"pkg", ".bench_build/ab-0/pkg", "_old", "pkg/testdata"} {
+		if err := os.MkdirAll(filepath.Join(root, dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, dir, "p.go"), []byte(undocumented), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	missing, err := undocumentedExports(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := filepath.Join("pkg", "p.go") + ": func Exported"
+	if len(missing) != 1 || missing[0] != want {
+		t.Errorf("missing = %q, want [%q]", missing, want)
+	}
+}
+
+// undocumentedExports lists, relative to root, the exported declarations
+// without doc comments in the non-test Go files under root, skipping the
+// directories the go command ignores.
+func undocumentedExports(root string) ([]string, error) {
 	var missing []string
-	err = filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
 			return err
 		}
 		if info.IsDir() {
+			name := info.Name()
+			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
 			return nil
 		}
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
@@ -67,13 +111,7 @@ func TestAllExportedIdentifiersDocumented(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(missing) > 0 {
-		t.Errorf("%d exported identifiers lack doc comments:\n  %s",
-			len(missing), strings.Join(missing, "\n  "))
-	}
+	return missing, err
 }
 
 // hasUnexportedReceiver reports whether the function is a method on an

@@ -48,8 +48,6 @@ func (grococaScheme) Traits() Traits {
 	return Traits{
 		PeerSearch:    true,
 		Signatures:    true,
-		Filtering:     true,
-		CoopAdmission: true,
 		RankedReplace: true,
 	}
 }
@@ -99,8 +97,6 @@ func (popularityScheme) Traits() Traits {
 	return Traits{
 		PeerSearch:    true,
 		Signatures:    true,
-		Filtering:     true,
-		CoopAdmission: true,
 		RankedReplace: true,
 	}
 }

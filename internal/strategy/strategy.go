@@ -66,15 +66,14 @@ type Traits struct {
 	PeerSearch bool
 	// Signatures maintains the GroCoca signature machinery: TCG
 	// membership from the MSS, the counting-filter cache signature, the
-	// peer counter vector, delta piggybacking, and explicit updates.
+	// peer counter vector, delta piggybacking, and explicit updates. It
+	// also runs the two mechanisms built on them: the signature filtering
+	// before the peer search, and cooperative cache admission control
+	// (items supplied by a TCG member are not replicated into a full
+	// cache, and the longest-TTL member copy is touched). The
+	// DisableFilter and DisableAdmission ablation switches turn either
+	// off per run.
 	Signatures bool
-	// Filtering applies the signature filtering mechanism before the peer
-	// search (requires Signatures).
-	Filtering bool
-	// CoopAdmission runs cooperative cache admission control: items
-	// supplied by a TCG member are not replicated into a full cache, and
-	// the longest-TTL member copy is touched (requires Signatures).
-	CoopAdmission bool
 	// RankedReplace runs the scheme's PickVictim over the ReplaceCandidate
 	// least-valuable entries instead of plain LRU eviction.
 	RankedReplace bool
