@@ -5,7 +5,7 @@ GO ?= go
 ## BENCH_OUT=BENCH_pr7.json`) without touching the committed one. BASE is
 ## the revision bench-check and cellbench-ab compare the working tree
 ## against.
-BENCH_PATTERN = KernelScheduleRun|ChannelSend|MediumTransmit|FilterAdd|FilterTest|PeerVectorCovers|PeerVectorAddSignature|CountingFilterSignature|CountingFilterDelta|VLFL|BenchmarkNeighbors|BenchmarkBroadcast|BenchmarkBeaconRound|BenchmarkLRUHit|BenchmarkLRUAdmit|BenchmarkZipfRank|BenchmarkSampleQuantile
+BENCH_PATTERN = KernelScheduleRun|ChannelSend|MediumTransmit|FilterAdd|FilterTest|PeerVectorCovers|PeerVectorAddSignature|CountingFilterSignature|CountingFilterDelta|VLFL|BenchmarkBroadcast|BenchmarkBeaconRound|BenchmarkLRUHit|BenchmarkLRUAdmit|BenchmarkZipfRank|BenchmarkSampleQuantile
 BENCH_PKGS = ./internal/sim/ ./internal/network/ ./internal/bloom/ ./internal/cache/ ./internal/workload/ ./internal/stats/
 BENCH_OUT ?= BENCH_seed.json
 BASE ?= HEAD

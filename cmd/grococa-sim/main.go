@@ -11,8 +11,10 @@
 // δ and ω (-delta, -simdelta, -omega), σ and k (-sigbits, -sighashes),
 // ReplaceCandidate and ReplaceDelay (-replacecand, -replacedelay), τ_P and
 // ρ_P (-taup, -rho), and the requests per host (-warmup, -requests). The
-// pause time, α, ϕ, ϕ′ and the mean interarrival have no flag and keep
-// their core.DefaultConfig values.
+// mean interarrival has no flag and keeps its core.DefaultConfig value.
+// The pause time and α are constants of internal/core, ϕ, ϕ′ and π_c of
+// internal/client, the beacon period of internal/ndp and the Table I
+// energy rows of internal/network: no run sets them.
 //
 // Example:
 //

@@ -101,10 +101,8 @@ func TestStaleBroadcastDeliveryAfterCrash(t *testing.T) {
 	a := h.addHost(1, 0, 0, cfg)
 	a.SetFaultPlan(plan)
 	disk, err := push.NewDisk(h.k, push.Config{
-		BandwidthKbps:   10000,
-		HotItems:        50,
-		ListenPerSecond: 50000,
-		Power:           network.DefaultPowerModel(),
+		BandwidthKbps: 10000,
+		HotItems:      50,
 	}, h.mss.Catalog(), h.meter)
 	if err != nil {
 		t.Fatal(err)

@@ -104,7 +104,6 @@ type Config struct {
 	GroupSize               int
 	GroupRadius             float64 // metres
 	MinSpeed, MaxSpeed      float64 // m/s
-	Pause                   time.Duration
 	// Mobility selects the reference trajectory model; GridSpacing is the
 	// street spacing for the Manhattan model.
 	Mobility    MobilityModel
@@ -122,7 +121,6 @@ type Config struct {
 	P2PBandwidthKbps   float64
 	TranRange          float64 // metres
 	HopDist            int
-	Power              network.PowerModel
 
 	// Workload.
 	AccessRange      int
@@ -131,11 +129,10 @@ type Config struct {
 	WarmupRequests   int
 	MeasuredRequests int
 	// LowActivityFraction makes that share of hosts low-activity: their
-	// mean interarrival time is multiplied by LowActivityFactor (default
-	// 10 when the fraction is positive). Models the heterogeneous client
-	// populations the spillover scheme targets.
+	// mean interarrival time is ten times longer and their request quotas
+	// ten times smaller (see internal/core). Models the heterogeneous
+	// client populations the spillover scheme targets.
 	LowActivityFraction float64
-	LowActivityFactor   float64
 	// HotspotShiftEvery, when positive, drifts every group's interests
 	// periodically: HotspotShiftFraction of the rank→item mapping is
 	// re-permuted (a non-stationary workload extension; zero keeps the
@@ -144,20 +141,16 @@ type Config struct {
 	HotspotShiftFraction float64
 
 	// Data updates and consistency.
-	DataUpdateRate   float64 // items per second, 0 disables
-	UpdateEWMAWeight float64 // α
-	ReviseEvery      time.Duration
+	DataUpdateRate float64 // items per second, 0 disables
+	ReviseEvery    time.Duration
 
 	// Client disconnection.
 	DiscProb         float64
 	DiscMin, DiscMax time.Duration
 
-	// COCA adaptive timeout τ = τ̄ + ϕ'·σ_τ; ϕ scales the round-trip
-	// estimate used before τ has samples. A positive FixedTimeout
-	// disables the adaptive timeout (an ablation switch).
-	InitialTimeoutFactor float64 // ϕ
-	TimeoutStdDevFactor  float64 // ϕ'
-	FixedTimeout         time.Duration
+	// FixedTimeout, when positive, replaces COCA's adaptive search
+	// timeout τ (an ablation switch).
+	FixedTimeout time.Duration
 
 	// GroCoca TCG discovery.
 	DistanceThreshold   float64 // Δ
@@ -168,9 +161,8 @@ type Config struct {
 	GroupCriteria server.GroupCriteria
 
 	// GroCoca cache signature scheme.
-	SigBits          int // σ
-	SigHashes        int // k
-	CacheCounterBits int // π_c
+	SigBits   int // σ
+	SigHashes int // k
 
 	// GroCoca cooperative replacement.
 	ReplaceCandidate int
@@ -186,10 +178,6 @@ type Config struct {
 	ExplicitUpdateAfter time.Duration // τ_P
 	PeerAccessSample    float64       // ρ_P
 
-	// Neighbor discovery.
-	BeaconInterval     time.Duration
-	BeaconMissedCycles int
-
 	// Data delivery model (the intro's pull / push / hybrid comparison).
 	// Pull is the paper's environment and the default. Push broadcasts the
 	// whole catalog on a dedicated channel; Hybrid broadcasts the
@@ -198,7 +186,6 @@ type Config struct {
 	BroadcastKbps      float64
 	BroadcastHotItems  int
 	BroadcastReshuffle time.Duration
-	ListenPowerPerSec  float64 // µW·s per second of tuned-in listening
 
 	// EnableSpillover turns on the companion scheme of reference [5]: a
 	// host evicting a still-valid item offers it to a neighbor whose
@@ -269,14 +256,12 @@ func DefaultConfig() Config {
 		GroupRadius: 50,
 		MinSpeed:    1,
 		MaxSpeed:    5,
-		Pause:       time.Second,
 
 		ServerDownlinkKbps: 2000,
 		ServerUplinkKbps:   200,
 		P2PBandwidthKbps:   2000,
 		TranRange:          100,
 		HopDist:            1,
-		Power:              network.DefaultPowerModel(),
 
 		AccessRange:      500,
 		Zipf:             0.5,
@@ -284,16 +269,12 @@ func DefaultConfig() Config {
 		WarmupRequests:   150,
 		MeasuredRequests: 250,
 
-		DataUpdateRate:   0,
-		UpdateEWMAWeight: 0.5,
-		ReviseEvery:      10 * time.Second,
+		DataUpdateRate: 0,
+		ReviseEvery:    10 * time.Second,
 
 		DiscProb: 0,
 		DiscMin:  10 * time.Second,
 		DiscMax:  50 * time.Second,
-
-		InitialTimeoutFactor: 2,
-		TimeoutStdDevFactor:  3,
 
 		// The similarity threshold is deliberately low: the MSS only
 		// samples the access pattern from cache-miss requests and ρ_P-
@@ -306,9 +287,8 @@ func DefaultConfig() Config {
 		SimilarityThreshold: 0.12,
 		DistanceWeight:      0.5,
 
-		SigBits:          10000,
-		SigHashes:        2,
-		CacheCounterBits: 4,
+		SigBits:   10000,
+		SigHashes: 2,
 
 		ReplaceCandidate: 5,
 		ReplaceDelay:     2,
@@ -319,13 +299,8 @@ func DefaultConfig() Config {
 		ExplicitUpdateAfter: 10 * time.Second,
 		PeerAccessSample:    0.5,
 
-		BeaconInterval:     time.Second,
-		BeaconMissedCycles: 2,
-
 		Mobility:    MobilityWaypoint,
 		GridSpacing: 100,
-
-		LowActivityFactor: 10,
 
 		EnableSpillover:        false,
 		SpilloverActivityRatio: 0.5,
@@ -334,7 +309,6 @@ func DefaultConfig() Config {
 		BroadcastKbps:      10000,
 		BroadcastHotItems:  300,
 		BroadcastReshuffle: 30 * time.Second,
-		ListenPowerPerSec:  50000, // ~50 mW idle listening
 
 		// Hardening defaults: one alternate-holder retry, three rescue
 		// re-sends of a lost MSS exchange. Crash downtimes apply only
@@ -377,6 +351,9 @@ func (c Config) Validate() error {
 	if c.GroupRadius < 0 {
 		return fmt.Errorf("client: GroupRadius %v must be non-negative", c.GroupRadius)
 	}
+	if c.Mobility < MobilityWaypoint || c.Mobility > MobilityManhattan {
+		return fmt.Errorf("client: unknown mobility model %d", int(c.Mobility))
+	}
 	if c.Mobility == MobilityManhattan && c.GridSpacing <= 0 {
 		return fmt.Errorf("client: GridSpacing %v must be positive for Manhattan mobility", c.GridSpacing)
 	}
@@ -389,17 +366,11 @@ func (c Config) Validate() error {
 	if c.TranRange <= 0 {
 		return fmt.Errorf("client: TranRange %v must be positive", c.TranRange)
 	}
-	if c.BeaconInterval <= 0 || c.BeaconMissedCycles < 1 {
-		return fmt.Errorf("client: NDP parameters invalid")
-	}
 	if c.DataUpdateRate < 0 {
 		return fmt.Errorf("client: DataUpdateRate %v must be non-negative", c.DataUpdateRate)
 	}
 	if c.LowActivityFraction < 0 || c.LowActivityFraction > 1 {
 		return fmt.Errorf("client: LowActivityFraction %v outside [0, 1]", c.LowActivityFraction)
-	}
-	if c.LowActivityFraction > 0 && c.LowActivityFactor <= 1 {
-		return fmt.Errorf("client: LowActivityFactor %v must exceed 1", c.LowActivityFactor)
 	}
 	if c.HotspotShiftEvery < 0 {
 		return fmt.Errorf("client: negative HotspotShiftEvery %v", c.HotspotShiftEvery)
@@ -410,18 +381,6 @@ func (c Config) Validate() error {
 		}
 		if c.P2PBandwidthKbps <= 0 {
 			return fmt.Errorf("client: p2p bandwidth %v must be positive", c.P2PBandwidthKbps)
-		}
-		if c.InitialTimeoutFactor <= 0 && c.FixedTimeout <= 0 {
-			return fmt.Errorf("client: need a positive timeout factor or fixed timeout")
-		}
-		// Negative factors are rejected outright, even when a fixed timeout
-		// would mask them: a later switch back to the adaptive timeout must
-		// not inherit a nonsensical ϕ or ϕ'.
-		if c.InitialTimeoutFactor < 0 {
-			return fmt.Errorf("client: negative initial timeout factor %v", c.InitialTimeoutFactor)
-		}
-		if c.TimeoutStdDevFactor < 0 {
-			return fmt.Errorf("client: negative timeout stddev factor %v", c.TimeoutStdDevFactor)
 		}
 		if c.FixedTimeout < 0 {
 			return fmt.Errorf("client: negative fixed timeout %v", c.FixedTimeout)
@@ -448,23 +407,24 @@ func (c Config) Validate() error {
 		if c.SimilarityThreshold < 0 || c.SimilarityThreshold > 1 {
 			return fmt.Errorf("client: SimilarityThreshold %v outside [0, 1]", c.SimilarityThreshold)
 		}
+		if c.GroupCriteria < server.CriteriaBoth || c.GroupCriteria > server.CriteriaSimilarityOnly {
+			return fmt.Errorf("client: unknown group criteria %d", int(c.GroupCriteria))
+		}
 		if c.SigBits <= 0 || c.SigHashes <= 0 {
 			return fmt.Errorf("client: signature geometry (%d, %d) invalid", c.SigBits, c.SigHashes)
-		}
-		if c.CacheCounterBits < 1 || c.CacheCounterBits > 32 {
-			return fmt.Errorf("client: cache counter bits %d outside [1, 32]", c.CacheCounterBits)
 		}
 		if c.PeerAccessSample < 0 || c.PeerAccessSample > 1 {
 			return fmt.Errorf("client: peer access sample %v outside [0, 1]", c.PeerAccessSample)
 		}
 	}
-	if traits.RankedReplace {
-		if c.ReplaceCandidate < 1 {
-			return fmt.Errorf("client: replace candidate window %d must be at least 1", c.ReplaceCandidate)
-		}
-		if c.ReplaceDelay < 1 {
-			return fmt.Errorf("client: replace delay %d must be at least 1", c.ReplaceDelay)
-		}
+	if c.ReplaceCandidate < 1 {
+		return fmt.Errorf("client: replace candidate window %d must be at least 1", c.ReplaceCandidate)
+	}
+	if c.ReplaceDelay < 1 {
+		return fmt.Errorf("client: replace delay %d must be at least 1", c.ReplaceDelay)
+	}
+	if c.Delivery < DeliveryPull || c.Delivery > DeliveryHybrid {
+		return fmt.Errorf("client: unknown delivery model %d", int(c.Delivery))
 	}
 	if c.Delivery != DeliveryPull {
 		if c.BroadcastKbps <= 0 {
@@ -472,9 +432,6 @@ func (c Config) Validate() error {
 		}
 		if c.Delivery == DeliveryHybrid && c.BroadcastHotItems <= 0 {
 			return fmt.Errorf("client: BroadcastHotItems %d must be positive", c.BroadcastHotItems)
-		}
-		if c.ListenPowerPerSec < 0 {
-			return fmt.Errorf("client: negative listen power %v", c.ListenPowerPerSec)
 		}
 	}
 	if err := c.FaultPlan().Validate(); err != nil {

@@ -29,7 +29,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero interarrival", func(c *Config) { c.MeanInterarrival = 0 }, true},
 		{"zero downlink", func(c *Config) { c.ServerDownlinkKbps = 0 }, true},
 		{"zero range", func(c *Config) { c.TranRange = 0 }, true},
-		{"bad ndp", func(c *Config) { c.BeaconInterval = 0 }, true},
 		{"negative update rate", func(c *Config) { c.DataUpdateRate = -1 }, true},
 		{"bad delta", func(c *Config) { c.DistanceThreshold = 0 }, true},
 		{"zero cache", func(c *Config) { c.CacheSize = 0 }, true},
@@ -46,7 +45,6 @@ func TestConfigValidate(t *testing.T) {
 			c.DiscMax = 5 * time.Second
 		}, false},
 		{"bad sig bits", func(c *Config) { c.SigBits = 0 }, true},
-		{"bad counter bits", func(c *Config) { c.CacheCounterBits = 40 }, true},
 		{"bad replace window", func(c *Config) { c.ReplaceCandidate = 0 }, true},
 		{"bad sample", func(c *Config) { c.PeerAccessSample = -0.1 }, true},
 		{"bad measured", func(c *Config) { c.MeasuredRequests = 0 }, true},
@@ -55,34 +53,17 @@ func TestConfigValidate(t *testing.T) {
 			c.HopDist = 0
 			c.P2PBandwidthKbps = 0
 		}, false},
-		{"no timeout at all", func(c *Config) {
-			c.InitialTimeoutFactor = 0
-			c.FixedTimeout = 0
-		}, true},
-		{"fixed timeout alone", func(c *Config) {
-			c.InitialTimeoutFactor = 0
-			c.TimeoutStdDevFactor = 0
-			c.FixedTimeout = time.Second
-		}, false},
-		{"negative initial factor with fixed timeout", func(c *Config) {
-			c.InitialTimeoutFactor = -1
-			c.FixedTimeout = time.Second
-		}, true},
-		{"negative stddev factor with fixed timeout", func(c *Config) {
-			c.TimeoutStdDevFactor = -0.5
-			c.FixedTimeout = time.Second
-		}, true},
-		{"negative stddev factor adaptive", func(c *Config) {
-			c.TimeoutStdDevFactor = -0.5
-		}, true},
+		{"fixed timeout alone", func(c *Config) { c.FixedTimeout = time.Second }, false},
 		{"negative fixed timeout", func(c *Config) {
 			c.FixedTimeout = -time.Second
 		}, true},
 		{"SC skips timeout checks", func(c *Config) {
 			c.Scheme = SchemeSC
-			c.InitialTimeoutFactor = -1
-			c.TimeoutStdDevFactor = -1
+			c.FixedTimeout = -time.Second
 		}, false},
+		{"unknown delivery model", func(c *Config) { c.Delivery = 7 }, true},
+		{"unknown mobility model", func(c *Config) { c.Mobility = 5 }, true},
+		{"unknown group criteria", func(c *Config) { c.GroupCriteria = 9 }, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -95,7 +76,7 @@ func TestConfigValidate(t *testing.T) {
 				return
 			}
 			h := newHarness(t, 1, false)
-			if _, err := NewHost(h.k, 1, cfg, mobility.Fixed{At: geo.Point{}},
+			if _, err := NewHost(h.k, 1, &cfg, cfg.WarmupRequests, cfg.MeasuredRequests, mobility.Fixed{At: geo.Point{}},
 				h.medium, h.link, nil, h.collector, sim.Seed(1)); err == nil {
 				t.Error("NewHost accepted invalid config")
 			}

@@ -12,6 +12,10 @@ import (
 	"repro/internal/workload"
 )
 
+// cacheCounterBits is π_c, the width of each cache-signature counter
+// (Table II).
+const cacheCounterBits = 4
+
 // The signature exchange carries its content in Message.Extra: a SigRequest
 // broadcast for a recollection carries the requester's sorted TCG member
 // list as a []network.NodeID (a direct request carries none, and only

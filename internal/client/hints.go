@@ -23,15 +23,6 @@ type hintState struct {
 	heardAt time.Duration
 }
 
-// hintStaleAfter is how long a hint stays credible.
-func (h *Host) hintStaleAfter() time.Duration {
-	staleAfter := 3 * h.cfg.BeaconInterval
-	if staleAfter <= 0 {
-		staleAfter = 10 * time.Second
-	}
-	return staleAfter
-}
-
 // beaconHints collects the host's most-recently-used valid items for the
 // beacon payload.
 func (h *Host) beaconHints() []workload.ItemID {
@@ -57,9 +48,8 @@ func (h *Host) recordNeighborHints(hints []workload.ItemID) {
 	if h.neighborHints == nil {
 		h.neighborHints = make(map[workload.ItemID]hintState)
 	} else {
-		staleAfter := h.hintStaleAfter()
 		for item, st := range h.neighborHints {
-			if now-st.heardAt > staleAfter {
+			if now-st.heardAt > beaconStaleAfter {
 				delete(h.neighborHints, item)
 			}
 		}
@@ -76,5 +66,5 @@ func (h *Host) NeighborHinted(item workload.ItemID) bool {
 	if !ok {
 		return false
 	}
-	return h.k.Now()-st.heardAt <= h.hintStaleAfter()
+	return h.k.Now()-st.heardAt <= beaconStaleAfter
 }

@@ -84,9 +84,13 @@ func (p *pendingRequest) cancelTimers() {
 // Host is one mobile host. It is driven entirely by simulation events; all
 // methods run on the kernel goroutine.
 type Host struct {
-	id  network.NodeID
-	k   *sim.Kernel
-	cfg Config
+	id network.NodeID
+	k  *sim.Kernel
+	// cfg is the run's parameter set, shared read-only by every host.
+	cfg *Config
+	// warmup and measured are the host's request quotas: the config's,
+	// or smaller ones for a low-activity host.
+	warmup, measured int
 	// strat is the construction-time strategy dispatch derived from
 	// cfg.Scheme via the registry, never mutated after New.
 	strat     strategy.Scheme
@@ -177,13 +181,15 @@ type floodKey struct {
 
 var _ network.Peer = (*Host)(nil)
 
-// NewHost builds a host. The NDP protocol is created for cooperative
-// schemes; SC hosts neither beacon nor answer peers. The host derives its
-// random streams from seed.
+// NewHost builds a host that issues warmup then measured requests. The
+// NDP protocol is created for cooperative schemes; SC hosts neither beacon
+// nor answer peers. The host keeps cfg, which must not change afterwards,
+// and derives its random streams from seed.
 func NewHost(
 	k *sim.Kernel,
 	id network.NodeID,
-	cfg Config,
+	cfg *Config,
+	warmup, measured int,
 	mob mobility.Node,
 	medium *network.Medium,
 	link *network.ServerLink,
@@ -207,6 +213,8 @@ func NewHost(
 		id:          id,
 		k:           k,
 		cfg:         cfg,
+		warmup:      warmup,
+		measured:    measured,
 		strat:       strat,
 		traits:      strat.Traits(),
 		mob:         mob,
@@ -244,17 +252,13 @@ func NewHost(
 		})
 	}
 	if h.traits.PeerSearch {
-		proto, err := ndp.New(k, medium, id, h.ndpConfig())
-		if err != nil {
-			return nil, err
-		}
-		h.ndp = proto
+		h.ndp = ndp.New(k, medium, id, h.ndpConfig())
 	}
 	if h.traits.Signatures {
 		h.tcg = make([]bool, cfg.NumClients)
 		h.haveSig = make(map[network.NodeID]*bloom.Filter)
 		h.outstandSig = make(map[network.NodeID]struct{})
-		h.ownSig, err = bloom.NewCountingFilter(cfg.SigBits, cfg.SigHashes, cfg.CacheCounterBits)
+		h.ownSig, err = bloom.NewCountingFilter(cfg.SigBits, cfg.SigHashes, cacheCounterBits)
 		if err != nil {
 			return nil, err
 		}
@@ -266,14 +270,10 @@ func NewHost(
 	return h, nil
 }
 
-// ndpConfig is the host's NDP configuration: the configured beacon
-// period, the GroCoca reconnection hook and the beacon payload.
+// ndpConfig is the host's NDP configuration: the GroCoca reconnection
+// hook and the beacon payload.
 func (h *Host) ndpConfig() ndp.Config {
-	cfg := ndp.Config{
-		Interval:     h.cfg.BeaconInterval,
-		MissedCycles: h.cfg.BeaconMissedCycles,
-		OnUp:         h.handleNeighborUp,
-	}
+	cfg := ndp.Config{OnUp: h.handleNeighborUp}
 	if h.traits.Signatures || h.traits.NeighborHints || h.cfg.EnableSpillover {
 		cfg.Beacon = h.beaconPayload
 	}
@@ -355,7 +355,7 @@ func (h *Host) Start() {
 
 // totalRequests is the host's full quota including warm-up.
 func (h *Host) totalRequests() int {
-	return h.cfg.WarmupRequests + h.cfg.MeasuredRequests
+	return h.warmup + h.measured
 }
 
 func (h *Host) scheduleNextRequest() {
@@ -439,14 +439,14 @@ func (h *Host) finish(p *pendingRequest, outcome Outcome) {
 		a.RequestEnded(now, h.id, p.seq, p.item, outcome, p.cause, now-p.start)
 	}
 	h.completed++
-	if h.completed == h.cfg.WarmupRequests {
-		h.collector.hostWarm(now, h.cfg.MeasuredRequests)
+	if h.completed == h.warmup {
+		h.collector.hostWarm(now, h.measured)
 	}
-	if h.cfg.WarmupRequests == 0 && h.completed == 1 {
+	if h.warmup == 0 && h.completed == 1 {
 		// No warm-up: the first completion flips the host warm.
-		h.collector.hostWarm(now, h.cfg.MeasuredRequests)
+		h.collector.hostWarm(now, h.measured)
 	}
-	if h.completed > h.cfg.WarmupRequests && h.collector.allWarm() {
+	if h.completed > h.warmup && h.collector.allWarm() {
 		h.collector.record(now, h.id, outcome, now-p.start)
 	}
 }

@@ -27,7 +27,7 @@ func (h *harness) addGeneratedHost(t *testing.T, id network.NodeID, x float64, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	host, err := NewHost(h.k, id, cfg, fixedAt(x), h.medium, h.link, gen, h.collector, seed)
+	host, err := NewHost(h.k, id, &cfg, cfg.WarmupRequests, cfg.MeasuredRequests, fixedAt(x), h.medium, h.link, gen, h.collector, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +131,8 @@ func TestHybridHostTunesToBroadcast(t *testing.T) {
 	a := h.addHost(1, 0, 0, cfg)
 	catalog := h.mss.Catalog()
 	disk, err := push.NewDisk(h.k, push.Config{
-		BandwidthKbps:   10000,
-		HotItems:        50,
-		ListenPerSecond: 50000,
-		Power:           network.DefaultPowerModel(),
+		BandwidthKbps: 10000,
+		HotItems:      50,
 	}, catalog, h.meter)
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,6 @@ func newHarness(t *testing.T, numHosts int, withTCG bool) *harness {
 	medium, err := network.NewMedium(k, network.MediumConfig{
 		BandwidthKbps: 2000,
 		RangeM:        100,
-		Power:         network.DefaultPowerModel(),
 	}, meter)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +40,6 @@ func newHarness(t *testing.T, numHosts int, withTCG bool) *harness {
 	link, err := network.NewServerLink(k, network.ServerLinkConfig{
 		UplinkKbps:   200,
 		DownlinkKbps: 2000,
-		Power:        network.DefaultPowerModel(),
 	}, meter)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +74,7 @@ func newHarness(t *testing.T, numHosts int, withTCG bool) *harness {
 	}
 	// Only the manually driven host completes requests, so the collector
 	// tracks a single warm/done host regardless of how many peers exist.
-	h.collector = NewCollector(1, meter, nil)
+	h.collector = NewCollector(1, DefaultConfig().GroupSize, meter, nil)
 	_ = numHosts
 	link.SetDeliver(func(to network.NodeID, msg network.Message) bool {
 		host, ok := h.hosts[to]
@@ -106,7 +104,7 @@ func testClientConfig(scheme Scheme) Config {
 func (h *harness) addHost(id network.NodeID, x, y float64, cfg Config) *Host {
 	h.t.Helper()
 	host, err := NewHost(
-		h.k, id, cfg,
+		h.k, id, &cfg, cfg.WarmupRequests, cfg.MeasuredRequests,
 		mobility.Fixed{At: geo.Point{X: x, Y: y}},
 		h.medium, h.link, nil, h.collector,
 		sim.Seed(1000+id),
@@ -361,7 +359,7 @@ func TestFloodDedupAnswersOnce(t *testing.T) {
 	h := newHarness(t, 3, false)
 	cfg := testClientConfig(SchemeCOCA)
 	cfg.HopDist = 2
-	a, err := NewHost(h.k, 1, cfg, mobility.Fixed{At: geo.Point{}},
+	a, err := NewHost(h.k, 1, &cfg, cfg.WarmupRequests, cfg.MeasuredRequests, mobility.Fixed{At: geo.Point{}},
 		h.medium, h.link, nil, h.collector, sim.Seed(1001))
 	if err != nil {
 		t.Fatal(err)

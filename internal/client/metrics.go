@@ -41,8 +41,12 @@ func (o Outcome) String() string {
 // power meter is reset so energy is only accounted over the measured
 // window.
 type Collector struct {
-	meter     *network.Meter
-	numHosts  int
+	meter    *network.Meter
+	numHosts int
+	// groupSize is the motion group size: hosts id/groupSize share a
+	// group, so global hits can be attributed to same-group vs foreign
+	// providers.
+	groupSize int
 	warm      int
 	done      int
 	onAllDone func()
@@ -56,10 +60,6 @@ type Collector struct {
 	// quota sums the measured-request quotas of the hosts warmed so far.
 	quota int
 
-	// GroupOf, when set by the assembler, maps a node to its motion group
-	// so global hits can be attributed to same-group vs foreign providers.
-	GroupOf func(network.NodeID) int
-
 	// OnRecord, when set, receives every measured request as it completes
 	// — the per-request trace feed.
 	OnRecord func(at time.Duration, host network.NodeID, outcome Outcome, latency time.Duration)
@@ -69,13 +69,15 @@ type Collector struct {
 	Audit AuditSink
 }
 
-// NewCollector creates a collector for numHosts hosts charging energy to
-// meter. onAllDone, if non-nil, fires when every host has completed its
-// request quota (the simulation's stop signal).
-func NewCollector(numHosts int, meter *network.Meter, onAllDone func()) *Collector {
+// NewCollector creates a collector for numHosts hosts in motion groups of
+// groupSize, charging energy to meter. onAllDone, if non-nil, fires when
+// every host has completed its request quota (the simulation's stop
+// signal).
+func NewCollector(numHosts, groupSize int, meter *network.Meter, onAllDone func()) *Collector {
 	return &Collector{
 		meter:     meter,
 		numHosts:  numHosts,
+		groupSize: groupSize,
 		onAllDone: onAllDone,
 	}
 }
@@ -167,10 +169,7 @@ func (c *Collector) Aux() AuxCounters { return c.aux }
 
 // recordProvider attributes a global hit to a provider group.
 func (c *Collector) recordProvider(requester, provider network.NodeID) {
-	if c.GroupOf == nil {
-		return
-	}
-	if c.GroupOf(requester) == c.GroupOf(provider) {
+	if int(requester)/c.groupSize == int(provider)/c.groupSize {
 		c.aux.SameGroupHits++
 	} else {
 		c.aux.OtherGroupHits++

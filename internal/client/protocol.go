@@ -143,6 +143,14 @@ func (h *Host) timeoutFired() {
 	}
 }
 
+// The timeout factors of Section III, fixed by Table II: the adaptive
+// search timeout is τ = τ̄ + ϕ′·σ_τ, and before τ has samples the search
+// and data timeouts scale the hop count's transmission time by ϕ.
+const (
+	initialTimeoutFactor = 2 // ϕ
+	timeoutStdDevFactor  = 3 // ϕ′
+)
+
 // searchTimeout returns τ: adaptive once enough samples exist, otherwise
 // the scaled default round-trip estimate of Section III.
 func (h *Host) searchTimeout() time.Duration {
@@ -150,20 +158,20 @@ func (h *Host) searchTimeout() time.Duration {
 		return h.cfg.FixedTimeout
 	}
 	if h.tau.Count() >= 5 {
-		t := time.Duration(h.tau.Mean() + h.cfg.TimeoutStdDevFactor*h.tau.StdDev())
+		t := time.Duration(h.tau.Mean() + timeoutStdDevFactor*h.tau.StdDev())
 		if t < time.Millisecond {
 			t = time.Millisecond
 		}
 		return t
 	}
 	rt := network.TxTime(network.RequestSize+network.ReplySize, h.cfg.P2PBandwidthKbps)
-	return time.Duration(float64(rt) * float64(h.cfg.HopDist) * h.cfg.InitialTimeoutFactor)
+	return time.Duration(float64(rt) * float64(h.cfg.HopDist) * initialTimeoutFactor)
 }
 
 // dataTimeout bounds the retrieve→data exchange.
 func (h *Host) dataTimeout() time.Duration {
 	tx := network.TxTime(network.RetrieveSize+network.HeaderSize+h.cfg.DataSize, h.cfg.P2PBandwidthKbps)
-	t := time.Duration(float64(tx) * float64(h.cfg.HopDist) * h.cfg.InitialTimeoutFactor)
+	t := time.Duration(float64(tx) * float64(h.cfg.HopDist) * initialTimeoutFactor)
 	if t < 10*time.Millisecond {
 		t = 10 * time.Millisecond
 	}

@@ -185,11 +185,13 @@ func TestSigDeltaAnnihilation(t *testing.T) {
 	}
 }
 
+// TestOwnSigRebuildOnSaturation fills a four-counter signature at the
+// fixed π_c width with 40 items: 80 increments against counters that hold
+// 15 must saturate them, and the host must rebuild the vector.
 func TestOwnSigRebuildOnSaturation(t *testing.T) {
 	h := newHarness(t, 1, true)
 	cfg := testClientConfig(SchemeGroCoca)
-	cfg.SigBits = 64 // tiny filter: collisions guaranteed
-	cfg.CacheCounterBits = 1
+	cfg.SigBits = 4
 	cfg.CacheSize = 64
 	a := h.addHost(0, 0, 0, cfg)
 	for i := 0; i < 40; i++ {
@@ -197,8 +199,14 @@ func TestOwnSigRebuildOnSaturation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Saturation must have occurred and been repaired: the signature must
-	// still cover every cached item (no false negatives).
+	// The first insertions set signature bits, and only Delta or Rebuild
+	// marks set bits announced. Delta never ran, so an empty delta shows
+	// that a saturation rebuilt the vector.
+	if ins, evi := a.ownSig.Delta(); ins != nil || evi != nil {
+		t.Fatalf("no rebuild after saturation: pending delta inserts %v, evicts %v", ins, evi)
+	}
+	// The rebuilt signature must still cover every cached item (no false
+	// negatives).
 	sig := a.ownSig.Signature()
 	for _, id := range a.Cache().Items() {
 		if !sig.Test(uint64(id)) {

@@ -47,8 +47,7 @@ func (h *Host) capToDeadline(p *pendingRequest, d time.Duration) time.Duration {
 // for the attempt, capped to the deadline. The jitter variate comes from
 // the host's dedicated resil-<id> RNG stream — one draw per backoff, and
 // only when jitter is configured, so the stream position is itself
-// deterministic. With factor 2 and no jitter this is base<<attempt
-// exactly.
+// deterministic. Without jitter this is base<<attempt exactly.
 func (h *Host) backoff(p *pendingRequest, base time.Duration, attempt int) time.Duration {
 	var u float64
 	if h.cfg.Resilience.Jitter > 0 {

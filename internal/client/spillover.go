@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/ndp"
 	"repro/internal/network"
 	"repro/internal/workload"
 )
@@ -26,6 +27,10 @@ type beaconInfo struct {
 	// HasSpace reports whether the host's cache has free slots.
 	HasSpace bool
 }
+
+// beaconStaleAfter is how long what a neighbor's beacon announced, its
+// spillover state or its hints, stays credible: three beacon periods.
+const beaconStaleAfter = 3 * ndp.Interval
 
 // neighborState is what a host remembers about a neighbor from its beacons.
 type neighborState struct {
@@ -84,17 +89,13 @@ func (h *Host) spillTarget() (network.NodeID, bool) {
 	if own <= 0 {
 		return 0, false
 	}
-	staleAfter := 3 * h.cfg.BeaconInterval
-	if staleAfter <= 0 {
-		staleAfter = 10 * time.Second
-	}
 	best := network.NodeID(-1)
 	bestActivity := own * h.cfg.SpilloverActivityRatio
 	bestSpace := false
 	// The table is indexed by ID, so a later neighbor must be strictly
 	// better to win.
 	for i, st := range h.neighborStates {
-		if !st.heard || now-st.heardAt > staleAfter {
+		if !st.heard || now-st.heardAt > beaconStaleAfter {
 			continue
 		}
 		if st.activityPerSec < bestActivity ||

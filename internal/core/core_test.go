@@ -37,11 +37,13 @@ func TestConfigValidation(t *testing.T) {
 		{"zero interarrival", func(c *Config) { c.MeanInterarrival = 0 }},
 		{"zero downlink", func(c *Config) { c.ServerDownlinkKbps = 0 }},
 		{"zero range", func(c *Config) { c.TranRange = 0 }},
-		{"bad ndp", func(c *Config) { c.BeaconInterval = 0 }},
 		{"negative update rate", func(c *Config) { c.DataUpdateRate = -1 }},
 		{"bad delta", func(c *Config) { c.DistanceThreshold = 0 }},
 		{"bad cache", func(c *Config) { c.CacheSize = 0 }},
 		{"unregistered scheme", func(c *Config) { c.Scheme = 99 }},
+		{"unknown delivery model", func(c *Config) { c.Delivery = 7 }},
+		{"unknown mobility model", func(c *Config) { c.Mobility = 5 }},
+		{"unknown group criteria", func(c *Config) { c.GroupCriteria = 9 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

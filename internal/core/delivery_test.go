@@ -70,10 +70,4 @@ func TestDeliveryValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("zero hot set accepted for hybrid")
 	}
-	cfg = smallConfig(SchemeSC)
-	cfg.Delivery = DeliveryPush
-	cfg.ListenPowerPerSec = -1
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative listen power accepted")
-	}
 }

@@ -15,6 +15,20 @@ import (
 	"repro/internal/workload"
 )
 
+// Table II's remaining single values, and the activity gap of the
+// low-activity hosts (see Config.LowActivityFraction). No figure varies
+// them.
+const (
+	// pause is the dwell time at each waypoint.
+	pause = time.Second
+	// updateEWMAWeight is α, the weight of the newest update interval in
+	// the MSS's per-item update-rate estimate.
+	updateEWMAWeight = 0.5
+	// lowActivityFactor multiplies a low-activity host's mean
+	// interarrival time and divides its request quotas.
+	lowActivityFactor = 10
+)
+
 // Simulation is one fully assembled system ready to run.
 type Simulation struct {
 	cfg       Config
@@ -41,7 +55,6 @@ func New(cfg Config) (*Simulation, error) {
 	medium, err := network.NewMedium(k, network.MediumConfig{
 		BandwidthKbps: cfg.P2PBandwidthKbps,
 		RangeM:        cfg.TranRange,
-		Power:         cfg.Power,
 		BruteForce:    cfg.BruteForceReachability,
 	}, meter)
 	if err != nil {
@@ -50,13 +63,12 @@ func New(cfg Config) (*Simulation, error) {
 	link, err := network.NewServerLink(k, network.ServerLinkConfig{
 		UplinkKbps:   cfg.ServerUplinkKbps,
 		DownlinkKbps: cfg.ServerDownlinkKbps,
-		Power:        cfg.Power,
 	}, meter)
 	if err != nil {
 		return nil, fmt.Errorf("core: server link: %w", err)
 	}
 
-	catalog, err := server.NewCatalog(k, cfg.NData, cfg.DataSize, cfg.UpdateEWMAWeight)
+	catalog, err := server.NewCatalog(k, cfg.NData, cfg.DataSize, updateEWMAWeight)
 	if err != nil {
 		return nil, fmt.Errorf("core: catalog: %w", err)
 	}
@@ -89,9 +101,7 @@ func New(cfg Config) (*Simulation, error) {
 		link:   link,
 		mss:    mss,
 	}
-	s.collector = client.NewCollector(cfg.NumClients, meter, k.Stop)
-	groupSize := cfg.GroupSize
-	s.collector.GroupOf = func(id network.NodeID) int { return int(id) / groupSize }
+	s.collector = client.NewCollector(cfg.NumClients, cfg.GroupSize, meter, k.Stop)
 
 	if err := s.buildHosts(root); err != nil {
 		return nil, err
@@ -118,11 +128,9 @@ func New(cfg Config) (*Simulation, error) {
 			reshuffle = 0
 		}
 		disk, err := push.NewDisk(k, push.Config{
-			BandwidthKbps:   cfg.BroadcastKbps,
-			HotItems:        hot,
-			ReshuffleEvery:  reshuffle,
-			ListenPerSecond: cfg.ListenPowerPerSec,
-			Power:           cfg.Power,
+			BandwidthKbps:  cfg.BroadcastKbps,
+			HotItems:       hot,
+			ReshuffleEvery: reshuffle,
 		}, catalog, meter)
 		if err != nil {
 			return nil, fmt.Errorf("core: broadcast disk: %w", err)
@@ -145,7 +153,7 @@ func (s *Simulation) buildHosts(root sim.Seed) error {
 		Space:    geoRect(cfg.SpaceWidth, cfg.SpaceHeight),
 		MinSpeed: cfg.MinSpeed,
 		MaxSpeed: cfg.MaxSpeed,
-		Pause:    cfg.Pause,
+		Pause:    pause,
 	}
 	numGroups := (cfg.NumClients + cfg.GroupSize - 1) / cfg.GroupSize
 	// Only the workload stream draws itself; the others only derive.
@@ -186,22 +194,22 @@ func (s *Simulation) buildHosts(root sim.Seed) error {
 		}
 		for m := 0; m < cfg.GroupSize && int(id) < cfg.NumClients; m++ {
 			interarrival := cfg.MeanInterarrival
-			hostCfg := cfg
+			warmup, measured := cfg.WarmupRequests, cfg.MeasuredRequests
 			if cfg.LowActivityFraction > 0 &&
 				hostSeed.Stream(fmt.Sprintf("activity-%d", id)).Bool(cfg.LowActivityFraction) {
-				interarrival = time.Duration(float64(interarrival) * cfg.LowActivityFactor)
+				interarrival = time.Duration(float64(interarrival) * lowActivityFactor)
 				// Low-activity hosts carry proportionally smaller request
 				// quotas so every host finishes around the same simulated
 				// time and the measured windows stay aligned.
-				hostCfg.WarmupRequests = scaleQuota(hostCfg.WarmupRequests, cfg.LowActivityFactor)
-				hostCfg.MeasuredRequests = scaleQuota(hostCfg.MeasuredRequests, cfg.LowActivityFactor)
+				warmup = scaleQuota(warmup)
+				measured = scaleQuota(measured)
 			}
 			gen, err := workload.NewGenerator(access, interarrival, wlRNG.Stream(fmt.Sprintf("gen-%d", id)))
 			if err != nil {
 				return fmt.Errorf("core: generator %d: %w", id, err)
 			}
 			host, err := client.NewHost(
-				s.kernel, id, hostCfg, group.NewMember(),
+				s.kernel, id, &s.cfg, warmup, measured, group.NewMember(),
 				s.medium, s.link, gen, s.collector,
 				hostSeed.Sub(fmt.Sprintf("host-%d", id)),
 			)
@@ -220,8 +228,8 @@ func (s *Simulation) buildHosts(root sim.Seed) error {
 
 // scaleQuota divides a request quota by the activity factor, keeping at
 // least a handful of requests so the host still participates.
-func scaleQuota(quota int, factor float64) int {
-	scaled := int(float64(quota) / factor)
+func scaleQuota(quota int) int {
+	scaled := int(float64(quota) / lowActivityFactor)
 	if scaled < 5 {
 		scaled = 5
 	}

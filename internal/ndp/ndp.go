@@ -1,7 +1,7 @@
 // Package ndp implements the neighbor discovery protocol COCA assumes: each
-// mobile host broadcasts a periodic hello beacon; a peer that has not been
-// heard from for a configurable number of beacon cycles is considered to
-// have suffered a link failure and is dropped from the neighbor table. A
+// mobile host broadcasts a hello beacon every Interval; a peer that has not
+// been heard from for MissedCycles beacon periods is considered to have
+// suffered a link failure and is dropped from the neighbor table. A
 // neighbor's first beacon is reported through the OnUp callback, which
 // GroCoca's signature exchange protocol uses to detect TCG members
 // appearing and reconnecting.
@@ -14,20 +14,23 @@
 package ndp
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/network"
 	"repro/internal/sim"
 )
 
-// Config parameterises one node's NDP instance.
-type Config struct {
+// The beacon schedule. No experiment varies it.
+const (
 	// Interval is the beacon period.
-	Interval time.Duration
+	Interval = time.Second
 	// MissedCycles is how many silent beacon periods constitute a link
 	// failure.
-	MissedCycles int
+	MissedCycles = 2
+)
+
+// Config holds one node's NDP callbacks.
+type Config struct {
 	// OnUp is invoked when a new neighbor is first heard. Optional.
 	OnUp func(network.NodeID)
 	// Beacon, when set, supplies "other useful information" carried by
@@ -61,13 +64,7 @@ type Protocol struct {
 }
 
 // New creates a stopped protocol instance for the given node.
-func New(k *sim.Kernel, medium *network.Medium, id network.NodeID, cfg Config) (*Protocol, error) {
-	if cfg.Interval <= 0 {
-		return nil, fmt.Errorf("ndp: interval %v must be positive", cfg.Interval)
-	}
-	if cfg.MissedCycles < 1 {
-		return nil, fmt.Errorf("ndp: missed cycles %d must be at least 1", cfg.MissedCycles)
-	}
+func New(k *sim.Kernel, medium *network.Medium, id network.NodeID, cfg Config) *Protocol {
 	p := &Protocol{
 		k:      k,
 		medium: medium,
@@ -75,7 +72,7 @@ func New(k *sim.Kernel, medium *network.Medium, id network.NodeID, cfg Config) (
 		cfg:    cfg,
 	}
 	p.loopFn = p.loop
-	return p, nil
+	return p
 }
 
 // Start begins beaconing and neighbor expiry. Starting a running protocol
@@ -121,12 +118,12 @@ func (p *Protocol) loop() {
 	}
 	p.medium.Broadcast(msg)
 	p.expire()
-	p.tick = p.k.Schedule(p.cfg.Interval, p.loopFn)
+	p.tick = p.k.Schedule(Interval, p.loopFn)
 }
 
 // expire drops neighbors that have been silent too long.
 func (p *Protocol) expire() {
-	deadline := time.Duration(p.cfg.MissedCycles) * p.cfg.Interval
+	deadline := MissedCycles * Interval
 	now := p.k.Now()
 	for i := 0; i < len(p.known); {
 		id := p.known[i]

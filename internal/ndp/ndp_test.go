@@ -34,7 +34,6 @@ func setup(t *testing.T) (*sim.Kernel, *network.Medium) {
 	m, err := network.NewMedium(k, network.MediumConfig{
 		BandwidthKbps: 2000,
 		RangeM:        100,
-		Power:         network.DefaultPowerModel(),
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -45,33 +44,19 @@ func setup(t *testing.T) (*sim.Kernel, *network.Medium) {
 func newHost(t *testing.T, k *sim.Kernel, m *network.Medium, id network.NodeID, x float64, cfg Config) *host {
 	t.Helper()
 	h := &host{id: id, pos: geo.Point{X: x}}
-	p, err := New(k, m, id, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.proto = p
+	h.proto = New(k, m, id, cfg)
 	if err := m.Register(h); err != nil {
 		t.Fatal(err)
 	}
 	return h
 }
 
-func TestNewValidation(t *testing.T) {
-	k, m := setup(t)
-	if _, err := New(k, m, 1, Config{Interval: 0, MissedCycles: 2}); err == nil {
-		t.Error("zero interval accepted")
-	}
-	if _, err := New(k, m, 1, Config{Interval: time.Second, MissedCycles: 0}); err == nil {
-		t.Error("zero missed cycles accepted")
-	}
-}
-
 func TestNeighborsDiscoverEachOther(t *testing.T) {
 	k, m := setup(t)
 	var ups []network.NodeID
-	cfgA := Config{Interval: time.Second, MissedCycles: 2, OnUp: func(id network.NodeID) { ups = append(ups, id) }}
+	cfgA := Config{OnUp: func(id network.NodeID) { ups = append(ups, id) }}
 	a := newHost(t, k, m, 1, 0, cfgA)
-	b := newHost(t, k, m, 2, 50, Config{Interval: time.Second, MissedCycles: 2})
+	b := newHost(t, k, m, 2, 50, Config{})
 	a.proto.Start()
 	b.proto.Start()
 	if err := k.Run(5 * time.Second); err != nil {
@@ -87,8 +72,8 @@ func TestNeighborsDiscoverEachOther(t *testing.T) {
 
 func TestOutOfRangeNotDiscovered(t *testing.T) {
 	k, m := setup(t)
-	a := newHost(t, k, m, 1, 0, Config{Interval: time.Second, MissedCycles: 2})
-	b := newHost(t, k, m, 2, 500, Config{Interval: time.Second, MissedCycles: 2})
+	a := newHost(t, k, m, 1, 0, Config{})
+	b := newHost(t, k, m, 2, 500, Config{})
 	a.proto.Start()
 	b.proto.Start()
 	if err := k.Run(5 * time.Second); err != nil {
@@ -101,8 +86,8 @@ func TestOutOfRangeNotDiscovered(t *testing.T) {
 
 func TestLinkFailureDetection(t *testing.T) {
 	k, m := setup(t)
-	a := newHost(t, k, m, 1, 0, Config{Interval: time.Second, MissedCycles: 2})
-	b := newHost(t, k, m, 2, 50, Config{Interval: time.Second, MissedCycles: 2})
+	a := newHost(t, k, m, 1, 0, Config{})
+	b := newHost(t, k, m, 2, 50, Config{})
 	a.proto.Start()
 	b.proto.Start()
 	if err := k.Run(3 * time.Second); err != nil {
@@ -125,12 +110,8 @@ func TestLinkFailureDetection(t *testing.T) {
 func TestReconnectRediscovers(t *testing.T) {
 	k, m := setup(t)
 	var ups int
-	a := newHost(t, k, m, 1, 0, Config{
-		Interval:     time.Second,
-		MissedCycles: 2,
-		OnUp:         func(network.NodeID) { ups++ },
-	})
-	b := newHost(t, k, m, 2, 50, Config{Interval: time.Second, MissedCycles: 2})
+	a := newHost(t, k, m, 1, 0, Config{OnUp: func(network.NodeID) { ups++ }})
+	b := newHost(t, k, m, 2, 50, Config{})
 	a.proto.Start()
 	b.proto.Start()
 	if err := k.Run(3 * time.Second); err != nil {
@@ -156,9 +137,9 @@ func TestReconnectRediscovers(t *testing.T) {
 
 func TestStopClearsNeighbors(t *testing.T) {
 	k, m := setup(t)
-	a := newHost(t, k, m, 1, 0, Config{Interval: time.Second, MissedCycles: 3})
-	newHost(t, k, m, 2, 30, Config{Interval: time.Second, MissedCycles: 3}).proto.Start()
-	newHost(t, k, m, 3, 60, Config{Interval: time.Second, MissedCycles: 3}).proto.Start()
+	a := newHost(t, k, m, 1, 0, Config{})
+	newHost(t, k, m, 2, 30, Config{}).proto.Start()
+	newHost(t, k, m, 3, 60, Config{}).proto.Start()
 	a.proto.Start()
 	if err := k.Run(3 * time.Second); err != nil {
 		t.Fatal(err)
@@ -182,7 +163,7 @@ func TestStopClearsNeighbors(t *testing.T) {
 
 func TestStartIdempotent(t *testing.T) {
 	k, m := setup(t)
-	a := newHost(t, k, m, 1, 0, Config{Interval: time.Second, MissedCycles: 2})
+	a := newHost(t, k, m, 1, 0, Config{})
 	a.proto.Start()
 	a.proto.Start() // second Start is a no-op
 	if err := k.Run(5 * time.Second); err != nil {
@@ -197,8 +178,8 @@ func TestStartIdempotent(t *testing.T) {
 }
 
 // TestNeighborTable drives one protocol's neighbor table directly: the
-// protocol beacons every second and drops a neighbor silent for more
-// than two cycles.
+// protocol beacons every Interval (one second) and drops a neighbor silent
+// for more than MissedCycles (two) periods.
 func TestNeighborTable(t *testing.T) {
 	const ms = time.Millisecond
 	type step struct {
@@ -232,10 +213,7 @@ func TestNeighborTable(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			k, m := setup(t)
 			var ups []network.NodeID
-			p, err := New(k, m, 1, Config{Interval: time.Second, MissedCycles: 2, OnUp: func(id network.NodeID) { ups = append(ups, id) }})
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := New(k, m, 1, Config{OnUp: func(id network.NodeID) { ups = append(ups, id) }})
 			p.Start()
 			for _, s := range tt.steps {
 				k.At(s.at, func() {
@@ -271,10 +249,7 @@ func TestNeighborTable(t *testing.T) {
 // allocations once the table has grown to the largest ID heard.
 func TestHandleBeaconSteadyStateAllocs(t *testing.T) {
 	k, m := setup(t)
-	p, err := New(k, m, 1, Config{Interval: time.Second, MissedCycles: 2, OnUp: func(network.NodeID) {}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(k, m, 1, Config{OnUp: func(network.NodeID) {}})
 	p.Start()
 	round := func() {
 		for id := network.NodeID(0); id < 50; id++ {

@@ -34,7 +34,6 @@ func benchMedium(b *testing.B, n int, brute bool) *Medium {
 	m, err := NewMedium(k, MediumConfig{
 		BandwidthKbps: 800,
 		RangeM:        100,
-		Power:         DefaultPowerModel(),
 		BruteForce:    brute,
 	}, nil)
 	if err != nil {
@@ -53,28 +52,6 @@ func benchMedium(b *testing.B, n int, brute bool) *Medium {
 		}
 	}
 	return m
-}
-
-// BenchmarkNeighbors measures one reachability query per op at fixed host
-// density. The grid variant is the production path; brute is the pairwise
-// scan it replaced. The PR-7 acceptance bar is grid ≥ 10x brute at N=10000.
-func BenchmarkNeighbors(b *testing.B) {
-	for _, n := range []int{100, 1000, 10000} {
-		for _, mode := range []struct {
-			name  string
-			brute bool
-		}{{"grid", false}, {"brute", true}} {
-			b.Run(fmt.Sprintf("%s/N=%d", mode.name, n), func(b *testing.B) {
-				m := benchMedium(b, n, mode.brute)
-				m.Neighbors(NodeID(n / 2)) // warm scratch + grid
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m.Neighbors(NodeID(i % n))
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkBroadcast measures one full beacon round per op: every host
@@ -132,7 +109,7 @@ func BenchmarkBeaconRound(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("RPGM/N=%d", n), func(b *testing.B) {
 			k := sim.NewKernel()
-			m, err := NewMedium(k, MediumConfig{BandwidthKbps: 800, RangeM: 100, Power: DefaultPowerModel()}, nil)
+			m, err := NewMedium(k, MediumConfig{BandwidthKbps: 800, RangeM: 100}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -175,7 +152,7 @@ func BenchmarkBeaconRound(b *testing.B) {
 // events/sec figure is the medium-throughput entry of BENCH_seed.json.
 func BenchmarkMediumTransmit(b *testing.B) {
 	k := sim.NewKernel()
-	m, err := NewMedium(k, MediumConfig{BandwidthKbps: 800, RangeM: 100, Power: DefaultPowerModel()}, nil)
+	m, err := NewMedium(k, MediumConfig{BandwidthKbps: 800, RangeM: 100}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -45,7 +45,6 @@ func memberWorld(t *testing.T, k *sim.Kernel, brute bool, groups, perGroup int, 
 	m, err := NewMedium(k, MediumConfig{
 		BandwidthKbps: 2000,
 		RangeM:        100,
-		Power:         DefaultPowerModel(),
 		BruteForce:    brute,
 	}, NewMeter())
 	if err != nil {
@@ -84,7 +83,7 @@ func memberWorld(t *testing.T, k *sim.Kernel, brute bool, groups, perGroup int, 
 
 // TestPositionCallOrderGridMatchesBrute guards the Position-call-order
 // contract (DESIGN.md "Spatial index", rule 2) with peers whose Motion
-// draws randomness: identical Broadcast, Send and Neighbors traffic with
+// draws randomness: identical Broadcast and Send traffic with
 // connectivity flips must make the grid-indexed medium issue the calls that
 // can draw in exactly the brute-force scan's order, leaving every member at
 // the same final position. The lazy sync samples far fewer hosts than the
@@ -116,9 +115,16 @@ func TestPositionCallOrderGridMatchesBrute(t *testing.T) {
 			gm.Send(Message{Kind: KindData, From: src, To: dst, Size: 500})
 			bm.Send(Message{Kind: KindData, From: src, To: dst, Size: 500})
 		case 3:
-			got, want := gm.Neighbors(src), bm.Neighbors(src)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("t=%v Neighbors(%d): grid %v, brute %v", k.Now(), src, got, want)
+			// A broadcast whose receivers are compared as soon as it
+			// completes.
+			gm.Broadcast(Message{Kind: KindBeacon, From: src, Size: BeaconSize})
+			bm.Broadcast(Message{Kind: KindBeacon, From: src, Size: BeaconSize})
+			for k.Step() {
+			}
+			for i := range gp {
+				if got, want := len(gp[i].inbox), len(bp[i].inbox); got != want {
+					t.Fatalf("t=%v broadcast from %d: host %d inbox grid %d msgs, brute %d", k.Now(), src, gp[i].id, got, want)
+				}
 			}
 		case 4:
 			// A burst: sends and broadcasts of one size from distinct

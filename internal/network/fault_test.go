@@ -379,7 +379,7 @@ func TestMediumFaultDrops(t *testing.T) {
 	}
 	// The corrupted frames were still heard: the destination paid receive
 	// energy for both the unicast and the broadcast.
-	pm := DefaultPowerModel()
+	pm := Power
 	want := pm.Recv.Energy(100) + pm.BRecv.Energy(100)
 	if got := meter.Node(2); got != want {
 		t.Errorf("receiver energy = %v, want %v", got, want)
@@ -389,7 +389,7 @@ func TestMediumFaultDrops(t *testing.T) {
 func TestServerLinkFaultAndOutageDrops(t *testing.T) {
 	k := sim.NewKernel()
 	link, err := NewServerLink(k, ServerLinkConfig{
-		UplinkKbps: 200, DownlinkKbps: 2000, Power: DefaultPowerModel(),
+		UplinkKbps: 200, DownlinkKbps: 2000,
 	}, NewMeter())
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,6 @@ func twinMediums(t *testing.T, k *sim.Kernel, n int, seed int64) (*Medium, *Medi
 		m, err := NewMedium(k, MediumConfig{
 			BandwidthKbps: 2000,
 			RangeM:        100,
-			Power:         DefaultPowerModel(),
 			BruteForce:    brute,
 		}, NewMeter())
 		if err != nil {
@@ -63,44 +62,6 @@ func twinMediums(t *testing.T, k *sim.Kernel, n int, seed int64) (*Medium, *Medi
 func flip(gm, bm *Medium, id NodeID) {
 	gm.SetConnected(id, !gm.Connected(id))
 	bm.SetConnected(id, !bm.Connected(id))
-}
-
-// TestNeighborsGridMatchesBrute compares the indexed and pairwise Neighbors
-// across moving peers, advancing time and flipping connectivity between
-// checks.
-func TestNeighborsGridMatchesBrute(t *testing.T) {
-	k := sim.NewKernel()
-	const n = 40
-	gm, bm, _, _ := twinMediums(t, k, n, 23)
-	rng := sim.NewRNG(29).Stream("churn")
-
-	check := func() {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			id := NodeID(i + 1)
-			got := append([]NodeID(nil), gm.Neighbors(id)...)
-			want := append([]NodeID(nil), bm.Neighbors(id)...)
-			if len(got) != len(want) {
-				t.Fatalf("t=%v Neighbors(%d): grid %v, brute %v", k.Now(), id, got, want)
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("t=%v Neighbors(%d): grid %v, brute %v", k.Now(), id, got, want)
-				}
-			}
-		}
-	}
-
-	check()
-	for step := 0; step < 30; step++ {
-		k.Schedule(time.Duration(step+1)*time.Second, func() {})
-		if err := k.Run(time.Duration(step+1) * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		// Flip one peer's connectivity in both worlds.
-		flip(gm, bm, NodeID(rng.Intn(n)+1))
-		check()
-	}
 }
 
 // TestTrafficGridMatchesBrute runs identical Broadcast/Send traffic through
@@ -231,7 +192,6 @@ func adversarialWorld(t *testing.T, k *sim.Kernel, brute bool) (*Medium, []*movi
 	m, err := NewMedium(k, MediumConfig{
 		BandwidthKbps: 2000,
 		RangeM:        100,
-		Power:         DefaultPowerModel(),
 		BruteForce:    brute,
 	}, NewMeter())
 	if err != nil {
@@ -298,27 +258,4 @@ func adversarialWorld(t *testing.T, k *sim.Kernel, brute bool) (*Medium, []*movi
 		{end: 12 * time.Second, from: geo.Point{X: 0, Y: 0}, v: geo.Point{X: 15, Y: 15}},
 		{end: math.MaxInt64, from: geo.Point{X: 90, Y: 90}, v: geo.Point{X: -30}}}})
 	return m, peers
-}
-
-// TestNeighborsSteadyStateAllocs pins the indexed Neighbors hot path at zero
-// allocations once its scratch buffers have grown to steady state.
-func TestNeighborsSteadyStateAllocs(t *testing.T) {
-	k := sim.NewKernel()
-	m, _ := newTestMedium(t, k)
-	const n = 50
-	for i := 0; i < n; i++ {
-		addPeer(t, m, NodeID(i+1), float64((i%10)*30), float64((i/10)*30))
-	}
-	// Warm up: fill the grid and grow all scratch buffers.
-	for i := 0; i < n; i++ {
-		m.Neighbors(NodeID(i + 1))
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		if m.Neighbors(7) == nil {
-			t.Fatal("expected neighbors")
-		}
-	})
-	if avg != 0 {
-		t.Errorf("Neighbors allocates %.1f per call in steady state, want 0", avg)
-	}
 }

@@ -47,7 +47,6 @@ type Medium struct {
 	k      *sim.Kernel
 	bwKbps float64
 	rangeM float64
-	power  PowerModel
 	meter  *Meter
 	faults *FaultPlan
 
@@ -85,9 +84,8 @@ type Medium struct {
 	minWake time.Duration
 	// Scratch buffers, reused across completions to keep the hot path
 	// allocation-free.
-	candSrc   []geo.GridID
-	candDst   []geo.GridID
-	neighbors []NodeID
+	candSrc []geo.GridID
+	candDst []geo.GridID
 
 	// stats
 	sent, delivered uint64
@@ -134,8 +132,6 @@ type MediumConfig struct {
 	BandwidthKbps float64
 	// RangeM is TranRange in metres.
 	RangeM float64
-	// Power is the Table I model.
-	Power PowerModel
 	// BruteForce disables the spatial index and restores the pairwise
 	// O(N) reachability scans. The two modes produce byte-identical
 	// results (enforced by the index-equivalence tests); the flag exists
@@ -163,7 +159,6 @@ func NewMedium(k *sim.Kernel, cfg MediumConfig, meter *Meter) (*Medium, error) {
 		k:       k,
 		bwKbps:  cfg.BandwidthKbps,
 		rangeM:  cfg.RangeM,
-		power:   cfg.Power,
 		meter:   meter,
 		brute:   cfg.BruteForce,
 		grid:    grid,
@@ -300,7 +295,7 @@ func (m *Medium) sample(i int, now time.Duration) {
 // first completion's sync, and sampling it first cannot draw, since any
 // host that could was sampled by that sync.
 //
-//hot:runs before every transmission completion and neighbor query
+//hot:runs before every transmission completion
 func (m *Medium) sync(now time.Duration, srcIdx, dstIdx int) bool {
 	if dstIdx >= 0 && !m.connected[dstIdx] {
 		dstIdx = -1
@@ -362,7 +357,7 @@ func (m *Medium) candidates(dst []geo.GridID, i int) []geo.GridID {
 // it never draws randomness: sync already sampled every host whose Motion
 // could draw at now.
 //
-//hot:per-candidate reachability decision of every completion and neighbor query
+//hot:per-candidate reachability decision of every completion
 func (m *Medium) reaches(p geo.Point, j int, now time.Duration) bool {
 	g := m.grid.Pos(geo.GridID(j))
 	if at := m.sampledAt[j]; at != now {
@@ -387,45 +382,6 @@ func (m *Medium) reaches(p geo.Point, j int, now time.Duration) bool {
 // p at now.
 func (m *Medium) hears(p geo.Point, j int, now time.Duration) bool {
 	return m.connected[j] && m.reaches(p, j, now)
-}
-
-// Neighbors returns the IDs of connected peers currently within range of
-// id, in registration order. The node itself is excluded; a disconnected or
-// unknown node has no neighbors. The returned slice is a scratch buffer
-// owned by the medium, valid until the next Neighbors call.
-//
-//hot:per-beacon-round reachability; 0 allocs/op pinned by TestNeighborsSteadyStateAllocs
-func (m *Medium) Neighbors(id NodeID) []NodeID {
-	selfIdx := m.slot(id)
-	if selfIdx < 0 || !m.connected[selfIdx] {
-		return nil
-	}
-	now := m.k.Now()
-	m.neighbors = m.neighbors[:0]
-	if m.brute {
-		for i, on := range m.connected {
-			if i != selfIdx && on && m.inRange(selfIdx, i, now) {
-				m.neighbors = append(m.neighbors, m.ids[i])
-			}
-		}
-	} else {
-		if !m.sync(now, selfIdx, -1) {
-			// No other connected peer exists; brute force would have found
-			// nothing either.
-			return nil
-		}
-		self := m.grid.Pos(geo.GridID(selfIdx))
-		m.candSrc = m.candidates(m.candSrc, selfIdx)
-		for _, ci := range m.candSrc {
-			if int(ci) != selfIdx && m.hears(self, int(ci), now) {
-				m.neighbors = append(m.neighbors, m.ids[ci])
-			}
-		}
-	}
-	if len(m.neighbors) == 0 {
-		return nil
-	}
-	return m.neighbors
 }
 
 // Broadcast transmits msg from its From node to every connected peer in
@@ -462,7 +418,7 @@ func (m *Medium) complete(f frame) {
 // range of its sender.
 func (m *Medium) broadcastDone(srcIdx int, msg Message) {
 	now := m.k.Now()
-	m.meter.Charge(msg.From, EnergyBroadcastSend, m.power.BSend.Energy(msg.Size))
+	m.meter.Charge(msg.From, EnergyBroadcastSend, Power.BSend.Energy(msg.Size))
 	if m.brute {
 		m.broadcastBrute(srcIdx, msg, now)
 		return
@@ -493,7 +449,7 @@ func (m *Medium) broadcastBrute(srcIdx int, msg Message, now time.Duration) {
 // whether or not the fault plan corrupts it. Per-receiver draws run in
 // registration order, keeping replays exact.
 func (m *Medium) deliverBroadcast(i int, msg Message, now time.Duration) {
-	m.meter.Charge(m.ids[i], EnergyBroadcastRecv, m.power.BRecv.Energy(msg.Size))
+	m.meter.Charge(m.ids[i], EnergyBroadcastRecv, Power.BRecv.Energy(msg.Size))
 	if m.faults != nil && m.faults.DropP2P(msg.Size, now) {
 		m.drops.Fault++
 		return
@@ -522,7 +478,7 @@ func (m *Medium) Send(msg Message) {
 // Table I discard costs.
 func (m *Medium) sendDone(srcIdx, dstIdx int, msg Message) {
 	now := m.k.Now()
-	m.meter.Charge(msg.From, EnergyP2PSend, m.power.Send.Energy(msg.Size))
+	m.meter.Charge(msg.From, EnergyP2PSend, Power.Send.Energy(msg.Size))
 	if m.brute {
 		m.sendBrute(srcIdx, dstIdx, msg, now)
 		return
@@ -534,7 +490,7 @@ func (m *Medium) sendDone(srcIdx, dstIdx int, msg Message) {
 	if reachable {
 		// The destination receives (and pays for) the frame even
 		// when the fault plan corrupts it in transit.
-		m.meter.Charge(msg.To, EnergyP2PRecv, m.power.Recv.Energy(msg.Size))
+		m.meter.Charge(msg.To, EnergyP2PRecv, Power.Recv.Energy(msg.Size))
 		if m.faults != nil && m.faults.DropP2P(msg.Size, now) {
 			faulted = true
 			m.drops.Fault++
@@ -577,11 +533,11 @@ func (m *Medium) sendDone(srcIdx, dstIdx int, msg Message) {
 		oid := m.ids[ci]
 		switch {
 		case ns && nd:
-			m.meter.Charge(oid, EnergyP2PDiscard, m.power.DiscardBoth.Energy(msg.Size))
+			m.meter.Charge(oid, EnergyP2PDiscard, Power.DiscardBoth.Energy(msg.Size))
 		case ns:
-			m.meter.Charge(oid, EnergyP2PDiscard, m.power.DiscardSrc.Energy(msg.Size))
+			m.meter.Charge(oid, EnergyP2PDiscard, Power.DiscardSrc.Energy(msg.Size))
 		case nd:
-			m.meter.Charge(oid, EnergyP2PDiscard, m.power.DiscardDst.Energy(msg.Size))
+			m.meter.Charge(oid, EnergyP2PDiscard, Power.DiscardDst.Energy(msg.Size))
 		}
 	}
 	if reachable && !faulted {
@@ -595,7 +551,7 @@ func (m *Medium) sendBrute(srcIdx, dstIdx int, msg Message, now time.Duration) {
 	reachable := m.connected[dstIdx] && m.inRange(srcIdx, dstIdx, now)
 	faulted := false
 	if reachable {
-		m.meter.Charge(msg.To, EnergyP2PRecv, m.power.Recv.Energy(msg.Size))
+		m.meter.Charge(msg.To, EnergyP2PRecv, Power.Recv.Energy(msg.Size))
 		if m.faults != nil && m.faults.DropP2P(msg.Size, now) {
 			faulted = true
 			m.drops.Fault++
@@ -612,11 +568,11 @@ func (m *Medium) sendBrute(srcIdx, dstIdx int, msg Message, now time.Duration) {
 		nearDst := reachable && m.inRange(dstIdx, i, now)
 		switch {
 		case nearSrc && nearDst:
-			m.meter.Charge(oid, EnergyP2PDiscard, m.power.DiscardBoth.Energy(msg.Size))
+			m.meter.Charge(oid, EnergyP2PDiscard, Power.DiscardBoth.Energy(msg.Size))
 		case nearSrc:
-			m.meter.Charge(oid, EnergyP2PDiscard, m.power.DiscardSrc.Energy(msg.Size))
+			m.meter.Charge(oid, EnergyP2PDiscard, Power.DiscardSrc.Energy(msg.Size))
 		case nearDst:
-			m.meter.Charge(oid, EnergyP2PDiscard, m.power.DiscardDst.Energy(msg.Size))
+			m.meter.Charge(oid, EnergyP2PDiscard, Power.DiscardDst.Energy(msg.Size))
 		}
 	}
 	if reachable && !faulted {

@@ -31,7 +31,6 @@ func newTestMedium(t *testing.T, k *sim.Kernel) (*Medium, *Meter) {
 	m, err := NewMedium(k, MediumConfig{
 		BandwidthKbps: 2000,
 		RangeM:        100,
-		Power:         DefaultPowerModel(),
 	}, meter)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +127,7 @@ func TestBroadcastPowerAccounting(t *testing.T) {
 	if err := k.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	pm := DefaultPowerModel()
+	pm := Power
 	if got, want := meter.Node(1), pm.BSend.Energy(size); math.Abs(got-want) > 1e-9 {
 		t.Errorf("sender energy = %v, want %v", got, want)
 	}
@@ -162,7 +161,7 @@ func TestSendDeliversAndChargesBystanders(t *testing.T) {
 	if len(dst.inbox) != 1 {
 		t.Fatalf("destination got %d messages", len(dst.inbox))
 	}
-	pm := DefaultPowerModel()
+	pm := Power
 	checks := []struct {
 		id   NodeID
 		want float64
@@ -253,24 +252,44 @@ func TestNICQueueingSerialisesTransmissions(t *testing.T) {
 	}
 }
 
+// TestNeighbors checks who hears a broadcast: the connected peers in range
+// of the sender, never the sender itself, and nobody when the medium does
+// not know the sender.
 func TestNeighbors(t *testing.T) {
 	k := sim.NewKernel()
 	m, _ := newTestMedium(t, k)
-	addPeer(t, m, 1, 0, 0)
-	addPeer(t, m, 2, 50, 0)
-	p3 := addPeer(t, m, 3, 99, 0)
-	addPeer(t, m, 4, 101, 0)
-	got := m.Neighbors(1)
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Errorf("Neighbors(1) = %v, want [2 3]", got)
+	peers := []*testPeer{
+		addPeer(t, m, 1, 0, 0),
+		addPeer(t, m, 2, 50, 0),
+		addPeer(t, m, 3, 99, 0),
+		addPeer(t, m, 4, 101, 0),
 	}
-	m.SetConnected(p3.id, false)
-	got = m.Neighbors(1)
-	if len(got) != 1 || got[0] != 2 {
-		t.Errorf("Neighbors(1) after disconnect = %v, want [2]", got)
+	hearers := func(from NodeID) []NodeID {
+		t.Helper()
+		before := make([]int, len(peers))
+		for i, p := range peers {
+			before[i] = len(p.inbox)
+		}
+		m.Broadcast(Message{Kind: KindBeacon, From: from, Size: BeaconSize})
+		for k.Step() {
+		}
+		var got []NodeID
+		for i, p := range peers {
+			if len(p.inbox) > before[i] {
+				got = append(got, p.id)
+			}
+		}
+		return got
 	}
-	if m.Neighbors(99) != nil {
-		t.Error("Neighbors of unknown node non-nil")
+	if got := hearers(1); !slices.Equal(got, []NodeID{2, 3}) {
+		t.Errorf("broadcast from 1 heard by %v, want [2 3]", got)
+	}
+	m.SetConnected(3, false)
+	if got := hearers(1); !slices.Equal(got, []NodeID{2}) {
+		t.Errorf("broadcast from 1 after disconnect heard by %v, want [2]", got)
+	}
+	if got := hearers(99); got != nil {
+		t.Errorf("broadcast from an unknown node heard by %v", got)
 	}
 }
 
@@ -280,7 +299,6 @@ func TestServerLinkRoundTrip(t *testing.T) {
 	link, err := NewServerLink(k, ServerLinkConfig{
 		UplinkKbps:   200,
 		DownlinkKbps: 2000,
-		Power:        DefaultPowerModel(),
 	}, meter)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +347,6 @@ func TestServerLinkDownlinkQueueing(t *testing.T) {
 	link, err := NewServerLink(k, ServerLinkConfig{
 		UplinkKbps:   200,
 		DownlinkKbps: 2000, // 4 ms per 1000-byte reply
-		Power:        DefaultPowerModel(),
 	}, NewMeter())
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +374,7 @@ func TestServerLinkDeliverRejection(t *testing.T) {
 	k := sim.NewKernel()
 	meter := NewMeter()
 	link, err := NewServerLink(k, ServerLinkConfig{
-		UplinkKbps: 200, DownlinkKbps: 2000, Power: DefaultPowerModel(),
+		UplinkKbps: 200, DownlinkKbps: 2000,
 	}, meter)
 	if err != nil {
 		t.Fatal(err)
@@ -455,7 +472,7 @@ func TestMeterBreakdownAndCategoryNames(t *testing.T) {
 func TestServerLinkTxTimes(t *testing.T) {
 	k := sim.NewKernel()
 	link, err := NewServerLink(k, ServerLinkConfig{
-		UplinkKbps: 200, DownlinkKbps: 2000, Power: DefaultPowerModel(),
+		UplinkKbps: 200, DownlinkKbps: 2000,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -524,7 +541,7 @@ func TestTransmitSteadyStateAllocs(t *testing.T) {
 // and the meter have grown.
 func TestServerLinkSteadyStateAllocs(t *testing.T) {
 	k := sim.NewKernel()
-	link, err := NewServerLink(k, ServerLinkConfig{UplinkKbps: 200, DownlinkKbps: 2000, Power: DefaultPowerModel()}, nil)
+	link, err := NewServerLink(k, ServerLinkConfig{UplinkKbps: 200, DownlinkKbps: 2000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

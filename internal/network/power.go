@@ -34,21 +34,20 @@ type PowerModel struct {
 	ServerRecv LinearCost
 }
 
-// DefaultPowerModel returns the Feeney–Nilsson linear coefficients the
-// paper's Table I is based on (in-range discard rows approximate the
-// partially illegible source table; see DESIGN.md).
-func DefaultPowerModel() PowerModel {
-	return PowerModel{
-		Send:        LinearCost{V: 1.9, F: 454},
-		Recv:        LinearCost{V: 0.5, F: 356},
-		DiscardBoth: LinearCost{V: 0.07, F: 70},
-		DiscardSrc:  LinearCost{V: 0.02, F: 24},
-		DiscardDst:  LinearCost{V: 0.05, F: 56},
-		BSend:       LinearCost{V: 1.9, F: 266},
-		BRecv:       LinearCost{V: 0.5, F: 56},
-		ServerSend:  LinearCost{V: 1.9, F: 454},
-		ServerRecv:  LinearCost{V: 0.5, F: 356},
-	}
+// Power is the paper's Table I: the Feeney–Nilsson linear coefficients
+// (in-range discard rows approximate the partially illegible source table;
+// see DESIGN.md). No figure varies it, so every medium, server link and
+// broadcast disk charges from this one read-only table.
+var Power = PowerModel{
+	Send:        LinearCost{V: 1.9, F: 454},
+	Recv:        LinearCost{V: 0.5, F: 356},
+	DiscardBoth: LinearCost{V: 0.07, F: 70},
+	DiscardSrc:  LinearCost{V: 0.02, F: 24},
+	DiscardDst:  LinearCost{V: 0.05, F: 56},
+	BSend:       LinearCost{V: 1.9, F: 266},
+	BRecv:       LinearCost{V: 0.5, F: 56},
+	ServerSend:  LinearCost{V: 1.9, F: 454},
+	ServerRecv:  LinearCost{V: 0.5, F: 356},
 }
 
 // EnergyCategory labels what a node spent energy on, for the per-GCH power

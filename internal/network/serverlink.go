@@ -18,7 +18,6 @@ type ServerLink struct {
 	downlink *sim.Channel[Message]
 	upKbps   float64
 	downKbps float64
-	power    PowerModel
 	meter    *Meter
 	// handler receives uplink messages at the MSS.
 	handler func(msg Message)
@@ -57,7 +56,6 @@ func (d LinkDrops) Total() uint64 {
 type ServerLinkConfig struct {
 	UplinkKbps   float64
 	DownlinkKbps float64
-	Power        PowerModel
 }
 
 // NewServerLink creates the channel pair.
@@ -72,7 +70,6 @@ func NewServerLink(k *sim.Kernel, cfg ServerLinkConfig, meter *Meter) (*ServerLi
 		k:        k,
 		upKbps:   cfg.UplinkKbps,
 		downKbps: cfg.DownlinkKbps,
-		power:    cfg.Power,
 		meter:    meter,
 	}
 	l.uplink = sim.NewChannel(k, l.upDone)
@@ -93,7 +90,7 @@ func (l *ServerLink) SetDeliver(d func(to NodeID, msg Message) bool) { l.deliver
 // energy.
 func (l *ServerLink) SendUp(msg Message) {
 	l.upCount++
-	l.meter.Charge(msg.From, EnergyServerSend, l.power.ServerSend.Energy(msg.Size))
+	l.meter.Charge(msg.From, EnergyServerSend, Power.ServerSend.Energy(msg.Size))
 	l.uplink.Send(msg, TxTime(msg.Size, l.upKbps))
 }
 
@@ -142,7 +139,7 @@ func (l *ServerLink) downDone(msg Message) {
 		return
 	}
 	if l.deliver(msg.To, msg) {
-		l.meter.Charge(msg.To, EnergyServerRecv, l.power.ServerRecv.Energy(msg.Size))
+		l.meter.Charge(msg.To, EnergyServerRecv, Power.ServerRecv.Energy(msg.Size))
 	} else {
 		l.drops.DownlinkDisconnected++
 	}

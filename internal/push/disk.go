@@ -50,12 +50,12 @@ type Config struct {
 	// ReshuffleEvery re-selects the hot set from accumulated demand; zero
 	// disables reshuffling (static schedule over the first HotItems items).
 	ReshuffleEvery time.Duration
-	// ListenPerSecond is the client NIC power draw while tuned in waiting,
-	// in µW·s per second.
-	ListenPerSecond float64
-	// Power provides the receive cost for the item itself.
-	Power network.PowerModel
 }
+
+// listenPowerPerSec is the client NIC power draw while tuned in waiting,
+// in µW·s per second: about 50 mW of idle listening. A delivered item also
+// costs the Table I infrastructure receive.
+const listenPowerPerSec = 50000
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
@@ -67,9 +67,6 @@ func (c Config) Validate() error {
 	}
 	if c.ReshuffleEvery < 0 {
 		return fmt.Errorf("push: negative reshuffle period %v", c.ReshuffleEvery)
-	}
-	if c.ListenPerSecond < 0 {
-		return fmt.Errorf("push: negative listen power %v", c.ListenPerSecond)
 	}
 	return nil
 }
@@ -214,8 +211,8 @@ func (d *Disk) tick() {
 		size := network.HeaderSize + d.catalog.ItemSize()
 		for _, w := range ws {
 			waited := now - w.since
-			energy := d.cfg.Power.ServerRecv.Energy(size) +
-				d.cfg.ListenPerSecond*waited.Seconds()
+			energy := network.Power.ServerRecv.Energy(size) +
+				listenPowerPerSec*waited.Seconds()
 			d.meter.Charge(w.id, network.EnergyServerRecv, energy)
 			d.deliveries++
 			if w.deliver != nil {

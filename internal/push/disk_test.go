@@ -28,11 +28,9 @@ func testDisk(t *testing.T, cfg Config, nData int) (*sim.Kernel, *Disk, *server.
 
 func defaultDiskConfig() Config {
 	return Config{
-		BandwidthKbps:   10000,
-		HotItems:        10,
-		ReshuffleEvery:  0,
-		ListenPerSecond: 50000,
-		Power:           network.DefaultPowerModel(),
+		BandwidthKbps:  10000,
+		HotItems:       10,
+		ReshuffleEvery: 0,
 	}
 }
 
@@ -44,7 +42,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero bandwidth", func(c *Config) { c.BandwidthKbps = 0 }},
 		{"zero hot items", func(c *Config) { c.HotItems = 0 }},
 		{"negative reshuffle", func(c *Config) { c.ReshuffleEvery = -time.Second }},
-		{"negative listen", func(c *Config) { c.ListenPerSecond = -1 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

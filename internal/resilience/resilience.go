@@ -1,6 +1,6 @@
 // Package resilience is the deterministic failure-handling policy engine
 // of the client: per-mechanism retry caps under a per-request retry
-// budget, exponential backoff with seeded jitter, deadline propagation, a
+// budget, doubling backoff with seeded jitter, deadline propagation, a
 // per-host circuit breaker on the MSS server link (closed/open/half-open
 // with probe requests), hedged peer retrieval, and a serve-stale degraded
 // mode answering from cache while the breaker is open.
@@ -40,9 +40,6 @@ type Policy struct {
 	// retrieve retries and MSS rescue re-sends draw from the same pool.
 	// Zero allows no retries at all.
 	RetryBudget int
-	// BackoffFactor multiplies the backoff per attempt; zero selects 2
-	// (doubling). Values below 1 are invalid.
-	BackoffFactor float64
 	// Jitter spreads each backoff uniformly over ±Jitter of its nominal
 	// value, using a variate drawn from the host's dedicated RNG stream.
 	// Must lie in [0, 1]; zero disables jitter (and the draw).
@@ -87,7 +84,6 @@ func Legacy() Policy {
 		RetrieveRetries: 1,
 		ServerRetries:   3,
 		RetryBudget:     Unlimited,
-		BackoffFactor:   2,
 	}
 }
 
@@ -101,7 +97,6 @@ func DefaultPolicy() Policy {
 		RetrieveRetries:  Unlimited,
 		ServerRetries:    Unlimited,
 		RetryBudget:      4,
-		BackoffFactor:    2,
 		Jitter:           0.2,
 		Deadline:         30 * time.Second,
 		BreakerFailures:  3,
@@ -124,9 +119,6 @@ func (p Policy) Validate() error {
 	}
 	if p.RetryBudget < 0 {
 		return fmt.Errorf("resilience: retry budget %d must be non-negative", p.RetryBudget)
-	}
-	if p.BackoffFactor < 0 || (p.BackoffFactor > 0 && p.BackoffFactor < 1) {
-		return fmt.Errorf("resilience: backoff factor %v must be at least 1 (0 selects the default 2)", p.BackoffFactor)
 	}
 	if p.Jitter < 0 || p.Jitter > 1 {
 		return fmt.Errorf("resilience: jitter %v outside [0, 1]", p.Jitter)
@@ -155,23 +147,14 @@ func (p Policy) Validate() error {
 	return nil
 }
 
-// factor returns the effective backoff multiplier.
-func (p Policy) factor() float64 {
-	if p.BackoffFactor == 0 {
-		return 2
-	}
-	return p.BackoffFactor
-}
-
 // Backoff returns the deterministic backoff for the given attempt:
-// base·factor^attempt, spread over ±Jitter by the caller-drawn uniform
-// variate u ∈ [0, 1), floored at one millisecond. With Jitter zero, u is
-// ignored and the result is the pure exponential.
+// base·2^attempt, spread over ±Jitter by the caller-drawn uniform variate
+// u ∈ [0, 1), floored at one millisecond. With Jitter zero, u is ignored
+// and the result is the pure doubling.
 func (p Policy) Backoff(base time.Duration, attempt int, u float64) time.Duration {
 	d := float64(base)
-	f := p.factor()
 	for i := 0; i < attempt; i++ {
-		d *= f
+		d *= 2
 	}
 	if p.Jitter > 0 {
 		d *= 1 - p.Jitter + 2*p.Jitter*u

@@ -31,9 +31,6 @@ func TestPolicyValidate(t *testing.T) {
 		{"jitter-above-one", func(p *Policy) { p.Jitter = 1.5 }, "jitter"},
 		{"negative-jitter", func(p *Policy) { p.Jitter = -0.1 }, "jitter"},
 		{"jitter-one-ok", func(p *Policy) { p.Jitter = 1 }, ""},
-		{"backoff-below-one", func(p *Policy) { p.BackoffFactor = 0.5 }, "backoff factor"},
-		{"backoff-negative", func(p *Policy) { p.BackoffFactor = -2 }, "backoff factor"},
-		{"backoff-zero-defaults", func(p *Policy) { p.BackoffFactor = 0 }, ""},
 		{"negative-breaker-threshold", func(p *Policy) { p.BreakerFailures = -1 }, "breaker failure threshold"},
 		{"breaker-without-window", func(p *Policy) { p.BreakerOpenFor = 0 }, "open window"},
 		{"negative-window", func(p *Policy) { p.BreakerOpenFor = -time.Second }, "open window"},
@@ -63,7 +60,7 @@ func TestPolicyValidate(t *testing.T) {
 	}
 }
 
-// TestBackoff pins the backoff arithmetic: pure exponential without
+// TestBackoff pins the backoff arithmetic: pure doubling without
 // jitter, the documented ±Jitter spread with it, the millisecond floor,
 // and Legacy's equality with the doubling shift.
 func TestBackoff(t *testing.T) {
@@ -73,10 +70,6 @@ func TestBackoff(t *testing.T) {
 		if got := p.Backoff(base, attempt, 0.99); got != want {
 			t.Fatalf("attempt %d: got %v want %v (jitter off must ignore u)", attempt, got, want)
 		}
-	}
-	p.BackoffFactor = 3
-	if got := p.Backoff(base, 2, 0); got != 9*base {
-		t.Fatalf("factor 3 attempt 2: got %v want %v", got, 9*base)
 	}
 	p = Policy{Jitter: 0.5}
 	if got := p.Backoff(base, 0, 0); got != base/2 {

@@ -24,7 +24,6 @@ func newMSSFixture(t *testing.T, withTCG bool) *mssFixture {
 	link, err := network.NewServerLink(k, network.ServerLinkConfig{
 		UplinkKbps:   200,
 		DownlinkKbps: 2000,
-		Power:        network.DefaultPowerModel(),
 	}, network.NewMeter())
 	if err != nil {
 		t.Fatal(err)

@@ -228,7 +228,7 @@ func checkParallelDeterminism(t *testing.T, h *Harness) {
 func checkKillPointResume(t *testing.T, h *Harness) {
 	cfg := Config(h.Scheme.ID(), false)
 	const reps = 3
-	meta := []byte("conformance-resume-" + h.Scheme.Flag())
+	meta := []byte("conformance-resume-" + strategy.FlagOf(h.Scheme))
 
 	golden, goldenPoint, err := experiments.ReplicateJournaled(cfg, reps, 2, nil)
 	if err != nil {

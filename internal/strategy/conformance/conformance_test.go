@@ -32,9 +32,8 @@ type brokenScheme struct{}
 
 func (brokenScheme) ID() strategy.ID { return 99 }
 func (brokenScheme) Name() string    { return "BrokenSelfTest" }
-func (brokenScheme) Flag() string    { return "broken-selftest" }
 func (brokenScheme) Traits() strategy.Traits {
-	return strategy.Traits{PeerSearch: true, RankedReplace: true}
+	return strategy.Traits{PeerSearch: true}
 }
 func (brokenScheme) ReplaceActive(strategy.ReplacementEnv) bool { return true }
 func (brokenScheme) PickVictim(_ strategy.ReplacementEnv, cands []*cache.Entry) (*cache.Entry, strategy.EvictOutcome) {
@@ -57,7 +56,7 @@ func TestSchemeConformance(t *testing.T) {
 	}
 	for _, sch := range strategy.All() {
 		sch := sch
-		t.Run(sch.Flag(), func(t *testing.T) { conformance.Run(t, sch) })
+		t.Run(strategy.FlagOf(sch), func(t *testing.T) { conformance.Run(t, sch) })
 	}
 }
 
@@ -72,11 +71,11 @@ func TestConformanceSelfTest(t *testing.T) {
 		t.Skip("scenario simulations in -short mode")
 	}
 	cmd := exec.Command(os.Args[0],
-		"-test.run", "TestSchemeConformance/broken-selftest",
+		"-test.run", "TestSchemeConformance/brokenselftest",
 		"-test.count=1", "-test.v")
 	cmd.Env = append(os.Environ(), selfTestEnv+"=1")
 	out, err := cmd.CombinedOutput()
-	if !strings.Contains(string(out), "broken-selftest") {
+	if !strings.Contains(string(out), "brokenselftest") {
 		t.Fatalf("inner run never reached the broken scheme:\n%s", out)
 	}
 	if err == nil {

@@ -12,12 +12,10 @@ import (
 type stubScheme struct {
 	id   ID
 	name string
-	flag string
 }
 
 func (s stubScheme) ID() ID                            { return s.id }
 func (s stubScheme) Name() string                      { return s.name }
-func (s stubScheme) Flag() string                      { return s.flag }
 func (s stubScheme) Traits() Traits                    { return Traits{} }
 func (s stubScheme) ReplaceActive(ReplacementEnv) bool { return false }
 func (s stubScheme) PickVictim(_ ReplacementEnv, cands []*cache.Entry) (*cache.Entry, EvictOutcome) {
@@ -49,15 +47,15 @@ func mustPanic(t *testing.T, want string, fn func()) {
 }
 
 func TestRegisterRejectsDuplicates(t *testing.T) {
-	base := stubScheme{id: 7, name: "Seven", flag: "seven"}
+	base := stubScheme{id: 7, name: "Seven"}
 	cases := []struct {
 		name string
 		dup  stubScheme
 		want string
 	}{
-		{"id", stubScheme{id: 7, name: "Other", flag: "other"}, "duplicate scheme ID"},
-		{"name", stubScheme{id: 8, name: "Seven", flag: "other"}, "duplicate scheme name"},
-		{"flag", stubScheme{id: 8, name: "Other", flag: "seven"}, "duplicate scheme flag"},
+		{"id", stubScheme{id: 7, name: "Other"}, "duplicate scheme ID"},
+		{"name", stubScheme{id: 8, name: "Seven"}, "duplicate scheme flag"},
+		{"flag", stubScheme{id: 8, name: "SEVEN"}, "duplicate scheme flag"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -74,10 +72,9 @@ func TestRegisterRejectsMalformedSchemes(t *testing.T) {
 		s    stubScheme
 		want string
 	}{
-		{"zero-id", stubScheme{id: 0, name: "Zero", flag: "zero"}, "positive"},
-		{"negative-id", stubScheme{id: -1, name: "Neg", flag: "neg"}, "positive"},
-		{"empty-name", stubScheme{id: 9, name: "", flag: "nine"}, "name"},
-		{"empty-flag", stubScheme{id: 9, name: "Nine", flag: ""}, "flag"},
+		{"zero-id", stubScheme{id: 0, name: "Zero"}, "positive"},
+		{"negative-id", stubScheme{id: -1, name: "Neg"}, "positive"},
+		{"empty-name", stubScheme{id: 9, name: ""}, "name"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,9 +88,9 @@ func TestRegisterRejectsMalformedSchemes(t *testing.T) {
 // different orders and requires identical (ID-sorted) enumerations.
 func TestEnumerationOrderIndependent(t *testing.T) {
 	set := []stubScheme{
-		{id: 3, name: "C", flag: "c"},
-		{id: 1, name: "A", flag: "a"},
-		{id: 2, name: "B", flag: "b"},
+		{id: 3, name: "C"},
+		{id: 1, name: "A"},
+		{id: 2, name: "B"},
 	}
 	forward, reversed := NewRegistry(), NewRegistry()
 	for _, s := range set {
@@ -146,8 +143,8 @@ func TestDefaultRegistryContents(t *testing.T) {
 		if sch.Name() != name {
 			t.Errorf("Lookup(%d).Name() = %q, want %q", id, sch.Name(), name)
 		}
-		if sch.Flag() != strings.ToLower(name) {
-			t.Errorf("flag %q is not the lowercase name %q — the digest repro commands depend on that", sch.Flag(), strings.ToLower(name))
+		if byFlag, ok := ByFlag(strings.ToLower(name)); !ok || byFlag.ID() != id {
+			t.Errorf("ByFlag(%q) does not resolve ID %d — the digest repro commands depend on that", strings.ToLower(name), id)
 		}
 	}
 	if ID(99).String() != "unknown" {

@@ -17,7 +17,6 @@ type scScheme struct{}
 
 func (scScheme) ID() ID                            { return SC }
 func (scScheme) Name() string                      { return "SC" }
-func (scScheme) Flag() string                      { return "sc" }
 func (scScheme) Traits() Traits                    { return Traits{} }
 func (scScheme) ReplaceActive(ReplacementEnv) bool { return false }
 func (scScheme) PickVictim(_ ReplacementEnv, cands []*cache.Entry) (*cache.Entry, EvictOutcome) {
@@ -29,7 +28,6 @@ type cocaScheme struct{}
 
 func (cocaScheme) ID() ID                            { return COCA }
 func (cocaScheme) Name() string                      { return "COCA" }
-func (cocaScheme) Flag() string                      { return "coca" }
 func (cocaScheme) Traits() Traits                    { return Traits{PeerSearch: true} }
 func (cocaScheme) ReplaceActive(ReplacementEnv) bool { return false }
 func (cocaScheme) PickVictim(_ ReplacementEnv, cands []*cache.Entry) (*cache.Entry, EvictOutcome) {
@@ -43,12 +41,10 @@ type grococaScheme struct{}
 
 func (grococaScheme) ID() ID       { return GroCoca }
 func (grococaScheme) Name() string { return "GroCoca" }
-func (grococaScheme) Flag() string { return "grococa" }
 func (grococaScheme) Traits() Traits {
 	return Traits{
-		PeerSearch:    true,
-		Signatures:    true,
-		RankedReplace: true,
+		PeerSearch: true,
+		Signatures: true,
 	}
 }
 
@@ -92,12 +88,10 @@ type popularityScheme struct{}
 
 func (popularityScheme) ID() ID       { return Popularity }
 func (popularityScheme) Name() string { return "Popularity" }
-func (popularityScheme) Flag() string { return "popularity" }
 func (popularityScheme) Traits() Traits {
 	return Traits{
-		PeerSearch:    true,
-		Signatures:    true,
-		RankedReplace: true,
+		PeerSearch: true,
+		Signatures: true,
 	}
 }
 
@@ -134,11 +128,9 @@ type hintLRUScheme struct{}
 
 func (hintLRUScheme) ID() ID       { return HintLRU }
 func (hintLRUScheme) Name() string { return "HintLRU" }
-func (hintLRUScheme) Flag() string { return "hintlru" }
 func (hintLRUScheme) Traits() Traits {
 	return Traits{
 		PeerSearch:    true,
-		RankedReplace: true,
 		NeighborHints: true,
 	}
 }

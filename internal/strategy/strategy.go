@@ -15,6 +15,7 @@ package strategy
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/cache"
@@ -74,9 +75,6 @@ type Traits struct {
 	// DisableFilter and DisableAdmission ablation switches turn either
 	// off per run.
 	Signatures bool
-	// RankedReplace runs the scheme's PickVictim over the ReplaceCandidate
-	// least-valuable entries instead of plain LRU eviction.
-	RankedReplace bool
 	// NeighborHints piggybacks recently-used item IDs on NDP beacons and
 	// feeds the hint table consulted via ReplacementEnv.NeighborHinted.
 	NeighborHints bool
@@ -117,10 +115,9 @@ type ReplacementEnv interface {
 type Scheme interface {
 	// ID is the stable numeric identity (seed derivation, journal keys).
 	ID() ID
-	// Name is the display name used in results, figures and checkpoints.
+	// Name is the display name used in results, figures and checkpoints;
+	// its lower-case spelling (FlagOf) names the scheme on command lines.
 	Name() string
-	// Flag is the lower-case spelling used by command-line flags.
-	Flag() string
 	// Traits declares the protocol machinery the scheme participates in.
 	Traits() Traits
 	// ReplaceActive reports whether PickVictim should rank the candidate
@@ -133,6 +130,9 @@ type Scheme interface {
 	PickVictim(env ReplacementEnv, cands []*cache.Entry) (*cache.Entry, EvictOutcome)
 }
 
+// FlagOf returns the scheme's command-line spelling, its lower-case name.
+func FlagOf(s Scheme) string { return strings.ToLower(s.Name()) }
+
 // Registry holds a set of registered schemes. The package-level default
 // registry serves the whole program; NewRegistry exists so tests can
 // exercise registration edge cases in isolation.
@@ -140,7 +140,6 @@ type Registry struct {
 	mu     sync.RWMutex
 	byID   map[ID]Scheme
 	byFlag map[string]Scheme
-	byName map[string]Scheme
 }
 
 // NewRegistry returns an empty registry.
@@ -148,12 +147,11 @@ func NewRegistry() *Registry {
 	return &Registry{
 		byID:   make(map[ID]Scheme),
 		byFlag: make(map[string]Scheme),
-		byName: make(map[string]Scheme),
 	}
 }
 
-// Register adds a scheme. It panics on a non-positive ID, an empty name or
-// flag, or any collision with an already registered scheme — registration
+// Register adds a scheme. It panics on a non-positive ID, an empty name,
+// or any collision with an already registered scheme — registration
 // happens at init time, and a duplicate is a programming error that must
 // not be silently resolved by registration order.
 func (r *Registry) Register(s Scheme) {
@@ -163,21 +161,18 @@ func (r *Registry) Register(s Scheme) {
 	if id <= 0 {
 		panic(fmt.Sprintf("strategy: scheme %q has non-positive ID %d", s.Name(), id))
 	}
-	if s.Name() == "" || s.Flag() == "" {
-		panic(fmt.Sprintf("strategy: scheme ID %d needs a name and a flag", id))
+	if s.Name() == "" {
+		panic(fmt.Sprintf("strategy: scheme ID %d needs a name", id))
 	}
+	flag := FlagOf(s)
 	if prev, ok := r.byID[id]; ok {
 		panic(fmt.Sprintf("strategy: duplicate scheme ID %d (%q and %q)", id, prev.Name(), s.Name()))
 	}
-	if prev, ok := r.byFlag[s.Flag()]; ok {
-		panic(fmt.Sprintf("strategy: duplicate scheme flag %q (IDs %d and %d)", s.Flag(), prev.ID(), id))
-	}
-	if prev, ok := r.byName[s.Name()]; ok {
-		panic(fmt.Sprintf("strategy: duplicate scheme name %q (IDs %d and %d)", s.Name(), prev.ID(), id))
+	if prev, ok := r.byFlag[flag]; ok {
+		panic(fmt.Sprintf("strategy: duplicate scheme flag %q (names %q and %q, IDs %d and %d)", flag, prev.Name(), s.Name(), prev.ID(), id))
 	}
 	r.byID[id] = s
-	r.byFlag[s.Flag()] = s
-	r.byName[s.Name()] = s
+	r.byFlag[flag] = s
 }
 
 // Lookup returns the scheme registered under id.
@@ -226,7 +221,7 @@ func (r *Registry) All() []Scheme {
 func (r *Registry) Flags() []string {
 	out := make([]string, 0)
 	for _, s := range r.All() {
-		out = append(out, s.Flag())
+		out = append(out, FlagOf(s))
 	}
 	return out
 }
