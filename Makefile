@@ -5,7 +5,7 @@ GO ?= go
 ## BENCH_OUT=BENCH_pr7.json`) without touching the committed one. BASE is
 ## the revision bench-check and cellbench-ab compare the working tree
 ## against.
-BENCH_PATTERN = KernelScheduleRun|ChannelSend|MediumTransmit|FilterAdd|FilterTest|PeerVectorCovers|PeerVectorAddSignature|CountingFilterSignature|CountingFilterDelta|VLFL|BenchmarkBroadcast|BenchmarkBeaconRound|BenchmarkLRUHit|BenchmarkLRUAdmit|BenchmarkZipfRank|BenchmarkSampleQuantile
+BENCH_PATTERN = KernelScheduleRun|ChannelSend|MediumTransmit|FilterAdd|FilterTest|PeerVectorCovers|PeerVectorAddSignature|CountingFilterSignature|CountingFilterDelta|VLFL|BenchmarkBroadcast|BenchmarkBeaconRound|BenchmarkLRUHit|BenchmarkLRUAdmit|BenchmarkZipfRank|BenchmarkSampleQuantile|BenchmarkServerLinkRoundTrip
 BENCH_PKGS = ./internal/sim/ ./internal/network/ ./internal/bloom/ ./internal/cache/ ./internal/workload/ ./internal/stats/
 BENCH_OUT ?= BENCH_seed.json
 BASE ?= HEAD
@@ -109,9 +109,9 @@ resilience-smoke:
 ## bench-baseline: regenerate $(BENCH_OUT) (default BENCH_seed.json), the
 ## committed hot-path baseline — kernel dispatch, FCFS channel churn,
 ## medium transmission and spatial-index reachability (grid vs brute at
-## N=100/1k/10k), bloom-filter ops and signature maintenance, the cache,
-## the Zipf item draw and the latency quantiles — as ops/sec and
-## allocs/op, so PRs can review performance drift.
+## N=100/1k/10k), the MSS link round trip, bloom-filter ops and signature
+## maintenance, the cache, the Zipf item draw and the latency quantiles —
+## as ops/sec and allocs/op, so PRs can review performance drift.
 bench-baseline:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/grococa-benchjson > $(BENCH_OUT)
 	@echo "bench-baseline: wrote $(BENCH_OUT)"

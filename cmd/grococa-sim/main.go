@@ -26,6 +26,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -51,7 +53,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("grococa-sim", flag.ContinueOnError)
 	cfg := core.DefaultConfig()
 
@@ -134,6 +136,8 @@ func run(args []string) error {
 	reps := fs.Int("reps", 1, "independent replications with derived seeds; > 1 prints mean ± sample sd")
 	parallel := fs.Int("parallel", 0, "worker goroutines for -reps (0 = GOMAXPROCS); output is identical for any value")
 	resume := fs.String("resume", "", "journal completed replications in this directory and resume an interrupted run from it (implies the -reps path)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
+	memProfile := fs.String("memprofile", "", "write a profile of every allocation the simulation makes to this file")
 
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -184,6 +188,15 @@ func run(args []string) error {
 	if *reps < 1 {
 		return fmt.Errorf("-reps %d must be at least 1", *reps)
 	}
+	finish, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if ferr := finish(); err == nil {
+			err = ferr
+		}
+	}()
 	if *reps > 1 || *resume != "" {
 		if *traceFile != "" {
 			return fmt.Errorf("-tracefile requires -reps 1 without -resume (a trace is one run's requests)")
@@ -281,6 +294,51 @@ func run(args []string) error {
 		}
 	}
 	return nil
+}
+
+// startProfiles starts a CPU profile into cpuPath and records every
+// allocation for a profile into memPath; an empty path skips its profile.
+// finish stops the CPU profile, writes the allocation profile and restores
+// the allocation sampling rate.
+func startProfiles(cpuPath, memPath string) (finish func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			_ = cpu.Close() // the start error is the one to report
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+	}
+	rate := runtime.MemProfileRate
+	if memPath != "" {
+		runtime.MemProfileRate = 1
+	}
+	return func() error {
+		defer func() { runtime.MemProfileRate = rate }()
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return fmt.Errorf("cpu profile: %w", err)
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return fmt.Errorf("memory profile: %w", err)
+		}
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			_ = f.Close() // the write error is the one to report
+			return fmt.Errorf("memory profile: %w", err)
+		}
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("memory profile: %w", err)
+		}
+		return nil
+	}, nil
 }
 
 // runReplicated runs the configuration -reps times on the parallel sweep

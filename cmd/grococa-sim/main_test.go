@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"compress/gzip"
 	"io"
 	"os"
 	"path/filepath"
@@ -214,6 +216,43 @@ func TestRunPolicyFlagsApplyOnEitherPreset(t *testing.T) {
 			if err := run(append(append(preset, bad...), tinyArgs...)); err == nil {
 				t.Errorf("%q %q: invalid policy accepted", preset, bad)
 			}
+		}
+	}
+}
+
+// TestRunProfilesLeaveOutputUnchanged runs one simulation with and without
+// -cpuprofile and -memprofile: stdout must not change, and each profile
+// must be a non-empty gzip stream, the form pprof writes. A profile path
+// that cannot be created is an error.
+func TestRunProfilesLeaveOutputUnchanged(t *testing.T) {
+	old := wallClock
+	wallClock = clock.Fixed{T: time.Unix(1700000000, 0)}
+	defer func() { wallClock = old }()
+	plain := runOutput(t, tinyArgs)
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	profiled := runOutput(t, append([]string{"-cpuprofile", cpu, "-memprofile", mem}, tinyArgs...))
+	if profiled != plain {
+		t.Errorf("profiling changed the output:\n%s\nwithout profiles:\n%s", profiled, plain)
+	}
+	for _, path := range []string{cpu, mem} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		body, err := io.ReadAll(zr)
+		if err != nil || len(body) == 0 {
+			t.Errorf("%s: %d bytes after gunzip (%v), want a profile", filepath.Base(path), len(body), err)
+		}
+	}
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		args := append([]string{flag, filepath.Join(dir, "missing", "p.pprof")}, tinyArgs...)
+		if err := run(args); err == nil {
+			t.Errorf("%s into a missing directory succeeded", flag)
 		}
 	}
 }

@@ -94,7 +94,7 @@ var benchSig *Filter
 
 // BenchmarkCountingFilterDelta measures one cache replacement in a
 // 100-item cache (evict the oldest item, admit a new one) followed by
-// reading the piggyback lists for the next broadcast.
+// reading the piggyback lists for the next broadcast into reused buffers.
 func BenchmarkCountingFilterDelta(b *testing.B) {
 	c, err := NewCountingFilter(10000, 2, 4)
 	if err != nil {
@@ -103,14 +103,14 @@ func BenchmarkCountingFilterDelta(b *testing.B) {
 	for e := uint64(0); e < 100; e++ {
 		c.Insert(e)
 	}
-	c.Delta()
+	benchIns, benchEvi = c.Delta(nil, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := uint64(100 + i)
 		c.Remove(e - 100)
 		c.Insert(e)
-		benchIns, benchEvi = c.Delta()
+		benchIns, benchEvi = c.Delta(benchIns[:0], benchEvi[:0])
 	}
 }
 

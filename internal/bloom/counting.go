@@ -3,6 +3,7 @@ package bloom
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // CountingFilter is the proactive cache-signature structure: a vector of σ
@@ -123,15 +124,19 @@ func (c *CountingFilter) Signature() *Filter {
 	return (&Filter{words: c.live, m: c.m, k: c.k}).Clone()
 }
 
-// Delta returns the signature-update lists the owner piggybacks on its next
-// broadcast: the positions set (inserts) and cleared (evicts) since the
-// last Delta or Rebuild, both ascending. They are the live bits XOR the
-// announced bits, so a position set and cleared again in between is in
-// neither list. Delta then marks the live bits announced. A list with no
-// positions is nil.
-func (c *CountingFilter) Delta() (inserts, evicts []int) {
+// Delta appends the signature-update lists the owner piggybacks on its
+// next broadcast to inserts and evicts, and returns the results: the
+// positions set (inserts) and cleared (evicts) since the last Delta or
+// Rebuild, both ascending. They are the live bits XOR the announced bits,
+// so a position set and cleared again in between is in neither list.
+// Delta then marks the live bits announced. The lists come back unchanged
+// when nothing flipped, and grow at most once each when their capacity
+// is short.
+//
+//hot:per-piggyback delta of every GroCoca hello and search broadcast; 0 allocs/op pinned by TestSignatureMaintenanceAllocs
+func (c *CountingFilter) Delta(inserts, evicts []int) ([]int, []int) {
 	if !c.flipped {
-		return nil, nil
+		return inserts, evicts
 	}
 	c.flipped = false
 	nIns, nEvi := 0, 0
@@ -139,12 +144,8 @@ func (c *CountingFilter) Delta() (inserts, evicts []int) {
 		nIns += bits.OnesCount64(w &^ c.announced[i])
 		nEvi += bits.OnesCount64(c.announced[i] &^ w)
 	}
-	if nIns > 0 {
-		inserts = make([]int, 0, nIns)
-	}
-	if nEvi > 0 {
-		evicts = make([]int, 0, nEvi)
-	}
+	inserts = slices.Grow(inserts, nIns)
+	evicts = slices.Grow(evicts, nEvi)
 	for i, w := range c.live {
 		if a := c.announced[i]; w != a {
 			inserts = appendSetBits(inserts, i, w&^a)

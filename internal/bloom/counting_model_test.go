@@ -129,7 +129,7 @@ func peekDelta(c *CountingFilter) (inserts, evicts []int) {
 	cp.counts = slices.Clone(c.counts)
 	cp.live = slices.Clone(c.live)
 	cp.announced = slices.Clone(c.announced)
-	return cp.Delta()
+	return cp.Delta(nil, nil)
 }
 
 // TestCountingFilterMatchesReferenceModel drives a CountingFilter and the
@@ -154,6 +154,9 @@ func TestCountingFilterMatchesReferenceModel(t *testing.T) {
 			}
 			ref := newRefCounting(geo.m, geo.k, geo.width)
 			var cached []uint64
+			// The drains append into reused buffers, after a prefix of
+			// 0 to 2 sentinels that Delta must leave in place.
+			var insBuf, eviBuf []int
 			for step := 0; step < 3000; step++ {
 				op := rng.Intn(10)
 				if c.Dirty() && rng.Intn(2) == 0 {
@@ -179,11 +182,18 @@ func TestCountingFilterMatchesReferenceModel(t *testing.T) {
 					c.Rebuild(cached)
 					ref.rebuild(cached)
 				default: // drain the piggyback lists
-					gotIns, gotEvi := c.Delta()
+					prefix := []int{-1, -2}[:rng.Intn(3)]
+					insBuf = append(insBuf[:0], prefix...)
+					eviBuf = append(eviBuf[:0], prefix...)
+					insBuf, eviBuf = c.Delta(insBuf, eviBuf)
 					wantIns, wantEvi := ref.pending()
 					clear(ref.inserts)
 					clear(ref.evictees)
-					if !slices.Equal(gotIns, wantIns) || !slices.Equal(gotEvi, wantEvi) {
+					n := len(prefix)
+					if !slices.Equal(insBuf[:n], prefix) || !slices.Equal(eviBuf[:n], prefix) {
+						t.Fatalf("step %d: Delta overwrote the buffers' prefix %v: +%v -%v", step, prefix, insBuf, eviBuf)
+					}
+					if gotIns, gotEvi := insBuf[n:], eviBuf[n:]; !slices.Equal(gotIns, wantIns) || !slices.Equal(gotEvi, wantEvi) {
 						t.Fatalf("step %d: Delta = +%v -%v, model +%v -%v", step, gotIns, gotEvi, wantIns, wantEvi)
 					}
 				}
@@ -403,5 +413,20 @@ func TestSignatureMaintenanceAllocs(t *testing.T) {
 	ins, evi := []int{1, 500, 9999}, []int{1, 500, 9999}
 	if got := testing.AllocsPerRun(100, func() { v.ApplyDelta(ins, evi) }); got != 0 {
 		t.Errorf("PeerVector.ApplyDelta allocs/op = %v, want 0", got)
+	}
+
+	// A replacement's delta, read into buffers that already hold a few
+	// positions' room.
+	ins, evi = c.Delta(nil, nil)
+	if got := testing.AllocsPerRun(100, func() {
+		c.Insert(e)
+		c.Remove(e - 100)
+		e++
+		ins, evi = c.Delta(ins[:0], evi[:0])
+	}); got != 0 {
+		t.Errorf("CountingFilter.Delta allocs/op = %v, want 0", got)
+	}
+	if len(ins) == 0 || len(evi) == 0 {
+		t.Errorf("a replacement's delta is +%v -%v, want positions in both", ins, evi)
 	}
 }

@@ -292,6 +292,20 @@ func (c *LRU) Items() []workload.ItemID {
 	return ids
 }
 
+// AppendValid appends to dst the IDs of up to n entries valid at now,
+// most recently used first, and returns the result.
+//
+//hot:the hint list of every HintLRU hello
+func (c *LRU) AppendValid(dst []workload.ItemID, n int, now time.Duration) []workload.ItemID {
+	for i := c.head; i != none && n > 0; i = c.slots[i].next {
+		if e := &c.slots[i]; e.Valid(now) {
+			dst = append(dst, e.ID)
+			n--
+		}
+	}
+	return dst
+}
+
 // Each calls fn for every entry, most recently used first.
 func (c *LRU) Each(fn func(*Entry)) {
 	for i := c.head; i != none; i = c.slots[i].next {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -174,6 +175,32 @@ func TestItemsAndEach(t *testing.T) {
 		if visited[i] != w {
 			t.Errorf("Each order = %v, want %v", visited, want)
 			break
+		}
+	}
+}
+
+// TestAppendValid lists valid entries most recently used first, skips
+// expired ones, stops at the limit and appends after what dst holds.
+func TestAppendValid(t *testing.T) {
+	c := mustLRU(t, 5)
+	for id := workload.ItemID(1); id <= 5; id++ {
+		add(t, c, id, 0)
+	}
+	c.Peek(4).TTL = 0 // expired at any time after 0
+	c.Peek(2).TTL = 0
+	now := time.Second
+	for _, tc := range []struct {
+		n    int
+		want []workload.ItemID
+	}{
+		{0, []workload.ItemID{99}},
+		{1, []workload.ItemID{99, 5}},
+		{2, []workload.ItemID{99, 5, 3}},
+		{10, []workload.ItemID{99, 5, 3, 1}},
+	} {
+		got := c.AppendValid([]workload.ItemID{99}, tc.n, now)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("AppendValid(n=%d) = %v, want %v", tc.n, got, tc.want)
 		}
 	}
 }

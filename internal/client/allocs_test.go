@@ -4,15 +4,19 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ndp"
 	"repro/internal/network"
 	"repro/internal/push"
+	"repro/internal/server"
 	"repro/internal/sim"
 )
 
 // TestRequestPathAllocs pins a request's whole life at zero allocations
 // once the host, its cache and the kernel have warmed up: a local hit,
 // an SC round trip to the MSS whose admission evicts, and a COCA
-// single-hop peer hit whose admission evicts.
+// single-hop peer hit whose admission evicts. It pins GroCoca's two
+// piggybacks too: a search broadcast and a hello that each carry a
+// signature delta to a host that has the sender in its TCG.
 func TestRequestPathAllocs(t *testing.T) {
 	t.Run("local hit", func(t *testing.T) {
 		h := newHarness(t, 1, false)
@@ -80,6 +84,104 @@ func TestRequestPathAllocs(t *testing.T) {
 			t.Errorf("global hits = %d with %d cached, want 221 with 2", got, a.Cache().Len())
 		}
 	})
+
+	t.Run("GroCoca search with a delta", func(t *testing.T) {
+		h := newHarness(t, 2, false)
+		cfg := testClientConfig(SchemeGroCoca)
+		cfg.CacheSize = 2
+		a := h.addHost(1, 0, 0, cfg)
+		heard := &deltaCounter{}
+		b := h.addBehind(2, 50, 0, cfg, heard.wrap)
+		// b tracks a's signature; a has no member, so it never filters
+		// its searches.
+		b.applyMembershipChanges([]server.MembershipChange{{Peer: a.id, Joined: true}})
+		h.run(time.Second)
+		item := 0
+		miss := func() {
+			// Each request misses, searches b in vain and admits from the
+			// MSS with an eviction, so the next search carries a delta.
+			a.beginRequest(workloadID(item % 10))
+			item++
+			h.run(time.Second)
+		}
+		for range 20 {
+			miss()
+		}
+		before := heard.searchDeltas
+		if avg := testing.AllocsPerRun(200, miss); avg != 0 {
+			t.Errorf("a GroCoca search with a delta allocates %.1f times, want 0", avg)
+		}
+		if got := heard.searchDeltas - before; got != 201 {
+			t.Errorf("b heard %d searches with a delta, want 201", got)
+		}
+		// One more search announces the last admission.
+		a.beginRequest(workloadID(item % 10))
+		announced := a.ownSig.Signature()
+		h.run(time.Second)
+		if !b.haveSig[a.id].Equal(announced) {
+			t.Error("b's copy of a's signature differs from the one a announced")
+		}
+	})
+
+	t.Run("GroCoca hello with a delta", func(t *testing.T) {
+		h := newHarness(t, 2, false)
+		cfg := testClientConfig(SchemeGroCoca)
+		cfg.CacheSize = 2
+		a := h.addHost(1, 0, 0, cfg)
+		heard := &deltaCounter{}
+		b := h.addBehind(2, 50, 0, cfg, heard.wrap)
+		join(a, b) // a host with no member drops its delta
+		h.run(time.Second)
+		a.ndp.Start() // a says hello now and every ndp.Interval after
+		item := 0
+		replace := func() {
+			a.admit(workloadID(item%10), h.k.Now(), time.Hour, false)
+			item++
+			h.run(ndp.Interval)
+		}
+		for range 20 {
+			replace()
+		}
+		before := heard.helloDeltas
+		if avg := testing.AllocsPerRun(200, replace); avg != 0 {
+			t.Errorf("a GroCoca hello with a delta allocates %.1f times, want 0", avg)
+		}
+		if got := heard.helloDeltas - before; got != 201 {
+			t.Errorf("b heard %d hellos with a delta, want 201", got)
+		}
+		h.run(ndp.Interval) // the last hello arrives
+		if !b.haveSig[a.id].Equal(a.ownSig.Signature()) {
+			t.Error("b's copy of a's signature differs from a's own after folding its deltas")
+		}
+	})
+}
+
+// deltaCounter stands in for a host on the medium and counts the
+// signature deltas it hears on search broadcasts and on hellos before
+// passing every message on.
+type deltaCounter struct {
+	*Host
+	searchDeltas, helloDeltas int
+}
+
+// wrap makes c stand in for host.
+func (c *deltaCounter) wrap(host *Host) network.Peer {
+	c.Host = host
+	return c
+}
+
+func (c *deltaCounter) Receive(msg *network.Message) {
+	switch x := msg.Extra.(type) {
+	case *sigDelta:
+		if msg.Kind == network.KindRequest && len(x.insert)+len(x.evict) > 0 {
+			c.searchDeltas++
+		}
+	case *beaconInfo:
+		if d := x.SigDelta; msg.Kind == network.KindBeacon && d != nil && len(d.insert)+len(d.evict) > 0 {
+			c.helloDeltas++
+		}
+	}
+	c.Host.Receive(msg)
 }
 
 // TestStaleBroadcastDeliveryAfterCrash aborts a request with a crash while

@@ -31,23 +31,47 @@ type sigDelta struct {
 	evict  []int
 }
 
+// reusePiggyback reports whether the host's own beaconInfo and sigDelta
+// may carry the hello or search broadcast it is about to send, and
+// empties them when they may: when its NIC holds no frame. Reusing them
+// is exact. Only frames on the host's own NIC reference its records,
+// because a forwarder replaces Extra with a *route; receivers fold a
+// delta or a hello without keeping it; and the content is still computed
+// at send time. Otherwise the sender allocates fresh records.
+//
+//hot:every hello and every GroCoca search broadcast
+func (h *Host) reusePiggyback() bool {
+	if !h.medium.Idle(h.id) {
+		return false
+	}
+	h.beacon = beaconInfo{Hints: h.beacon.Hints[:0]}
+	h.delta = sigDelta{insert: h.delta.insert[:0], evict: h.delta.evict[:0]}
+	return true
+}
+
 // beaconPayload supplies the "other useful information" of the hello
 // message: the pending GroCoca signature delta (hosts without TCG members
 // discard theirs — nobody tracks their signature, and a future join
-// triggers a full exchange anyway) and, when spillover is enabled, the
-// host's activity and spare-space announcement.
+// triggers a full exchange anyway), the neighbour hints and, when
+// spillover is enabled, the host's activity and spare-space announcement.
+//
+//hot:every hello a host sends
 func (h *Host) beaconPayload() (any, int) {
-	info := beaconInfo{}
+	info, d := &h.beacon, &h.delta
+	if !h.reusePiggyback() {
+		info, d = &beaconInfo{}, &sigDelta{}
+	}
 	extra := 0
 	if h.traits.Signatures {
-		if ins, evi := h.ownSig.Delta(); (len(ins) > 0 || len(evi) > 0) && h.tcgSize > 0 {
+		d.insert, d.evict = h.ownSig.Delta(d.insert, d.evict)
+		if (len(d.insert) > 0 || len(d.evict) > 0) && h.tcgSize > 0 {
 			// Each position costs two bytes on air (σ ≤ 64 Ki).
-			info.SigDelta = &sigDelta{insert: ins, evict: evi}
-			extra += 2 * (len(ins) + len(evi))
+			info.SigDelta = d
+			extra += 2 * (len(d.insert) + len(d.evict))
 		}
 	}
 	if h.traits.NeighborHints {
-		info.Hints = h.beaconHints()
+		info.Hints = h.cache.AppendValid(info.Hints, maxBeaconHints, h.k.Now())
 		// Each hinted item ID costs four bytes on air.
 		extra += 4 * len(info.Hints)
 	}
@@ -300,7 +324,7 @@ func (h *Host) handleNeighborUp(peer network.NodeID) {
 // handleSigRequest turns in this host's full cache signature when asked —
 // always for direct requests, and for broadcast recollections only when
 // this host appears in the membership list.
-func (h *Host) handleSigRequest(msg network.Message) {
+func (h *Host) handleSigRequest(msg *network.Message) {
 	if !h.traits.Signatures {
 		return
 	}
@@ -344,7 +368,7 @@ func (h *Host) sigTransferBytes(sig *bloom.Filter) int {
 
 // handleSigReply folds a member's full signature into the peer vector,
 // replacing any previously stored contribution.
-func (h *Host) handleSigReply(msg network.Message) {
+func (h *Host) handleSigReply(msg *network.Message) {
 	if !h.traits.Signatures {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bloom"
 	"repro/internal/network"
 	"repro/internal/server"
 )
@@ -646,5 +647,70 @@ func TestGroCocaBatchedRecollection(t *testing.T) {
 	}
 	if !a.peerVec.CoversElement(11) {
 		t.Error("remaining member's item lost after recollection")
+	}
+}
+
+// deltaRecorder stands in for a host on the medium and copies the insert
+// list of every signature delta it hears, on search broadcasts and on
+// hellos, before passing the message on.
+type deltaRecorder struct {
+	*Host
+	search, hello [][]int
+}
+
+func (r *deltaRecorder) wrap(host *Host) network.Peer {
+	r.Host = host
+	return r
+}
+
+func (r *deltaRecorder) Receive(msg *network.Message) {
+	switch x := msg.Extra.(type) {
+	case *sigDelta:
+		r.search = append(r.search, slices.Clone(x.insert))
+	case *beaconInfo:
+		if x.SigDelta != nil {
+			r.hello = append(r.hello, slices.Clone(x.SigDelta.insert))
+		}
+	}
+	r.Host.Receive(msg)
+}
+
+// TestPiggybackRecordsStayWithQueuedFrames queues a search broadcast and
+// then a hello behind a long frame on one NIC, with the signature changed
+// before each. Each must arrive with the delta computed when it was sent:
+// a host refills its own piggyback records only while its NIC holds no
+// frame, so the hello cannot rewrite the delta of the queued search.
+func TestPiggybackRecordsStayWithQueuedFrames(t *testing.T) {
+	h := newHarness(t, 2, false)
+	cfg := testClientConfig(SchemeGroCoca)
+	cfg.DisableFilter = true // a searches although it holds b's signature
+	a := h.addHost(1, 0, 0, cfg)
+	heard := &deltaRecorder{}
+	b := h.addBehind(2, 50, 0, cfg, heard.wrap)
+	join(a, b) // a host with no member drops its hellos' delta
+	h.run(time.Second)
+
+	// The deltas an empty signature announces after 101, then 202.
+	ref, err := bloom.NewCountingFilter(cfg.SigBits, cfg.SigHashes, cacheCounterBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Insert(101)
+	first, _ := ref.Delta(nil, nil)
+	ref.Insert(202)
+	second, _ := ref.Delta(nil, nil)
+
+	// A long frame occupies a's NIC while both piggybacks queue behind it.
+	h.medium.Broadcast(network.Message{Kind: network.KindBeacon, From: a.id, Size: 10_000})
+	a.sigInsert(101)
+	a.beginRequest(7) // a miss: its search announces 101
+	a.sigInsert(202)
+	a.ndp.Start() // a hello at once, announcing 202
+	h.run(100 * time.Millisecond)
+	if len(heard.search) != 1 || !slices.Equal(heard.search[0], first) {
+		t.Errorf("the search arrived with inserts %v, want %v", heard.search, first)
+	}
+	if len(heard.hello) != 1 || !slices.Equal(heard.hello[0], second) {
+		t.Errorf("the hello arrived with inserts %v, want %v", heard.hello, second)
 	}
 }

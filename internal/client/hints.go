@@ -3,7 +3,6 @@ package client
 import (
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/workload"
 )
 
@@ -21,20 +20,6 @@ const maxBeaconHints = 4
 // hintState records when an item was last hinted by any neighbour.
 type hintState struct {
 	heardAt time.Duration
-}
-
-// beaconHints collects the host's most-recently-used valid items for the
-// beacon payload.
-func (h *Host) beaconHints() []workload.ItemID {
-	now := h.k.Now()
-	var out []workload.ItemID
-	h.cache.Each(func(e *cache.Entry) {
-		if len(out) >= maxBeaconHints || !e.Valid(now) {
-			return
-		}
-		out = append(out, e.ID)
-	})
-	return out
 }
 
 // recordNeighborHints folds a neighbour's beacon hints into the table and

@@ -127,16 +127,22 @@ type Host struct {
 	req pendingRequest
 
 	// The callbacks the request path schedules, bound once in NewHost so
-	// that scheduling one allocates nothing. The timers read h.cur; the
+	// that scheduling one allocates nothing; explicitUpdateFn, the τ_P
+	// tick, only for hosts with signatures. The timers read h.cur; the
 	// broadcast-disk callbacks get the seq of the request that tuned in,
 	// since a crash abort leaves them registered.
 	nextReqFn, timeoutFn, hedgeFn, reconnectFn func()
+	explicitUpdateFn                           func()
 	broadcastFn                                push.DeliverFunc
 	broadcastDropFn                            push.DropFunc
 
 	// Scratch reused by the replacement window and signature rebuilds.
 	cands    []*cache.Entry
 	sigElems []uint64
+	// beacon and delta are the records the host's hellos and search
+	// broadcasts carry whenever its NIC holds no frame (reusePiggyback).
+	beacon beaconInfo
+	delta  sigDelta
 
 	// Crash/recover churn (driven by the fault plan). The pending
 	// next-request timer is tracked so a crash can cancel it and
@@ -237,6 +243,7 @@ func NewHost(
 	}
 	if h.traits.Signatures {
 		h.rngSample = seed.Stream(fmt.Sprintf("sample-%d", id))
+		h.explicitUpdateFn = h.explicitUpdateTick
 	}
 	if cfg.Resilience.Jitter > 0 {
 		h.rngResil = seed.Stream(fmt.Sprintf("resil-%d", id))
@@ -345,7 +352,7 @@ func (h *Host) Start() {
 		h.ndp.Start()
 	}
 	if h.traits.Signatures && h.cfg.ExplicitUpdateAfter > 0 {
-		h.k.Schedule(h.cfg.ExplicitUpdateAfter, h.explicitUpdateTick)
+		h.k.Schedule(h.cfg.ExplicitUpdateAfter, h.explicitUpdateFn)
 	}
 	if h.faults != nil && h.faults.CrashEnabled() {
 		h.k.Schedule(h.faults.CrashDelay(h.id), h.crash)
@@ -543,7 +550,7 @@ func (h *Host) explicitUpdateTick() {
 		h.sendLocationUpdate(now)
 	}
 	if h.completed < h.totalRequests() {
-		h.k.Schedule(h.cfg.ExplicitUpdateAfter, h.explicitUpdateTick)
+		h.k.Schedule(h.cfg.ExplicitUpdateAfter, h.explicitUpdateFn)
 	}
 }
 
@@ -583,13 +590,13 @@ func (h *Host) samplePeerAccesses() *server.AccessSample {
 }
 
 // Receive implements network.Peer: P2P traffic dispatch.
-func (h *Host) Receive(msg network.Message) {
+func (h *Host) Receive(msg *network.Message) {
 	switch msg.Kind {
 	case network.KindBeacon:
 		if h.ndp != nil {
 			h.ndp.HandleBeacon(msg.From)
 		}
-		if info, ok := msg.Extra.(beaconInfo); ok {
+		if info, ok := msg.Extra.(*beaconInfo); ok {
 			h.recordNeighborBeacon(msg.From, info)
 			h.recordNeighborHints(info.Hints)
 			if info.SigDelta != nil && h.inTCG(msg.From) {
@@ -627,7 +634,7 @@ func (h *Host) Receive(msg network.Message) {
 // ReceiveFromServer handles downlink traffic; it reports whether the host
 // accepted the message (false while disconnected, in which case the reply
 // is lost).
-func (h *Host) ReceiveFromServer(msg network.Message) bool {
+func (h *Host) ReceiveFromServer(msg *network.Message) bool {
 	if !h.medium.Connected(h.id) {
 		return false
 	}
@@ -645,7 +652,7 @@ func (h *Host) ReceiveFromServer(msg network.Message) bool {
 
 // membershipChanges returns the TCG membership changes an MSS message
 // carries, or nil.
-func membershipChanges(msg network.Message) []server.MembershipChange {
+func membershipChanges(msg *network.Message) []server.MembershipChange {
 	if changes, ok := msg.Extra.(*server.Changes); ok {
 		return changes.List
 	}

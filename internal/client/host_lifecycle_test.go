@@ -110,7 +110,7 @@ func TestReceiveFromServerWhileDisconnected(t *testing.T) {
 	h := newHarness(t, 1, false)
 	a := h.addHost(1, 0, 0, testClientConfig(SchemeSC))
 	a.setConnected(false)
-	ok := a.ReceiveFromServer(network.Message{
+	ok := a.ReceiveFromServer(&network.Message{
 		Kind: network.KindServerReply,
 		To:   1,
 		Item: 5,
@@ -183,7 +183,7 @@ func TestMembershipPayloadViaDownlink(t *testing.T) {
 	h := newHarness(t, 2, true)
 	a := h.addHost(0, 0, 0, testClientConfig(SchemeGroCoca))
 	h.addHost(1, 50, 0, testClientConfig(SchemeGroCoca))
-	ok := a.ReceiveFromServer(network.Message{
+	ok := a.ReceiveFromServer(&network.Message{
 		Kind:  network.KindLocationUpdate,
 		To:    0,
 		Extra: &server.Changes{List: []server.MembershipChange{{Peer: 1, Joined: true}}},
@@ -195,8 +195,8 @@ func TestMembershipPayloadViaDownlink(t *testing.T) {
 		t.Errorf("TCG size = %d after membership payload, want 1", a.TCGSize())
 	}
 	// Malformed payload is ignored without panic.
-	a.ReceiveFromServer(network.Message{Kind: network.KindLocationUpdate, To: 0, Extra: 42})
-	a.ReceiveFromServer(network.Message{Kind: network.KindBeacon, To: 0})
+	a.ReceiveFromServer(&network.Message{Kind: network.KindLocationUpdate, To: 0, Extra: 42})
+	a.ReceiveFromServer(&network.Message{Kind: network.KindBeacon, To: 0})
 	if a.TCGSize() != 1 {
 		t.Error("malformed payload disturbed state")
 	}

@@ -76,7 +76,7 @@ func newHarness(t *testing.T, numHosts int, withTCG bool) *harness {
 	// tracks a single warm/done host regardless of how many peers exist.
 	h.collector = NewCollector(1, DefaultConfig().GroupSize, meter, nil)
 	_ = numHosts
-	link.SetDeliver(func(to network.NodeID, msg network.Message) bool {
+	link.SetDeliver(func(to network.NodeID, msg *network.Message) bool {
 		host, ok := h.hosts[to]
 		if !ok {
 			return false
@@ -103,6 +103,13 @@ func testClientConfig(scheme Scheme) Config {
 // addHost creates a stationary manually driven host.
 func (h *harness) addHost(id network.NodeID, x, y float64, cfg Config) *Host {
 	h.t.Helper()
+	return h.addBehind(id, x, y, cfg, func(host *Host) network.Peer { return host })
+}
+
+// addBehind creates a stationary manually driven host, like addHost, and
+// registers on the medium the peer wrap returns for it.
+func (h *harness) addBehind(id network.NodeID, x, y float64, cfg Config, wrap func(*Host) network.Peer) *Host {
+	h.t.Helper()
 	host, err := NewHost(
 		h.k, id, &cfg, cfg.WarmupRequests, cfg.MeasuredRequests,
 		mobility.Fixed{At: geo.Point{X: x, Y: y}},
@@ -112,7 +119,7 @@ func (h *harness) addHost(id network.NodeID, x, y float64, cfg Config) *Host {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	if err := h.medium.Register(host); err != nil {
+	if err := h.medium.Register(wrap(host)); err != nil {
 		h.t.Fatal(err)
 	}
 	h.hosts[id] = host
@@ -344,7 +351,7 @@ type replyCounter struct {
 	replies int
 }
 
-func (r *replyCounter) Receive(msg network.Message) {
+func (r *replyCounter) Receive(msg *network.Message) {
 	if msg.Kind == network.KindReply {
 		r.replies++
 	}
@@ -359,16 +366,11 @@ func TestFloodDedupAnswersOnce(t *testing.T) {
 	h := newHarness(t, 3, false)
 	cfg := testClientConfig(SchemeCOCA)
 	cfg.HopDist = 2
-	a, err := NewHost(h.k, 1, &cfg, cfg.WarmupRequests, cfg.MeasuredRequests, mobility.Fixed{At: geo.Point{}},
-		h.medium, h.link, nil, h.collector, sim.Seed(1001))
-	if err != nil {
-		t.Fatal(err)
-	}
-	origin := &replyCounter{Host: a}
-	if err := h.medium.Register(origin); err != nil {
-		t.Fatal(err)
-	}
-	h.hosts[1] = a
+	origin := &replyCounter{}
+	a := h.addBehind(1, 0, 0, cfg, func(host *Host) network.Peer {
+		origin.Host = host
+		return origin
+	})
 	h.addHost(2, 30, 0, cfg) // the relay, registered before the holder
 	c := h.addHost(3, 60, 0, cfg)
 	if err := c.Preload(11, time.Hour); err != nil {

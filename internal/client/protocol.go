@@ -36,7 +36,7 @@ type peerReply struct {
 }
 
 // searchPath returns the search path a message carries, or nil.
-func searchPath(msg network.Message) []network.NodeID {
+func searchPath(msg *network.Message) []network.NodeID {
 	if r, ok := msg.Extra.(*route); ok {
 		return r.path
 	}
@@ -117,8 +117,12 @@ func (h *Host) broadcastSearch(item workload.ItemID) {
 		Hops:   int32(h.cfg.HopDist),
 	}
 	if h.traits.Signatures {
-		if ins, evi := h.ownSig.Delta(); len(ins) > 0 || len(evi) > 0 {
-			msg.Extra = &sigDelta{insert: ins, evict: evi}
+		d := &h.delta
+		if !h.reusePiggyback() {
+			d = &sigDelta{}
+		}
+		if d.insert, d.evict = h.ownSig.Delta(d.insert, d.evict); len(d.insert) > 0 || len(d.evict) > 0 {
+			msg.Extra = d
 		}
 	}
 	h.medium.Broadcast(msg)
@@ -181,7 +185,7 @@ func (h *Host) dataTimeout() time.Duration {
 // handlePeerRequest serves or forwards another host's search broadcast.
 //
 //hot:every search broadcast a host hears; 0 allocs/op pinned by TestRequestPathAllocs
-func (h *Host) handlePeerRequest(msg network.Message) {
+func (h *Host) handlePeerRequest(msg *network.Message) {
 	if msg.Origin == h.id {
 		return
 	}
@@ -230,9 +234,10 @@ func (h *Host) handlePeerRequest(msg network.Message) {
 		return
 	}
 	// Not cached: extend the flood if hops remain. Forwarders do not
-	// re-piggyback the origin's signature delta.
+	// re-piggyback the origin's signature delta. The forwarded copy is
+	// the relay's own: the delivered message is never written.
 	if msg.Hops > 1 {
-		fwd := msg
+		fwd := *msg
 		fwd.From = h.id
 		fwd.Hops--
 		fwd.Extra = &route{path: append(path[:len(path):len(path)], h.id)}
@@ -245,7 +250,7 @@ func (h *Host) handlePeerRequest(msg network.Message) {
 // longest-TTL touch selection.
 //
 //hot:every reply to this host's searches; 0 allocs/op pinned by TestRequestPathAllocs
-func (h *Host) handleReply(msg network.Message) {
+func (h *Host) handleReply(msg *network.Message) {
 	p := h.cur
 	if p == nil || msg.Seq != p.seq {
 		return // stale reply for an old request
@@ -331,7 +336,7 @@ func (p *pendingRequest) nextHolder() *peerReply {
 // handleRetrieve turns in the requested item to the origin.
 //
 //hot:every retrieve this host is asked to serve; 0 allocs/op pinned by TestRequestPathAllocs
-func (h *Host) handleRetrieve(msg network.Message) {
+func (h *Host) handleRetrieve(msg *network.Message) {
 	now := h.k.Now()
 	e := h.cache.Peek(msg.Item)
 	if e == nil || !e.Valid(now) {
@@ -357,7 +362,7 @@ func (h *Host) handleRetrieve(msg network.Message) {
 // handleData completes the outstanding request with a global cache hit.
 //
 //hot:every peer hit; 0 allocs/op pinned by TestRequestPathAllocs
-func (h *Host) handleData(msg network.Message) {
+func (h *Host) handleData(msg *network.Message) {
 	p := h.cur
 	if p == nil || p.phase != phaseWaitData || msg.Seq != p.seq {
 		return
@@ -416,7 +421,7 @@ func (h *Host) touchLongestTTLMember(p *pendingRequest) {
 // handleTouch refreshes the recency of a copy this host serves to its TCG.
 //
 //hot:every cooperative-admission touch this host receives
-func (h *Host) handleTouch(msg network.Message) {
+func (h *Host) handleTouch(msg *network.Message) {
 	if !h.inTCG(msg.Origin) {
 		return
 	}
@@ -584,7 +589,7 @@ func (h *Host) validateWithServer() {
 }
 
 // handleServerReply processes a full data reply from the MSS.
-func (h *Host) handleServerReply(msg network.Message) {
+func (h *Host) handleServerReply(msg *network.Message) {
 	h.applyMembershipChanges(membershipChanges(msg))
 	p := h.cur
 	if p == nil || p.item != msg.Item {
@@ -609,7 +614,7 @@ func (h *Host) handleServerReply(msg network.Message) {
 }
 
 // handleValidateOK renews a validated copy's lifetime.
-func (h *Host) handleValidateOK(msg network.Message) {
+func (h *Host) handleValidateOK(msg *network.Message) {
 	h.applyMembershipChanges(membershipChanges(msg))
 	p := h.cur
 	if p == nil || p.phase != phaseWaitValidate || p.item != msg.Item {
@@ -646,16 +651,18 @@ func (h *Host) sendRouted(msg network.Message, to network.NodeID, hops, path []n
 
 // atFinalHop forwards a message routed over several hops to its next hop
 // and reports whether this host is its final receiver, as it is of every
-// single-hop message.
-func (h *Host) atFinalHop(msg network.Message) bool {
+// single-hop message. It forwards a copy: the delivered message is never
+// written.
+func (h *Host) atFinalHop(msg *network.Message) bool {
 	r, ok := msg.Extra.(*route)
 	if !ok || int(msg.Hops) >= len(r.hops)-1 {
 		return true
 	}
-	msg.From = h.id
-	msg.Hops++
-	msg.To = r.hops[msg.Hops]
-	h.medium.Send(msg)
+	fwd := *msg
+	fwd.From = h.id
+	fwd.Hops++
+	fwd.To = r.hops[fwd.Hops]
+	h.medium.Send(fwd)
 	return false
 }
 

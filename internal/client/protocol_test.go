@@ -43,7 +43,7 @@ func TestStaleReplyAfterTimeoutIgnored(t *testing.T) {
 		t.Fatalf("outcomes = %v", h.collector.outcomes)
 	}
 	// A forged stale reply for the old request must not disturb the host.
-	a.handleReply(network.Message{
+	a.handleReply(&network.Message{
 		Kind:   network.KindReply,
 		From:   2,
 		To:     1,
@@ -110,7 +110,7 @@ func TestServerReplyForWrongItemIgnored(t *testing.T) {
 	a := h.addHost(1, 0, 0, testClientConfig(SchemeSC))
 	a.beginRequest(7)
 	// Inject a reply for a different item before the real one arrives.
-	a.handleServerReply(network.Message{
+	a.handleServerReply(&network.Message{
 		Kind: network.KindServerReply,
 		To:   1,
 		Item: 99,
@@ -172,14 +172,14 @@ func TestSigDeltaAnnihilation(t *testing.T) {
 	// Insert then evict the same item: the deltas must cancel.
 	a.sigInsert(42)
 	a.sigRemove(42)
-	ins, evi := a.ownSig.Delta()
+	ins, evi := a.ownSig.Delta(nil, nil)
 	if len(ins) != 0 || len(evi) != 0 {
 		t.Errorf("deltas not annihilated: +%v -%v", ins, evi)
 	}
 	// Evict-then-insert likewise (counting filter marks dirty on
 	// underflow, triggering a rebuild which clears deltas).
 	a.sigInsert(43)
-	ins, _ = a.ownSig.Delta()
+	ins, _ = a.ownSig.Delta(nil, nil)
 	if len(ins) == 0 {
 		t.Error("insertion delta missing")
 	}
@@ -202,7 +202,7 @@ func TestOwnSigRebuildOnSaturation(t *testing.T) {
 	// The first insertions set signature bits, and only Delta or Rebuild
 	// marks set bits announced. Delta never ran, so an empty delta shows
 	// that a saturation rebuilt the vector.
-	if ins, evi := a.ownSig.Delta(); ins != nil || evi != nil {
+	if ins, evi := a.ownSig.Delta(nil, nil); len(ins) != 0 || len(evi) != 0 {
 		t.Fatalf("no rebuild after saturation: pending delta inserts %v, evicts %v", ins, evi)
 	}
 	// The rebuilt signature must still cover every cached item (no false

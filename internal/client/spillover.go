@@ -60,7 +60,7 @@ func (h *Host) activityPerSec() float64 {
 }
 
 // recordNeighborBeacon stores a neighbor's spillover state.
-func (h *Host) recordNeighborBeacon(from network.NodeID, info beaconInfo) {
+func (h *Host) recordNeighborBeacon(from network.NodeID, info *beaconInfo) {
 	if !h.cfg.EnableSpillover {
 		return
 	}
@@ -144,7 +144,7 @@ func (h *Host) maybeSpill(victim *cache.Entry) {
 }
 
 // handleSpill accepts a donated item when there is room for it.
-func (h *Host) handleSpill(msg network.Message) {
+func (h *Host) handleSpill(msg *network.Message) {
 	if !h.cfg.EnableSpillover {
 		return
 	}

@@ -57,7 +57,7 @@ func TestHandleSpillAcceptsAndRejects(t *testing.T) {
 	cfg.CacheSize = 2
 	a := h.addHost(1, 0, 0, cfg)
 	spill := func(item int, expiresAt time.Duration) {
-		a.handleSpill(network.Message{Kind: network.KindSpill, Item: workloadID(item), TTL: expiresAt})
+		a.handleSpill(&network.Message{Kind: network.KindSpill, Item: workloadID(item), TTL: expiresAt})
 	}
 	spill(5, time.Hour)
 	if a.Cache().Peek(5) == nil {
@@ -99,10 +99,10 @@ func TestSpillTargetPrefersIdleNeighborsWithSpace(t *testing.T) {
 		a.observeActivity(time.Duration(i) * 100 * time.Millisecond)
 	}
 	now := h.k.Now()
-	a.recordNeighborBeacon(2, beaconInfo{ActivityPerSec: 1, HasSpace: true})
-	a.recordNeighborBeacon(3, beaconInfo{ActivityPerSec: 0.2, HasSpace: true})
-	a.recordNeighborBeacon(4, beaconInfo{ActivityPerSec: 0.1, HasSpace: false})
-	a.recordNeighborBeacon(5, beaconInfo{ActivityPerSec: 9, HasSpace: true}) // too active
+	a.recordNeighborBeacon(2, &beaconInfo{ActivityPerSec: 1, HasSpace: true})
+	a.recordNeighborBeacon(3, &beaconInfo{ActivityPerSec: 0.2, HasSpace: true})
+	a.recordNeighborBeacon(4, &beaconInfo{ActivityPerSec: 0.1, HasSpace: false})
+	a.recordNeighborBeacon(5, &beaconInfo{ActivityPerSec: 9, HasSpace: true}) // too active
 	_ = now
 	// Least active wins even without spare space (donations roll the LRU).
 	target, ok := a.spillTarget()
@@ -117,7 +117,7 @@ func TestSpillTargetIgnoresStaleBeacons(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.observeActivity(time.Duration(i) * 100 * time.Millisecond)
 	}
-	a.recordNeighborBeacon(2, beaconInfo{ActivityPerSec: 0.1, HasSpace: true})
+	a.recordNeighborBeacon(2, &beaconInfo{ActivityPerSec: 0.1, HasSpace: true})
 	// Advance far beyond the staleness window (3 beacon intervals).
 	h.run(time.Minute)
 	if _, ok := a.spillTarget(); ok {
@@ -182,7 +182,7 @@ func TestAdmitSpillsTheRemovedVictim(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.observeActivity(time.Duration(i) * 100 * time.Millisecond)
 	}
-	a.recordNeighborBeacon(2, beaconInfo{ActivityPerSec: 0.1, HasSpace: true})
+	a.recordNeighborBeacon(2, &beaconInfo{ActivityPerSec: 0.1, HasSpace: true})
 	if err := a.Preload(100, 30*time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -217,9 +217,9 @@ func TestSpillTargetBreaksTiesByLowestID(t *testing.T) {
 		a.observeActivity(time.Duration(i) * 100 * time.Millisecond)
 	}
 	for _, id := range []network.NodeID{9, 4, 7, 3, 8, 5, 6, 2} {
-		a.recordNeighborBeacon(id, beaconInfo{ActivityPerSec: 0.1, HasSpace: true})
+		a.recordNeighborBeacon(id, &beaconInfo{ActivityPerSec: 0.1, HasSpace: true})
 	}
-	a.recordNeighborBeacon(10, beaconInfo{ActivityPerSec: 0.1, HasSpace: false})
+	a.recordNeighborBeacon(10, &beaconInfo{ActivityPerSec: 0.1, HasSpace: false})
 	for i := 0; i < 200; i++ {
 		if target, ok := a.spillTarget(); !ok || target != 2 {
 			t.Fatalf("call %d: spill target = %d (%v), want 2, the lowest tied ID", i, target, ok)

@@ -106,7 +106,7 @@ func New(cfg Config) (*Simulation, error) {
 	if err := s.buildHosts(root); err != nil {
 		return nil, err
 	}
-	link.SetDeliver(func(to network.NodeID, msg network.Message) bool {
+	link.SetDeliver(func(to network.NodeID, msg *network.Message) bool {
 		if to < 0 || int(to) >= len(s.hosts) {
 			return false
 		}

@@ -22,7 +22,7 @@ func (h *host) ID() network.NodeID { return h.id }
 func (h *host) Motion(time.Duration) (geo.Point, time.Duration, float64) {
 	return h.pos, math.MaxInt64, 0
 }
-func (h *host) Receive(msg network.Message) {
+func (h *host) Receive(msg *network.Message) {
 	if msg.Kind == network.KindBeacon {
 		h.proto.HandleBeacon(msg.From)
 	}

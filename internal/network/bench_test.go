@@ -22,7 +22,7 @@ func (p *benchPeer) ID() NodeID { return p.id }
 func (p *benchPeer) Motion(time.Duration) (geo.Point, time.Duration, float64) {
 	return p.pos, math.MaxInt64, 0
 }
-func (p *benchPeer) Receive(Message) {}
+func (p *benchPeer) Receive(*Message) {}
 
 // benchMedium builds a medium holding n stationary peers scattered at
 // constant density (~20 hosts per transmission-range disc), so the indexed
@@ -96,7 +96,7 @@ func (p *rpgmPeer) ID() NodeID { return p.id }
 func (p *rpgmPeer) Motion(t time.Duration) (geo.Point, time.Duration, float64) {
 	return p.mob.Motion(t)
 }
-func (p *rpgmPeer) Receive(Message) {}
+func (p *rpgmPeer) Receive(*Message) {}
 
 // BenchmarkBeaconRound measures one beacon round per op over moving hosts:
 // RPGM members at the paper's defaults (groups of 5, 50 m radius, 1-5 m/s,
@@ -170,5 +170,37 @@ func BenchmarkMediumTransmit(b *testing.B) {
 		m.Broadcast(Message{Kind: KindBeacon, From: src, Size: BeaconSize})
 		for k.Step() {
 		}
+	}
+}
+
+// BenchmarkServerLinkRoundTrip measures one MSS exchange on the server
+// link: a Message-sized uplink send, its delivery to a no-op MSS handler,
+// a downlink reply and its delivery to the client, each completion handing
+// its receiver a pointer into the channel's ring.
+func BenchmarkServerLinkRoundTrip(b *testing.B) {
+	k := sim.NewKernel()
+	link, err := NewServerLink(k, ServerLinkConfig{UplinkKbps: 200, DownlinkKbps: 2000}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var delivered int
+	link.SetHandler(func(*Message) {})
+	link.SetDeliver(func(NodeID, *Message) bool { delivered++; return true })
+	up := Message{Kind: KindServerRequest, From: 3, Size: RequestSize, Item: 42, Location: geo.Point{X: 1, Y: 2}}
+	down := Message{Kind: KindServerReply, To: 3, Size: HeaderSize + 1000, Item: 42, TTL: time.Hour}
+	round := func() {
+		link.SendUp(up)
+		link.SendDown(down)
+		for k.Step() {
+		}
+	}
+	round() // grow the rings and the event heap
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	if delivered != b.N+1 {
+		b.Fatalf("delivered %d replies, want %d", delivered, b.N+1)
 	}
 }

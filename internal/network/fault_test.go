@@ -404,8 +404,8 @@ func TestServerLinkFaultAndOutageDrops(t *testing.T) {
 	}
 	link.SetFaultPlan(plan)
 	handled, delivered := 0, 0
-	link.SetHandler(func(Message) { handled++ })
-	link.SetDeliver(func(NodeID, Message) bool { delivered++; return true })
+	link.SetHandler(func(*Message) { handled++ })
+	link.SetDeliver(func(NodeID, *Message) bool { delivered++; return true })
 
 	// Uplink: certain loss destroys the request before the handler.
 	link.SendUp(Message{Kind: KindServerRequest, From: 1, Size: 40})

@@ -23,7 +23,7 @@ func (p *movingPeer) Motion(t time.Duration) (geo.Point, time.Duration, float64)
 	s := t.Seconds()
 	return geo.Point{X: p.origin.X + p.vx*s, Y: p.origin.Y + p.vy*s}, math.MaxInt64, math.Hypot(p.vx, p.vy)
 }
-func (p *movingPeer) Receive(msg Message) { p.inbox = append(p.inbox, msg) }
+func (p *movingPeer) Receive(msg *Message) { p.inbox = append(p.inbox, *msg) }
 
 // twinMediums builds a grid-indexed medium and a brute-force medium with
 // identically-parameterised peer populations, returning both peer sets.

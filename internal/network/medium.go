@@ -14,6 +14,11 @@ import (
 // once per delivered message. Whether a peer is on the air is medium state,
 // set through Medium.SetConnected.
 //
+// Receive gets a pointer into the sender's NIC ring, shared by every
+// receiver of a broadcast. It is valid until Receive returns, and nobody
+// writes through it: a receiver that keeps content copies it, and a relay
+// copies the message before changing a field (DESIGN.md "Request path").
+//
 // Motion reports the peer's position at t, the time until which that
 // position is a pure function of time (no randomness drawn, no state changed
 // that alters later results), and a bound on its speed until then. The
@@ -24,7 +29,7 @@ import (
 type Peer interface {
 	ID() NodeID
 	Motion(t time.Duration) (pos geo.Point, until time.Duration, speed float64)
-	Receive(msg Message)
+	Receive(msg *Message)
 }
 
 // Medium is the shared P2P wireless channel: every mobile host has one
@@ -220,6 +225,15 @@ func (m *Medium) Connected(id NodeID) bool {
 	return i >= 0 && m.connected[i]
 }
 
+// Idle reports whether the NIC of the peer registered as id holds no
+// frame: none waiting, none in service and none being delivered. Only
+// then does no frame reference content the peer sent. An unknown peer's
+// NIC is idle.
+func (m *Medium) Idle(id NodeID) bool {
+	i := m.slot(id)
+	return i < 0 || m.nics[i].Idle()
+}
+
 // slot returns the registration slot of the peer registered as id, or -1.
 func (m *Medium) slot(id NodeID) int {
 	if id < 0 || int(id) >= len(m.regIdx) {
@@ -401,22 +415,37 @@ func (m *Medium) Broadcast(msg Message) {
 }
 
 // complete runs when frame f leaves its sender's NIC. A sender that left
-// the network meanwhile sent nothing.
-func (m *Medium) complete(f frame) {
-	if !m.connected[f.src] {
+// the network meanwhile sent nothing. The frame stays in its NIC's ring
+// until complete returns, so receivers are handed &f.msg.
+func (m *Medium) complete(f *frame) {
+	switch {
+	case !m.connected[f.src]:
 		m.drops.SenderDisconnected++
+	case f.dst < 0:
+		m.broadcastDone(f.src, &f.msg)
+	default:
+		m.sendDone(f.src, f.dst, &f.msg)
+	}
+	if msgCheck {
+		poison(&f.msg)
+	}
+}
+
+// receive hands msg to the peer in slot i. Under the msgcheck build tag it
+// panics when the peer changed the message.
+func (m *Medium) receive(i int, msg *Message) {
+	if !msgCheck {
+		m.peers[i].Receive(msg)
 		return
 	}
-	if f.dst < 0 {
-		m.broadcastDone(f.src, f.msg)
-	} else {
-		m.sendDone(f.src, f.dst, f.msg)
-	}
+	was := *msg
+	m.peers[i].Receive(msg)
+	checkUnchanged(msg, &was, m.ids[i])
 }
 
 // broadcastDone delivers a completed broadcast to every connected peer in
 // range of its sender.
-func (m *Medium) broadcastDone(srcIdx int, msg Message) {
+func (m *Medium) broadcastDone(srcIdx int, msg *Message) {
 	now := m.k.Now()
 	m.meter.Charge(msg.From, EnergyBroadcastSend, Power.BSend.Energy(msg.Size))
 	if m.brute {
@@ -436,7 +465,7 @@ func (m *Medium) broadcastDone(srcIdx int, msg Message) {
 }
 
 // broadcastBrute is the receiver loop of the pairwise scan.
-func (m *Medium) broadcastBrute(srcIdx int, msg Message, now time.Duration) {
+func (m *Medium) broadcastBrute(srcIdx int, msg *Message, now time.Duration) {
 	for i, on := range m.connected {
 		if i != srcIdx && on && m.inRange(srcIdx, i, now) {
 			m.deliverBroadcast(i, msg, now)
@@ -448,14 +477,14 @@ func (m *Medium) broadcastBrute(srcIdx int, msg Message, now time.Duration) {
 // host in slot i. The receiver hears the frame (and pays for decoding it)
 // whether or not the fault plan corrupts it. Per-receiver draws run in
 // registration order, keeping replays exact.
-func (m *Medium) deliverBroadcast(i int, msg Message, now time.Duration) {
+func (m *Medium) deliverBroadcast(i int, msg *Message, now time.Duration) {
 	m.meter.Charge(m.ids[i], EnergyBroadcastRecv, Power.BRecv.Energy(msg.Size))
 	if m.faults != nil && m.faults.DropP2P(msg.Size, now) {
 		m.drops.Fault++
 		return
 	}
 	m.delivered++
-	m.peers[i].Receive(msg)
+	m.receive(i, msg)
 }
 
 // Send transmits msg point-to-point from msg.From to msg.To. If the
@@ -476,7 +505,7 @@ func (m *Medium) Send(msg Message) {
 // sendDone completes a point-to-point send: it delivers the message if
 // the destination is connected and in range, and charges bystanders the
 // Table I discard costs.
-func (m *Medium) sendDone(srcIdx, dstIdx int, msg Message) {
+func (m *Medium) sendDone(srcIdx, dstIdx int, msg *Message) {
 	now := m.k.Now()
 	m.meter.Charge(msg.From, EnergyP2PSend, Power.Send.Energy(msg.Size))
 	if m.brute {
@@ -542,12 +571,12 @@ func (m *Medium) sendDone(srcIdx, dstIdx int, msg Message) {
 	}
 	if reachable && !faulted {
 		m.delivered++
-		m.peers[dstIdx].Receive(msg)
+		m.receive(dstIdx, msg)
 	}
 }
 
 // sendBrute is the completion body of the pairwise point-to-point scan.
-func (m *Medium) sendBrute(srcIdx, dstIdx int, msg Message, now time.Duration) {
+func (m *Medium) sendBrute(srcIdx, dstIdx int, msg *Message, now time.Duration) {
 	reachable := m.connected[dstIdx] && m.inRange(srcIdx, dstIdx, now)
 	faulted := false
 	if reachable {
@@ -577,7 +606,7 @@ func (m *Medium) sendBrute(srcIdx, dstIdx int, msg Message, now time.Duration) {
 	}
 	if reachable && !faulted {
 		m.delivered++
-		m.peers[dstIdx].Receive(msg)
+		m.receive(dstIdx, msg)
 	}
 }
 

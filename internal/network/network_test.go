@@ -21,7 +21,7 @@ func (p *testPeer) ID() NodeID { return p.id }
 func (p *testPeer) Motion(time.Duration) (geo.Point, time.Duration, float64) {
 	return p.pos, math.MaxInt64, 0
 }
-func (p *testPeer) Receive(msg Message) { p.inbox = append(p.inbox, msg) }
+func (p *testPeer) Receive(msg *Message) { p.inbox = append(p.inbox, *msg) }
 
 var _ Peer = (*testPeer)(nil)
 
@@ -305,12 +305,12 @@ func TestServerLinkRoundTrip(t *testing.T) {
 	}
 	var serverGot []Message
 	var clientGot []Message
-	link.SetHandler(func(msg Message) {
-		serverGot = append(serverGot, msg)
+	link.SetHandler(func(msg *Message) {
+		serverGot = append(serverGot, *msg)
 		link.SendDown(Message{Kind: KindServerReply, To: msg.From, Size: 1000})
 	})
-	link.SetDeliver(func(to NodeID, msg Message) bool {
-		clientGot = append(clientGot, msg)
+	link.SetDeliver(func(to NodeID, msg *Message) bool {
+		clientGot = append(clientGot, *msg)
 		return true
 	})
 	link.SendUp(Message{Kind: KindServerRequest, From: 7, Size: 50})
@@ -352,7 +352,7 @@ func TestServerLinkDownlinkQueueing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var arrivals []time.Duration
-	link.SetDeliver(func(to NodeID, msg Message) bool {
+	link.SetDeliver(func(to NodeID, msg *Message) bool {
 		arrivals = append(arrivals, k.Now())
 		return true
 	})
@@ -379,7 +379,7 @@ func TestServerLinkDeliverRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	link.SetDeliver(func(NodeID, Message) bool { return false })
+	link.SetDeliver(func(NodeID, *Message) bool { return false })
 	link.SendDown(Message{Kind: KindServerReply, To: 3, Size: 500})
 	if err := k.Run(time.Second); err != nil {
 		t.Fatal(err)
@@ -545,8 +545,8 @@ func TestServerLinkSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	link.SetHandler(func(Message) {})
-	link.SetDeliver(func(NodeID, Message) bool { return true })
+	link.SetHandler(func(*Message) {})
+	link.SetDeliver(func(NodeID, *Message) bool { return true })
 	round := func() {
 		link.SendUp(Message{Kind: KindServerRequest, From: 3, Size: ControlSize})
 		link.SendDown(Message{Kind: KindServerReply, To: 3, Size: 1000})

@@ -20,10 +20,10 @@ type ServerLink struct {
 	downKbps float64
 	meter    *Meter
 	// handler receives uplink messages at the MSS.
-	handler func(msg Message)
+	handler func(msg *Message)
 	// deliver hands downlink messages to a client; it reports whether the
 	// client accepted it (false when disconnected).
-	deliver func(to NodeID, msg Message) bool
+	deliver func(to NodeID, msg *Message) bool
 	faults  *FaultPlan
 	// stats
 	upCount, downCount uint64
@@ -78,12 +78,16 @@ func NewServerLink(k *sim.Kernel, cfg ServerLinkConfig, meter *Meter) (*ServerLi
 }
 
 // SetHandler installs the MSS-side uplink handler. It must be set before
-// any SendUp call.
-func (l *ServerLink) SetHandler(h func(msg Message)) { l.handler = h }
+// any SendUp call. The handler gets a pointer into the uplink's ring under
+// the same contract as Peer.Receive: valid until the handler returns, and
+// never written through.
+func (l *ServerLink) SetHandler(h func(msg *Message)) { l.handler = h }
 
 // SetDeliver installs the downlink delivery function, which routes a
-// message to the addressed client and reports acceptance.
-func (l *ServerLink) SetDeliver(d func(to NodeID, msg Message) bool) { l.deliver = d }
+// message to the addressed client and reports acceptance. It gets a
+// pointer into the downlink's ring, under the same contract as the
+// handler.
+func (l *ServerLink) SetDeliver(d func(to NodeID, msg *Message) bool) { l.deliver = d }
 
 // SendUp queues msg on the shared uplink; the MSS handler runs when the
 // transmission completes. The sending client pays infrastructure-NIC send
@@ -96,20 +100,30 @@ func (l *ServerLink) SendUp(msg Message) {
 
 // upDone hands a request that crossed the uplink to the MSS handler,
 // unless an injected fault destroyed it.
-func (l *ServerLink) upDone(msg Message) {
-	if l.faults != nil {
-		if l.faults.InOutage(l.k.Now()) {
-			l.drops.UplinkOutage++
-			return
-		}
-		if l.faults.DropUplink(msg.Size, l.k.Now()) {
-			l.drops.UplinkFault++
-			return
-		}
+func (l *ServerLink) upDone(msg *Message) {
+	switch {
+	case l.faults != nil && l.faults.InOutage(l.k.Now()):
+		l.drops.UplinkOutage++
+	case l.faults != nil && l.faults.DropUplink(msg.Size, l.k.Now()):
+		l.drops.UplinkFault++
+	case l.handler != nil:
+		l.handle(msg)
 	}
-	if l.handler != nil {
+	if msgCheck {
+		poison(msg)
+	}
+}
+
+// handle hands an uplink message to the MSS handler. Under the msgcheck
+// build tag it panics when the handler changed the message.
+func (l *ServerLink) handle(msg *Message) {
+	if !msgCheck {
 		l.handler(msg)
+		return
 	}
+	was := *msg
+	l.handler(msg)
+	checkUnchanged(msg, &was, -1)
 }
 
 // SendDown queues msg on the shared downlink for the addressed client; the
@@ -123,26 +137,32 @@ func (l *ServerLink) SendDown(msg Message) {
 
 // downDone delivers a reply that crossed the downlink to its client,
 // unless an injected fault destroyed it or the client cannot take it.
-func (l *ServerLink) downDone(msg Message) {
-	if l.faults != nil {
-		if l.faults.InOutage(l.k.Now()) {
-			l.drops.DownlinkOutage++
-			return
-		}
-		if l.faults.DropDownlink(msg.Size, l.k.Now()) {
-			l.drops.DownlinkFault++
-			return
-		}
-	}
-	if l.deliver == nil {
+func (l *ServerLink) downDone(msg *Message) {
+	switch {
+	case l.faults != nil && l.faults.InOutage(l.k.Now()):
+		l.drops.DownlinkOutage++
+	case l.faults != nil && l.faults.DropDownlink(msg.Size, l.k.Now()):
+		l.drops.DownlinkFault++
+	case l.deliver == nil || !l.receive(msg):
 		l.drops.DownlinkDisconnected++
-		return
-	}
-	if l.deliver(msg.To, msg) {
+	default:
 		l.meter.Charge(msg.To, EnergyServerRecv, Power.ServerRecv.Energy(msg.Size))
-	} else {
-		l.drops.DownlinkDisconnected++
 	}
+	if msgCheck {
+		poison(msg)
+	}
+}
+
+// receive hands a downlink message to the deliver function. Under the
+// msgcheck build tag it panics when the client changed the message.
+func (l *ServerLink) receive(msg *Message) bool {
+	if !msgCheck {
+		return l.deliver(msg.To, msg)
+	}
+	was := *msg
+	ok := l.deliver(msg.To, msg)
+	checkUnchanged(msg, &was, was.To)
+	return ok
 }
 
 // SetFaultPlan installs the injected-fault source for both directions. A

@@ -69,7 +69,7 @@ func (s *MSS) Stats() (requests, validations, refreshes, locUpdates uint64) {
 // Extra.
 //
 //hot:every MSS exchange; 0 allocs/op pinned by the client's SC round-trip pin
-func (s *MSS) handle(msg network.Message) {
+func (s *MSS) handle(msg *network.Message) {
 	switch msg.Kind {
 	case network.KindServerRequest:
 		s.handleRequest(msg)
@@ -86,7 +86,7 @@ func (s *MSS) handle(msg network.Message) {
 // recordContact feeds a client's piggybacked location, the accessed item
 // (none for a location update) and its peer-access sample to TCG
 // discovery, and returns the membership changes pending for the client.
-func (s *MSS) recordContact(msg network.Message, access bool) []MembershipChange {
+func (s *MSS) recordContact(msg *network.Message, access bool) []MembershipChange {
 	if s.tcg == nil {
 		return nil
 	}
@@ -103,7 +103,7 @@ func (s *MSS) recordContact(msg network.Message, access bool) []MembershipChange
 }
 
 // reply queues a downlink message for the client that sent msg.
-func (s *MSS) reply(msg network.Message, kind network.Kind, size int, refresh bool, changes []MembershipChange) {
+func (s *MSS) reply(msg *network.Message, kind network.Kind, size int, refresh bool, changes []MembershipChange) {
 	out := network.Message{
 		Kind:    kind,
 		Refresh: refresh,
@@ -118,14 +118,14 @@ func (s *MSS) reply(msg network.Message, kind network.Kind, size int, refresh bo
 	s.link.SendDown(out)
 }
 
-func (s *MSS) handleRequest(msg network.Message) {
+func (s *MSS) handleRequest(msg *network.Message) {
 	s.requests++
 	s.catalog.RecordDemand(msg.Item)
 	changes := s.recordContact(msg, true)
 	s.reply(msg, network.KindServerReply, network.HeaderSize+s.catalog.ItemSize(), false, changes)
 }
 
-func (s *MSS) handleValidate(msg network.Message) {
+func (s *MSS) handleValidate(msg *network.Message) {
 	s.validations++
 	changes := s.recordContact(msg, true)
 	if s.catalog.UpdatedSince(msg.Item, msg.RetrievedAt) {
@@ -138,7 +138,7 @@ func (s *MSS) handleValidate(msg network.Message) {
 	s.reply(msg, network.KindValidateOK, network.ControlSize, false, changes)
 }
 
-func (s *MSS) handleLocationUpdate(msg network.Message) {
+func (s *MSS) handleLocationUpdate(msg *network.Message) {
 	s.locUpdates++
 	changes := s.recordContact(msg, false)
 	if len(changes) == 0 {

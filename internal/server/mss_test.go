@@ -44,8 +44,8 @@ func newMSSFixture(t *testing.T, withTCG bool) *mssFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	link.SetDeliver(func(to network.NodeID, msg network.Message) bool {
-		f.inbox = append(f.inbox, msg)
+	link.SetDeliver(func(to network.NodeID, msg *network.Message) bool {
+		f.inbox = append(f.inbox, *msg)
 		return true
 	})
 	return f

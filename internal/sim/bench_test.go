@@ -25,7 +25,7 @@ func BenchmarkKernelScheduleRun(b *testing.B) {
 // one completion per op.
 func BenchmarkChannelSend(b *testing.B) {
 	k := NewKernel()
-	c := NewChannel(k, func(int) {})
+	c := NewChannel(k, func(*int) {})
 	for i := 0; i < b.N; i++ {
 		c.Send(i, time.Microsecond)
 		if c.QueueLen() > 1000 {

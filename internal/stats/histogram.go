@@ -11,17 +11,24 @@ import (
 // keeping the raw samples is cheap and avoids sketch approximation error.
 type Sample struct {
 	values []float64
+	// placed lists, ascending, the positions earlier selections put in
+	// their final place: everything before such a position orders no
+	// later than its value and everything after no earlier. Add,
+	// Reserve and Reset forget them.
+	placed []int
 }
 
 // Add appends an observation.
 func (s *Sample) Add(x float64) {
 	s.values = append(s.values, x)
+	s.placed = s.placed[:0]
 }
 
 // Reserve makes room for n more observations, so that many Adds do not
 // grow the sample one reallocation at a time.
 func (s *Sample) Reserve(n int) {
 	s.values = slices.Grow(s.values, n)
+	s.placed = s.placed[:0]
 }
 
 // Count returns the number of observations.
@@ -33,28 +40,44 @@ func (s *Sample) Count() int { return len(s.values) }
 //
 // It selects the two order statistics it interpolates between instead of
 // sorting the sample, and leaves the observations in an order of its
-// choosing.
+// choosing. A later call selects only between the positions earlier
+// calls placed around its rank.
 func (s *Sample) Quantile(q float64) float64 {
-	v := s.values
-	n := len(v)
+	n := len(s.values)
 	if n == 0 {
 		return 0
 	}
-	// 2·log₂(n) partitions before a sort bound the worst case at
-	// O(n log n).
-	rounds := 2 * bits.Len(uint(n))
 	pos := min(max(q, 0), 1) * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
-	selectNth(v, lo, rounds)
+	s.place(lo)
 	if lo == hi {
-		return v[lo]
+		return s.values[lo]
 	}
-	// Nothing after lo orders before v[lo], so the next order statistic
-	// is the least of the rest.
-	selectNth(v[hi:], 0, rounds)
+	s.place(hi)
 	frac := pos - float64(lo)
-	return v[lo]*(1-frac) + v[hi]*frac
+	return s.values[lo]*(1-frac) + s.values[hi]*frac
+}
+
+// place puts the value slices.Sort would put at position k there,
+// selecting only in the range between the placed positions around k, and
+// records k as placed.
+func (s *Sample) place(k int) {
+	i, found := slices.BinarySearch(s.placed, k)
+	if found {
+		return
+	}
+	l, r := 0, len(s.values)
+	if i > 0 {
+		l = s.placed[i-1] + 1
+	}
+	if i < len(s.placed) {
+		r = s.placed[i]
+	}
+	// 2·log₂ of the range's length in partitions before a sort bound the
+	// worst case at O(n log n).
+	selectNth(s.values[l:r], k-l, 2*bits.Len(uint(r-l)))
+	s.placed = slices.Insert(s.placed, i, k)
 }
 
 // Min returns the smallest observation, or zero when empty.
@@ -66,6 +89,7 @@ func (s *Sample) Max() float64 { return s.Quantile(1) }
 // Reset discards all observations.
 func (s *Sample) Reset() {
 	s.values = s.values[:0]
+	s.placed = s.placed[:0]
 }
 
 // less is slices.Sort's order on float64: NaN before every other value.

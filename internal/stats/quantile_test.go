@@ -114,6 +114,68 @@ func TestQuantileMatchesSort(t *testing.T) {
 	}
 }
 
+// TestQuantileQuerySequences runs random sequences of queries against one
+// sample, with observations added in between, and compares every answer
+// with sort-then-interpolate over the observations so far. Runs of rising,
+// falling and repeated q reuse the positions earlier queries placed; after
+// every query each placed position must still split the sample.
+func TestQuantileQuerySequences(t *testing.T) {
+	rng := sim.NewRNG(4).Stream("quantile-sequences")
+	draw := func(distinct int) float64 {
+		switch r := rng.Intn(30); {
+		case r == 0:
+			return math.NaN()
+		case r == 1:
+			return math.Inf(1)
+		case r == 2:
+			return math.Inf(-1)
+		default:
+			return float64(rng.Intn(distinct)) * 0.37
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		var s Sample
+		var values []float64
+		distinct := 1 + rng.Intn(200)
+		for n := rng.Intn(300); n > 0; n-- {
+			x := draw(distinct)
+			s.Add(x)
+			values = append(values, x)
+		}
+		q := rng.Float64()
+		for step := 0; step < 40; step++ {
+			switch op := rng.Intn(10); {
+			case op == 0: // add between queries
+				x := draw(distinct)
+				s.Add(x)
+				values = append(values, x)
+				continue
+			case op == 1:
+				s.Reserve(rng.Intn(4))
+				continue
+			case op < 4: // rising
+				q += rng.Float64() * (1 - q)
+			case op < 7: // falling
+				q -= rng.Float64() * q
+			case op < 8: // repeated
+			default:
+				q = []float64{0, 1, 0.5, 0.95, 0.99, rng.Float64()}[rng.Intn(6)]
+			}
+			if got, want := s.Quantile(q), sortedQuantile(values, q); !same(got, want) {
+				t.Fatalf("trial %d, step %d: Quantile(%v) = %v, sort then interpolate %v", trial, step, q, got, want)
+			}
+			v := s.values
+			for _, p := range s.placed {
+				for i, x := range v {
+					if i < p && less(v[p], x) || i > p && less(x, v[p]) {
+						t.Fatalf("trial %d, step %d: v[%d] = %v on the wrong side of placed v[%d] = %v", trial, step, i, x, p, v[p])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSelectNthAnyBudget checks every rank of ordered, reversed, constant,
 // sawtooth and random inputs, with partition budgets from none at all (an
 // immediate sort) to ample.
@@ -184,7 +246,8 @@ func BenchmarkSampleQuantile(b *testing.B) {
 	var sum float64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s.values = append(s.values[:0], src...)
+		s.Reset()
+		s.values = append(s.values, src...)
 		b.StartTimer()
 		sum += s.Quantile(0.5) + s.Quantile(0.95) + s.Quantile(0.99)
 	}
