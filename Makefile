@@ -28,10 +28,10 @@ vet:
 lint:
 	$(GO) run ./cmd/grococa-lint ./...
 
-## conformance: the universal scheme-contract suite — the registry tests
-## plus the property table of internal/strategy/conformance run against
-## every registered scheme. TestConformanceSelfTest re-runs the table over
-## a deliberately broken scheme and requires it to fail.
+## conformance: the universal scheme-contract suite — the scheme-table
+## tests plus the property table of internal/strategy/conformance run
+## against every listed scheme. TestConformanceSelfTest re-runs the table
+## over a deliberately broken scheme and requires it to fail.
 conformance:
 	$(GO) test -count=1 ./internal/strategy/...
 

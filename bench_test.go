@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/server"
+	"repro/internal/strategy"
 )
 
 // benchConfig is the reduced scale used by the benchmarks: 30 hosts over a
@@ -34,8 +35,6 @@ func benchConfig(scheme core.Scheme) core.Config {
 	cfg.MeasuredRequests = 120
 	return cfg
 }
-
-var benchSchemes = []core.Scheme{core.SchemeSC, core.SchemeCOCA, core.SchemeGroCoca}
 
 // runCell executes one simulation per iteration and reports the figure
 // metrics from the last run.
@@ -61,7 +60,7 @@ func runCell(b *testing.B, cfg core.Config) {
 func sweep(b *testing.B, values []float64, apply func(*core.Config, float64), format func(float64) string) {
 	b.Helper()
 	for _, v := range values {
-		for _, scheme := range benchSchemes {
+		for _, scheme := range strategy.Paper() {
 			name := fmt.Sprintf("%v/%s", scheme, format(v))
 			b.Run(name, func(b *testing.B) {
 				cfg := benchConfig(scheme)

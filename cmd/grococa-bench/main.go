@@ -80,41 +80,22 @@ func run(args []string) error {
 		}
 	}
 
-	opts := experiments.Options{
-		Seed:             *seed,
-		WarmupRequests:   *warmup,
-		MeasuredRequests: *requests,
-		Replications:     *reps,
-		Workers:          *parallel,
-	}
+	base := core.DefaultConfig()
 	if *tiny {
-		base := core.DefaultConfig()
-		base.NumClients = 8
-		base.NData = 400
-		base.AccessRange = 80
-		base.CacheSize = 15
-		opts.Base = &base
-		if *warmup == 0 {
-			opts.WarmupRequests = 4
-		}
-		if *requests == 0 {
-			opts.MeasuredRequests = 8
-		}
+		base = experiments.Tiny()
 	}
-	if *brute {
-		if opts.Base == nil {
-			base := core.DefaultConfig()
-			opts.Base = &base
-		}
-		opts.Base.BruteForceReachability = true
+	base.Seed = *seed
+	if *warmup > 0 {
+		base.WarmupRequests = *warmup
 	}
+	if *requests > 0 {
+		base.MeasuredRequests = *requests
+	}
+	base.BruteForceReachability = *brute
 	if *resil {
-		if opts.Base == nil {
-			base := core.DefaultConfig()
-			opts.Base = &base
-		}
-		opts.Base.Resilience = resilience.DefaultPolicy()
+		base.Resilience = resilience.DefaultPolicy()
 	}
+	opts := experiments.Options{Base: &base, Replications: *reps, Workers: *parallel}
 	if !*quiet {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}
@@ -166,7 +147,7 @@ func run(args []string) error {
 			return err
 		}
 	default:
-		e, ok := experiments.LookupAny(*exp)
+		e, ok := experiments.Lookup(*exp)
 		if !ok {
 			return fmt.Errorf("unknown experiment %q", *exp)
 		}
@@ -179,10 +160,10 @@ func run(args []string) error {
 }
 
 func runAblations(opts experiments.Options) error {
-	abls, results, err := experiments.RunAblations(opts)
+	points, err := experiments.RunAblations(opts)
 	if err != nil {
 		return err
 	}
-	fmt.Println(experiments.AblationTable(abls, results))
+	fmt.Println(experiments.AblationTable(points))
 	return nil
 }

@@ -147,3 +147,19 @@ func TestRunResume(t *testing.T) {
 		t.Errorf("changed flags against the same journal not refused: %v", err)
 	}
 }
+
+// TestRunSeedZeroIsItsOwnSeed: -seed is written into the base config as
+// given, so -seed 0 runs seed 0 instead of falling back to the default 1.
+func TestRunSeedZeroIsItsOwnSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep in -short mode")
+	}
+	sweep := func(seed string) string {
+		return captureStdout(t, func() error {
+			return run([]string{"-exp", "skew", "-tiny", "-seed", seed, "-q", "-csv"})
+		})
+	}
+	if sweep("0") == sweep("1") {
+		t.Error("-seed 0 printed what -seed 1 prints")
+	}
+}

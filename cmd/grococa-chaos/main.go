@@ -1,5 +1,5 @@
 // Command grococa-chaos runs seeded adversarial campaigns against the
-// caching schemes (the SC/COCA/GroCoca matrix by default; any registered
+// caching schemes (the SC/COCA/GroCoca matrix by default; any listed
 // scheme via -scheme) under the online invariant auditor: loss ramps,
 // Gilbert–Elliott burst storms, scheduled MSS blackouts, crash churn, and
 // their combination. Every violation is printed with the one-line command
@@ -33,6 +33,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/strategy"
 )
 
 // wallClock is the injectable wall-time source; command tests may freeze
@@ -148,7 +149,7 @@ func run(args []string, out io.Writer) (int, error) {
 		opts.Campaigns = []chaos.Campaign{c}
 	}
 	if *scheme != "" {
-		s, err := parseScheme(*scheme)
+		s, err := core.ParseScheme(*scheme)
 		if err != nil {
 			return 1, err
 		}
@@ -195,11 +196,6 @@ func run(args []string, out io.Writer) (int, error) {
 	return 0, nil
 }
 
-// parseScheme maps the flag spelling to a scheme via the registry.
-func parseScheme(s string) (core.Scheme, error) {
-	return core.ParseScheme(s)
-}
-
 // totalRuns computes the size of the campaign matrix the flags select.
 func totalRuns(campaign, scheme string, seeds, seedIndex int) int {
 	campaigns := len(chaos.Campaigns())
@@ -207,8 +203,8 @@ func totalRuns(campaign, scheme string, seeds, seedIndex int) int {
 		campaigns = 1
 	}
 	// The default matrix is the paper's trio (chaos.Options.withDefaults),
-	// not the full registry.
-	schemes := 3
+	// not every listed scheme.
+	schemes := len(strategy.Paper())
 	if scheme != "" {
 		schemes = 1
 	}

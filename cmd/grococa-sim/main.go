@@ -359,11 +359,11 @@ func runReplicated(cfg core.Config, reps, workers int, resume string) error {
 		}
 		defer func() { _ = jr.Close() }()
 	}
-	rs, p, err := experiments.ReplicateJournaled(cfg, reps, workers, jr)
+	p, err := experiments.ReplicateJournaled(cfg, reps, workers, jr)
 	if err != nil {
 		return err
 	}
-	for i, r := range rs {
+	for i, r := range p.Runs {
 		fmt.Printf("rep %d: %v\n", i, r)
 	}
 	if p.Spread == nil {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/strategy"
 )
 
 func main() {
@@ -44,7 +45,7 @@ func run() error {
 
 	fmt.Println("Disaster-area field teams: 10 updates/s at HQ, 10% disconnection probability")
 	fmt.Println()
-	for _, scheme := range []core.Scheme{core.SchemeSC, core.SchemeCOCA, core.SchemeGroCoca} {
+	for _, scheme := range strategy.Paper() {
 		cfg := base
 		cfg.Scheme = scheme
 		r, err := core.Run(cfg)

@@ -10,6 +10,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/strategy"
 )
 
 func main() {
@@ -32,7 +33,7 @@ func run() error {
 
 	fmt.Println("Peer-to-peer cooperative caching: 40 mobile hosts, 8 motion groups")
 	fmt.Println()
-	for _, scheme := range []core.Scheme{core.SchemeSC, core.SchemeCOCA, core.SchemeGroCoca} {
+	for _, scheme := range strategy.Paper() {
 		cfg.Scheme = scheme
 		r, err := core.Run(cfg)
 		if err != nil {

@@ -28,8 +28,11 @@ func BenchmarkFilterTest(b *testing.B) {
 	}
 }
 
-// BenchmarkPeerVectorCovers measures the filtering-mechanism hot path.
-func BenchmarkPeerVectorCovers(b *testing.B) {
+// BenchmarkPeerVectorCoversElement measures the filtering-mechanism hot
+// path: every local miss asks the peer vector (one member signature of
+// 100 items in 10,000 bits) whether it covers the item, k = 2 probes for
+// a covered one. Every item asked for here is covered.
+func BenchmarkPeerVectorCoversElement(b *testing.B) {
 	v, err := NewPeerVector(10000, 2)
 	if err != nil {
 		b.Fatal(err)
@@ -41,11 +44,11 @@ func BenchmarkPeerVectorCovers(b *testing.B) {
 	if err := v.AddSignature(sig); err != nil {
 		b.Fatal(err)
 	}
-	search, _ := NewFilter(10000, 2)
-	search.Add(50)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v.Covers(search)
+		if !v.CoversElement(uint64(i % 100)) {
+			b.Fatal("peer vector does not cover an inserted item")
+		}
 	}
 }
 

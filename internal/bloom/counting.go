@@ -327,7 +327,7 @@ func (v *PeerVector) Signature() *Filter {
 // signature, i.e. some TCG member probably caches the item. Only the set
 // bits of sub are visited.
 //
-//hot:filtering-mechanism scan on every miss (BenchmarkPeerVectorCovers)
+//hot:whole-signature coverage scan; must stay allocation-free
 func (v *PeerVector) Covers(sub *Filter) bool {
 	if sub.M() != v.m {
 		return false
@@ -349,7 +349,7 @@ func (v *PeerVector) Covers(sub *Filter) bool {
 // search/data signature and testing Covers against it — the per-miss hot
 // path of the filtering mechanism and the cooperative replacement scan.
 //
-//hot:per-miss filtering probe; must stay allocation-free
+//hot:per-miss filtering probe (BenchmarkPeerVectorCoversElement); must stay allocation-free
 func (v *PeerVector) CoversElement(element uint64) bool {
 	f := Filter{m: v.m, k: v.k}
 	h1 := mix64(element)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/strategy"
 )
 
 // selfTestAt is when the -selftest mutation fires: late enough that caches
@@ -61,7 +62,7 @@ func (o Options) withDefaults() Options {
 		o.Campaigns = Campaigns()
 	}
 	if o.Schemes == nil {
-		o.Schemes = []core.Scheme{core.SchemeSC, core.SchemeCOCA, core.SchemeGroCoca}
+		o.Schemes = strategy.Paper()
 	}
 	return o
 }

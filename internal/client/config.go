@@ -1,5 +1,5 @@
 // Package client implements the mobile host (MH): the request loop over the
-// registered caching schemes — the paper's SC, COCA and GroCoca plus the
+// listed caching schemes — the paper's SC, COCA and GroCoca plus the
 // extension schemes — including the P2P search protocol with adaptive
 // timeout, TTL-based consistency, client disconnection, and the full
 // GroCoca machinery (cache signature scheme, signature exchange protocol,
@@ -25,11 +25,11 @@ import (
 )
 
 // Scheme selects which caching protocol a host runs; it aliases the
-// registry ID so registered schemes flow through client and core
+// scheme-table ID so listed schemes flow through client and core
 // configuration unchanged.
 type Scheme = strategy.ID
 
-// Re-exported scheme IDs (see internal/strategy for the full registry).
+// Re-exported scheme IDs (see internal/strategy for the full table).
 const (
 	SchemeSC      = strategy.SC
 	SchemeCOCA    = strategy.COCA
@@ -134,9 +134,9 @@ type Config struct {
 	// client populations the spillover scheme targets.
 	LowActivityFraction float64
 	// HotspotShiftEvery, when positive, drifts every group's interests
-	// periodically: HotspotShiftFraction of the rank→item mapping is
-	// re-permuted (a non-stationary workload extension; zero keeps the
-	// paper's stationary Zipf pattern).
+	// periodically: HotspotShiftFraction, in (0, 1], of the rank→item
+	// mapping is re-permuted (a non-stationary workload extension; zero
+	// keeps the paper's stationary Zipf pattern).
 	HotspotShiftEvery    time.Duration
 	HotspotShiftFraction float64
 
@@ -217,7 +217,7 @@ type Config struct {
 
 	// Protocol hardening against the faults above, active whether or not
 	// faults are injected. ServerRescueFactor scales the estimated MSS
-	// round-trip into the rescue timeout; values below 1 fall back to 3.
+	// round-trip into the rescue timeout and must be at least 1.
 	// Resilience is the whole recovery configuration (see
 	// resilience.Policy); the default is resilience.Legacy(), the
 	// hardened paper protocol.
@@ -313,20 +313,21 @@ func DefaultConfig() Config {
 		// Hardening defaults: one alternate-holder retry, three rescue
 		// re-sends of a lost MSS exchange. Crash downtimes apply only
 		// when CrashMTBF is set.
-		Resilience:         resilience.Legacy(),
-		ServerRescueFactor: 3,
-		CrashDownMin:       5 * time.Second,
-		CrashDownMax:       30 * time.Second,
+		Resilience:           resilience.Legacy(),
+		ServerRescueFactor:   3,
+		HotspotShiftFraction: 0.2,
+		CrashDownMin:         5 * time.Second,
+		CrashDownMax:         30 * time.Second,
 	}
 }
 
 // Validate reports whether the configuration is runnable. Scheme-dependent
-// constraints are gated on the registered scheme's traits, so a new
-// registry entry is validated by the machinery it actually opts into.
+// constraints are gated on the scheme's traits, so a new table entry is
+// validated by the machinery it actually opts into.
 func (c Config) Validate() error {
 	strat, ok := strategy.Lookup(c.Scheme)
 	if !ok {
-		return fmt.Errorf("client: unknown scheme %d (registered: %s)",
+		return fmt.Errorf("client: unknown scheme %d (known: %s)",
 			int(c.Scheme), strings.Join(strategy.Flags(), ", "))
 	}
 	traits := strat.Traits()
@@ -374,6 +375,9 @@ func (c Config) Validate() error {
 	}
 	if c.HotspotShiftEvery < 0 {
 		return fmt.Errorf("client: negative HotspotShiftEvery %v", c.HotspotShiftEvery)
+	}
+	if c.HotspotShiftEvery > 0 && (c.HotspotShiftFraction <= 0 || c.HotspotShiftFraction > 1) {
+		return fmt.Errorf("client: HotspotShiftFraction %v outside (0, 1]", c.HotspotShiftFraction)
 	}
 	if traits.PeerSearch {
 		if c.HopDist < 1 {
@@ -437,8 +441,8 @@ func (c Config) Validate() error {
 	if err := c.FaultPlan().Validate(); err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
-	if c.ServerRescueFactor < 0 {
-		return fmt.Errorf("client: server rescue factor %v must be non-negative", c.ServerRescueFactor)
+	if c.ServerRescueFactor < 1 {
+		return fmt.Errorf("client: server rescue factor %v must be at least 1", c.ServerRescueFactor)
 	}
 	if err := c.Resilience.Validate(); err != nil {
 		return fmt.Errorf("client: %w", err)

@@ -64,6 +64,22 @@ func TestConfigValidate(t *testing.T) {
 		{"unknown delivery model", func(c *Config) { c.Delivery = 7 }, true},
 		{"unknown mobility model", func(c *Config) { c.Mobility = 5 }, true},
 		{"unknown group criteria", func(c *Config) { c.GroupCriteria = 9 }, true},
+		{"rescue factor below 1", func(c *Config) { c.ServerRescueFactor = 0.5 }, true},
+		{"zero rescue factor", func(c *Config) { c.ServerRescueFactor = 0 }, true},
+		{"rescue factor 1", func(c *Config) { c.ServerRescueFactor = 1 }, false},
+		{"zero shift fraction", func(c *Config) {
+			c.HotspotShiftEvery = time.Minute
+			c.HotspotShiftFraction = 0
+		}, true},
+		{"shift fraction above 1", func(c *Config) {
+			c.HotspotShiftEvery = time.Minute
+			c.HotspotShiftFraction = 1.5
+		}, true},
+		{"whole shift", func(c *Config) {
+			c.HotspotShiftEvery = time.Minute
+			c.HotspotShiftFraction = 1
+		}, false},
+		{"shift fraction unused without shifts", func(c *Config) { c.HotspotShiftFraction = 0 }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

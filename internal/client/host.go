@@ -92,7 +92,7 @@ type Host struct {
 	// or smaller ones for a low-activity host.
 	warmup, measured int
 	// strat is the construction-time strategy dispatch derived from
-	// cfg.Scheme via the registry, never mutated after New.
+	// cfg.Scheme via the scheme table, never mutated after New.
 	strat     strategy.Scheme
 	traits    strategy.Traits
 	mob       mobility.Node

@@ -95,7 +95,7 @@ func testClientConfig(scheme Scheme) Config {
 	cfg.CacheSize = 10
 	cfg.WarmupRequests = 0
 	cfg.MeasuredRequests = 1000
-	cfg.ServerRescueFactor = 0
+	cfg.ServerRescueFactor = 3
 	cfg.Resilience = resilience.Policy{}
 	return cfg
 }

@@ -515,11 +515,7 @@ func (h *Host) serverRescueTimeout() time.Duration {
 	_, downTx := h.link.TxTimes(network.HeaderSize + h.cfg.DataSize)
 	upAhead := time.Duration(h.link.UplinkQueue() + 1)
 	downAhead := time.Duration(h.link.UplinkQueue() + h.link.DownlinkQueue() + 2)
-	factor := h.cfg.ServerRescueFactor
-	if factor < 1 {
-		factor = 3
-	}
-	t := time.Duration(float64(upTx*upAhead+downTx*downAhead) * factor)
+	t := time.Duration(float64(upTx*upAhead+downTx*downAhead) * h.cfg.ServerRescueFactor)
 	if t < 200*time.Millisecond {
 		t = 200 * time.Millisecond
 	}

@@ -1,7 +1,7 @@
 // Package core is the public entry point of the reproduction: it assembles
 // the full simulated system of the paper — mobile support station, shared
 // wireless channels, motion groups of mobile hosts, workload, and one of
-// the registered caching schemes (the paper's SC, COCA and GroCoca, plus
+// the listed caching schemes (the paper's SC, COCA and GroCoca, plus
 // the extension schemes in internal/strategy) — runs it to completion, and
 // reports the metrics the paper's figures plot. Its Config, DefaultConfig
 // and the scheme, delivery and mobility selectors alias the one parameter
@@ -26,20 +26,20 @@ const (
 	SchemeGroCoca = client.SchemeGroCoca
 )
 
-// Schemes enumerates every registered scheme in stable (ID) order — the
+// Schemes enumerates every listed scheme in stable (ID) order — the
 // paper's trio first, then the extension schemes.
 func Schemes() []Scheme {
 	return strategy.IDs()
 }
 
-// SchemeFlags enumerates the command-line spellings of the registered
+// SchemeFlags enumerates the command-line spellings of the listed
 // schemes, in the same order as Schemes.
 func SchemeFlags() []string {
 	return strategy.Flags()
 }
 
 // ParseScheme resolves a command-line scheme spelling (e.g. "grococa")
-// against the registry.
+// against the scheme table.
 func ParseScheme(flag string) (Scheme, error) {
 	if sch, ok := strategy.ByFlag(strings.ToLower(flag)); ok {
 		return sch.ID(), nil

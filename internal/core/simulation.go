@@ -238,13 +238,9 @@ func scaleQuota(quota int) int {
 
 // scheduleHotspotShifts drifts one group's interests periodically.
 func (s *Simulation) scheduleHotspotShifts(access *workload.AccessRange, rng *sim.RNG) {
-	fraction := s.cfg.HotspotShiftFraction
-	if fraction <= 0 {
-		fraction = 0.2
-	}
 	var tick func()
 	tick = func() {
-		access.Shift(fraction, rng)
+		access.Shift(s.cfg.HotspotShiftFraction, rng)
 		s.kernel.Schedule(s.cfg.HotspotShiftEvery, tick)
 	}
 	s.kernel.Schedule(s.cfg.HotspotShiftEvery, tick)

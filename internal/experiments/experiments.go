@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/strategy"
 )
 
 // Experiment is one parameter sweep of the evaluation section.
@@ -26,7 +27,7 @@ type Experiment struct {
 	Param string
 	// Values are the swept parameter values.
 	Values []float64
-	// Schemes are the protocols compared (all three by default).
+	// Schemes are the protocols compared (strategy.Paper() by default).
 	Schemes []core.Scheme
 	// Apply sets the swept parameter on a config.
 	Apply func(cfg *core.Config, value float64)
@@ -46,19 +47,15 @@ type Point struct {
 	// Spread is the across-replication sample stddev of each reported
 	// metric; nil for single runs.
 	Spread *Spread
+	// Runs are the replications' own results, in replication order.
+	Runs []core.Results
 }
 
 // Options scales an experiment run.
 type Options struct {
-	// Base is the configuration every sweep starts from; zero value means
-	// core.DefaultConfig.
+	// Base is the whole configuration every sweep cell starts from, seed
+	// and request counts included; nil means core.DefaultConfig.
 	Base *core.Config
-	// Seed overrides the base seed when non-zero.
-	Seed int64
-	// WarmupRequests / MeasuredRequests override the base counts when
-	// positive.
-	WarmupRequests   int
-	MeasuredRequests int
 	// Replications runs every sweep cell this many times with
 	// deterministically derived seeds and reports mean ± sample stddev
 	// (≤ 1 means a single run per cell).
@@ -76,28 +73,24 @@ type Options struct {
 	Journal *checkpoint.Journal
 }
 
-// replications returns the effective per-cell replication count.
-func (o Options) replications() int {
-	if o.Replications < 1 {
-		return 1
+func (o Options) baseConfig() core.Config {
+	if o.Base != nil {
+		return *o.Base
 	}
-	return o.Replications
+	return core.DefaultConfig()
 }
 
-func (o Options) baseConfig() core.Config {
+// Tiny is the shrunken scenario of grococa-bench -tiny: 8 hosts, a
+// 400-item catalog, and 4 warm-up and 8 measured requests per host, so a
+// cell runs in milliseconds.
+func Tiny() core.Config {
 	cfg := core.DefaultConfig()
-	if o.Base != nil {
-		cfg = *o.Base
-	}
-	if o.Seed != 0 {
-		cfg.Seed = o.Seed
-	}
-	if o.WarmupRequests > 0 {
-		cfg.WarmupRequests = o.WarmupRequests
-	}
-	if o.MeasuredRequests > 0 {
-		cfg.MeasuredRequests = o.MeasuredRequests
-	}
+	cfg.NumClients = 8
+	cfg.NData = 400
+	cfg.AccessRange = 80
+	cfg.CacheSize = 15
+	cfg.WarmupRequests = 4
+	cfg.MeasuredRequests = 8
 	return cfg
 }
 
@@ -106,10 +99,7 @@ func (o Options) baseConfig() core.Config {
 // for single replications the same bytes, as the historical sequential
 // runner, regardless of Options.Workers.
 func (e Experiment) Run(opts Options) ([]Point, error) {
-	schemes := e.Schemes
-	if len(schemes) == 0 {
-		schemes = []core.Scheme{core.SchemeSC, core.SchemeCOCA, core.SchemeGroCoca}
-	}
+	schemes := e.schemes()
 	type cell struct{ vi, si int }
 	cells := make([]cell, 0, len(e.Values)*len(schemes))
 	for vi := range e.Values {
@@ -117,7 +107,6 @@ func (e Experiment) Run(opts Options) ([]Point, error) {
 			cells = append(cells, cell{vi: vi, si: si})
 		}
 	}
-	reps := opts.replications()
 	points := make([]Point, 0, len(cells))
 	run := func(ci, rep int) (core.Results, error) {
 		c := cells[ci]
@@ -148,10 +137,19 @@ func (e Experiment) Run(opts Options) ([]Point, error) {
 		c := cells[ci]
 		return fmt.Sprintf("done/%s/%d/%d/%d", e.ID, c.vi, int(schemes[c.si]), rep)
 	}
-	if err := PoolJournaled(len(cells), reps, opts.Workers, opts.Journal, keyFor, run, onCell); err != nil {
+	if err := PoolJournaled(len(cells), opts.Replications, opts.Workers, opts.Journal, keyFor, run, onCell); err != nil {
 		return nil, err
 	}
 	return points, nil
+}
+
+// schemes returns the sweep's scheme columns, strategy.Paper() unless
+// Schemes names others.
+func (e Experiment) schemes() []core.Scheme {
+	if len(e.Schemes) == 0 {
+		return strategy.Paper()
+	}
+	return e.Schemes
 }
 
 func (e Experiment) format(v float64) string {
@@ -311,6 +309,12 @@ func All() []Experiment {
 			Values: []float64{100, 250, 500, 750, 1000},
 			Apply: func(cfg *core.Config, v float64) {
 				cfg.AccessRange = int(v)
+				// A base catalog smaller than the swept range (Tiny's
+				// 400 items) grows to hold it; the paper's 10,000 items
+				// never need to.
+				if cfg.NData < cfg.AccessRange {
+					cfg.NData = cfg.AccessRange
+				}
 			},
 			FormatValue: formatInt,
 		},
@@ -360,9 +364,10 @@ func All() []Experiment {
 	}
 }
 
-// Lookup finds an experiment by its command-line ID.
+// Lookup finds an experiment by its command-line ID among the figure
+// sweeps and the extensions.
 func Lookup(id string) (Experiment, bool) {
-	for _, e := range All() {
+	for _, e := range append(All(), Extensions()...) {
 		if e.ID == id {
 			return e, true
 		}
@@ -390,55 +395,38 @@ func Ablations() []Ablation {
 	}
 }
 
-// RunAblations evaluates each ablation with the GroCoca scheme and returns
-// the results keyed by ablation ID, in definition order. It runs on the
-// same parallel replicated engine as the sweeps; with replications each
-// entry is the replication mean.
-func RunAblations(opts Options) ([]Ablation, []core.Results, error) {
+// RunAblations evaluates each ablation with the GroCoca scheme, one point
+// per ablation in definition order. The ablations run as the values of an
+// "ablations" sweep, so their seeds, journal keys and replication means
+// are a sweep cell's.
+func RunAblations(opts Options) ([]Point, error) {
 	abls := Ablations()
-	reps := opts.replications()
-	results := make([]core.Results, 0, len(abls))
-	run := func(ci, rep int) (core.Results, error) {
-		cfg := opts.baseConfig()
-		cfg.Scheme = core.SchemeGroCoca
-		abls[ci].Apply(&cfg)
-		cfg.Seed = deriveSeed(cfg.Seed, "ablations", ci, core.SchemeGroCoca, rep)
-		r, err := core.Run(cfg)
-		if err != nil {
-			return core.Results{}, fmt.Errorf("ablation %s (rep %d): %w", abls[ci].ID, rep, err)
-		}
-		return r, nil
+	values := make([]float64, len(abls))
+	for i := range values {
+		values[i] = float64(i)
 	}
-	onCell := func(ci int, rs []core.Results) {
-		r := meanResults(rs)
-		results = append(results, r)
-		if opts.Progress != nil {
-			line := fmt.Sprintf("ablation %s: %v", abls[ci].ID, r)
-			if len(rs) > 1 {
-				line += fmt.Sprintf(" (reps=%d)", len(rs))
-			}
-			opts.Progress(line)
-		}
+	e := Experiment{
+		ID:          "ablations",
+		Param:       "variant",
+		Values:      values,
+		Schemes:     []core.Scheme{core.SchemeGroCoca},
+		Apply:       func(cfg *core.Config, v float64) { abls[int(v)].Apply(cfg) },
+		FormatValue: func(v float64) string { return abls[int(v)].ID },
 	}
-	keyFor := func(ci, rep int) string {
-		return fmt.Sprintf("done/ablations/%d/%d/%d", ci, int(core.SchemeGroCoca), rep)
-	}
-	if err := PoolJournaled(len(abls), reps, opts.Workers, opts.Journal, keyFor, run, onCell); err != nil {
-		return nil, nil, err
-	}
-	return abls, results, nil
+	return e.Run(opts)
 }
 
-// AblationTable renders the ablation results.
-func AblationTable(abls []Ablation, results []core.Results) string {
+// AblationTable renders RunAblations' points.
+func AblationTable(points []Point) string {
+	abls := Ablations()
 	var b strings.Builder
 	fmt.Fprintf(&b, "GroCoca ablations (default operating point)\n")
 	fmt.Fprintf(&b, "%-14s %12s %12s %8s %8s %14s %12s %12s\n",
 		"variant", "latency(ms)", "server-req%", "LCH%", "GCH%", "power/GCH(µWs)", "energy(J)", "sig-KB")
-	for i, a := range abls {
-		r := results[i]
+	for _, p := range points {
+		r := p.Results
 		fmt.Fprintf(&b, "%-14s %12.2f %12.1f %8.1f %8.1f %14.0f %12.2f %12.1f\n",
-			a.ID,
+			abls[int(p.Value)].ID,
 			float64(r.MeanLatency)/float64(time.Millisecond),
 			100*r.ServerRequestRatio,
 			100*r.LocalHitRatio,

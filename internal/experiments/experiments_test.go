@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -78,12 +79,12 @@ func TestExperimentRunTiny(t *testing.T) {
 		Values: []float64{0, 1},
 		Apply:  func(cfg *core.Config, v float64) { cfg.Zipf = v },
 	}
+	base.WarmupRequests = 10
+	base.MeasuredRequests = 20
 	var progressLines int
 	points, err := e.Run(Options{
-		Base:             &base,
-		WarmupRequests:   10,
-		MeasuredRequests: 20,
-		Progress:         func(string) { progressLines++ },
+		Base:     &base,
+		Progress: func(string) { progressLines++ },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,29 +116,30 @@ func TestExperimentRunTiny(t *testing.T) {
 	}
 }
 
+// TestOptionsBaseConfig: Base is the whole configuration — a zero seed
+// included, which grococa-bench -seed 0 relies on — and nil means the
+// defaults.
 func TestOptionsBaseConfig(t *testing.T) {
 	base := core.DefaultConfig()
 	base.NumClients = 42
-	opts := Options{Base: &base, Seed: 7, WarmupRequests: 11, MeasuredRequests: 22}
-	cfg := opts.baseConfig()
-	if cfg.NumClients != 42 || cfg.Seed != 7 || cfg.WarmupRequests != 11 || cfg.MeasuredRequests != 22 {
-		t.Errorf("baseConfig = %+v", cfg)
+	base.Seed = 0
+	base.WarmupRequests = 11
+	base.MeasuredRequests = 22
+	if cfg := (Options{Base: &base}).baseConfig(); cfg != base {
+		t.Errorf("baseConfig = %+v, want Base %+v", cfg, base)
 	}
-	// Zero options keep the defaults.
-	cfg = Options{}.baseConfig()
-	def := core.DefaultConfig()
-	if cfg.Seed != def.Seed || cfg.WarmupRequests != def.WarmupRequests {
-		t.Error("zero Options disturbed defaults")
+	if cfg := (Options{}).baseConfig(); cfg != core.DefaultConfig() {
+		t.Errorf("zero Options baseConfig = %+v, want the defaults", cfg)
 	}
 }
 
 func TestAblationTableRendering(t *testing.T) {
 	abls := Ablations()
-	results := make([]core.Results, len(abls))
-	for i := range results {
-		results[i] = core.Results{Scheme: "GroCoca"}
+	points := make([]Point, len(abls))
+	for i := range points {
+		points[i] = Point{Value: float64(i), Results: core.Results{Scheme: "GroCoca"}}
 	}
-	table := AblationTable(abls, results)
+	table := AblationTable(points)
 	for _, a := range abls {
 		if !strings.Contains(table, a.ID) {
 			t.Errorf("ablation table missing %q", a.ID)
@@ -149,17 +151,13 @@ func TestRealExperimentTinyRunAndCSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
-	base := core.DefaultConfig()
-	base.NumClients = 8
-	base.NData = 400
-	base.AccessRange = 80
-	base.CacheSize = 15
+	base := Tiny()
 	e, ok := Lookup("updaterate")
 	if !ok {
 		t.Fatal("updaterate experiment missing")
 	}
 	e.Values = e.Values[:2] // first two sweep points suffice for coverage
-	points, err := e.Run(Options{Base: &base, WarmupRequests: 4, MeasuredRequests: 8})
+	points, err := e.Run(Options{Base: &base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,21 +187,44 @@ func TestRunAblationsTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
-	base := core.DefaultConfig()
-	base.NumClients = 8
-	base.NData = 400
-	base.AccessRange = 80
-	base.CacheSize = 15
-	abls, results, err := RunAblations(Options{Base: &base, WarmupRequests: 4, MeasuredRequests: 8})
+	base := Tiny()
+	points, err := RunAblations(Options{Base: &base})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(abls) {
-		t.Fatalf("results = %d, ablations = %d", len(results), len(abls))
+	if abls := Ablations(); len(points) != len(abls) {
+		t.Fatalf("points = %d, ablations = %d", len(points), len(abls))
 	}
-	table := AblationTable(abls, results)
+	table := AblationTable(points)
 	if !strings.Contains(table, "nocompression") {
 		t.Errorf("ablation table incomplete:\n%s", table)
+	}
+}
+
+// TestEveryCellBuildsOnTiny builds every figure, extension and ablation
+// cell on grococa-bench -tiny's base, so that -exp all and -exp extensions
+// never stop on a cell the small catalog cannot hold.
+func TestEveryCellBuildsOnTiny(t *testing.T) {
+	build := func(name string, cfg core.Config) {
+		if _, err := core.New(cfg); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for _, e := range append(All(), Extensions()...) {
+		for _, v := range e.Values {
+			for _, s := range e.schemes() {
+				cfg := Tiny()
+				cfg.Scheme = s
+				e.Apply(&cfg, v)
+				build(fmt.Sprintf("%s %s=%s %v", e.ID, e.Param, e.format(v), s), cfg)
+			}
+		}
+	}
+	for _, a := range Ablations() {
+		cfg := Tiny()
+		cfg.Scheme = core.SchemeGroCoca
+		a.Apply(&cfg)
+		build("ablation "+a.ID, cfg)
 	}
 }
 
@@ -223,13 +244,7 @@ func TestExtensionsWellFormed(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := LookupAny("servicearea"); !ok {
-		t.Error("LookupAny missed extension")
-	}
-	if _, ok := LookupAny("cachesize"); !ok {
-		t.Error("LookupAny missed figure sweep")
-	}
-	if _, ok := LookupAny("nope"); ok {
-		t.Error("LookupAny found bogus id")
+	if _, ok := Lookup("servicearea"); !ok {
+		t.Error("Lookup missed extension")
 	}
 }

@@ -182,19 +182,6 @@ func Extensions() []Experiment {
 	}
 }
 
-// LookupAny finds an experiment among the figure sweeps and extensions.
-func LookupAny(id string) (Experiment, bool) {
-	if e, ok := Lookup(id); ok {
-		return e, true
-	}
-	for _, e := range Extensions() {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
-}
-
 // CSV renders measured points as comma-separated rows with a header,
 // suitable for external plotting. The trailing columns carry the
 // replication count and per-metric sample standard deviations; single-run

@@ -190,7 +190,7 @@ func PoolJournaled[T any](cells, reps, workers int, jr *checkpoint.Journal, keyF
 // replication mean, Spread the sample standard deviations (nil for a
 // single run, which passes replication 0 through untouched).
 func aggregate(value float64, scheme core.Scheme, rs []core.Results) Point {
-	p := Point{Value: value, Scheme: scheme, Results: meanResults(rs), Reps: len(rs)}
+	p := Point{Value: value, Scheme: scheme, Results: meanResults(rs), Reps: len(rs), Runs: rs}
 	if len(rs) > 1 {
 		p.Spread = &Spread{
 			LatencyMS:      sampleStd(rs, func(r core.Results) float64 { return float64(r.MeanLatency) / float64(time.Millisecond) }),
@@ -314,35 +314,23 @@ func meanInto(dst reflect.Value, samples []reflect.Value) {
 }
 
 // ReplicateJournaled runs one configuration reps times — seeds derived per
-// replication as in a sweep cell — across workers goroutines, returning
-// the per-replication results in replication order and the aggregated
-// point (Results = mean, Spread = sample stddev). With a non-nil journal,
-// completed replications are recorded durably and an interrupted run
-// resumed against the same journal re-executes only the missing ones.
-func ReplicateJournaled(cfg core.Config, reps, workers int, jr *checkpoint.Journal) ([]core.Results, Point, error) {
-	if reps < 1 {
-		reps = 1
+// replication as in a sweep cell — across workers goroutines, as the one
+// cell of a "replicate" sweep: the point's Runs are the replications in
+// order, Results their mean and Spread their sample stddev. With a
+// non-nil journal, completed replications are recorded durably and an
+// interrupted run resumed against the same journal re-executes only the
+// missing ones.
+func ReplicateJournaled(cfg core.Config, reps, workers int, jr *checkpoint.Journal) (Point, error) {
+	e := Experiment{
+		ID:      "replicate",
+		Param:   "cell",
+		Values:  []float64{0},
+		Schemes: []core.Scheme{cfg.Scheme},
+		Apply:   func(*core.Config, float64) {},
 	}
-	all := make([]core.Results, reps)
-	var point Point
-	run := func(_, rep int) (core.Results, error) {
-		c := cfg
-		c.Seed = deriveSeed(cfg.Seed, "replicate", 0, cfg.Scheme, rep)
-		r, err := core.Run(c)
-		if err != nil {
-			return core.Results{}, fmt.Errorf("replication %d (seed %d): %w", rep, c.Seed, err)
-		}
-		return r, nil
+	points, err := e.Run(Options{Base: &cfg, Replications: reps, Workers: workers, Journal: jr})
+	if err != nil {
+		return Point{}, err
 	}
-	onCell := func(_ int, rs []core.Results) {
-		copy(all, rs)
-		point = aggregate(0, cfg.Scheme, rs)
-	}
-	keyFor := func(_, rep int) string {
-		return fmt.Sprintf("done/replicate/0/%d/%d", int(cfg.Scheme), rep)
-	}
-	if err := PoolJournaled(1, reps, workers, jr, keyFor, run, onCell); err != nil {
-		return nil, Point{}, err
-	}
-	return all, point, nil
+	return points[0], nil
 }

@@ -10,17 +10,6 @@ import (
 	"repro/internal/core"
 )
 
-// tinyBase is a configuration small enough that a full cell runs in a few
-// milliseconds.
-func tinyBase() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.NumClients = 8
-	cfg.NData = 400
-	cfg.AccessRange = 80
-	cfg.CacheSize = 15
-	return cfg
-}
-
 // tinyExperiment is a two-value sweep over all three schemes.
 func tinyExperiment() Experiment {
 	return Experiment{
@@ -34,8 +23,8 @@ func tinyExperiment() Experiment {
 }
 
 func tinyOptions() Options {
-	base := tinyBase()
-	return Options{Base: &base, WarmupRequests: 4, MeasuredRequests: 8}
+	base := Tiny()
+	return Options{Base: &base}
 }
 
 func TestDeriveSeed(t *testing.T) {
@@ -91,7 +80,7 @@ func TestRunSequentialEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = append(want, Point{Value: v, Scheme: scheme, Results: r, Reps: 1})
+			want = append(want, Point{Value: v, Scheme: scheme, Results: r, Reps: 1, Runs: []core.Results{r}})
 		}
 	}
 	wantTable, wantCSV := e.Table(want), e.CSV(want)
@@ -306,8 +295,8 @@ func TestProgressOrderedUnderPool(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		opts := tinyOptions()
-		opts.WarmupRequests = 2
-		opts.MeasuredRequests = 4
+		opts.Base.WarmupRequests = 2
+		opts.Base.MeasuredRequests = 4
 		opts.Replications = 2
 		opts.Workers = 16
 		var lines []string
@@ -365,22 +354,21 @@ func TestReplicate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
-	cfg := tinyBase()
-	cfg.WarmupRequests = 4
-	cfg.MeasuredRequests = 8
-	rs, p, err := ReplicateJournaled(cfg, 3, 4, nil)
+	cfg := Tiny()
+	p, err := ReplicateJournaled(cfg, 3, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rs := p.Runs
 	if len(rs) != 3 || p.Reps != 3 || p.Spread == nil {
 		t.Fatalf("replicate: %d results, reps=%d, spread=%v", len(rs), p.Reps, p.Spread)
 	}
 	// Deterministic across worker counts.
-	rs1, p1, err := ReplicateJournaled(cfg, 3, 1, nil)
+	p1, err := ReplicateJournaled(cfg, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rs, rs1) || !reflect.DeepEqual(p, p1) {
+	if !reflect.DeepEqual(p, p1) {
 		t.Error("ReplicateJournaled output differs across worker counts")
 	}
 	// Replication 0 is the plain base-seed run.
@@ -400,15 +388,15 @@ func TestRunAblationsParallelEquivalence(t *testing.T) {
 		t.Skip("simulation sweep in -short mode")
 	}
 	opts := tinyOptions()
-	opts.WarmupRequests = 3
-	opts.MeasuredRequests = 6
+	opts.Base.WarmupRequests = 3
+	opts.Base.MeasuredRequests = 6
 	opts.Workers = 1
-	_, seq, err := RunAblations(opts)
+	seq, err := RunAblations(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Workers = 8
-	_, par, err := RunAblations(opts)
+	par, err := RunAblations(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

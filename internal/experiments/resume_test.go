@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -27,15 +29,10 @@ func resumeOptions(jr *checkpoint.Journal) Options {
 	base.AccessRange = 150
 	base.CacheSize = 12
 	base.SigBits = 600
-	return Options{
-		Base:             &base,
-		Seed:             11,
-		WarmupRequests:   8,
-		MeasuredRequests: 15,
-		Replications:     2,
-		Workers:          2,
-		Journal:          jr,
-	}
+	base.Seed = 11
+	base.WarmupRequests = 8
+	base.MeasuredRequests = 15
+	return Options{Base: &base, Replications: 2, Workers: 2, Journal: jr}
 }
 
 func renderSweep(t *testing.T, jr *checkpoint.Journal) string {
@@ -121,7 +118,7 @@ func TestReplicateResume(t *testing.T) {
 	cfg.MeasuredRequests = 15
 	cfg.Seed = 21
 
-	all, point, err := ReplicateJournaled(cfg, 4, 2, nil)
+	point, err := ReplicateJournaled(cfg, 4, 2, nil)
 	if err != nil {
 		t.Fatalf("replicate: %v", err)
 	}
@@ -132,7 +129,7 @@ func TestReplicateResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("journal: %v", err)
 	}
-	if _, _, err := ReplicateJournaled(cfg, 4, 2, jr); err != nil {
+	if _, err := ReplicateJournaled(cfg, 4, 2, jr); err != nil {
 		t.Fatalf("journaled replicate: %v", err)
 	}
 	offsets := jr.Offsets()
@@ -153,10 +150,11 @@ func TestReplicateResume(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer func() { _ = jr2.Close() }()
-	all2, point2, err := ReplicateJournaled(cfg, 4, 2, jr2)
+	point2, err := ReplicateJournaled(cfg, 4, 2, jr2)
 	if err != nil {
 		t.Fatalf("resumed replicate: %v", err)
 	}
+	all, all2 := point.Runs, point2.Runs
 	if len(all2) != len(all) {
 		t.Fatalf("replication count %d, want %d", len(all2), len(all))
 	}
@@ -167,6 +165,70 @@ func TestReplicateResume(t *testing.T) {
 	}
 	if point2.Results.String() != point.Results.String() {
 		t.Errorf("aggregate differs after resume")
+	}
+}
+
+// TestJournalKeysPinned pins the exact keys the ablation sweep and a
+// replication journal under. Resume replays a record only under its key,
+// so a change to either shape would silently orphan every journal written
+// before it. It also pins the ablation seeds: replication rep of variant i
+// runs on deriveSeed(base, "ablations", i, GroCoca, rep).
+func TestJournalKeysPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full mini-sweeps")
+	}
+	keysOf := func(run func(jr *checkpoint.Journal) error) []string {
+		t.Helper()
+		jr, err := checkpoint.OpenJournal(t.TempDir(), []byte("keys-v1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = jr.Close() }()
+		if err := run(jr); err != nil {
+			t.Fatal(err)
+		}
+		keys := jr.Keys()
+		sort.Strings(keys)
+		return keys
+	}
+	base := Tiny()
+
+	var abl []Point
+	got := keysOf(func(jr *checkpoint.Journal) (err error) {
+		abl, err = RunAblations(Options{Base: &base, Replications: 2, Journal: jr})
+		return err
+	})
+	want := []string{
+		"done/ablations/0/3/0", "done/ablations/0/3/1",
+		"done/ablations/1/3/0", "done/ablations/1/3/1",
+		"done/ablations/2/3/0", "done/ablations/2/3/1",
+		"done/ablations/3/3/0", "done/ablations/3/3/1",
+		"done/ablations/4/3/0", "done/ablations/4/3/1",
+		"done/ablations/5/3/0", "done/ablations/5/3/1",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ablation journal keys = %q, want %q", got, want)
+	}
+	cfg := base
+	cfg.Scheme = core.SchemeGroCoca
+	Ablations()[2].Apply(&cfg)
+	cfg.Seed = deriveSeed(base.Seed, "ablations", 2, core.SchemeGroCoca, 1)
+	direct, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(abl[2].Runs[1], direct) {
+		t.Error("ablation 2, replication 1 did not run on its historical seed")
+	}
+
+	cfg = base
+	cfg.Scheme = core.SchemeCOCA
+	got = keysOf(func(jr *checkpoint.Journal) error {
+		_, err := ReplicateJournaled(cfg, 2, 2, jr)
+		return err
+	})
+	if want := []string{"done/replicate/0/2/0", "done/replicate/0/2/1"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("replication journal keys = %q, want %q", got, want)
 	}
 }
 

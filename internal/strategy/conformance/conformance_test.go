@@ -48,7 +48,7 @@ func (brokenScheme) PickVictim(_ strategy.ReplacementEnv, cands []*cache.Entry) 
 }
 
 // TestSchemeConformance runs the universal property table against every
-// registered scheme. A new scheme only has to register itself to be
+// listed scheme. A new scheme only has to enter the scheme table to be
 // covered; it cannot opt out.
 func TestSchemeConformance(t *testing.T) {
 	if testing.Short() {

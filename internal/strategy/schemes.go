@@ -1,15 +1,96 @@
 package strategy
 
 import (
+	"fmt"
+
 	"repro/internal/cache"
 )
 
-func init() {
-	Register(scScheme{})
-	Register(cocaScheme{})
-	Register(grococaScheme{})
-	Register(popularityScheme{})
-	Register(hintLRUScheme{})
+// schemes is the scheme table, indexed by ID. Listing an ID twice does not
+// compile (duplicate index in slice literal), slot 0 stays empty, and
+// enumeration is in ID order by construction; TestSchemeTable checks that
+// each entry's ID is its index and that names are non-empty and distinct
+// when lower-cased.
+var schemes = []Scheme{
+	SC:         scScheme{},
+	COCA:       cocaScheme{},
+	GroCoca:    grococaScheme{},
+	Popularity: popularityScheme{},
+	HintLRU:    hintLRUScheme{},
+}
+
+// Paper returns the paper's evaluation lineup — SC, COCA and GroCoca — the
+// default scheme columns of every sweep and chaos matrix.
+func Paper() []ID { return []ID{SC, COCA, GroCoca} }
+
+// Lookup returns the scheme listed under id.
+func Lookup(id ID) (Scheme, bool) {
+	if id <= 0 || int(id) >= len(schemes) || schemes[id] == nil {
+		return nil, false
+	}
+	return schemes[id], true
+}
+
+// ByFlag returns the scheme whose command-line spelling is flag.
+func ByFlag(flag string) (Scheme, bool) {
+	for _, s := range schemes {
+		if s != nil && FlagOf(s) == flag {
+			return s, true
+		}
+	}
+	return nil, false
+}
+
+// All returns the listed schemes in ascending ID order.
+func All() []Scheme {
+	out := make([]Scheme, 0, len(schemes))
+	for _, s := range schemes {
+		if s != nil {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// IDs returns the listed IDs in ascending order.
+func IDs() []ID {
+	var out []ID
+	for _, s := range All() {
+		out = append(out, s.ID())
+	}
+	return out
+}
+
+// Flags returns the listed flag spellings in ascending ID order — the
+// canonical enumeration for usage strings and error messages.
+func Flags() []string {
+	var out []string
+	for _, s := range All() {
+		out = append(out, FlagOf(s))
+	}
+	return out
+}
+
+// Register lists s at its ID, which must be positive and free, under a
+// non-empty name whose flag no listed scheme spells; otherwise it panics.
+// It is the seam through which a test runs a scheme the table does not
+// hold (the conformance selftest's deliberately broken scheme), and must
+// be called before any simulation starts.
+func Register(s Scheme) {
+	id := s.ID()
+	if _, taken := Lookup(id); taken || id <= 0 {
+		panic(fmt.Sprintf("strategy: scheme %q needs a free positive ID, not %d", s.Name(), id))
+	}
+	if s.Name() == "" {
+		panic(fmt.Sprintf("strategy: scheme ID %d needs a name", id))
+	}
+	if other, taken := ByFlag(FlagOf(s)); taken {
+		panic(fmt.Sprintf("strategy: scheme %q needs a free flag; %q is scheme %d's", s.Name(), FlagOf(s), other.ID()))
+	}
+	for int(id) >= len(schemes) {
+		schemes = append(schemes, nil)
+	}
+	schemes[id] = s
 }
 
 // scScheme is conventional caching: no peer machinery, plain LRU.

@@ -1,33 +1,31 @@
-// Package strategy is the pluggable caching-scheme registry. A Scheme
-// bundles everything that distinguishes one cooperative-caching protocol
-// from another — peer-lookup policy, cooperation-group participation,
-// admission control, and replacement ranking — behind one interface, so
-// the host, the assembler, the sweep pool, and the command-line tools
-// enumerate schemes from the registry instead of switching on constants.
+// Package strategy is the caching-scheme table. A Scheme bundles
+// everything that distinguishes one cooperative-caching protocol from
+// another — peer-lookup policy, cooperation-group participation, admission
+// control, and replacement ranking — behind one interface, so the host,
+// the assembler, the sweep pool, and the command-line tools enumerate
+// schemes from the table instead of switching on constants.
 //
-// The paper's three schemes (SC, COCA, GroCoca) are registered here as the
-// first three implementations; see schemes.go for them and for the two
-// extension schemes (popularity-ranking cooperative caching and the
-// neighbour-hint cooperative LRU). Every registered scheme is run through
-// the universal conformance suite in strategy/conformance.
+// The paper's three schemes (SC, COCA, GroCoca) are the table's first
+// three entries; see schemes.go for them, for the two extension schemes
+// (popularity-ranking cooperative caching and the neighbour-hint
+// cooperative LRU), and for the table itself. Every listed scheme is run
+// through the universal conformance suite in strategy/conformance.
 package strategy
 
 import (
-	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/workload"
 )
 
-// ID identifies a registered scheme. IDs are mixed into derived seeds
-// (experiments.deriveSeed) and journal keys, so an ID, once registered, is
-// part of the reproducibility contract and must never be renumbered.
+// ID identifies a scheme and indexes the scheme table. IDs are mixed into
+// derived seeds (experiments.deriveSeed) and journal keys, so an ID, once
+// listed, is part of the reproducibility contract and must never be
+// renumbered.
 type ID int
 
-// The registered scheme IDs. 1-3 are the paper's evaluation; 4-5 are the
+// The listed scheme IDs. 1-3 are the paper's evaluation; 4-5 are the
 // extension schemes from the related work.
 const (
 	// SC is conventional caching: local cache, then the MSS.
@@ -47,8 +45,8 @@ const (
 	HintLRU ID = 5
 )
 
-// String returns the registered display name ("SC", "GroCoca", ...), or
-// "unknown" for an unregistered ID. Results and checkpoints record this
+// String returns the listed display name ("SC", "GroCoca", ...), or
+// "unknown" for an unlisted ID. Results and checkpoints record this
 // name, so it is part of the golden-digest contract.
 func (id ID) String() string {
 	if s, ok := Lookup(id); ok {
@@ -133,123 +131,8 @@ type Scheme interface {
 // FlagOf returns the scheme's command-line spelling, its lower-case name.
 func FlagOf(s Scheme) string { return strings.ToLower(s.Name()) }
 
-// Registry holds a set of registered schemes. The package-level default
-// registry serves the whole program; NewRegistry exists so tests can
-// exercise registration edge cases in isolation.
-type Registry struct {
-	mu     sync.RWMutex
-	byID   map[ID]Scheme
-	byFlag map[string]Scheme
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		byID:   make(map[ID]Scheme),
-		byFlag: make(map[string]Scheme),
-	}
-}
-
-// Register adds a scheme. It panics on a non-positive ID, an empty name,
-// or any collision with an already registered scheme — registration
-// happens at init time, and a duplicate is a programming error that must
-// not be silently resolved by registration order.
-func (r *Registry) Register(s Scheme) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id := s.ID()
-	if id <= 0 {
-		panic(fmt.Sprintf("strategy: scheme %q has non-positive ID %d", s.Name(), id))
-	}
-	if s.Name() == "" {
-		panic(fmt.Sprintf("strategy: scheme ID %d needs a name", id))
-	}
-	flag := FlagOf(s)
-	if prev, ok := r.byID[id]; ok {
-		panic(fmt.Sprintf("strategy: duplicate scheme ID %d (%q and %q)", id, prev.Name(), s.Name()))
-	}
-	if prev, ok := r.byFlag[flag]; ok {
-		panic(fmt.Sprintf("strategy: duplicate scheme flag %q (names %q and %q, IDs %d and %d)", flag, prev.Name(), s.Name(), prev.ID(), id))
-	}
-	r.byID[id] = s
-	r.byFlag[flag] = s
-}
-
-// Lookup returns the scheme registered under id.
-func (r *Registry) Lookup(id ID) (Scheme, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s, ok := r.byID[id]
-	return s, ok
-}
-
-// ByFlag returns the scheme registered under the flag spelling.
-func (r *Registry) ByFlag(flag string) (Scheme, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s, ok := r.byFlag[flag]
-	return s, ok
-}
-
-// IDs returns the registered IDs in ascending order, independent of
-// registration order.
-func (r *Registry) IDs() []ID {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ids := make([]ID, 0, len(r.byID))
-	for id := range r.byID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// All returns the registered schemes in ascending ID order.
-func (r *Registry) All() []Scheme {
-	ids := r.IDs()
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Scheme, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, r.byID[id])
-	}
-	return out
-}
-
-// Flags returns the registered flag spellings in ascending ID order — the
-// canonical enumeration for usage strings and error messages.
-func (r *Registry) Flags() []string {
-	out := make([]string, 0)
-	for _, s := range r.All() {
-		out = append(out, FlagOf(s))
-	}
-	return out
-}
-
-// defaultRegistry is the program-wide registry populated by init in
-// schemes.go (and, under the conformance selftest, by the test harness).
-var defaultRegistry = NewRegistry()
-
-// Register adds a scheme to the default registry (see Registry.Register).
-func Register(s Scheme) { defaultRegistry.Register(s) }
-
-// Lookup returns the scheme registered under id in the default registry.
-func Lookup(id ID) (Scheme, bool) { return defaultRegistry.Lookup(id) }
-
-// ByFlag returns the default-registry scheme with the flag spelling.
-func ByFlag(flag string) (Scheme, bool) { return defaultRegistry.ByFlag(flag) }
-
-// IDs enumerates the default registry in ascending ID order.
-func IDs() []ID { return defaultRegistry.IDs() }
-
-// All enumerates the default registry's schemes in ascending ID order.
-func All() []Scheme { return defaultRegistry.All() }
-
-// Flags enumerates the default registry's flag spellings in ID order.
-func Flags() []string { return defaultRegistry.Flags() }
-
-// TraitsOf returns the traits of the scheme registered under id, or the
-// zero Traits for an unregistered ID (every capability off).
+// TraitsOf returns the traits of the scheme listed under id, or the zero
+// Traits for an unlisted ID (every capability off).
 func TraitsOf(id ID) Traits {
 	if s, ok := Lookup(id); ok {
 		return s.Traits()
