@@ -10,7 +10,7 @@ BENCH_PKGS = ./internal/sim/ ./internal/network/ ./internal/bloom/ ./internal/ca
 BENCH_OUT ?= BENCH_seed.json
 BASE ?= HEAD
 
-.PHONY: tier1 vet build lint conformance test race cellbench-test short bench race-runner sweep-smoke chaos-smoke bench-baseline bench-check cellbench-ab fuzz-smoke resume-smoke resilience-smoke loc
+.PHONY: tier1 vet build lint conformance test race cellbench-test short bench race-runner sweep-smoke chaos-smoke bench-baseline bench-check cellbench-ab fuzz-smoke resilience-smoke loc
 
 ## tier1: the gate every change must pass — vet, build, the contract-lint
 ## suite, the scheme-conformance suite, tests with the race detector, and
@@ -91,9 +91,10 @@ chaos-smoke:
 ## resilience-smoke: the degraded-mode smoke — the breaker-flap campaign
 ## (full resilience policy: budgets, jittered backoff, breaker, hedging,
 ## serve-stale) must be violation-free under the auditor's
-## breaker-state-machine, retry-budget and degraded-serve invariants,
-## byte-identical across -parallel 1/4/8, and byte-identical across a
-## mid-campaign SIGKILL resume (the harness-kill self-test).
+## breaker-state-machine, retry-budget and degraded-serve invariants, and
+## byte-identical across -parallel 1/4/8. Resuming a breaker-flap matrix
+## from every cut of its journal is TestResumeFromEveryJournalCut in
+## cmd/grococa-chaos, run by `make race`.
 resilience-smoke:
 	$(GO) run ./cmd/grococa-chaos -campaign breaker-flap -seeds 3 -parallel 8 > .resil-smoke-p8.txt
 	$(GO) run ./cmd/grococa-chaos -campaign breaker-flap -seeds 3 -parallel 4 > .resil-smoke-p4.txt
@@ -101,10 +102,7 @@ resilience-smoke:
 	cmp .resil-smoke-p1.txt .resil-smoke-p4.txt
 	cmp .resil-smoke-p1.txt .resil-smoke-p8.txt
 	rm -f .resil-smoke-p1.txt .resil-smoke-p4.txt .resil-smoke-p8.txt
-	rm -rf .resil-smoke-kill
-	$(GO) run ./cmd/grococa-chaos -selftest-kill -killdir .resil-smoke-kill -campaign breaker-flap -seeds 3 -parallel 1
-	rm -rf .resil-smoke-kill
-	@echo "resilience-smoke ok: breaker campaign clean, worker-count- and kill-resume-identical"
+	@echo "resilience-smoke ok: breaker campaign clean and worker-count-identical"
 
 ## bench-baseline: regenerate $(BENCH_OUT) (default BENCH_seed.json), the
 ## committed hot-path baseline — kernel dispatch, FCFS channel churn,
@@ -161,21 +159,3 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime 30s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeVLFL -fuzztime 30s ./internal/bloom/
 	$(GO) test -run '^$$' -fuzz FuzzZipfRank -fuzztime 30s ./internal/workload/
-
-## resume-smoke: crash-resume proven end to end with real SIGKILLs.
-## Leg 1: a sweep is run to a golden CSV, rerun with journaling and
-## SIGKILLed mid-flight, then resumed — the resumed CSV must be
-## byte-identical to the golden. Leg 2: the chaos harness-kill self-test
-## (SIGKILL a child mid-campaign-matrix, resume, byte-compare the report
-## against a never-killed run). Artifacts stay in .resume-smoke on failure.
-resume-smoke:
-	rm -rf .resume-smoke && mkdir -p .resume-smoke
-	$(GO) build -o .resume-smoke/grococa-bench ./cmd/grococa-bench
-	.resume-smoke/grococa-bench -exp clients -tiny -reps 4 -q -csv > .resume-smoke/golden.csv
-	-timeout -s KILL 2 .resume-smoke/grococa-bench -exp clients -tiny -reps 4 -q -csv -resume .resume-smoke/journal > /dev/null 2>&1
-	test -s .resume-smoke/journal/journal.gckj
-	.resume-smoke/grococa-bench -exp clients -tiny -reps 4 -q -csv -resume .resume-smoke/journal > .resume-smoke/resumed.csv
-	cmp .resume-smoke/golden.csv .resume-smoke/resumed.csv
-	$(GO) run ./cmd/grococa-chaos -selftest-kill -killdir .resume-smoke/chaos-kill -campaign outage-storm -scheme grococa -seeds 3 -parallel 1
-	rm -rf .resume-smoke
-	@echo "resume-smoke ok: SIGKILLed sweep and campaign matrix resumed byte-identical"

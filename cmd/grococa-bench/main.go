@@ -44,8 +44,8 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("grococa-bench", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment: all, ablations, extensions, or one of cachesize, skew, accessrange, groupsize, updaterate, clients, disconnect, servicearea, hopdist")
 	seed := fs.Int64("seed", 1, "random seed")
-	warmup := fs.Int("warmup", 0, "override warm-up requests per host (0 = default)")
-	requests := fs.Int("requests", 0, "override measured requests per host (0 = default)")
+	warmup := fs.Int("warmup", 0, "warm-up requests per host (unset keeps the base scenario's)")
+	requests := fs.Int("requests", 0, "measured requests per host (unset keeps the base scenario's)")
 	reps := fs.Int("reps", 1, "replications per sweep cell (deterministically derived seeds; > 1 adds mean±sd columns)")
 	parallel := fs.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS); output is identical for any value")
 	tiny := fs.Bool("tiny", false, "shrink the scenario for smoke runs (8 clients, 400 items)")
@@ -72,25 +72,21 @@ func run(args []string) error {
 			schemes = append(schemes, s)
 		}
 	}
-	emit := func(e experiments.Experiment, points []experiments.Point) {
-		if *csv {
-			fmt.Print(e.CSV(points))
-		} else {
-			fmt.Println(e.Table(points))
-		}
-	}
-
 	base := core.DefaultConfig()
 	if *tiny {
 		base = experiments.Tiny()
 	}
 	base.Seed = *seed
-	if *warmup > 0 {
-		base.WarmupRequests = *warmup
-	}
-	if *requests > 0 {
-		base.MeasuredRequests = *requests
-	}
+	// A count is written only when its flag is set, so -warmup 0 means no
+	// warm-up; Config.Validate rejects the counts no run can use.
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "warmup":
+			base.WarmupRequests = *warmup
+		case "requests":
+			base.MeasuredRequests = *requests
+		}
+	})
 	base.BruteForceReachability = *brute
 	if *resil {
 		base.Resilience = resilience.DefaultPolicy()
@@ -101,10 +97,11 @@ func run(args []string) error {
 	}
 	if *resume != "" {
 		// The meta record binds the journal to every flag that shapes the
-		// result set, so a resume with different parameters is refused
-		// instead of silently mixing runs.
+		// result set, with the request counts the run uses, so a resume
+		// with different parameters is refused instead of silently mixing
+		// runs.
 		meta := fmt.Sprintf("grococa-bench exp=%s seed=%d warmup=%d requests=%d reps=%d tiny=%v brute=%v resilience=%v schemes=%s",
-			*exp, *seed, *warmup, *requests, *reps, *tiny, *brute, *resil, *schemesFlag)
+			*exp, *seed, base.WarmupRequests, base.MeasuredRequests, *reps, *tiny, *brute, *resil, *schemesFlag)
 		jr, err := checkpoint.OpenJournal(*resume, []byte(meta))
 		if err != nil {
 			return err
@@ -117,12 +114,11 @@ func run(args []string) error {
 		if schemes != nil {
 			e.Schemes = schemes
 		}
-		points, err := e.Run(opts)
-		if err != nil {
-			return err
-		}
-		emit(e, points)
-		return nil
+		return runSweep(e, opts, *csv, e.Table)
+	}
+	// The ablations ignore -schemes: every variant is a GroCoca switch.
+	runAblations := func() error {
+		return runSweep(experiments.AblationExperiment(), opts, *csv, experiments.AblationTable)
 	}
 
 	start := wallClock.Now()
@@ -133,7 +129,7 @@ func run(args []string) error {
 				return err
 			}
 		}
-		if err := runAblations(opts); err != nil {
+		if err := runAblations(); err != nil {
 			return err
 		}
 	case "extensions":
@@ -143,7 +139,7 @@ func run(args []string) error {
 			}
 		}
 	case "ablations":
-		if err := runAblations(opts); err != nil {
+		if err := runAblations(); err != nil {
 			return err
 		}
 	default:
@@ -159,11 +155,16 @@ func run(args []string) error {
 	return nil
 }
 
-func runAblations(opts experiments.Options) error {
-	points, err := experiments.RunAblations(opts)
+// runSweep runs e and prints its points as CSV, or as text through table.
+func runSweep(e experiments.Experiment, opts experiments.Options, csv bool, table func([]experiments.Point) string) error {
+	points, err := e.Run(opts)
 	if err != nil {
 		return err
 	}
-	fmt.Println(experiments.AblationTable(points))
+	if csv {
+		fmt.Print(e.CSV(points))
+	} else {
+		fmt.Println(table(points))
+	}
 	return nil
 }

@@ -18,14 +18,10 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -33,39 +29,14 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/strategy"
 )
 
 // wallClock is the injectable wall-time source; command tests may freeze
 // it with clock.Fixed.
 var wallClock clock.Clock = clock.System{}
 
-// childEnv carries the argument vector of a harness-kill child process,
-// joined by the unit separator. Re-execing through an environment variable
-// (instead of argv) lets the same code path work when the running binary is
-// the test binary, whose own flag set would reject chaos flags.
-const childEnv = "GROCOCA_CHAOS_CHILD"
-
 func main() {
-	childMain()
 	code, err := run(os.Args[1:], os.Stdout)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "grococa-chaos:", err)
-		os.Exit(1)
-	}
-	os.Exit(code)
-}
-
-// childMain runs the chaos command with the argument vector from childEnv
-// and exits, never returning; with childEnv unset it is a no-op. Both
-// main() and TestMain call it, so a harness-kill parent can re-exec
-// whichever binary it is running as.
-func childMain() {
-	v, ok := os.LookupEnv(childEnv)
-	if !ok {
-		return
-	}
-	code, err := run(strings.Split(v, "\x1f"), os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "grococa-chaos:", err)
 		os.Exit(1)
@@ -87,8 +58,6 @@ func run(args []string, out io.Writer) (int, error) {
 	slo := fs.Duration("slo", 0, "recovery SLO: flag episodes not recovered within this duration (0 = report-only)")
 	selfTest := fs.Bool("selftest", false, "inject a deliberate TTL-corruption bug; the run must report violations")
 	resume := fs.String("resume", "", "journal completed runs in this directory and resume an interrupted matrix from it (output stays byte-identical)")
-	selfTestKill := fs.Bool("selftest-kill", false, "harness-kill self-test: SIGKILL a child mid-matrix, resume it, and require the report to match a never-killed run")
-	killDir := fs.String("killdir", "", "scratch directory for -selftest-kill (journal, child log, and mismatch artifacts)")
 	list := fs.Bool("list", false, "print the campaign catalog and exit")
 	verbose := fs.Bool("v", false, "print one line per run instead of only the cell table")
 	if err := fs.Parse(args); err != nil {
@@ -103,33 +72,6 @@ func run(args []string, out io.Writer) (int, error) {
 	if *seeds < 1 {
 		return 1, fmt.Errorf("-seeds %d must be at least 1", *seeds)
 	}
-	if *selfTestKill {
-		matrix := []string{"-seed", strconv.FormatInt(*seed, 10), "-seeds", strconv.Itoa(*seeds)}
-		if *seedIndex >= 0 {
-			matrix = append(matrix, "-seed-index", strconv.Itoa(*seedIndex))
-		}
-		if *campaign != "" {
-			matrix = append(matrix, "-campaign", *campaign)
-		}
-		if *scheme != "" {
-			matrix = append(matrix, "-scheme", *scheme)
-		}
-		if *parallel > 0 {
-			matrix = append(matrix, "-parallel", strconv.Itoa(*parallel))
-		}
-		if *slo > 0 {
-			matrix = append(matrix, "-slo", slo.String())
-		}
-		if *selfTest {
-			matrix = append(matrix, "-selftest")
-		}
-		if *verbose {
-			matrix = append(matrix, "-v")
-		}
-		total := totalRuns(*campaign, *scheme, *seeds, *seedIndex)
-		return runKillSelfTest(matrix, total, *killDir, out)
-	}
-
 	opts := chaos.Options{
 		BaseSeed: *seed,
 		Seeds:    *seeds,
@@ -193,113 +135,6 @@ func run(args []string, out io.Writer) (int, error) {
 	if !sum.Clean() {
 		return 2, nil
 	}
-	return 0, nil
-}
-
-// totalRuns computes the size of the campaign matrix the flags select.
-func totalRuns(campaign, scheme string, seeds, seedIndex int) int {
-	campaigns := len(chaos.Campaigns())
-	if campaign != "" {
-		campaigns = 1
-	}
-	// The default matrix is the paper's trio (chaos.Options.withDefaults),
-	// not every listed scheme.
-	schemes := len(strategy.Paper())
-	if scheme != "" {
-		schemes = 1
-	}
-	if seedIndex >= 0 {
-		seeds = 1
-	}
-	return campaigns * schemes * seeds
-}
-
-// runKillSelfTest proves crash-resumability end to end with a real crash:
-// it runs the selected matrix uninterrupted (the golden report), re-execs
-// itself as a child running the same matrix against a journal, SIGKILLs the
-// child once at least one run is durably recorded but before the matrix
-// completes, resumes from the surviving journal, and requires the resumed
-// report to match the golden byte for byte. On mismatch both reports are
-// left in killDir for inspection.
-func runKillSelfTest(matrix []string, total int, killDir string, out io.Writer) (int, error) {
-	if killDir == "" {
-		return 1, fmt.Errorf("-selftest-kill requires -killdir")
-	}
-	if total < 2 {
-		return 1, fmt.Errorf("-selftest-kill needs a matrix of at least 2 runs to kill mid-way, got %d", total)
-	}
-	if err := os.MkdirAll(killDir, 0o755); err != nil {
-		return 1, err
-	}
-	journalDir := filepath.Join(killDir, "journal")
-	if err := os.RemoveAll(journalDir); err != nil {
-		return 1, err
-	}
-
-	var golden bytes.Buffer
-	goldenCode, err := run(matrix, &golden)
-	if err != nil {
-		return 1, fmt.Errorf("golden run: %w", err)
-	}
-
-	childArgs := append(append([]string{}, matrix...), "-resume", journalDir)
-	exe, err := os.Executable()
-	if err != nil {
-		return 1, err
-	}
-	logF, err := os.Create(filepath.Join(killDir, "child.log"))
-	if err != nil {
-		return 1, err
-	}
-	defer func() { _ = logF.Close() }()
-	child := exec.Command(exe)
-	child.Env = append(os.Environ(), childEnv+"="+strings.Join(childArgs, "\x1f"))
-	child.Stdout = logF
-	child.Stderr = logF
-	if err := child.Start(); err != nil {
-		return 1, err
-	}
-
-	// Kill as soon as the first run is durably journaled: the child is then
-	// mid-matrix (and almost certainly mid-run), which is exactly the crash
-	// the resume path must survive.
-	journalPath := filepath.Join(journalDir, "journal.gckj")
-	deadline := time.Now().Add(10 * time.Minute)
-	for {
-		keys, err := checkpoint.InspectJournal(journalPath)
-		if err == nil && len(keys) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			_ = child.Process.Kill()
-			_ = child.Wait()
-			return 1, fmt.Errorf("harness-kill: no journaled run within the deadline; see %s", logF.Name())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	_ = child.Process.Kill()
-	_ = child.Wait()
-	recorded := 0
-	if keys, err := checkpoint.InspectJournal(journalPath); err == nil {
-		recorded = len(keys)
-	}
-	if recorded >= total {
-		return 1, fmt.Errorf("harness-kill: child finished all %d runs before the kill; enlarge the matrix", total)
-	}
-
-	var resumed bytes.Buffer
-	resumedCode, err := run(childArgs, &resumed)
-	if err != nil {
-		return 1, fmt.Errorf("resumed run: %w", err)
-	}
-	if resumed.String() != golden.String() || resumedCode != goldenCode {
-		_ = os.WriteFile(filepath.Join(killDir, "golden.txt"), golden.Bytes(), 0o644)
-		_ = os.WriteFile(filepath.Join(killDir, "resumed.txt"), resumed.Bytes(), 0o644)
-		return 1, fmt.Errorf("harness-kill: resumed report differs from the uninterrupted run (exit %d vs %d); artifacts in %s",
-			resumedCode, goldenCode, killDir)
-	}
-	_, _ = fmt.Fprintf(out, "harness-kill self-test ok: child SIGKILLed after %d/%d journaled runs; resumed report byte-identical (exit %d)\n",
-		recorded, total, goldenCode)
 	return 0, nil
 }
 

@@ -12,7 +12,7 @@
 // ReplaceCandidate and ReplaceDelay (-replacecand, -replacedelay), τ_P and
 // ρ_P (-taup, -rho), and the requests per host (-warmup, -requests). The
 // mean interarrival has no flag and keeps its core.DefaultConfig value.
-// The pause time and α are constants of internal/core, ϕ, ϕ′ and π_c of
+// α is a constant of internal/core, the pause time, ϕ, ϕ′ and π_c of
 // internal/client, the beacon period of internal/ndp and the Table I
 // energy rows of internal/network: no run sets them.
 //

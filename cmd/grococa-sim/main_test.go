@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"crypto/sha256"
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,8 +24,9 @@ var tinyArgs = []string{
 	"-cachesize", "15", "-warmup", "5", "-requests", "10",
 }
 
-// runOutput runs the command with args and returns what it printed.
-func runOutput(t *testing.T, args []string) string {
+// stdoutOf runs the command with args and returns what it printed and
+// its error.
+func stdoutOf(t *testing.T, args []string) (string, error) {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -39,10 +43,18 @@ func runOutput(t *testing.T, args []string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runErr != nil {
-		t.Fatal(runErr)
+	return string(out), runErr
+}
+
+// runOutput runs the command with args and returns what it printed,
+// failing the test if it fails.
+func runOutput(t *testing.T, args []string) string {
+	t.Helper()
+	out, err := stdoutOf(t, args)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return string(out)
+	return out
 }
 
 func TestRunRejectsUnknownScheme(t *testing.T) {
@@ -253,6 +265,73 @@ func TestRunProfilesLeaveOutputUnchanged(t *testing.T) {
 		args := append([]string{flag, filepath.Join(dir, "missing", "p.pprof")}, tinyArgs...)
 		if err := run(args); err == nil {
 			t.Errorf("%s into a missing directory succeeded", flag)
+		}
+	}
+}
+
+// journalFrames returns the key and end offset of every frame of a
+// journal image, the meta record first.
+func journalFrames(image []byte) (keys []string, ends []int) {
+	for off := 8; off < len(image); {
+		kn := int(binary.BigEndian.Uint32(image[off:]))
+		pn := int(binary.BigEndian.Uint32(image[off+4+kn:]))
+		keys = append(keys, string(image[off+4:off+4+kn]))
+		off += 8 + kn + pn + sha256.Size
+		ends = append(ends, off)
+	}
+	return keys, ends
+}
+
+// TestResumeFromEveryJournalCut is the crash-resume property for -reps
+// -resume: a killed run leaves a byte prefix of the journal an
+// uninterrupted run writes, since Journal.Append writes and syncs each
+// frame whole and a SIGKILL cannot undo a completed write. So the journal
+// of a full run is cut at 0 bytes, inside and right after its 8-byte
+// header, 3 bytes into and midway through its meta record, and at and 3
+// bytes past every record boundary. With the wall clock frozen, resuming
+// from each cut must print a never-journaled run's output and succeed, and
+// leave exactly one record per key.
+func TestResumeFromEveryJournalCut(t *testing.T) {
+	old := wallClock
+	wallClock = clock.Fixed{T: time.Unix(1700000000, 0)}
+	defer func() { wallClock = old }()
+
+	args := append([]string{"-scheme", "grococa", "-reps", "3", "-parallel", "2"}, tinyArgs...)
+	golden := runOutput(t, args)
+	args = append(args, "-resume")
+	full := t.TempDir()
+	if got := runOutput(t, append(args, full)); got != golden {
+		t.Fatalf("journaled run differs:\n%s\nwant:\n%s", got, golden)
+	}
+	image, err := os.ReadFile(filepath.Join(full, "journal.gckj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, ends := journalFrames(image)
+	if slices.Sort(keys); len(slices.Compact(slices.Clone(keys))) != len(keys) {
+		t.Fatalf("the uninterrupted run journaled a key twice: %q", keys)
+	}
+	cuts := []int{0, 4, 8, 8 + 3, (8 + ends[0]) / 2}
+	for _, end := range ends {
+		cuts = append(cuts, end, end+3)
+	}
+	for _, cut := range cuts[:len(cuts)-1] {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "journal.gckj")
+		if err := os.WriteFile(path, image[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := stdoutOf(t, append(args, dir)); err != nil || got != golden {
+			t.Errorf("resumed from a %d-byte cut (%v):\n%s", cut, err, got)
+			continue
+		}
+		resumed, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := journalFrames(resumed)
+		if slices.Sort(got); !slices.Equal(got, keys) {
+			t.Errorf("a %d-byte cut resumed to records %q, want one per key of %q", cut, got, keys)
 		}
 	}
 }

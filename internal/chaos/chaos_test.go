@@ -101,8 +101,9 @@ func TestReproCommand(t *testing.T) {
 // to exercise the collector's reorder window.
 func matrixOptions(workers int) Options {
 	return Options{
-		Seeds:   2,
-		Workers: workers,
+		BaseSeed: 1,
+		Seeds:    2,
+		Workers:  workers,
 		Campaigns: []Campaign{
 			mustCampaign("loss-ramp"),
 			mustCampaign("outage-storm"),
@@ -172,6 +173,7 @@ func TestSeedIndexRepro(t *testing.T) {
 		t.Fatal(err)
 	}
 	replay := Options{
+		BaseSeed:  1,
 		Seeds:     2,
 		Replay:    true,
 		SeedIndex: 1,
@@ -200,6 +202,7 @@ func TestSelfTestMutationReportsViolations(t *testing.T) {
 		t.Skip("scenario simulation in -short mode")
 	}
 	sum, err := Run(Options{
+		BaseSeed:  1,
 		Seeds:     1,
 		Workers:   2,
 		SelfTest:  true,

@@ -19,7 +19,7 @@ const selfTestAt = 20 * time.Second
 
 // Options parameterises a campaign matrix run.
 type Options struct {
-	// BaseSeed is the matrix's root seed; zero selects 1.
+	// BaseSeed is the matrix's root seed, used as given (0 is a seed).
 	BaseSeed int64
 	// Seeds is the number of seed indices per cell; zero selects 5.
 	Seeds int
@@ -52,9 +52,6 @@ type Options struct {
 
 // withDefaults fills the zero-value knobs.
 func (o Options) withDefaults() Options {
-	if o.BaseSeed == 0 {
-		o.BaseSeed = 1
-	}
 	if o.Seeds == 0 {
 		o.Seeds = 5
 	}

@@ -66,12 +66,25 @@ func TestJournalMetaMismatch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "meta mismatch") {
 		t.Fatalf("want meta mismatch error, got %v", err)
 	}
+	// A cut inside another invocation's meta record holds no result
+	// either, but it is not a prefix of the image this call would write.
+	full, err := os.ReadFile(j.Path())
+	if err != nil {
+		t.Fatalf("read journal: %v", err)
+	}
+	if err := os.WriteFile(j.Path(), full[:len(full)-1], 0o644); err != nil {
+		t.Fatalf("truncate: %v", err)
+	}
+	if _, err := OpenJournal(dir, []byte("seed=2")); err == nil {
+		t.Fatal("a cut of another invocation's meta record accepted")
+	}
 }
 
-// TestJournalTornTail simulates a writer killed mid-append at every record
-// boundary and at mid-record cut points: reload must recover exactly the
-// records that were fully synced before the cut. A bit flip inside a
-// record cuts the journal the same way.
+// TestJournalTornTail simulates a writer killed at every byte of the
+// journal: reload must recover exactly the records that were fully synced
+// before the cut. A cut before the meta record ends is what a writer
+// killed inside OpenJournal leaves, and opens as an empty journal. A bit
+// flip inside a record cuts the journal the same way.
 func TestJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
 	meta := []byte("m")
@@ -99,26 +112,24 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatalf("last offset %d, file size %d", offsets[len(offsets)-1], len(full))
 	}
 
-	// Cut exactly at each record boundary (clean kill between appends)
-	// and 3 bytes past it (torn frame).
-	for i, off := range offsets {
-		for _, cut := range []int64{off, off + 3} {
-			if cut > int64(len(full)) {
-				continue
+	for cut := 0; cut <= len(full); cut++ {
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatalf("truncate: %v", err)
+		}
+		jr, err := OpenJournal(dir, meta)
+		if err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		got := jr.Keys()
+		_ = jr.Close()
+		n := 0 // records after the meta record that end by the cut
+		for _, off := range offsets[1:] {
+			if off <= int64(cut) {
+				n++
 			}
-			if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
-				t.Fatalf("truncate: %v", err)
-			}
-			jr, err := OpenJournal(dir, meta)
-			if err != nil {
-				t.Fatalf("cut %d: reopen: %v", cut, err)
-			}
-			got := jr.Keys()
-			_ = jr.Close()
-			want := keys[:i] // records after the meta record, before the cut
-			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-				t.Fatalf("cut at %d: recovered %v, want %v", cut, got, want)
-			}
+		}
+		if want := keys[:n]; len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("cut at %d: recovered %v, want %v", cut, got, want)
 		}
 	}
 
@@ -149,22 +160,4 @@ func TestJournalRejectsGarbage(t *testing.T) {
 	if _, err := OpenJournal(dir, []byte("m")); err == nil {
 		t.Fatal("garbage journal accepted")
 	}
-}
-
-func TestInspectJournal(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenJournal(dir, []byte("m"))
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	_ = j.Append("a", []byte("1"))
-	_ = j.Append("b", []byte("2"))
-	keys, err := InspectJournal(j.Path())
-	if err != nil {
-		t.Fatalf("inspect: %v", err)
-	}
-	if !reflect.DeepEqual(keys, []string{"a", "b"}) {
-		t.Fatalf("inspect keys %v", keys)
-	}
-	_ = j.Close()
 }

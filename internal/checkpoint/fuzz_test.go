@@ -82,8 +82,7 @@ func checkRecords(t *testing.T, j *Journal, good int64, frames []frame) {
 }
 
 // FuzzOpenJournal feeds arbitrary journal images to loadJournal, the
-// in-memory parse behind both OpenJournal and InspectJournal, so execs
-// stay cheap. No image may panic. An accepted image keeps exactly the
+// in-memory parse behind OpenJournal, so execs stay cheap. No image may panic. An accepted image keeps exactly the
 // records before its first torn or bad-digest frame. An Append where
 // OpenJournal resumes — the frame written at the last intact offset —
 // keeps those records plus the new one. The committed corpus

@@ -59,33 +59,27 @@ type Journal struct {
 // meta. A fresh journal records meta as its first entry; an existing one
 // must carry byte-identical meta, otherwise the caller is resuming with
 // different parameters and the error says so. A torn tail from a crashed
-// writer is truncated away before appending resumes.
+// writer is truncated away before appending resumes. A file that ends
+// before the meta record does holds no result, so it is started afresh if
+// it is a prefix of what this call writes.
 func OpenJournal(dir string, meta []byte) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	path := filepath.Join(dir, "journal.gckj")
+	header := binary.BigEndian.AppendUint32(append([]byte(nil), journalMagic...), FormatVersion)
+	fresh := appendFrame(header, MetaKey, meta)
 
 	data, err := os.ReadFile(path)
 	switch {
 	case os.IsNotExist(err):
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: %w", err)
-		}
-		j := &Journal{path: path, f: f, records: make(map[string][]byte)}
-		header := binary.BigEndian.AppendUint32(append([]byte(nil), journalMagic...), FormatVersion)
-		if _, err := f.Write(header); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("checkpoint: %w", err)
-		}
-		if err := j.Append(MetaKey, meta); err != nil {
-			_ = f.Close()
-			return nil, err
-		}
-		return j, nil
+		return createJournal(path, os.O_CREATE|os.O_EXCL, fresh, meta)
 	case err != nil:
 		return nil, fmt.Errorf("checkpoint: %w", err)
+	case len(data) < len(fresh) && bytes.HasPrefix(fresh, data):
+		// What a writer killed here, before its meta record was synced,
+		// leaves behind.
+		return createJournal(path, os.O_TRUNC, fresh, meta)
 	}
 
 	j, good, err := loadJournal(path, data)
@@ -113,6 +107,25 @@ func OpenJournal(dir string, meta []byte) (*Journal, error) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	j.f = f
+	return j, nil
+}
+
+// createJournal opens path write-only with flag, writes image (a header
+// and meta record) and syncs it.
+func createJournal(path string, flag int, image, meta []byte) (*Journal, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|flag, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	if _, err = f.Write(image); err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("checkpoint: journal create: %w", err)
+	}
+	j := &Journal{path: path, f: f, records: make(map[string][]byte), offsets: []int64{int64(len(image))}}
+	j.put(MetaKey, meta)
 	return j, nil
 }
 
@@ -282,20 +295,4 @@ func (j *Journal) Close() error {
 	err := j.f.Close()
 	j.f = nil
 	return err
-}
-
-// InspectJournal reads a journal without opening it for appends,
-// returning its keys in first-seen order (meta excluded). Harness-kill
-// orchestration polls this to decide when a child has made enough
-// progress to be worth killing.
-func InspectJournal(path string) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	j, _, err := loadJournal(path, data)
-	if err != nil {
-		return nil, err
-	}
-	return j.Keys(), nil
 }

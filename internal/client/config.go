@@ -18,10 +18,14 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/geo"
+	"repro/internal/mobility"
 	"repro/internal/network"
+	"repro/internal/push"
 	"repro/internal/resilience"
 	"repro/internal/server"
 	"repro/internal/strategy"
+	"repro/internal/workload"
 )
 
 // Scheme selects which caching protocol a host runs; it aliases the
@@ -340,6 +344,9 @@ func (c Config) Validate() error {
 	if c.AccessRange <= 0 || c.AccessRange > c.NData {
 		return fmt.Errorf("client: AccessRange %d outside (0, %d]", c.AccessRange, c.NData)
 	}
+	if err := workload.ValidateSkew(c.Zipf); err != nil {
+		return fmt.Errorf("client: %w", err)
+	}
 	if c.CacheSize <= 0 {
 		return fmt.Errorf("client: cache size %d must be positive", c.CacheSize)
 	}
@@ -355,8 +362,12 @@ func (c Config) Validate() error {
 	if c.Mobility < MobilityWaypoint || c.Mobility > MobilityManhattan {
 		return fmt.Errorf("client: unknown mobility model %d", int(c.Mobility))
 	}
-	if c.Mobility == MobilityManhattan && c.GridSpacing <= 0 {
-		return fmt.Errorf("client: GridSpacing %v must be positive for Manhattan mobility", c.GridSpacing)
+	motionErr := c.Motion().Validate()
+	if c.Mobility == MobilityManhattan {
+		motionErr = c.Motion().ValidateManhattan(c.GridSpacing)
+	}
+	if motionErr != nil {
+		return fmt.Errorf("client: %w", motionErr)
 	}
 	if c.MeanInterarrival <= 0 {
 		return fmt.Errorf("client: MeanInterarrival %v must be positive", c.MeanInterarrival)
@@ -364,8 +375,9 @@ func (c Config) Validate() error {
 	if c.ServerDownlinkKbps <= 0 || c.ServerUplinkKbps <= 0 {
 		return fmt.Errorf("client: server bandwidths must be positive")
 	}
-	if c.TranRange <= 0 {
-		return fmt.Errorf("client: TranRange %v must be positive", c.TranRange)
+	// Every scheme builds the medium, SC included.
+	if err := c.Medium().Validate(); err != nil {
+		return fmt.Errorf("client: %w", err)
 	}
 	if c.DataUpdateRate < 0 {
 		return fmt.Errorf("client: DataUpdateRate %v must be non-negative", c.DataUpdateRate)
@@ -382,9 +394,6 @@ func (c Config) Validate() error {
 	if traits.PeerSearch {
 		if c.HopDist < 1 {
 			return fmt.Errorf("client: hop distance %d must be at least 1", c.HopDist)
-		}
-		if c.P2PBandwidthKbps <= 0 {
-			return fmt.Errorf("client: p2p bandwidth %v must be positive", c.P2PBandwidthKbps)
 		}
 		if c.FixedTimeout < 0 {
 			return fmt.Errorf("client: negative fixed timeout %v", c.FixedTimeout)
@@ -405,14 +414,8 @@ func (c Config) Validate() error {
 		}
 	}
 	if traits.Signatures {
-		if c.DistanceThreshold <= 0 {
-			return fmt.Errorf("client: DistanceThreshold %v must be positive", c.DistanceThreshold)
-		}
-		if c.SimilarityThreshold < 0 || c.SimilarityThreshold > 1 {
-			return fmt.Errorf("client: SimilarityThreshold %v outside [0, 1]", c.SimilarityThreshold)
-		}
-		if c.GroupCriteria < server.CriteriaBoth || c.GroupCriteria > server.CriteriaSimilarityOnly {
-			return fmt.Errorf("client: unknown group criteria %d", int(c.GroupCriteria))
+		if err := c.TCG().Validate(); err != nil {
+			return fmt.Errorf("client: %w", err)
 		}
 		if c.SigBits <= 0 || c.SigHashes <= 0 {
 			return fmt.Errorf("client: signature geometry (%d, %d) invalid", c.SigBits, c.SigHashes)
@@ -431,11 +434,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("client: unknown delivery model %d", int(c.Delivery))
 	}
 	if c.Delivery != DeliveryPull {
-		if c.BroadcastKbps <= 0 {
-			return fmt.Errorf("client: BroadcastKbps %v must be positive", c.BroadcastKbps)
-		}
-		if c.Delivery == DeliveryHybrid && c.BroadcastHotItems <= 0 {
-			return fmt.Errorf("client: BroadcastHotItems %d must be positive", c.BroadcastHotItems)
+		if err := c.Broadcast().Validate(); err != nil {
+			return fmt.Errorf("client: %w", err)
 		}
 	}
 	if err := c.FaultPlan().Validate(); err != nil {
@@ -451,6 +451,38 @@ func (c Config) Validate() error {
 		return fmt.Errorf("client: request counts (warmup %d, measured %d) invalid", c.WarmupRequests, c.MeasuredRequests)
 	}
 	return nil
+}
+
+// pause is the dwell time at each waypoint, a Table II single value.
+const pause = time.Second
+
+// Motion projects the motion groups' trajectory parameters.
+func (c Config) Motion() mobility.Config {
+	return mobility.Config{Space: geo.NewRect(c.SpaceWidth, c.SpaceHeight), MinSpeed: c.MinSpeed, MaxSpeed: c.MaxSpeed, Pause: pause}
+}
+
+// Medium projects the P2P medium's parameters.
+func (c Config) Medium() network.MediumConfig {
+	return network.MediumConfig{BandwidthKbps: c.P2PBandwidthKbps, RangeM: c.TranRange, BruteForce: c.BruteForceReachability}
+}
+
+// TCG projects the MSS's group discovery thresholds.
+func (c Config) TCG() server.TCGConfig {
+	return server.TCGConfig{
+		DistanceThreshold:   c.DistanceThreshold,
+		SimilarityThreshold: c.SimilarityThreshold,
+		DistanceWeight:      c.DistanceWeight,
+		Criteria:            c.GroupCriteria,
+	}
+}
+
+// Broadcast projects the broadcast disk of push and hybrid delivery. Pure
+// push broadcasts the whole catalog on a static schedule.
+func (c Config) Broadcast() push.Config {
+	if c.Delivery == DeliveryPush {
+		return push.Config{BandwidthKbps: c.BroadcastKbps, HotItems: c.NData}
+	}
+	return push.Config{BandwidthKbps: c.BroadcastKbps, HotItems: c.BroadcastHotItems, ReshuffleEvery: c.BroadcastReshuffle}
 }
 
 // FaultPlan projects the fault-injection parameters; a zero result means

@@ -51,7 +51,6 @@ func TestConfigValidate(t *testing.T) {
 		{"SC ignores p2p fields", func(c *Config) {
 			c.Scheme = SchemeSC
 			c.HopDist = 0
-			c.P2PBandwidthKbps = 0
 		}, false},
 		{"fixed timeout alone", func(c *Config) { c.FixedTimeout = time.Second }, false},
 		{"negative fixed timeout", func(c *Config) {

@@ -5,18 +5,21 @@ import (
 	"time"
 )
 
-// serviceAreaConfig bounds MSS coverage to 200 m around the origin, the
-// centre of a zero-sized space.
+// centre is the middle of serviceAreaConfig's 1 km square, where the MSS
+// sits.
+const centre = 500
+
+// serviceAreaConfig bounds MSS coverage to 200 m around centre.
 func serviceAreaConfig(scheme Scheme) Config {
 	cfg := testClientConfig(scheme)
 	cfg.ServiceAreaRadius = 200
-	cfg.SpaceWidth, cfg.SpaceHeight = 0, 0
+	cfg.SpaceWidth, cfg.SpaceHeight = 2*centre, 2*centre
 	return cfg
 }
 
 func TestOutsideServiceAreaMissFails(t *testing.T) {
 	h := newHarness(t, 1, false)
-	a := h.addHost(1, 500, 0, serviceAreaConfig(SchemeSC)) // outside coverage
+	a := h.addHost(1, centre+500, centre, serviceAreaConfig(SchemeSC)) // outside coverage
 	a.beginRequest(7)
 	h.run(time.Second)
 	if got := h.collector.OutcomeCount(OutcomeFailure); got != 1 {
@@ -29,7 +32,7 @@ func TestOutsideServiceAreaMissFails(t *testing.T) {
 
 func TestInsideServiceAreaMissSucceeds(t *testing.T) {
 	h := newHarness(t, 1, false)
-	a := h.addHost(1, 100, 0, serviceAreaConfig(SchemeSC))
+	a := h.addHost(1, centre+100, centre, serviceAreaConfig(SchemeSC))
 	a.beginRequest(7)
 	h.run(time.Second)
 	if got := h.collector.OutcomeCount(OutcomeServerRequest); got != 1 {
@@ -39,7 +42,7 @@ func TestInsideServiceAreaMissSucceeds(t *testing.T) {
 
 func TestOutsideServiceAreaLocalHitStillWorks(t *testing.T) {
 	h := newHarness(t, 1, false)
-	a := h.addHost(1, 500, 0, serviceAreaConfig(SchemeSC))
+	a := h.addHost(1, centre+500, centre, serviceAreaConfig(SchemeSC))
 	if err := a.Preload(5, time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +55,8 @@ func TestOutsideServiceAreaLocalHitStillWorks(t *testing.T) {
 
 func TestOutsideServiceAreaPeerHitStillWorks(t *testing.T) {
 	h := newHarness(t, 2, false)
-	a := h.addHost(1, 500, 0, serviceAreaConfig(SchemeCOCA))
-	b := h.addHost(2, 550, 0, serviceAreaConfig(SchemeCOCA))
+	a := h.addHost(1, centre+500, centre, serviceAreaConfig(SchemeCOCA))
+	b := h.addHost(2, centre+550, centre, serviceAreaConfig(SchemeCOCA))
 	if err := b.Preload(9, time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +69,7 @@ func TestOutsideServiceAreaPeerHitStillWorks(t *testing.T) {
 
 func TestOutsideServiceAreaValidationFails(t *testing.T) {
 	h := newHarness(t, 1, false)
-	a := h.addHost(1, 500, 0, serviceAreaConfig(SchemeSC))
+	a := h.addHost(1, centre+500, centre, serviceAreaConfig(SchemeSC))
 	if err := a.Preload(5, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,12 @@ func smallConfig(scheme Scheme) Config {
 	return cfg
 }
 
-// TestConfigValidation requires core.New to refuse every configuration
-// the shared client.Config.Validate rejects; the full table of Validate's
-// cases lives next to it in internal/client.
+// TestConfigValidation requires client.Config.Validate to reject each
+// configuration and core.New to refuse it with Validate's error, so that
+// Validate is the one gate: no layer constructor finds a fault it missed.
+// The rows from "negative skew" on once passed Validate and failed only
+// inside core.New. The full table of Validate's cases lives next to it in
+// internal/client.
 func TestConfigValidation(t *testing.T) {
 	tests := []struct {
 		name   string
@@ -44,16 +47,36 @@ func TestConfigValidation(t *testing.T) {
 		{"unknown delivery model", func(c *Config) { c.Delivery = 7 }},
 		{"unknown mobility model", func(c *Config) { c.Mobility = 5 }},
 		{"unknown group criteria", func(c *Config) { c.GroupCriteria = 9 }},
+		{"negative skew", func(c *Config) { c.Zipf = -1 }},
+		{"omega above 1", func(c *Config) { c.DistanceWeight = 2 }},
+		{"min speed above max", func(c *Config) { c.MinSpeed, c.MaxSpeed = 6, 5 }},
+		{"zero max speed", func(c *Config) { c.MaxSpeed = 0 }},
+		{"zero width", func(c *Config) { c.SpaceWidth = 0 }},
+		{"street spacing beyond the space", func(c *Config) {
+			c.Mobility = MobilityManhattan
+			c.GridSpacing = 5000
+		}},
+		{"SC with zero p2p bandwidth", func(c *Config) {
+			c.Scheme = SchemeSC
+			c.P2PBandwidthKbps = 0
+		}},
+		{"negative hybrid reshuffle", func(c *Config) {
+			c.Delivery = DeliveryHybrid
+			c.BroadcastReshuffle = -time.Second
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := smallConfig(SchemeGroCoca)
 			tt.mutate(&cfg)
-			if err := cfg.Validate(); err == nil {
+			verr := cfg.Validate()
+			if verr == nil {
 				t.Error("invalid config accepted")
 			}
 			if _, err := New(cfg); err == nil {
 				t.Error("New accepted invalid config")
+			} else if verr != nil && err.Error() != verr.Error() {
+				t.Errorf("New failed with %q, Validate with %q", err, verr)
 			}
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/geo"
 	"repro/internal/network"
 	"repro/internal/stats"
 )
@@ -173,6 +172,3 @@ func Run(cfg Config) (Results, error) {
 func energyFairness(m *network.Meter) float64 {
 	return stats.JainIndex(m.Accounts())
 }
-
-// geoRect builds the movement space rectangle.
-func geoRect(w, h float64) geo.Rect { return geo.NewRect(w, h) }

@@ -19,8 +19,6 @@ import (
 // low-activity hosts (see Config.LowActivityFraction). No figure varies
 // them.
 const (
-	// pause is the dwell time at each waypoint.
-	pause = time.Second
 	// updateEWMAWeight is α, the weight of the newest update interval in
 	// the MSS's per-item update-rate estimate.
 	updateEWMAWeight = 0.5
@@ -52,11 +50,7 @@ func New(cfg Config) (*Simulation, error) {
 	root := sim.Seed(cfg.Seed)
 	meter := network.NewMeter()
 
-	medium, err := network.NewMedium(k, network.MediumConfig{
-		BandwidthKbps: cfg.P2PBandwidthKbps,
-		RangeM:        cfg.TranRange,
-		BruteForce:    cfg.BruteForceReachability,
-	}, meter)
+	medium, err := network.NewMedium(k, cfg.Medium(), meter)
 	if err != nil {
 		return nil, fmt.Errorf("core: medium: %w", err)
 	}
@@ -78,12 +72,7 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	var tcg *server.TCGManager
 	if strategy.TraitsOf(cfg.Scheme).Signatures {
-		tcg, err = server.NewTCGManager(cfg.NumClients, cfg.NData, server.TCGConfig{
-			DistanceThreshold:   cfg.DistanceThreshold,
-			SimilarityThreshold: cfg.SimilarityThreshold,
-			DistanceWeight:      cfg.DistanceWeight,
-			Criteria:            cfg.GroupCriteria,
-		})
+		tcg, err = server.NewTCGManager(cfg.NumClients, cfg.NData, cfg.TCG())
 		if err != nil {
 			return nil, fmt.Errorf("core: tcg manager: %w", err)
 		}
@@ -120,18 +109,7 @@ func New(cfg Config) (*Simulation, error) {
 		s.InstallFaultPlan(plan)
 	}
 	if cfg.Delivery != DeliveryPull {
-		hot := cfg.BroadcastHotItems
-		reshuffle := cfg.BroadcastReshuffle
-		if cfg.Delivery == DeliveryPush {
-			// Pure push broadcasts the whole catalog on a static schedule.
-			hot = cfg.NData
-			reshuffle = 0
-		}
-		disk, err := push.NewDisk(k, push.Config{
-			BandwidthKbps:  cfg.BroadcastKbps,
-			HotItems:       hot,
-			ReshuffleEvery: reshuffle,
-		}, catalog, meter)
+		disk, err := push.NewDisk(k, cfg.Broadcast(), catalog, meter)
 		if err != nil {
 			return nil, fmt.Errorf("core: broadcast disk: %w", err)
 		}
@@ -149,12 +127,7 @@ func New(cfg Config) (*Simulation, error) {
 // buildHosts creates the motion groups, per-group access ranges, and hosts.
 func (s *Simulation) buildHosts(root sim.Seed) error {
 	cfg := s.cfg
-	mobCfg := mobility.Config{
-		Space:    geoRect(cfg.SpaceWidth, cfg.SpaceHeight),
-		MinSpeed: cfg.MinSpeed,
-		MaxSpeed: cfg.MaxSpeed,
-		Pause:    pause,
-	}
+	mobCfg := cfg.Motion()
 	numGroups := (cfg.NumClients + cfg.GroupSize - 1) / cfg.GroupSize
 	// Only the workload stream draws itself; the others only derive.
 	mobSeed := root.Sub("mobility")

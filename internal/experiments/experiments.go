@@ -395,28 +395,27 @@ func Ablations() []Ablation {
 	}
 }
 
-// RunAblations evaluates each ablation with the GroCoca scheme, one point
-// per ablation in definition order. The ablations run as the values of an
-// "ablations" sweep, so their seeds, journal keys and replication means
-// are a sweep cell's.
-func RunAblations(opts Options) ([]Point, error) {
+// AblationExperiment returns the ablation suite as one sweep over the
+// GroCoca scheme whose values index Ablations(), so the ablations' seeds,
+// journal keys and replication means are a sweep cell's.
+func AblationExperiment() Experiment {
 	abls := Ablations()
 	values := make([]float64, len(abls))
 	for i := range values {
 		values[i] = float64(i)
 	}
-	e := Experiment{
+	return Experiment{
 		ID:          "ablations",
+		Figure:      "Ablations",
 		Param:       "variant",
 		Values:      values,
 		Schemes:     []core.Scheme{core.SchemeGroCoca},
 		Apply:       func(cfg *core.Config, v float64) { abls[int(v)].Apply(cfg) },
 		FormatValue: func(v float64) string { return abls[int(v)].ID },
 	}
-	return e.Run(opts)
 }
 
-// AblationTable renders RunAblations' points.
+// AblationTable renders AblationExperiment's points.
 func AblationTable(points []Point) string {
 	abls := Ablations()
 	var b strings.Builder

@@ -188,7 +188,7 @@ func TestRunAblationsTiny(t *testing.T) {
 		t.Skip("simulation sweep in -short mode")
 	}
 	base := Tiny()
-	points, err := RunAblations(Options{Base: &base})
+	points, err := AblationExperiment().Run(Options{Base: &base})
 	if err != nil {
 		t.Fatal(err)
 	}

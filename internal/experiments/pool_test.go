@@ -391,12 +391,12 @@ func TestRunAblationsParallelEquivalence(t *testing.T) {
 	opts.Base.WarmupRequests = 3
 	opts.Base.MeasuredRequests = 6
 	opts.Workers = 1
-	seq, err := RunAblations(opts)
+	seq, err := AblationExperiment().Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Workers = 8
-	par, err := RunAblations(opts)
+	par, err := AblationExperiment().Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

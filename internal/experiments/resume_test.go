@@ -195,7 +195,7 @@ func TestJournalKeysPinned(t *testing.T) {
 
 	var abl []Point
 	got := keysOf(func(jr *checkpoint.Journal) (err error) {
-		abl, err = RunAblations(Options{Base: &base, Replications: 2, Journal: jr})
+		abl, err = AblationExperiment().Run(Options{Base: &base, Replications: 2, Journal: jr})
 		return err
 	})
 	want := []string{

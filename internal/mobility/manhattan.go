@@ -27,17 +27,26 @@ type Manhattan struct {
 
 var _ Node = (*Manhattan)(nil)
 
+// ValidateManhattan reports whether a street grid with this spacing fits
+// the configuration.
+func (c Config) ValidateManhattan(spacing float64) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if spacing <= 0 {
+		return fmt.Errorf("mobility: grid spacing %v must be positive", spacing)
+	}
+	if spacing > c.Space.Width() || spacing > c.Space.Height() {
+		return fmt.Errorf("mobility: grid spacing %v exceeds the space", spacing)
+	}
+	return nil
+}
+
 // NewManhattan creates a grid trajectory with the given street spacing in
 // metres, starting at a random intersection with a random heading.
 func NewManhattan(cfg Config, spacing float64, rng *sim.RNG) (*Manhattan, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.ValidateManhattan(spacing); err != nil {
 		return nil, err
-	}
-	if spacing <= 0 {
-		return nil, fmt.Errorf("mobility: grid spacing %v must be positive", spacing)
-	}
-	if spacing > cfg.Space.Width() || spacing > cfg.Space.Height() {
-		return nil, fmt.Errorf("mobility: grid spacing %v exceeds the space", spacing)
 	}
 	m := &Manhattan{cfg: cfg, spacing: spacing, rng: rng}
 	start := m.randIntersection()

@@ -144,13 +144,21 @@ type MediumConfig struct {
 	BruteForce bool
 }
 
+// Validate reports whether the medium can be built.
+func (c MediumConfig) Validate() error {
+	if !(c.BandwidthKbps > 0) {
+		return fmt.Errorf("network: bandwidth %v must be positive", c.BandwidthKbps)
+	}
+	if !(c.RangeM > 0) || math.IsInf(c.RangeM, 1) {
+		return fmt.Errorf("network: range %v must be positive and finite", c.RangeM)
+	}
+	return nil
+}
+
 // NewMedium creates an empty medium served by k, charging energy to meter.
 func NewMedium(k *sim.Kernel, cfg MediumConfig, meter *Meter) (*Medium, error) {
-	if cfg.BandwidthKbps <= 0 {
-		return nil, fmt.Errorf("network: bandwidth %v must be positive", cfg.BandwidthKbps)
-	}
-	if cfg.RangeM <= 0 {
-		return nil, fmt.Errorf("network: range %v must be positive", cfg.RangeM)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if meter == nil {
 		meter = NewMeter()

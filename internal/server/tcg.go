@@ -64,6 +64,9 @@ func (c TCGConfig) Validate() error {
 	if c.DistanceWeight < 0 || c.DistanceWeight > 1 {
 		return fmt.Errorf("server: distance weight %v outside [0, 1]", c.DistanceWeight)
 	}
+	if c.Criteria < CriteriaBoth || c.Criteria > CriteriaSimilarityOnly {
+		return fmt.Errorf("server: unknown group criteria %d", int(c.Criteria))
+	}
 	return nil
 }
 

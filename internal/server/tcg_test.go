@@ -37,6 +37,7 @@ func TestTCGConfigValidate(t *testing.T) {
 		{"similarity above 1", func(c *TCGConfig) { c.SimilarityThreshold = 1.1 }, true},
 		{"negative similarity", func(c *TCGConfig) { c.SimilarityThreshold = -0.1 }, true},
 		{"weight above 1", func(c *TCGConfig) { c.DistanceWeight = 2 }, true},
+		{"unknown criteria", func(c *TCGConfig) { c.Criteria = 9 }, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -31,13 +31,21 @@ type Zipf struct {
 	guide []int32   // len n+1
 }
 
+// ValidateSkew reports whether theta is a usable Zipf skew.
+func ValidateSkew(theta float64) error {
+	if !(theta >= 0) {
+		return fmt.Errorf("workload: zipf skew %v must be non-negative", theta)
+	}
+	return nil
+}
+
 // NewZipf builds a generator over n ranks with skewness theta.
 func NewZipf(n int, theta float64) (*Zipf, error) {
 	if n <= 0 || n > math.MaxInt32 {
 		return nil, fmt.Errorf("workload: zipf size %d must be in [1, %d]", n, math.MaxInt32)
 	}
-	if !(theta >= 0) {
-		return nil, fmt.Errorf("workload: zipf skew %v must be non-negative", theta)
+	if err := ValidateSkew(theta); err != nil {
+		return nil, err
 	}
 	cdf := make([]float64, n)
 	var sum float64
