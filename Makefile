@@ -153,9 +153,13 @@ cellbench-ab:
 ## first torn or bad-digest frame kept, an append after them kept too),
 ## then the VLFL signature decoder on arbitrary peer bytes (no panic, round
 ## trip, VLFLBits equal to the encoder's bit count), then the Zipf
-## guide-table draw against a binary search of the CDF.
+## guide-table draw against a binary search of the CDF, then the
+## configuration gate (whenever Config.Validate accepts fuzzer-chosen float
+## and duration fields, NaN and infinities included, core.New builds the
+## configuration without an error or a panic).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGridQuery -fuzztime 30s ./internal/geo/
 	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime 30s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeVLFL -fuzztime 30s ./internal/bloom/
 	$(GO) test -run '^$$' -fuzz FuzzZipfRank -fuzztime 30s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 30s ./internal/core/

@@ -170,8 +170,8 @@ func BenchmarkExperimentTableRendering(b *testing.B) {
 		b.Fatal("cachesize experiment missing")
 	}
 	points := []experiments.Point{
-		{Value: 50, Scheme: core.SchemeSC, Results: core.Results{Scheme: "SC"}},
-		{Value: 50, Scheme: core.SchemeCOCA, Results: core.Results{Scheme: "COCA"}},
+		{Value: 50, Scheme: core.SchemeSC, Runs: []core.Results{{Scheme: "SC"}}},
+		{Value: 50, Scheme: core.SchemeCOCA, Runs: []core.Results{{Scheme: "COCA"}}},
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

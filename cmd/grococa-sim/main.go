@@ -366,16 +366,16 @@ func runReplicated(cfg core.Config, reps, workers int, resume string) error {
 	for i, r := range p.Runs {
 		fmt.Printf("rep %d: %v\n", i, r)
 	}
-	if p.Spread == nil {
-		fmt.Printf("mean:  %v\n", p.Results)
-		fmt.Printf("wall=%v\n", clock.Since(wallClock, start).Round(time.Millisecond))
-		return nil
+	fmt.Printf("mean:  %v\n", p.Mean())
+	if len(p.Runs) > 1 {
+		fmt.Print("sd:   ")
+		for _, m := range experiments.Metrics {
+			if m.Line != "" {
+				fmt.Printf(" "+m.Line, m.Display(p.SD(m)))
+			}
+		}
+		fmt.Printf(" (n=%d reps)\n", len(p.Runs))
 	}
-	fmt.Printf("mean:  %v\n", p.Results)
-	sp := p.Spread
-	fmt.Printf("sd:    latency=%.3fms server=%.2f%% LCH=%.2f%% GCH=%.2f%% power/GCH=%.0fµWs energy=%.3fJ (n=%d reps)\n",
-		sp.LatencyMS, 100*sp.ServerReqRatio, 100*sp.LocalHitRatio, 100*sp.GlobalHitRatio,
-		sp.EnergyPerGCH, sp.TotalEnergyJ, p.Reps)
 	fmt.Printf("wall=%v\n", clock.Since(wallClock, start).Round(time.Millisecond))
 	return nil
 }

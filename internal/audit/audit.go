@@ -40,37 +40,25 @@ import (
 
 // Config parameterises the auditor.
 type Config struct {
-	// SweepEvery is the period of the structural-invariant sweep; zero
-	// selects the 5s default, negative disables sweeps.
-	SweepEvery time.Duration
-	// MaxSearchTimeout bounds the adaptive τ a cooperative host may hold
-	// (the blackout invariant: τ must stay finite under 100% loss). Zero
-	// selects the 30s default.
-	MaxSearchTimeout time.Duration
-	// MaxViolations caps the recorded violation list; further violations
-	// are counted but not stored. Zero selects the 100 default.
-	MaxViolations int
 	// Repro, when set, is attached verbatim to every violation — the
 	// one-line command that replays this exact run.
 	Repro string
-	// Recovery parameterises the recovery-SLO tracker.
-	Recovery RecoveryConfig
+	// MaxRecovery, when positive, turns the recovery SLO into a hard
+	// invariant: an episode whose recovery exceeds it is recorded as a
+	// violation. Zero keeps the recovery tracker report-only.
+	MaxRecovery time.Duration
 }
 
-// withDefaults fills the zero-value knobs.
-func (c Config) withDefaults() Config {
-	if c.SweepEvery == 0 {
-		c.SweepEvery = 5 * time.Second
-	}
-	if c.MaxSearchTimeout == 0 {
-		c.MaxSearchTimeout = 30 * time.Second
-	}
-	if c.MaxViolations == 0 {
-		c.MaxViolations = 100
-	}
-	c.Recovery = c.Recovery.withDefaults()
-	return c
-}
+const (
+	// sweepEvery is the period of the structural-invariant sweep.
+	sweepEvery = 5 * time.Second
+	// maxSearchTimeout bounds the adaptive τ a cooperative host may hold
+	// (the blackout invariant: τ must stay finite under 100% loss).
+	maxSearchTimeout = 30 * time.Second
+	// maxViolations caps the recorded violation list; further violations
+	// are counted but not stored.
+	maxViolations = 100
+)
 
 // Violation is one observed invariant breach.
 type Violation struct {
@@ -154,7 +142,6 @@ var _ client.AuditSink = (*Auditor)(nil)
 // schedules the structural sweep on the kernel. It must be called after
 // core.New and before Run.
 func Attach(s *core.Simulation, cfg Config) *Auditor {
-	cfg = cfg.withDefaults()
 	a := &Auditor{
 		sim:       s,
 		catalog:   s.MSS().Catalog(),
@@ -167,17 +154,15 @@ func Attach(s *core.Simulation, cfg Config) *Auditor {
 		budgets:   make(map[reqKey]int),
 		spends:    make(map[string]uint64),
 	}
-	a.recovery = newRecoveryTracker(cfg.Recovery, s.FaultPlan(), a.violate)
+	a.recovery = newRecoveryTracker(cfg.MaxRecovery, s.FaultPlan(), a.violate)
 	s.Collector().Audit = a
-	if cfg.SweepEvery > 0 {
-		s.Kernel().Schedule(cfg.SweepEvery, a.sweep)
-	}
+	s.Kernel().Schedule(sweepEvery, a.sweep)
 	return a
 }
 
 // violate records one breach, honoring the storage cap.
 func (a *Auditor) violate(invariant string, at time.Duration, host network.NodeID, detail string) {
-	if len(a.violations) >= a.cfg.MaxViolations {
+	if len(a.violations) >= maxViolations {
 		a.dropped++
 		return
 	}
@@ -292,9 +277,9 @@ func (a *Auditor) sweep() {
 				fmt.Sprintf("cache holds %d entries over capacity %d", lru.Len(), lru.Cap()))
 		}
 		if traits.PeerSearch {
-			if tau := h.SearchTimeout(); tau <= 0 || tau > a.cfg.MaxSearchTimeout {
+			if tau := h.SearchTimeout(); tau <= 0 || tau > maxSearchTimeout {
 				a.violate("bounded-tau", now, h.ID(),
-					fmt.Sprintf("search timeout %v outside (0, %v]", tau, a.cfg.MaxSearchTimeout))
+					fmt.Sprintf("search timeout %v outside (0, %v]", tau, maxSearchTimeout))
 			}
 		}
 		if traits.Signatures {
@@ -322,7 +307,7 @@ func (a *Auditor) sweep() {
 			}
 		}
 	}
-	a.sim.Kernel().Schedule(a.cfg.SweepEvery, a.sweep)
+	a.sim.Kernel().Schedule(sweepEvery, a.sweep)
 }
 
 // memberOf reports whether id appears in the member list.

@@ -17,14 +17,21 @@ import (
 // that drive the sink methods directly.
 func newBare() *Auditor {
 	a := &Auditor{
-		cfg:       Config{}.withDefaults(),
 		open:      make(map[reqKey]workload.ItemID),
 		contracts: make(map[contractKey]contract),
 		outcomes:  make(map[client.Outcome]uint64),
 		causes:    make(map[string]uint64),
 	}
-	a.recovery = newRecoveryTracker(a.cfg.Recovery, nil, a.violate)
+	a.recovery = newRecoveryTracker(0, nil, a.violate)
 	return a
+}
+
+// smallTracker is a recovery tracker whose rolling window holds four
+// completions, so a unit test fills it in a few observations.
+func smallTracker(maxRecovery time.Duration, violate func(string, time.Duration, network.NodeID, string)) *recoveryTracker {
+	tr := newRecoveryTracker(maxRecovery, nil, violate)
+	tr.lat, tr.hit = make([]time.Duration, 4), make([]bool, 4)
+	return tr
 }
 
 func violationInvariants(r Report) []string {
@@ -169,17 +176,16 @@ func TestStalenessOracle(t *testing.T) {
 
 func TestViolationCapAndRepro(t *testing.T) {
 	a := newBare()
-	a.cfg.MaxViolations = 3
 	a.cfg.Repro = "go run ./cmd/grococa-chaos -seed 1"
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxViolations+7; i++ {
 		a.HitServed(time.Second, 1, 1, workload.ItemID(i), client.OutcomeLocalHit, 0, time.Second)
 	}
 	r := a.report(true)
-	if len(r.Violations) != 3 || r.DroppedViolations != 7 {
-		t.Fatalf("recorded/dropped = %d/%d, want 3/7", len(r.Violations), r.DroppedViolations)
+	if len(r.Violations) != maxViolations || r.DroppedViolations != 7 {
+		t.Fatalf("recorded/dropped = %d/%d, want %d/7", len(r.Violations), r.DroppedViolations, maxViolations)
 	}
-	if r.TotalViolations() != 10 {
-		t.Errorf("TotalViolations = %d, want 10", r.TotalViolations())
+	if r.TotalViolations() != maxViolations+7 {
+		t.Errorf("TotalViolations = %d, want %d", r.TotalViolations(), maxViolations+7)
 	}
 	if !strings.Contains(r.Violations[0].String(), "repro: go run ./cmd/grococa-chaos -seed 1") {
 		t.Errorf("violation line misses repro command: %s", r.Violations[0])
@@ -188,8 +194,7 @@ func TestViolationCapAndRepro(t *testing.T) {
 
 func TestRecoveryTrackerEpisodes(t *testing.T) {
 	var violations []string
-	cfg := RecoveryConfig{Window: 4, LatencyFactor: 2, HitRatioSlack: 0.5, MaxRecovery: time.Minute}.withDefaults()
-	tr := newRecoveryTracker(cfg, nil, func(inv string, _ time.Duration, _ network.NodeID, detail string) {
+	tr := smallTracker(time.Minute, func(inv string, _ time.Duration, _ network.NodeID, detail string) {
 		violations = append(violations, inv+": "+detail)
 	})
 	// Fill the window with a healthy baseline: 10ms latency, all hits.
@@ -227,8 +232,7 @@ func TestRecoveryTrackerEpisodes(t *testing.T) {
 
 func TestRecoveryTrackerSLOViolation(t *testing.T) {
 	var violations []string
-	cfg := RecoveryConfig{Window: 4, LatencyFactor: 2, HitRatioSlack: 0.5, MaxRecovery: 3 * time.Second}.withDefaults()
-	tr := newRecoveryTracker(cfg, nil, func(inv string, _ time.Duration, _ network.NodeID, _ string) {
+	tr := smallTracker(3*time.Second, func(inv string, _ time.Duration, _ network.NodeID, _ string) {
 		violations = append(violations, inv)
 	})
 	for i := 1; i <= 4; i++ {
@@ -252,8 +256,7 @@ func TestRecoveryTrackerSLOViolation(t *testing.T) {
 // ends is censored — the run finished before recovery could be observed —
 // rather than counted as an SLO failure.
 func TestRecoveryTrackerCensoredAtEnd(t *testing.T) {
-	cfg := RecoveryConfig{Window: 4, LatencyFactor: 2, HitRatioSlack: 0.5}.withDefaults()
-	tr := newRecoveryTracker(cfg, nil, func(inv string, _ time.Duration, _ network.NodeID, _ string) {
+	tr := smallTracker(0, func(inv string, _ time.Duration, _ network.NodeID, _ string) {
 		t.Errorf("unexpected violation %s", inv)
 	})
 	for i := 1; i <= 4; i++ {
@@ -279,8 +282,7 @@ func TestRecoveryTrackerCensoredAtEnd(t *testing.T) {
 // last request completion still opens an episode — finish advances the
 // schedule before censoring — so tail outages are not silently dropped.
 func TestRecoveryTrackerTailOutage(t *testing.T) {
-	cfg := RecoveryConfig{Window: 4, LatencyFactor: 2, HitRatioSlack: 0.5}.withDefaults()
-	tr := newRecoveryTracker(cfg, nil, func(string, time.Duration, network.NodeID, string) {})
+	tr := smallTracker(0, func(string, time.Duration, network.NodeID, string) {})
 	tr.firstOutageAt = 10 * time.Second
 	tr.nextOutageEnd = 12 * time.Second
 	tr.outagePeriod = 10 * time.Second
@@ -304,8 +306,7 @@ func TestRecoveryTrackerTailOutage(t *testing.T) {
 }
 
 func TestRecoveryTrackerUnfilledBaselineDisables(t *testing.T) {
-	cfg := RecoveryConfig{Window: 50}.withDefaults()
-	tr := newRecoveryTracker(cfg, nil, func(string, time.Duration, network.NodeID, string) {
+	tr := newRecoveryTracker(0, nil, func(string, time.Duration, network.NodeID, string) {
 		t.Error("violation from disabled tracker")
 	})
 	tr.observe(time.Second, 10*time.Millisecond, true)

@@ -8,41 +8,22 @@ import (
 	"repro/internal/network"
 )
 
-// RecoveryConfig parameterises the recovery-SLO tracker: after each fault
-// episode (a scheduled MSS outage window or a host crash), the tracker
-// measures how long the fleet-wide access latency and hit ratio take to
-// return to a tolerance band around the pre-fault baseline.
-type RecoveryConfig struct {
-	// Window is the number of most recent request completions the rolling
-	// latency/hit-ratio estimate averages over. Zero selects 50.
-	Window int
-	// LatencyFactor is the recovery band: recovered means the rolling mean
-	// latency is at most LatencyFactor × the pre-fault baseline. Zero
-	// selects 3.
-	LatencyFactor float64
-	// HitRatioSlack is the recovery band for the hit ratio: recovered
-	// means the rolling hit ratio is at least baseline − slack. Zero
-	// selects 0.2.
-	HitRatioSlack float64
-	// MaxRecovery, when positive, turns the SLO into a hard invariant: an
-	// episode whose recovery exceeds it is recorded as a violation. Zero
-	// keeps the tracker report-only.
-	MaxRecovery time.Duration
-}
-
-// withDefaults fills the zero-value knobs.
-func (c RecoveryConfig) withDefaults() RecoveryConfig {
-	if c.Window == 0 {
-		c.Window = 50
-	}
-	if c.LatencyFactor == 0 {
-		c.LatencyFactor = 3
-	}
-	if c.HitRatioSlack == 0 {
-		c.HitRatioSlack = 0.2
-	}
-	return c
-}
+// The recovery-SLO tracker: after each fault episode (a scheduled MSS
+// outage window or a host crash), it measures how long the fleet-wide
+// access latency and hit ratio take to return to a tolerance band around
+// the pre-fault baseline.
+const (
+	// recoveryWindow is the number of most recent request completions the
+	// rolling latency/hit-ratio estimate averages over.
+	recoveryWindow = 50
+	// recoveryLatencyFactor is the recovery band for latency: recovered
+	// means the rolling mean latency is at most this multiple of the
+	// pre-fault baseline.
+	recoveryLatencyFactor = 3
+	// recoveryHitRatioSlack is the recovery band for the hit ratio:
+	// recovered means the rolling hit ratio is at least baseline − slack.
+	recoveryHitRatioSlack = 0.2
+)
 
 // RecoveryStats summarises the episodes of one fault cause.
 type RecoveryStats struct {
@@ -60,7 +41,7 @@ type RecoveryStats struct {
 	TotalRecovery time.Duration
 	MaxRecovery   time.Duration
 	// Unrecovered counts episodes that demonstrably failed the SLO — the
-	// degradation outlasted RecoveryConfig.MaxRecovery while the run was
+	// degradation outlasted Config.MaxRecovery while the run was
 	// still producing observations.
 	Unrecovered int
 	// Censored counts episodes still open when the run ended: the run
@@ -81,8 +62,8 @@ func (s RecoveryStats) MeanRecovery() time.Duration {
 // recoveryTracker implements the SLO measurement. All observations arrive
 // in kernel order, so the tracker is deterministic by construction.
 type recoveryTracker struct {
-	cfg     RecoveryConfig
-	violate func(invariant string, at time.Duration, host network.NodeID, detail string)
+	maxRecovery time.Duration
+	violate     func(invariant string, at time.Duration, host network.NodeID, detail string)
 
 	// Rolling window ring buffers.
 	lat []time.Duration
@@ -108,14 +89,14 @@ type recoveryTracker struct {
 
 // newRecoveryTracker derives the outage schedule from the fault plan (nil
 // for ideal channels) and hooks the violation recorder.
-func newRecoveryTracker(cfg RecoveryConfig, plan *network.FaultPlan, violate func(string, time.Duration, network.NodeID, string)) *recoveryTracker {
+func newRecoveryTracker(maxRecovery time.Duration, plan *network.FaultPlan, violate func(string, time.Duration, network.NodeID, string)) *recoveryTracker {
 	t := &recoveryTracker{
-		cfg:     cfg,
-		violate: violate,
-		lat:     make([]time.Duration, cfg.Window),
-		hit:     make([]bool, cfg.Window),
-		pending: make(map[string]time.Duration),
-		byCause: make(map[string]*RecoveryStats),
+		maxRecovery: maxRecovery,
+		violate:     violate,
+		lat:         make([]time.Duration, recoveryWindow),
+		hit:         make([]bool, recoveryWindow),
+		pending:     make(map[string]time.Duration),
+		byCause:     make(map[string]*RecoveryStats),
 	}
 	if plan != nil {
 		pc := plan.Config()
@@ -196,8 +177,8 @@ func (t *recoveryTracker) resolve(at time.Duration) {
 	for _, cause := range causes {
 		since := t.pending[cause]
 		if t.n == len(t.lat) &&
-			meanLat <= time.Duration(float64(t.baselineLat)*t.cfg.LatencyFactor) &&
-			hitRatio >= t.baselineHit-t.cfg.HitRatioSlack {
+			meanLat <= time.Duration(float64(t.baselineLat)*recoveryLatencyFactor) &&
+			hitRatio >= t.baselineHit-recoveryHitRatioSlack {
 			s := t.stat(cause)
 			s.Recovered++
 			took := at - since
@@ -208,10 +189,10 @@ func (t *recoveryTracker) resolve(at time.Duration) {
 			delete(t.pending, cause)
 			continue
 		}
-		if t.cfg.MaxRecovery > 0 && at-since > t.cfg.MaxRecovery {
+		if t.maxRecovery > 0 && at-since > t.maxRecovery {
 			t.violate("recovery-slo", at, -1, fmt.Sprintf(
 				"%s episode from t=%v not recovered after %v (limit %v)",
-				cause, since, at-since, t.cfg.MaxRecovery))
+				cause, since, at-since, t.maxRecovery))
 			t.stat(cause).Unrecovered++
 			delete(t.pending, cause)
 		}

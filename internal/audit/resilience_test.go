@@ -15,7 +15,6 @@ import (
 // the resilience sink methods directly.
 func bareAuditor() *Auditor {
 	a := &Auditor{
-		cfg:       Config{}.withDefaults(),
 		open:      make(map[reqKey]workload.ItemID),
 		contracts: make(map[contractKey]contract),
 		outcomes:  make(map[client.Outcome]uint64),
@@ -24,7 +23,7 @@ func bareAuditor() *Auditor {
 		budgets:   make(map[reqKey]int),
 		spends:    make(map[string]uint64),
 	}
-	a.recovery = newRecoveryTracker(RecoveryConfig{}.withDefaults(), nil, a.violate)
+	a.recovery = newRecoveryTracker(0, nil, a.violate)
 	return a
 }
 
@@ -355,7 +354,7 @@ func TestFinalTickOutageCensored(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := Attach(s, Config{Recovery: RecoveryConfig{MaxRecovery: time.Hour}})
+		a := Attach(s, Config{MaxRecovery: time.Hour})
 		r, err := s.Run()
 		if err != nil {
 			t.Fatal(err)

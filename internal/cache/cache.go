@@ -94,10 +94,18 @@ type LRU struct {
 // maxCapacity keeps slot indices plus one, and the table, within int32.
 const maxCapacity = 1 << 29
 
+// ValidateCapacity reports whether NewLRU accepts capacity.
+func ValidateCapacity(capacity int) error {
+	if capacity <= 0 || capacity > maxCapacity {
+		return fmt.Errorf("cache: capacity %d must be in [1, %d]", capacity, maxCapacity)
+	}
+	return nil
+}
+
 // NewLRU creates a cache holding up to capacity items.
 func NewLRU(capacity int) (*LRU, error) {
-	if capacity <= 0 || capacity > maxCapacity {
-		return nil, fmt.Errorf("cache: capacity %d must be in [1, %d]", capacity, maxCapacity)
+	if err := ValidateCapacity(capacity); err != nil {
+		return nil, err
 	}
 	bits := uint(1)
 	for 1<<bits < 2*capacity {

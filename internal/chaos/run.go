@@ -34,7 +34,7 @@ type Options struct {
 	// Workers bounds the worker pool; zero selects GOMAXPROCS.
 	Workers int
 	// SLO, when positive, makes recovery time a hard invariant (see
-	// audit.RecoveryConfig.MaxRecovery). Zero keeps recovery report-only.
+	// audit.Config.MaxRecovery). Zero keeps recovery report-only.
 	SLO time.Duration
 	// SelfTest injects a deliberate fault-handling bug — a mid-run event
 	// inflating every cached entry's TTL outside the protocol — to prove
@@ -148,10 +148,7 @@ func runOne(opts Options, c Campaign, scheme core.Scheme, seedIndex int) (RunRes
 		return RunResult{}, fmt.Errorf("chaos %s/%v seed %d: %w", c.Name, scheme, seedIndex, err)
 	}
 	repro := ReproCommand(c.Name, scheme, opts.BaseSeed, seedIndex, opts.SelfTest)
-	a := audit.Attach(s, audit.Config{
-		Repro:    repro,
-		Recovery: audit.RecoveryConfig{MaxRecovery: opts.SLO},
-	})
+	a := audit.Attach(s, audit.Config{Repro: repro, MaxRecovery: opts.SLO})
 	if opts.SelfTest {
 		s.Kernel().Schedule(selfTestAt, func() {
 			for _, h := range s.Hosts() {

@@ -15,9 +15,11 @@ package client
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/geo"
 	"repro/internal/mobility"
 	"repro/internal/network"
@@ -347,8 +349,8 @@ func (c Config) Validate() error {
 	if err := workload.ValidateSkew(c.Zipf); err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
-	if c.CacheSize <= 0 {
-		return fmt.Errorf("client: cache size %d must be positive", c.CacheSize)
+	if err := cache.ValidateCapacity(c.CacheSize); err != nil {
+		return fmt.Errorf("client: %w", err)
 	}
 	if c.DataSize <= 0 {
 		return fmt.Errorf("client: data size %d must be positive", c.DataSize)
@@ -356,8 +358,8 @@ func (c Config) Validate() error {
 	if c.GroupSize <= 0 {
 		return fmt.Errorf("client: GroupSize %d must be positive", c.GroupSize)
 	}
-	if c.GroupRadius < 0 {
-		return fmt.Errorf("client: GroupRadius %v must be non-negative", c.GroupRadius)
+	if !(c.GroupRadius >= 0) || math.IsInf(c.GroupRadius, 1) {
+		return fmt.Errorf("client: GroupRadius %v must be non-negative and finite", c.GroupRadius)
 	}
 	if c.Mobility < MobilityWaypoint || c.Mobility > MobilityManhattan {
 		return fmt.Errorf("client: unknown mobility model %d", int(c.Mobility))
@@ -372,23 +374,32 @@ func (c Config) Validate() error {
 	if c.MeanInterarrival <= 0 {
 		return fmt.Errorf("client: MeanInterarrival %v must be positive", c.MeanInterarrival)
 	}
-	if c.ServerDownlinkKbps <= 0 || c.ServerUplinkKbps <= 0 {
+	if !(c.ServerDownlinkKbps > 0) || !(c.ServerUplinkKbps > 0) {
 		return fmt.Errorf("client: server bandwidths must be positive")
+	}
+	if !(c.ServiceAreaRadius >= 0) {
+		return fmt.Errorf("client: ServiceAreaRadius %v must be non-negative", c.ServiceAreaRadius)
 	}
 	// Every scheme builds the medium, SC included.
 	if err := c.Medium().Validate(); err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
-	if c.DataUpdateRate < 0 {
+	if !(c.DataUpdateRate >= 0) {
 		return fmt.Errorf("client: DataUpdateRate %v must be non-negative", c.DataUpdateRate)
 	}
-	if c.LowActivityFraction < 0 || c.LowActivityFraction > 1 {
+	if c.ReviseEvery <= 0 {
+		return fmt.Errorf("client: ReviseEvery %v must be positive", c.ReviseEvery)
+	}
+	if !(c.LowActivityFraction >= 0 && c.LowActivityFraction <= 1) {
 		return fmt.Errorf("client: LowActivityFraction %v outside [0, 1]", c.LowActivityFraction)
+	}
+	if c.LowActivityFraction > 0 && float64(c.MeanInterarrival)*LowActivityFactor >= math.MaxInt64 {
+		return fmt.Errorf("client: MeanInterarrival %v times %d overflows a low-activity host's wait", c.MeanInterarrival, LowActivityFactor)
 	}
 	if c.HotspotShiftEvery < 0 {
 		return fmt.Errorf("client: negative HotspotShiftEvery %v", c.HotspotShiftEvery)
 	}
-	if c.HotspotShiftEvery > 0 && (c.HotspotShiftFraction <= 0 || c.HotspotShiftFraction > 1) {
+	if c.HotspotShiftEvery > 0 && !(c.HotspotShiftFraction > 0 && c.HotspotShiftFraction <= 1) {
 		return fmt.Errorf("client: HotspotShiftFraction %v outside (0, 1]", c.HotspotShiftFraction)
 	}
 	if traits.PeerSearch {
@@ -399,7 +410,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("client: negative fixed timeout %v", c.FixedTimeout)
 		}
 	}
-	if c.DiscProb < 0 || c.DiscProb > 1 {
+	if !(c.DiscProb >= 0 && c.DiscProb <= 1) {
 		return fmt.Errorf("client: disconnect probability %v outside [0, 1]", c.DiscProb)
 	}
 	if c.DiscProb > 0 && (c.DiscMin <= 0 || c.DiscMax < c.DiscMin) {
@@ -409,7 +420,7 @@ func (c Config) Validate() error {
 		if !traits.PeerSearch {
 			return fmt.Errorf("client: spillover needs a cooperative scheme")
 		}
-		if c.SpilloverActivityRatio <= 0 || c.SpilloverActivityRatio > 1 {
+		if !(c.SpilloverActivityRatio > 0 && c.SpilloverActivityRatio <= 1) {
 			return fmt.Errorf("client: spillover activity ratio %v outside (0, 1]", c.SpilloverActivityRatio)
 		}
 	}
@@ -420,7 +431,7 @@ func (c Config) Validate() error {
 		if c.SigBits <= 0 || c.SigHashes <= 0 {
 			return fmt.Errorf("client: signature geometry (%d, %d) invalid", c.SigBits, c.SigHashes)
 		}
-		if c.PeerAccessSample < 0 || c.PeerAccessSample > 1 {
+		if !(c.PeerAccessSample >= 0 && c.PeerAccessSample <= 1) {
 			return fmt.Errorf("client: peer access sample %v outside [0, 1]", c.PeerAccessSample)
 		}
 	}
@@ -441,7 +452,7 @@ func (c Config) Validate() error {
 	if err := c.FaultPlan().Validate(); err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
-	if c.ServerRescueFactor < 1 {
+	if !(c.ServerRescueFactor >= 1) {
 		return fmt.Errorf("client: server rescue factor %v must be at least 1", c.ServerRescueFactor)
 	}
 	if err := c.Resilience.Validate(); err != nil {
@@ -455,6 +466,11 @@ func (c Config) Validate() error {
 
 // pause is the dwell time at each waypoint, a Table II single value.
 const pause = time.Second
+
+// LowActivityFactor multiplies a low-activity host's mean interarrival time
+// and divides its request quotas (see Config.LowActivityFraction). No
+// figure varies it.
+const LowActivityFactor = 10
 
 // Motion projects the motion groups' trajectory parameters.
 func (c Config) Motion() mobility.Config {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -63,6 +64,16 @@ func TestConfigValidation(t *testing.T) {
 		{"negative hybrid reshuffle", func(c *Config) {
 			c.Delivery = DeliveryHybrid
 			c.BroadcastReshuffle = -time.Second
+		}},
+		{"zero revise period", func(c *Config) { c.ReviseEvery = 0 }},
+		{"cache beyond the LRU cap", func(c *Config) { c.CacheSize = 1 << 30 }},
+		{"street spacing too fine to count", func(c *Config) {
+			c.Mobility = MobilityManhattan
+			c.GridSpacing = 1e-300
+		}},
+		{"NaN street spacing", func(c *Config) {
+			c.Mobility = MobilityManhattan
+			c.GridSpacing = math.NaN()
 		}},
 	}
 	for _, tt := range tests {

@@ -15,17 +15,10 @@ import (
 	"repro/internal/workload"
 )
 
-// Table II's remaining single values, and the activity gap of the
-// low-activity hosts (see Config.LowActivityFraction). No figure varies
-// them.
-const (
-	// updateEWMAWeight is α, the weight of the newest update interval in
-	// the MSS's per-item update-rate estimate.
-	updateEWMAWeight = 0.5
-	// lowActivityFactor multiplies a low-activity host's mean
-	// interarrival time and divides its request quotas.
-	lowActivityFactor = 10
-)
+// updateEWMAWeight is α, the weight of the newest update interval in the
+// MSS's per-item update-rate estimate: one of Table II's remaining single
+// values, which no figure varies.
+const updateEWMAWeight = 0.5
 
 // Simulation is one fully assembled system ready to run.
 type Simulation struct {
@@ -170,7 +163,7 @@ func (s *Simulation) buildHosts(root sim.Seed) error {
 			warmup, measured := cfg.WarmupRequests, cfg.MeasuredRequests
 			if cfg.LowActivityFraction > 0 &&
 				hostSeed.Stream(fmt.Sprintf("activity-%d", id)).Bool(cfg.LowActivityFraction) {
-				interarrival = time.Duration(float64(interarrival) * lowActivityFactor)
+				interarrival = time.Duration(float64(interarrival) * client.LowActivityFactor)
 				// Low-activity hosts carry proportionally smaller request
 				// quotas so every host finishes around the same simulated
 				// time and the measured windows stay aligned.
@@ -202,7 +195,7 @@ func (s *Simulation) buildHosts(root sim.Seed) error {
 // scaleQuota divides a request quota by the activity factor, keeping at
 // least a handful of requests so the host still participates.
 func scaleQuota(quota int) int {
-	scaled := int(float64(quota) / lowActivityFactor)
+	scaled := int(float64(quota) / client.LowActivityFactor)
 	if scaled < 5 {
 		scaled = 5
 	}

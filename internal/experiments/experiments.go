@@ -7,11 +7,13 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/stats"
 	"repro/internal/strategy"
 )
 
@@ -35,20 +37,123 @@ type Experiment struct {
 	FormatValue func(value float64) string
 }
 
-// Point is one measured cell of a sweep. With replications, Results holds
-// the replication mean and Spread the sample standard deviations.
+// Point is one measured cell of a sweep.
 type Point struct {
-	Value   float64
-	Scheme  core.Scheme
-	Results core.Results
-	// Reps is the number of replications aggregated into this cell (0 and
-	// 1 both mean a single run).
-	Reps int
-	// Spread is the across-replication sample stddev of each reported
-	// metric; nil for single runs.
-	Spread *Spread
-	// Runs are the replications' own results, in replication order.
+	Value  float64
+	Scheme core.Scheme
+	// Runs are the cell's replications, in replication order; a cell
+	// holds at least one.
 	Runs []core.Results
+}
+
+// Mean returns the replication mean of the quantities the renderers read:
+// the Metrics, the request count, signature traffic and the scheme. Counts
+// and the latency take the round-half-up integer mean, ratios and energies
+// their float sum in replication order over the count, and the scheme is
+// the first run's. A single run is returned whole.
+func (p Point) Mean() core.Results {
+	if len(p.Runs) == 1 {
+		return p.Runs[0]
+	}
+	n := len(p.Runs)
+	m := core.Results{Scheme: p.Runs[0].Scheme}
+	var latency int64
+	for _, r := range p.Runs {
+		latency += int64(r.MeanLatency)
+		m.Requests += r.Requests
+		m.Aux.SigBytes += r.Aux.SigBytes
+		m.LocalHitRatio += r.LocalHitRatio
+		m.GlobalHitRatio += r.GlobalHitRatio
+		m.ServerRequestRatio += r.ServerRequestRatio
+		m.FailureRatio += r.FailureRatio
+		m.TotalEnergy += r.TotalEnergy
+		m.EnergyPerGCH += r.EnergyPerGCH
+	}
+	m.MeanLatency = time.Duration((latency + int64(n)/2) / int64(n))
+	m.Requests = (m.Requests + uint64(n)/2) / uint64(n)
+	m.Aux.SigBytes = (m.Aux.SigBytes + uint64(n)/2) / uint64(n)
+	m.LocalHitRatio /= float64(n)
+	m.GlobalHitRatio /= float64(n)
+	m.ServerRequestRatio /= float64(n)
+	m.FailureRatio /= float64(n)
+	m.TotalEnergy /= float64(n)
+	m.EnergyPerGCH /= float64(n)
+	return m
+}
+
+// SD returns the sample standard deviation of m over the cell's runs, in
+// m's CSV units; zero for a single run.
+func (p Point) SD(m Metric) float64 {
+	var w stats.Welford
+	for _, r := range p.Runs {
+		w.Add(m.Of(r))
+	}
+	return w.SampleStdDev()
+}
+
+// Metric is one quantity a sweep reports per cell: a column of the tables
+// and the CSV, and an entry of grococa-sim's sd: line.
+type Metric struct {
+	// Of reads the metric off one run in the CSV's units: ms, a fraction,
+	// µW·s or J.
+	Of func(core.Results) float64
+	// Header heads the table column. Width and RepWidth are its widths in
+	// the single-run and the mean±sd layout, Prec its decimals, and
+	// Percent prints the fraction as a percentage.
+	Header          string
+	Width, RepWidth int
+	Prec            int
+	Percent         bool
+	// CSV and CSVSD name the value and sd columns, printed with CSVPrec
+	// decimals.
+	CSV, CSVSD string
+	CSVPrec    int
+	// Line formats the sd, in table units, on grococa-sim's sd: line; an
+	// empty Line leaves the metric off it.
+	Line string
+	// Optional metrics get a table column only when some cell's mean is
+	// above zero.
+	Optional bool
+	// Blank, when set, prints "-" for a cell whose mean it holds for.
+	Blank func(core.Results) bool
+}
+
+// Display converts v from the CSV's units to the ones the tables and the
+// sd: line print.
+func (m Metric) Display(v float64) float64 {
+	if m.Percent {
+		return 100 * v
+	}
+	return v
+}
+
+// Metrics are the reported quantities, in column order: the four every
+// figure of the paper plots (access latency, server request ratio, global
+// cache hit ratio, power per global cache hit) with the local hit ratio,
+// the failure ratio and the total energy.
+var Metrics = []Metric{
+	{Of: func(r core.Results) float64 { return float64(r.MeanLatency) / float64(time.Millisecond) },
+		Header: "latency(ms)", Width: 12, RepWidth: 16, Prec: 2,
+		CSV: "latency_ms", CSVSD: "latency_ms_sd", CSVPrec: 4, Line: "latency=%.3fms"},
+	{Of: func(r core.Results) float64 { return r.ServerRequestRatio },
+		Header: "server-req%", Width: 12, RepWidth: 14, Prec: 1, Percent: true,
+		CSV: "server_req_ratio", CSVSD: "server_req_sd", CSVPrec: 4, Line: "server=%.2f%%"},
+	{Of: func(r core.Results) float64 { return r.LocalHitRatio },
+		Header: "LCH%", Width: 8, RepWidth: 12, Prec: 1, Percent: true,
+		CSV: "lch_ratio", CSVSD: "lch_sd", CSVPrec: 4, Line: "LCH=%.2f%%"},
+	{Of: func(r core.Results) float64 { return r.GlobalHitRatio },
+		Header: "GCH%", Width: 8, RepWidth: 12, Prec: 1, Percent: true,
+		CSV: "gch_ratio", CSVSD: "gch_sd", CSVPrec: 4, Line: "GCH=%.2f%%"},
+	{Of: func(r core.Results) float64 { return r.FailureRatio },
+		Header: "fail%", Width: 8, RepWidth: 12, Prec: 1, Percent: true,
+		CSV: "failure_ratio", CSVSD: "failure_sd", CSVPrec: 4, Optional: true},
+	{Of: func(r core.Results) float64 { return r.EnergyPerGCH },
+		Header: "power/GCH(µWs)", Width: 14, RepWidth: 16, Prec: 0,
+		CSV: "power_per_gch_uws", CSVSD: "power_per_gch_sd", CSVPrec: 1, Line: "power/GCH=%.0fµWs",
+		Blank: func(r core.Results) bool { return !(r.GlobalHitRatio > 0) }},
+	{Of: func(r core.Results) float64 { return r.TotalEnergy / 1e6 },
+		Header: "energy(J)", Width: 12, RepWidth: 14, Prec: 2,
+		CSV: "total_energy_j", CSVSD: "total_energy_j_sd", CSVPrec: 3, Line: "energy=%.3fJ"},
 }
 
 // Options scales an experiment run.
@@ -123,12 +228,12 @@ func (e Experiment) Run(opts Options) ([]Point, error) {
 	}
 	onCell := func(ci int, rs []core.Results) {
 		c := cells[ci]
-		p := aggregate(e.Values[c.vi], schemes[c.si], rs)
+		p := Point{Value: e.Values[c.vi], Scheme: schemes[c.si], Runs: rs}
 		points = append(points, p)
 		if opts.Progress != nil {
-			line := fmt.Sprintf("%s %s=%s %v", e.ID, e.Param, e.format(p.Value), p.Results)
-			if p.Reps > 1 {
-				line += fmt.Sprintf(" (reps=%d)", p.Reps)
+			line := fmt.Sprintf("%s %s=%s %v", e.ID, e.Param, e.format(p.Value), p.Mean())
+			if len(rs) > 1 {
+				line += fmt.Sprintf(" (reps=%d)", len(rs))
 			}
 			opts.Progress(line)
 		}
@@ -159,113 +264,55 @@ func (e Experiment) format(v float64) string {
 	return strings.TrimSuffix(strings.TrimSuffix(fmt.Sprintf("%.2f", v), "0"), ".")
 }
 
-// Table renders the measured points as the four-metric table of the paper's
-// figures. Replicated sweeps switch to mean±sd cells with a reps column;
-// single-run sweeps keep the historical byte layout.
+// Table renders the measured points as the metric table of the paper's
+// figures. A sweep with replications prints mean±sd cells and a reps
+// column; a single-run sweep keeps the historical byte layout.
 func (e Experiment) Table(points []Point) string {
-	for _, p := range points {
-		if p.Spread != nil {
-			return e.replicatedTable(points)
-		}
+	replicated := false
+	means := make([]core.Results, len(points))
+	for i, p := range points {
+		replicated = replicated || len(p.Runs) > 1
+		means[i] = p.Mean()
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s (%s)\n", e.Figure, e.Title, e.Param)
+	fmt.Fprintf(&b, "%s — %s (%s)", e.Figure, e.Title, e.Param)
+	if replicated {
+		b.WriteString(", mean±sd over replications")
+	}
+	fmt.Fprintf(&b, "\n%-10s %-8s", e.Param, "scheme")
+	if replicated {
+		fmt.Fprintf(&b, " %4s", "reps")
+	}
 	// The failure column appears only when some cell has failures (the
 	// default full-coverage setting never fails).
-	showFail := false
-	for _, p := range points {
-		if p.Results.FailureRatio > 0 {
-			showFail = true
-			break
-		}
-	}
-	failHeader := ""
-	if showFail {
-		failHeader = "    fail%"
-	}
-	fmt.Fprintf(&b, "%-10s %-8s %12s %12s %8s %8s%s %14s %12s\n",
-		e.Param, "scheme", "latency(ms)", "server-req%", "LCH%", "GCH%", failHeader, "power/GCH(µWs)", "energy(J)")
-	for _, p := range points {
-		r := p.Results
-		powerPerGCH := "-"
-		if r.GlobalHitRatio > 0 {
-			powerPerGCH = fmt.Sprintf("%.0f", r.EnergyPerGCH)
-		}
-		if showFail {
-			fmt.Fprintf(&b, "%-10s %-8s %12.2f %12.1f %8.1f %8.1f %8.1f %14s %12.2f\n",
-				e.format(p.Value), r.Scheme,
-				float64(r.MeanLatency)/float64(time.Millisecond),
-				100*r.ServerRequestRatio,
-				100*r.LocalHitRatio,
-				100*r.GlobalHitRatio,
-				100*r.FailureRatio,
-				powerPerGCH,
-				r.TotalEnergy/1e6,
-			)
+	var metrics []Metric
+	for _, m := range Metrics {
+		if m.Optional && !slices.ContainsFunc(means, func(r core.Results) bool { return m.Of(r) > 0 }) {
 			continue
 		}
-		fmt.Fprintf(&b, "%-10s %-8s %12.2f %12.1f %8.1f %8.1f %14s %12.2f\n",
-			e.format(p.Value), r.Scheme,
-			float64(r.MeanLatency)/float64(time.Millisecond),
-			100*r.ServerRequestRatio,
-			100*r.LocalHitRatio,
-			100*r.GlobalHitRatio,
-			powerPerGCH,
-			r.TotalEnergy/1e6,
-		)
+		if replicated {
+			m.Width = m.RepWidth
+		}
+		metrics = append(metrics, m)
+		fmt.Fprintf(&b, " %*s", m.Width, m.Header)
 	}
-	return b.String()
-}
-
-// replicatedTable renders mean±sd cells: every metric column shows the
-// replication mean followed by the sample standard deviation.
-func (e Experiment) replicatedTable(points []Point) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s (%s), mean±sd over replications\n", e.Figure, e.Title, e.Param)
-	showFail := false
-	for _, p := range points {
-		if p.Results.FailureRatio > 0 {
-			showFail = true
-			break
+	b.WriteByte('\n')
+	for i, p := range points {
+		fmt.Fprintf(&b, "%-10s %-8s", e.format(p.Value), means[i].Scheme)
+		if replicated {
+			fmt.Fprintf(&b, " %4d", len(p.Runs))
 		}
-	}
-	failHeader := ""
-	if showFail {
-		failHeader = "        fail%"
-	}
-	fmt.Fprintf(&b, "%-10s %-8s %4s %16s %14s %12s %12s%s %16s %14s\n",
-		e.Param, "scheme", "reps", "latency(ms)", "server-req%", "LCH%", "GCH%", failHeader, "power/GCH(µWs)", "energy(J)")
-	meanSD := func(mean, sd float64, prec int) string {
-		return fmt.Sprintf("%.*f±%.*f", prec, mean, prec, sd)
-	}
-	for _, p := range points {
-		r := p.Results
-		sp := p.Spread
-		if sp == nil {
-			sp = &Spread{}
+		for _, m := range metrics {
+			cell := "-"
+			if m.Blank == nil || !m.Blank(means[i]) {
+				cell = fmt.Sprintf("%.*f", m.Prec, m.Display(m.Of(means[i])))
+				if replicated {
+					cell += fmt.Sprintf("±%.*f", m.Prec, m.Display(p.SD(m)))
+				}
+			}
+			fmt.Fprintf(&b, " %*s", m.Width, cell)
 		}
-		reps := p.Reps
-		if reps < 1 {
-			reps = 1
-		}
-		powerPerGCH := "-"
-		if r.GlobalHitRatio > 0 {
-			powerPerGCH = meanSD(r.EnergyPerGCH, sp.EnergyPerGCH, 0)
-		}
-		fail := ""
-		if showFail {
-			fail = " " + fmt.Sprintf("%12s", meanSD(100*r.FailureRatio, 100*sp.FailureRatio, 1))
-		}
-		fmt.Fprintf(&b, "%-10s %-8s %4d %16s %14s %12s %12s%s %16s %14s\n",
-			e.format(p.Value), r.Scheme, reps,
-			meanSD(float64(r.MeanLatency)/float64(time.Millisecond), sp.LatencyMS, 2),
-			meanSD(100*r.ServerRequestRatio, 100*sp.ServerReqRatio, 1),
-			meanSD(100*r.LocalHitRatio, 100*sp.LocalHitRatio, 1),
-			meanSD(100*r.GlobalHitRatio, 100*sp.GlobalHitRatio, 1),
-			fail,
-			powerPerGCH,
-			meanSD(r.TotalEnergy/1e6, sp.TotalEnergyJ, 2),
-		)
+		b.WriteByte('\n')
 	}
 	return b.String()
 }
@@ -415,25 +462,28 @@ func AblationExperiment() Experiment {
 	}
 }
 
-// AblationTable renders AblationExperiment's points.
+// AblationTable renders AblationExperiment's points: each variant's mean
+// of the Metrics every table shows, printed as numbers even without
+// global hits, and its signature traffic.
 func AblationTable(points []Point) string {
 	abls := Ablations()
 	var b strings.Builder
-	fmt.Fprintf(&b, "GroCoca ablations (default operating point)\n")
-	fmt.Fprintf(&b, "%-14s %12s %12s %8s %8s %14s %12s %12s\n",
-		"variant", "latency(ms)", "server-req%", "LCH%", "GCH%", "power/GCH(µWs)", "energy(J)", "sig-KB")
+	fmt.Fprintf(&b, "GroCoca ablations (default operating point)\n%-14s", "variant")
+	for _, m := range Metrics {
+		if !m.Optional {
+			fmt.Fprintf(&b, " %*s", m.Width, m.Header)
+		}
+	}
+	fmt.Fprintf(&b, " %12s\n", "sig-KB")
 	for _, p := range points {
-		r := p.Results
-		fmt.Fprintf(&b, "%-14s %12.2f %12.1f %8.1f %8.1f %14.0f %12.2f %12.1f\n",
-			abls[int(p.Value)].ID,
-			float64(r.MeanLatency)/float64(time.Millisecond),
-			100*r.ServerRequestRatio,
-			100*r.LocalHitRatio,
-			100*r.GlobalHitRatio,
-			r.EnergyPerGCH,
-			r.TotalEnergy/1e6,
-			float64(r.Aux.SigBytes)/1024,
-		)
+		r := p.Mean()
+		fmt.Fprintf(&b, "%-14s", abls[int(p.Value)].ID)
+		for _, m := range Metrics {
+			if !m.Optional {
+				fmt.Fprintf(&b, " %*.*f", m.Width, m.Prec, m.Display(m.Of(r)))
+			}
+		}
+		fmt.Fprintf(&b, " %12.1f\n", float64(r.Aux.SigBytes)/1024)
 	}
 	return b.String()
 }

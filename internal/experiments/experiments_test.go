@@ -105,10 +105,10 @@ func TestExperimentRunTiny(t *testing.T) {
 	var scFlat, scSkew core.Results
 	for _, p := range points {
 		if p.Scheme == core.SchemeSC && p.Value == 0 {
-			scFlat = p.Results
+			scFlat = p.Mean()
 		}
 		if p.Scheme == core.SchemeSC && p.Value == 1 {
-			scSkew = p.Results
+			scSkew = p.Mean()
 		}
 	}
 	if scSkew.LocalHitRatio <= scFlat.LocalHitRatio {
@@ -137,7 +137,7 @@ func TestAblationTableRendering(t *testing.T) {
 	abls := Ablations()
 	points := make([]Point, len(abls))
 	for i := range points {
-		points[i] = Point{Value: float64(i), Results: core.Results{Scheme: "GroCoca"}}
+		points[i] = Point{Value: float64(i), Runs: []core.Results{{Scheme: "GroCoca"}}}
 	}
 	table := AblationTable(points)
 	for _, a := range abls {

@@ -183,30 +183,32 @@ func Extensions() []Experiment {
 }
 
 // CSV renders measured points as comma-separated rows with a header,
-// suitable for external plotting. The trailing columns carry the
-// replication count and per-metric sample standard deviations; single-run
-// sweeps report reps=1 and zero deviations, so the schema is uniform.
+// suitable for external plotting: the Metrics' means, the request count,
+// the replication count and the Metrics' sample standard deviations.
+// Single-run sweeps report reps=1 and zero deviations, so the schema is
+// uniform.
 func (e Experiment) CSV(points []Point) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "experiment,figure,%s,scheme,latency_ms,server_req_ratio,lch_ratio,gch_ratio,failure_ratio,power_per_gch_uws,total_energy_j,requests,reps,latency_ms_sd,server_req_sd,lch_sd,gch_sd,failure_sd,power_per_gch_sd,total_energy_j_sd\n", strings.ToLower(e.Param))
+	fmt.Fprintf(&b, "experiment,figure,%s,scheme", strings.ToLower(e.Param))
+	for _, m := range Metrics {
+		b.WriteString("," + m.CSV)
+	}
+	b.WriteString(",requests,reps")
+	for _, m := range Metrics {
+		b.WriteString("," + m.CSVSD)
+	}
+	b.WriteByte('\n')
 	for _, p := range points {
-		r := p.Results
-		sp := p.Spread
-		if sp == nil {
-			sp = &Spread{}
+		r := p.Mean()
+		fmt.Fprintf(&b, "%s,%s,%s,%s", e.ID, e.Figure, e.format(p.Value), r.Scheme)
+		for _, m := range Metrics {
+			fmt.Fprintf(&b, ",%.*f", m.CSVPrec, m.Of(r))
 		}
-		reps := p.Reps
-		if reps < 1 {
-			reps = 1
+		fmt.Fprintf(&b, ",%d,%d", r.Requests, len(p.Runs))
+		for _, m := range Metrics {
+			fmt.Fprintf(&b, ",%.*f", m.CSVPrec, p.SD(m))
 		}
-		fmt.Fprintf(&b, "%s,%s,%s,%s,%.4f,%.4f,%.4f,%.4f,%.4f,%.1f,%.3f,%d,%d,%.4f,%.4f,%.4f,%.4f,%.4f,%.1f,%.3f\n",
-			e.ID, e.Figure, e.format(p.Value), r.Scheme,
-			float64(r.MeanLatency)/float64(time.Millisecond),
-			r.ServerRequestRatio, r.LocalHitRatio, r.GlobalHitRatio, r.FailureRatio,
-			r.EnergyPerGCH, r.TotalEnergy/1e6, r.Requests,
-			reps, sp.LatencyMS, sp.ServerReqRatio, sp.LocalHitRatio, sp.GlobalHitRatio,
-			sp.FailureRatio, sp.EnergyPerGCH, sp.TotalEnergyJ,
-		)
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

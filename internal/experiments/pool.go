@@ -5,16 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"reflect"
 	"runtime"
-	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // This file is the parallel replicated sweep engine. Every (value, scheme,
@@ -25,19 +21,6 @@ import (
 // (seed, experiment, value index, scheme, replication) tuple — see
 // deriveSeed — so a sweep is reproducible cell by cell without running the
 // rest of it.
-
-// Spread holds the across-replication sample standard deviation of each
-// reported metric, in the units the renderers print (latency in ms, energy
-// in J, ratios as fractions).
-type Spread struct {
-	LatencyMS      float64
-	ServerReqRatio float64
-	LocalHitRatio  float64
-	GlobalHitRatio float64
-	FailureRatio   float64
-	EnergyPerGCH   float64
-	TotalEnergyJ   float64
-}
 
 // deriveSeed returns the RNG seed for one replication of one sweep cell.
 // Replication 0 keeps the base seed, so single-replication sweeps remain
@@ -186,139 +169,11 @@ func PoolJournaled[T any](cells, reps, workers int, jr *checkpoint.Journal, keyF
 	return nil
 }
 
-// aggregate folds one cell's replications into a Point: Results holds the
-// replication mean, Spread the sample standard deviations (nil for a
-// single run, which passes replication 0 through untouched).
-func aggregate(value float64, scheme core.Scheme, rs []core.Results) Point {
-	p := Point{Value: value, Scheme: scheme, Results: meanResults(rs), Reps: len(rs), Runs: rs}
-	if len(rs) > 1 {
-		p.Spread = &Spread{
-			LatencyMS:      sampleStd(rs, func(r core.Results) float64 { return float64(r.MeanLatency) / float64(time.Millisecond) }),
-			ServerReqRatio: sampleStd(rs, func(r core.Results) float64 { return r.ServerRequestRatio }),
-			LocalHitRatio:  sampleStd(rs, func(r core.Results) float64 { return r.LocalHitRatio }),
-			GlobalHitRatio: sampleStd(rs, func(r core.Results) float64 { return r.GlobalHitRatio }),
-			FailureRatio:   sampleStd(rs, func(r core.Results) float64 { return r.FailureRatio }),
-			EnergyPerGCH:   sampleStd(rs, func(r core.Results) float64 { return r.EnergyPerGCH }),
-			TotalEnergyJ:   sampleStd(rs, func(r core.Results) float64 { return r.TotalEnergy / 1e6 }),
-		}
-	}
-	return p
-}
-
-// sampleStd computes the sample standard deviation of one metric across
-// replications.
-func sampleStd(rs []core.Results, metric func(core.Results) float64) float64 {
-	var w stats.Welford
-	for _, r := range rs {
-		w.Add(metric(r))
-	}
-	return w.SampleStdDev()
-}
-
-// meanResults averages the replications field by field: floats, integers
-// and durations take their mean, booleans AND together (Completed is true
-// only if every replication completed), strings keep the first
-// replication's value, and the energy-breakdown map is averaged per
-// category. A single replication passes through untouched.
-func meanResults(rs []core.Results) core.Results {
-	if len(rs) == 1 {
-		return rs[0]
-	}
-	out := rs[0]
-	samples := make([]reflect.Value, len(rs))
-	for i := range rs {
-		samples[i] = reflect.ValueOf(rs[i])
-	}
-	meanInto(reflect.ValueOf(&out).Elem(), samples)
-	return out
-}
-
-// meanInto recursively fills dst with the field-wise mean of samples.
-func meanInto(dst reflect.Value, samples []reflect.Value) {
-	n := len(samples)
-	switch dst.Kind() {
-	case reflect.Struct:
-		sub := make([]reflect.Value, n)
-		for i := 0; i < dst.NumField(); i++ {
-			if !dst.Field(i).CanSet() {
-				continue
-			}
-			for j := range samples {
-				sub[j] = samples[j].Field(i)
-			}
-			meanInto(dst.Field(i), sub)
-		}
-	case reflect.Float64, reflect.Float32:
-		var sum float64
-		for _, s := range samples {
-			sum += s.Float()
-		}
-		dst.SetFloat(sum / float64(n))
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		var sum uint64
-		for _, s := range samples {
-			sum += s.Uint()
-		}
-		dst.SetUint((sum + uint64(n)/2) / uint64(n))
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		var sum int64
-		for _, s := range samples {
-			sum += s.Int()
-		}
-		dst.SetInt((sum + int64(n)/2) / int64(n))
-	case reflect.Bool:
-		all := true
-		for _, s := range samples {
-			all = all && s.Bool()
-		}
-		dst.SetBool(all)
-	case reflect.Map:
-		// map[string]float64 (the energy breakdown): per-category mean over
-		// the union of keys; replications missing a category contribute 0.
-		if dst.Type().Key().Kind() != reflect.String || dst.Type().Elem().Kind() != reflect.Float64 {
-			return
-		}
-		keySet := map[string]struct{}{}
-		for _, s := range samples {
-			if s.IsNil() {
-				continue
-			}
-			for _, k := range s.MapKeys() {
-				keySet[k.String()] = struct{}{}
-			}
-		}
-		if len(keySet) == 0 {
-			return
-		}
-		keys := make([]string, 0, len(keySet))
-		for k := range keySet {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		merged := reflect.MakeMapWithSize(dst.Type(), len(keys))
-		for _, k := range keys {
-			var sum float64
-			kv := reflect.ValueOf(k)
-			for _, s := range samples {
-				if s.IsNil() {
-					continue
-				}
-				if v := s.MapIndex(kv); v.IsValid() {
-					sum += v.Float()
-				}
-			}
-			merged.SetMapIndex(kv, reflect.ValueOf(sum/float64(n)))
-		}
-		dst.Set(merged)
-	}
-}
-
 // ReplicateJournaled runs one configuration reps times — seeds derived per
 // replication as in a sweep cell — across workers goroutines, as the one
-// cell of a "replicate" sweep: the point's Runs are the replications in
-// order, Results their mean and Spread their sample stddev. With a
-// non-nil journal, completed replications are recorded durably and an
-// interrupted run resumed against the same journal re-executes only the
+// cell of a "replicate" sweep, whose Runs are the replications in order.
+// With a non-nil journal, completed replications are recorded durably and
+// an interrupted run resumed against the same journal re-executes only the
 // missing ones.
 func ReplicateJournaled(cfg core.Config, reps, workers int, jr *checkpoint.Journal) (Point, error) {
 	e := Experiment{

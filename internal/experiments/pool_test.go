@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -80,7 +81,7 @@ func TestRunSequentialEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = append(want, Point{Value: v, Scheme: scheme, Results: r, Reps: 1, Runs: []core.Results{r}})
+			want = append(want, Point{Value: v, Scheme: scheme, Runs: []core.Results{r}})
 		}
 	}
 	wantTable, wantCSV := e.Table(want), e.CSV(want)
@@ -122,11 +123,8 @@ func TestRunReplicatedDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range want {
-		if p.Reps != 4 {
-			t.Fatalf("cell reps = %d, want 4", p.Reps)
-		}
-		if p.Spread == nil {
-			t.Fatal("replicated cell has nil Spread")
+		if len(p.Runs) != 4 {
+			t.Fatalf("cell runs = %d, want 4", len(p.Runs))
 		}
 	}
 	wantTable, wantCSV := e.Table(want), e.CSV(want)
@@ -157,8 +155,8 @@ func TestRunReplicatedDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestAggregateMatchesManualReplication recomputes one cell by hand: run
-// each derived seed directly through core.Run and check the aggregated
-// mean and sample stddev against the engine's output.
+// each derived seed directly through core.Run and check the cell's runs
+// and mean against the engine's output.
 func TestAggregateMatchesManualReplication(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
@@ -189,7 +187,7 @@ func TestAggregateMatchesManualReplication(t *testing.T) {
 		}
 		manual = append(manual, r)
 	}
-	wantPoint := aggregate(e.Values[0], core.SchemeGroCoca, manual)
+	wantPoint := Point{Value: e.Values[0], Scheme: core.SchemeGroCoca, Runs: manual}
 	if !reflect.DeepEqual(points[0], wantPoint) {
 		t.Errorf("engine cell differs from manual replication:\nengine: %+v\nmanual: %+v", points[0], wantPoint)
 	}
@@ -209,7 +207,7 @@ func TestAggregateMatchesManualReplication(t *testing.T) {
 		latencies = append(latencies, float64(r.MeanLatency)/float64(time.Millisecond))
 	}
 	mean := (latencies[0] + latencies[1] + latencies[2]) / 3
-	gotMean := float64(points[0].Results.MeanLatency) / float64(time.Millisecond)
+	gotMean := float64(points[0].Mean().MeanLatency) / float64(time.Millisecond)
 	// The engine averages the duration in integer nanoseconds; half a
 	// nanosecond of rounding is the most that can separate the two means.
 	if diff := gotMean - mean; diff > 1e-6 || diff < -1e-6 {
@@ -217,56 +215,60 @@ func TestAggregateMatchesManualReplication(t *testing.T) {
 	}
 }
 
-// TestMeanResultsFields checks the field-wise aggregation rules on a
-// synthetic pair of results.
-func TestMeanResultsFields(t *testing.T) {
+// TestPointMean checks the cell mean's arithmetic on synthetic runs:
+// round-half-up integer means for the counts and the latency, float sums
+// in replication order over the count for ratios and energies, the first
+// run's scheme, and the sample standard deviation in the CSV's units.
+func TestPointMean(t *testing.T) {
 	a := core.Results{
-		Scheme:          "GroCoca",
-		Completed:       true,
-		Requests:        10,
-		MeanLatency:     10 * time.Millisecond,
-		LocalHitRatio:   0.25,
-		TotalEnergy:     100,
-		EnergyBreakdown: map[string]float64{"p2p-send": 2, "only-a": 4},
-		SimTime:         20 * time.Second,
-		Events:          100,
+		Scheme:         "GroCoca",
+		Completed:      true,
+		Requests:       10,
+		MeanLatency:    10 * time.Millisecond,
+		LocalHitRatio:  0.25,
+		GlobalHitRatio: 0.1,
+		TotalEnergy:    100,
+		EnergyPerGCH:   7,
+		Events:         100,
 	}
+	a.Aux.SigBytes = 3
 	b := core.Results{
-		Scheme:          "GroCoca",
-		Completed:       false,
-		Requests:        20,
-		MeanLatency:     20 * time.Millisecond,
-		LocalHitRatio:   0.5,
-		TotalEnergy:     300,
-		EnergyBreakdown: map[string]float64{"p2p-send": 6},
-		SimTime:         40 * time.Second,
-		Events:          200,
+		Scheme:         "other",
+		Requests:       21,
+		MeanLatency:    20*time.Millisecond + 1,
+		LocalHitRatio:  0.5,
+		GlobalHitRatio: 0.2,
+		TotalEnergy:    300,
+		EnergyPerGCH:   8,
+		Events:         200,
 	}
-	m := meanResults([]core.Results{a, b})
+	b.Aux.SigBytes = 4
+	m := Point{Runs: []core.Results{a, b}}.Mean()
 	if m.Scheme != "GroCoca" {
-		t.Errorf("Scheme = %q", m.Scheme)
+		t.Errorf("Scheme = %q, want the first run's", m.Scheme)
 	}
-	if m.Completed {
-		t.Error("Completed must AND to false")
+	if m.Requests != 16 || m.Aux.SigBytes != 4 {
+		t.Errorf("integer means: requests=%d sig bytes=%d, want 16 and 4 (half rounds up)", m.Requests, m.Aux.SigBytes)
 	}
-	if m.Requests != 15 || m.Events != 150 {
-		t.Errorf("integer means: requests=%d events=%d", m.Requests, m.Events)
+	if want := 15*time.Millisecond + 1; m.MeanLatency != want {
+		t.Errorf("latency mean = %v, want %v", m.MeanLatency, want)
 	}
-	if m.MeanLatency != 15*time.Millisecond || m.SimTime != 30*time.Second {
-		t.Errorf("duration means: latency=%v simtime=%v", m.MeanLatency, m.SimTime)
+	if m.LocalHitRatio != 0.375 || m.TotalEnergy != 200 || m.EnergyPerGCH != 7.5 {
+		t.Errorf("float means: lch=%v energy=%v power/GCH=%v", m.LocalHitRatio, m.TotalEnergy, m.EnergyPerGCH)
 	}
-	if m.LocalHitRatio != 0.375 || m.TotalEnergy != 200 {
-		t.Errorf("float means: lch=%v energy=%v", m.LocalHitRatio, m.TotalEnergy)
+	if want := (a.GlobalHitRatio + b.GlobalHitRatio) / 2; m.GlobalHitRatio != want {
+		t.Errorf("gch mean = %v, want the sum in order over the count, %v", m.GlobalHitRatio, want)
 	}
-	if got := m.EnergyBreakdown["p2p-send"]; got != 4 {
-		t.Errorf("breakdown mean p2p-send = %v, want 4", got)
+	// A single replication passes through whole.
+	if got := (Point{Runs: []core.Results{a}}).Mean(); !reflect.DeepEqual(got, a) {
+		t.Error("single-replication mean must be the run itself")
 	}
-	if got := m.EnergyBreakdown["only-a"]; got != 2 {
-		t.Errorf("breakdown mean only-a = %v, want 2 (missing keys count as 0)", got)
+	latency := Metrics[0]
+	if got, want := (Point{Runs: []core.Results{a, b}}).SD(latency), 10.000001/math.Sqrt2; math.Abs(got-want) > 1e-9 {
+		t.Errorf("latency sd = %v ms, want %v", got, want)
 	}
-	// A single replication passes through untouched.
-	if !reflect.DeepEqual(meanResults([]core.Results{a}), a) {
-		t.Error("single-replication mean must be the identity")
+	if got := (Point{Runs: []core.Results{a}}).SD(latency); got != 0 {
+		t.Errorf("single-run sd = %v, want 0", got)
 	}
 }
 
@@ -360,8 +362,8 @@ func TestReplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := p.Runs
-	if len(rs) != 3 || p.Reps != 3 || p.Spread == nil {
-		t.Fatalf("replicate: %d results, reps=%d, spread=%v", len(rs), p.Reps, p.Spread)
+	if len(rs) != 3 {
+		t.Fatalf("replicate: %d results, want 3", len(rs))
 	}
 	// Deterministic across worker counts.
 	p1, err := ReplicateJournaled(cfg, 3, 1, nil)

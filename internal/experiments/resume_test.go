@@ -163,8 +163,8 @@ func TestReplicateResume(t *testing.T) {
 			t.Errorf("replication %d differs after resume:\n%v\nvs\n%v", i, all2[i], all[i])
 		}
 	}
-	if point2.Results.String() != point.Results.String() {
-		t.Errorf("aggregate differs after resume")
+	if point2.Mean().String() != point.Mean().String() {
+		t.Errorf("mean differs after resume")
 	}
 }
 

@@ -16,12 +16,15 @@ import (
 // defaults assign carries one value and belongs in a constant of the
 // package that uses it.
 var parameterSets = []string{
+	"repro/internal/audit.Config",
+	"repro/internal/chaos.Options",
 	"repro/internal/client.Config",
+	"repro/internal/experiments.Options",
 	"repro/internal/resilience.Policy",
 }
 
-// defaultFuncs supply the parameter sets' defaults; what they assign sets
-// nothing.
+// defaultFuncs supply the parameter sets' defaults, as do methods named
+// withDefaults; what they assign sets nothing.
 var defaultFuncs = []string{
 	"repro/internal/client.DefaultConfig",
 	"repro/internal/resilience.Legacy",
@@ -58,7 +61,8 @@ func TestEveryParameterHasASetter(t *testing.T) {
 				continue
 			}
 			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && slices.Contains(defaultFuncs, p.Path+"."+fd.Name.Name) {
+				if fd, ok := decl.(*ast.FuncDecl); ok && (fd.Name.Name == "withDefaults" ||
+					fd.Recv == nil && slices.Contains(defaultFuncs, p.Path+"."+fd.Name.Name)) {
 					continue
 				}
 				markSetters(p.Info, decl, set)

@@ -33,11 +33,15 @@ func (c Config) ValidateManhattan(spacing float64) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	if spacing <= 0 {
+	if !(spacing > 0) {
 		return fmt.Errorf("mobility: grid spacing %v must be positive", spacing)
 	}
 	if spacing > c.Space.Width() || spacing > c.Space.Height() {
 		return fmt.Errorf("mobility: grid spacing %v exceeds the space", spacing)
+	}
+	// randIntersection draws a street index below width/spacing as an int.
+	if c.Space.Width()/spacing > math.MaxInt32 || c.Space.Height()/spacing > math.MaxInt32 {
+		return fmt.Errorf("mobility: grid spacing %v makes more than %d streets", spacing, math.MaxInt32)
 	}
 	return nil
 }

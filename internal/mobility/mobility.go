@@ -77,10 +77,10 @@ func (c Config) Validate() error {
 	if !(c.Space.Width() > 0) || !(c.Space.Height() > 0) {
 		return fmt.Errorf("mobility: degenerate space %+v", c.Space)
 	}
-	if c.MaxSpeed <= 0 {
+	if !(c.MaxSpeed > 0) {
 		return fmt.Errorf("mobility: MaxSpeed %v must be positive", c.MaxSpeed)
 	}
-	if c.MinSpeed < 0 || c.MinSpeed > c.MaxSpeed {
+	if !(c.MinSpeed >= 0 && c.MinSpeed <= c.MaxSpeed) {
 		return fmt.Errorf("mobility: speed range [%v, %v] invalid", c.MinSpeed, c.MaxSpeed)
 	}
 	if c.Pause < 0 {
@@ -214,8 +214,8 @@ func NewManhattanGroup(cfg Config, spacing, radius float64, rng *sim.RNG) (*Grou
 }
 
 func newGroup(ref trajectory, cur *segment, space geo.Rect, radius float64, rng *sim.RNG) (*Group, error) {
-	if radius < 0 {
-		return nil, fmt.Errorf("mobility: negative group radius %v", radius)
+	if !(radius >= 0) || math.IsInf(radius, 1) {
+		return nil, fmt.Errorf("mobility: group radius %v must be non-negative and finite", radius)
 	}
 	return &Group{ref: ref, cur: cur, space: space, radius: radius, rng: rng}, nil
 }

@@ -46,7 +46,7 @@ func (b BurstFaults) validate(name string) error {
 		{"good-state loss", b.GoodLoss},
 		{"bad-state loss", b.BadLoss},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) {
 			return fmt.Errorf("network: %s burst %s probability %v outside [0, 1]", name, p.label, p.v)
 		}
 	}
@@ -96,10 +96,10 @@ func (c ChannelFaults) zero() bool {
 
 // validate bounds the channel parameters.
 func (c ChannelFaults) validate(name string) error {
-	if c.LossProb < 0 || c.LossProb > 1 {
+	if !(c.LossProb >= 0 && c.LossProb <= 1) {
 		return fmt.Errorf("network: %s loss probability %v outside [0, 1]", name, c.LossProb)
 	}
-	if c.BitErrorRate < 0 || c.BitErrorRate > 1 {
+	if !(c.BitErrorRate >= 0 && c.BitErrorRate <= 1) {
 		return fmt.Errorf("network: %s bit error rate %v outside [0, 1]", name, c.BitErrorRate)
 	}
 	return c.Burst.validate(name)

@@ -60,7 +60,7 @@ type ServerLinkConfig struct {
 
 // NewServerLink creates the channel pair.
 func NewServerLink(k *sim.Kernel, cfg ServerLinkConfig, meter *Meter) (*ServerLink, error) {
-	if cfg.UplinkKbps <= 0 || cfg.DownlinkKbps <= 0 {
+	if !(cfg.UplinkKbps > 0) || !(cfg.DownlinkKbps > 0) {
 		return nil, fmt.Errorf("network: server bandwidths (%v, %v) must be positive", cfg.UplinkKbps, cfg.DownlinkKbps)
 	}
 	if meter == nil {

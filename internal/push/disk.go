@@ -59,7 +59,7 @@ const listenPowerPerSec = 50000
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.BandwidthKbps <= 0 {
+	if !(c.BandwidthKbps > 0) {
 		return fmt.Errorf("push: bandwidth %v must be positive", c.BandwidthKbps)
 	}
 	if c.HotItems <= 0 {

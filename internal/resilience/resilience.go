@@ -120,7 +120,7 @@ func (p Policy) Validate() error {
 	if p.RetryBudget < 0 {
 		return fmt.Errorf("resilience: retry budget %d must be non-negative", p.RetryBudget)
 	}
-	if p.Jitter < 0 || p.Jitter > 1 {
+	if !(p.Jitter >= 0 && p.Jitter <= 1) {
 		return fmt.Errorf("resilience: jitter %v outside [0, 1]", p.Jitter)
 	}
 	if p.Deadline < 0 {
@@ -132,7 +132,7 @@ func (p Policy) Validate() error {
 	if p.BreakerOpenFor < 0 {
 		return fmt.Errorf("resilience: negative breaker open window %v", p.BreakerOpenFor)
 	}
-	if p.HedgeAfter < 0 || p.HedgeAfter > 1 {
+	if !(p.HedgeAfter >= 0 && p.HedgeAfter <= 1) {
 		return fmt.Errorf("resilience: hedge fraction %v outside [0, 1]", p.HedgeAfter)
 	}
 	if p.ServeStaleMaxAge < 0 {

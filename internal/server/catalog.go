@@ -186,7 +186,7 @@ type Updater struct {
 
 // NewUpdater creates a stopped updater.
 func NewUpdater(k *sim.Kernel, catalog *Catalog, ratePerSecond float64, reviseEvery time.Duration, rng *sim.RNG) (*Updater, error) {
-	if ratePerSecond < 0 {
+	if !(ratePerSecond >= 0) {
 		return nil, fmt.Errorf("server: negative update rate %v", ratePerSecond)
 	}
 	if reviseEvery <= 0 {

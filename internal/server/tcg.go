@@ -55,13 +55,13 @@ type TCGConfig struct {
 
 // Validate reports whether the thresholds are usable.
 func (c TCGConfig) Validate() error {
-	if c.DistanceThreshold <= 0 {
+	if !(c.DistanceThreshold > 0) {
 		return fmt.Errorf("server: distance threshold %v must be positive", c.DistanceThreshold)
 	}
-	if c.SimilarityThreshold < 0 || c.SimilarityThreshold > 1 {
+	if !(c.SimilarityThreshold >= 0 && c.SimilarityThreshold <= 1) {
 		return fmt.Errorf("server: similarity threshold %v outside [0, 1]", c.SimilarityThreshold)
 	}
-	if c.DistanceWeight < 0 || c.DistanceWeight > 1 {
+	if !(c.DistanceWeight >= 0 && c.DistanceWeight <= 1) {
 		return fmt.Errorf("server: distance weight %v outside [0, 1]", c.DistanceWeight)
 	}
 	if c.Criteria < CriteriaBoth || c.Criteria > CriteriaSimilarityOnly {
